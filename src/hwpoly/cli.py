@@ -10,8 +10,9 @@ when certification fails, and 1 on a usage error.
 
 The truncation order for series-based commands comes from --K when
 given, else from the HWPOLY_K environment variable, else from each
-operation's documented default.  --seed is accepted everywhere for
-interface stability; no current command draws randomness.
+operation's documented default.  An argument that starts with a minus
+sign followed by a digit, such as the weight ``-1,0``, is a positional
+value, never an option.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -42,9 +44,20 @@ class _Usage(Exception):
     pass
 
 
+# No option starts with a minus sign and a digit, so such a token is a
+# weight (-1,0), a sequence or a number.  argparse reads a token as a
+# positional when _parse_optional returns None.
+_NEGATIVE = re.compile(r"-\.?\d")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _Usage(message)
+
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _parse_weight(text: str):
@@ -276,8 +289,6 @@ def _add_common(sub):
                      help="series truncation order")
     sub.add_argument("--json", metavar="PATH", default=None,
                      help="write the document to PATH instead of stdout")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="reserved; no current command draws randomness")
 
 
 def _build_parser() -> _Parser:

@@ -28,6 +28,11 @@ read relative to that level.  Hence the projection along
 keeps exactly the monomials all of whose factors lie in the Levi set,
 both for the Cartan subalgebra (project_hc) and for the corank
 parabolics (project_relative).
+
+VermaModule is the other half: the action of single generators on the
+Verma module M(lambda), which evaluates the Harish-Chandra image at one
+weight without normal ordering any product.  The certifier and the
+Verma oracle both run on it.
 """
 
 from __future__ import annotations
@@ -35,8 +40,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .algebra import (CARTAN, AlgebraSpec, Family, ParabolicData, as_weight,
-                      inner_spec)
+from .algebra import (CARTAN, NEG, AlgebraSpec, Family, ParabolicData,
+                      as_weight, inner_spec)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -330,6 +335,62 @@ def evaluate_at_weight(a: UElement, lam) -> Fraction:
 def hc_evaluate(a: UElement, lam) -> Fraction:
     """evaluate_at_weight after project_hc, the workhorse residual map."""
     return evaluate_at_weight(project_hc(a), lam)
+
+
+class VermaModule:
+    """The Verma module M(lambda), acted on one generator at a time.
+
+    A vector is a dict mapping sorted lowering monomials (tuples of
+    generator indices) to coefficients; the empty monomial is the
+    highest weight vector v_lambda.  Generators act by the recursion
+    g b m = b (g m) + [g, b] m, which consults only the structure
+    constants and lambda, never the PBW products above.  For a weight
+    zero element a, the coefficient of v_lambda in a v_lambda is the
+    Harish-Chandra image of a evaluated at lambda.  Actions are
+    memoised on the instance and live exactly as long as it does.
+    """
+
+    def __init__(self, spec: AlgebraSpec, lam):
+        self.spec = spec
+        self.lam = as_weight(spec, lam)
+        self._cache = {}
+
+    def act(self, g, nu):
+        """g applied to nu v_lambda, for a sorted lowering monomial nu."""
+        key = (g, nu)
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
+        spec = self.spec
+        kind = spec.triangular[g]
+        if kind == NEG and (not nu or g <= nu[0]):
+            out = {(g,) + nu: ONE}
+        elif not nu:
+            if kind == CARTAN:
+                value = self.lam[spec.cartan_coord[g]]
+                out = {(): value} if value else {}
+            else:
+                out = {}
+        else:
+            b, rest = nu[0], nu[1:]
+            out = {}
+            for mu, c in self.act(g, rest).items():
+                self.apply(b, {mu: c}, out=out)
+            for h, c in spec.bracket(g, b):
+                self.apply(h, {rest: c}, out=out)
+        self._cache[key] = out
+        return out
+
+    def apply(self, g, vec, c=ONE, out=None):
+        """Add c times g applied to vec into out (a new dict if None)."""
+        if out is None:
+            out = {}
+        act = self.act
+        for nu, cv in vec.items():
+            k = c * cv
+            for tau, ct in act(g, nu).items():
+                _acc(out, tau, k * ct)
+        return out
 
 
 def restrict_corank_one(a: UElement, outer_value) -> UElement:

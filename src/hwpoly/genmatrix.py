@@ -4,8 +4,11 @@ The object of study is the N x N matrix M whose (i, j) entry is the
 spanning element F[i,j] (E[i,j] for gl), viewed as a matrix over U(g).
 Its powers expand the resolvent (u - M)^{-1} = sum_k M^k u^{-k-1};
 after Harish-Chandra projection and evaluation the diagonal of those
-powers carries all minimal polynomial data, which is what the verify
-module consumes.
+powers carries all minimal polynomial data.  The certifier in the
+verify module reads those values off a Verma module recurrence
+instead; the PBW powers here serve the corank one identities and the
+trace diagnostic, whose entries keep Cartan or Levi coordinates
+symbolic, and stand as an independent check of that recurrence.
 
 Rows and columns are addressed by the spec's matrix index labels
 (1..n for gl, otherwise -n..n without or with 0), not by positions,

@@ -1,14 +1,16 @@
-"""Independent finite dimensional oracles.
+"""Finite dimensional and Verma module cross-checks.
 
-Two cross-checks live here, neither sharing code paths with the
-symbolic engine.  The first realises concrete modules as explicit
-matrices (polynomial gl irreducibles through the Young symmetrizer,
-plus the trivial and defining modules of every family) and extracts
-the minimal polynomial of the generator matrix by exact Krylov
-iteration on C^N tensor V.  The second is a truncated Verma module
-that applies a word of generators to the highest weight vector factor
-by factor, giving the coefficient of the highest weight vector without
-ever invoking the normal ordering machinery.
+The first realises concrete modules as explicit matrices (polynomial
+gl irreducibles through the Young symmetrizer, plus the trivial and
+defining modules of every family) and extracts the minimal polynomial
+of the generator matrix by exact Krylov iteration on C^N tensor V; it
+shares no code path with the certifier.  The second is a truncated
+Verma module that applies a word of generators to the highest weight
+vector factor by factor, giving the coefficient of the highest weight
+vector without invoking PBW normal ordering.  Its generator action is
+the one the certifier runs on (enveloping.VermaModule), so it checks
+that action against PBW normal form rather than standing apart from
+the certifier.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import CARTAN, NEG, AlgebraSpec, Family, as_weight, make_spec
+from .algebra import AlgebraSpec, Family, make_spec
+from .enveloping import VermaModule
 from .linalg import ONE, ZERO, Echelon, mat_vec
 from .polyrat import UniPoly, monic_lcm
 
@@ -85,7 +88,8 @@ def weyl_dimension_gl(lam):
             num *= lam[i] - lam[j] + j - i
             den *= j - i
     d, r = divmod(num, den)
-    assert r == 0
+    if r:
+        raise ValueError(f"the Weyl dimension formula is not integral at {lam}")
     return d
 
 
@@ -165,7 +169,9 @@ def _build_irrep_gl(lam, n, bound):
         ech.insert(dense)
     module = [list(r) for r in ech.rows]
     dim = len(module)
-    assert dim == weyl_dimension_gl(lam)
+    if dim != weyl_dimension_gl(lam):
+        raise RuntimeError(
+            f"Young symmetrizer image has rank {dim}, not the Weyl dimension")
 
     mats = []
     for i, j in spec.gens:
@@ -181,7 +187,8 @@ def _build_irrep_gl(lam, n, bound):
                         s = t[:p_idx] + (i - 1,) + t[p_idx + 1:]
                         out[pos[s]] += c
             coords = ech.coordinates(out)
-            assert coords is not None, "action left the module"
+            if coords is None:
+                raise RuntimeError("generator action left the module")
             cols_out.append(coords)
         mats.append(tuple(tuple(cols_out[b][a] for b in range(dim))
                           for a in range(dim)))
@@ -251,58 +258,20 @@ def oracle_minpoly(rep: RepMatrices) -> UniPoly:
     return q
 
 
-class VermaTruncation:
+class VermaTruncation(VermaModule):
     """Verma module for a highest weight, truncated at a monomial depth.
 
-    Vectors are stored as dictionaries mapping sorted lowering monomials
-    (tuples of generator indices) to coefficients; the empty tuple is
-    the highest weight vector.  Generators act by the recursion
-    g b m = b (g m) + [g, b] m, which only consults the structure
-    constants.  Monomials deeper than the truncation are dropped and
-    the fact recorded; a depth of at least the word length makes the
-    highest weight coefficient exact.
+    Words of generators act on the highest weight vector through the
+    shared Verma action of the enveloping module.  Monomials deeper
+    than the truncation are dropped and the fact recorded; a depth of
+    at least the word length makes the highest weight coefficient
+    exact.
     """
 
     def __init__(self, spec: AlgebraSpec, lam, depth: int):
-        self.spec = spec
-        self.lam = as_weight(spec, lam)
+        super().__init__(spec, lam)
         self.depth = depth
         self.truncated = False
-        self._cache = {}
-
-    def _act(self, g, nu):
-        key = (g, nu)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        spec = self.spec
-        kind = spec.triangular[g]
-        if kind == NEG and (not nu or g <= nu[0]):
-            out = {(g,) + nu: ONE}
-        elif not nu:
-            if kind == CARTAN:
-                out = {(): self.lam[spec.cartan_coord[g]]}
-            else:
-                out = {}
-        else:
-            b, rest = nu[0], nu[1:]
-            out = {}
-            for mu, c in self._act(g, rest).items():
-                for tau, c2 in self._act(b, mu).items():
-                    v = out.get(tau, ZERO) + c * c2
-                    if v:
-                        out[tau] = v
-                    elif tau in out:
-                        del out[tau]
-            for h, c in spec.bracket(g, b):
-                for tau, c2 in self._act(h, rest).items():
-                    v = out.get(tau, ZERO) + c * c2
-                    if v:
-                        out[tau] = v
-                    elif tau in out:
-                        del out[tau]
-        self._cache[key] = out
-        return out
 
     def apply_word(self, word):
         """Apply matrix index pairs right to left to the highest vector."""
@@ -311,18 +280,12 @@ class VermaTruncation:
             c, idx = self.spec.resolve(i, j)
             if idx is None:
                 return {}
-            new = {}
-            for nu, cv in state.items():
-                for tau, ct in self._act(idx, nu).items():
-                    if len(tau) > self.depth:
-                        self.truncated = True
-                        continue
-                    v = new.get(tau, ZERO) + c * cv * ct
-                    if v:
-                        new[tau] = v
-                    elif tau in new:
-                        del new[tau]
-            state = new
+            state = self.apply(idx, state, c)
+            deep = [tau for tau in state if len(tau) > self.depth]
+            if deep:
+                self.truncated = True
+                for tau in deep:
+                    del state[tau]
         return state
 
     def highest_coefficient(self, word) -> Fraction:

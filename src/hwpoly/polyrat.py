@@ -399,7 +399,8 @@ def pade_reconstruct(series: LaurentTrunc, dmax: int) -> "tuple[UniPoly, UniPoly
     Denominator degrees are tried in ascending order; for each degree
     the whole tail is used, so the first consistent fit is the reduced
     answer.  Raises TruncationError when the tail is too short to pin a
-    degree down and ReconstructionError when nothing fits within dmax.
+    degree down and ReconstructionError when nothing fits within dmax
+    or a fit is not unique.
     """
     c = series.tail
     k = series.order
@@ -414,7 +415,9 @@ def pade_reconstruct(series: LaurentTrunc, dmax: int) -> "tuple[UniPoly, UniPoly
             continue
         # Distinct rational functions with denominator degree <= d cannot
         # agree on 2d tail orders, so a consistent system is determined.
-        assert nfree == 0 or d == 0
+        if nfree and d:
+            raise ReconstructionError(
+                f"tail fits more than one degree {d} denominator")
         den = UniPoly(list(sol) + [ONE])
         rem = [ZERO] * d
         for e in range(d):

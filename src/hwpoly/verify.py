@@ -4,9 +4,12 @@ The annihilation criterion drives everything here: a polynomial q kills
 the simple highest weight module exactly when every diagonal entry of
 q(M) has vanishing Harish-Chandra image at the highest weight.  Off
 diagonal entries carry nonzero adjoint weight, so their projections
-vanish identically and only the diagonal needs evaluating; the
-projected diagonals of the powers of M are weight independent and
-cached, which makes scanning many weights against one algebra cheap.
+vanish identically and only the diagonal needs evaluating.  The image
+of a weight zero element at lambda is the coefficient of v_lambda when
+it acts on v_lambda in the Verma module, so DiagonalSeries walks the
+columns of M^k through M(lambda) one power at a time; each column stays
+inside fixed weight spaces, so its state does not grow with k.  One
+series serves a whole certification call and is discarded with it.
 
 certified_minimal_polynomial starts from the shuffle candidate, checks
 annihilation, trims any root whose removal still annihilates, and only
@@ -32,6 +35,7 @@ from math import comb
 from .algebra import AlgebraSpec, Family, as_weight, inner_spec, parabolic
 from .enveloping import (
     UElement,
+    VermaModule,
     evaluate_at_weight,
     project_hc,
     project_relative,
@@ -100,25 +104,84 @@ def _magnitude(a) -> Fraction:
     return abs(a)
 
 
-def annihilation_residuals(spec: AlgebraSpec, q: UniPoly, lam):
-    """Evaluated projection of each diagonal entry of q(M)."""
+class DiagonalSeries:
+    """s_i(k) = pi((M^k)_ii)(lambda) for every diagonal entry, grown on demand.
+
+    Column i of M^k applied to v_lambda in the Verma module M(lambda)
+    obeys u_p^(k) = sum_q M_pq u_q^(k-1) from u_p^(0) = delta_pi v_lambda,
+    and s_i(k) is the coefficient of v_lambda in u_i^(k).  Each u_p stays
+    in the weight space lambda + wt(p) - wt(i), so the state never grows
+    with k and needs no truncation.  One instance serves one
+    certification call and holds the only state that depends on lambda.
+    """
+
+    def __init__(self, spec: AlgebraSpec, lam):
+        self.spec = spec
+        self.lam = as_weight(spec, lam)
+        self._module = VermaModule(spec, self.lam)
+        mi = spec.matrix_indices
+        # _entries[q] lists (p, c, g) with M_pq = c times generator g, for
+        # the nonzero entries; p and q are positions in matrix index order
+        self._entries = [
+            [(p, c, g) for p, (c, g) in enumerate(spec.resolve(i, j)
+                                                  for i in mi)
+             if g is not None]
+            for j in mi]
+        self._columns = [{p: {(): ONE}} for p in range(len(mi))]
+        self._values = [[ONE] for _ in mi]
+        self._order = 1
+
+    def values(self, K: int):
+        """Per diagonal position, in matrix index order, s(0), ..., s(K-1)."""
+        K = max(K, 0)
+        while self._order < K:
+            self._step()
+        return [v[:K] for v in self._values]
+
+    def _step(self):
+        apply = self._module.apply
+        entries = self._entries
+        for i, column in enumerate(self._columns):
+            new = {}
+            for q, vec in column.items():
+                for p, c, g in entries[q]:
+                    apply(g, vec, c, new.setdefault(p, {}))
+            column = {p: vec for p, vec in new.items() if vec}
+            self._columns[i] = column
+            self._values[i].append(column.get(i, {}).get((), ZERO))
+        self._order += 1
+
+
+def _series_for(spec, lam, series):
+    if series is None:
+        return DiagonalSeries(spec, lam)
+    if series.spec is not spec or series.lam != lam:
+        raise ValueError("series belongs to a different algebra or weight")
+    return series
+
+
+def annihilation_residuals(spec: AlgebraSpec, q: UniPoly, lam, *,
+                           series: "DiagonalSeries | None" = None):
+    """Evaluated projection of each diagonal entry of q(M).
+
+    series, when given, is the DiagonalSeries of this spec and weight
+    that the caller already holds; its terms are reused.
+    """
     lam = as_weight(spec, lam)
-    out = []
-    for pos, label in enumerate(spec.matrix_indices):
-        total = ZERO
-        for k, c in enumerate(q.coeffs):
-            if c:
-                total += c * evaluate_at_weight(
-                    projected_diagonal(spec, k)[pos], lam)
-        out.append((label, total))
-    return tuple(out)
+    cols = _series_for(spec, lam, series).values(len(q.coeffs))
+    return tuple(
+        (label, sum((c * s for c, s in zip(q.coeffs, col) if c), ZERO))
+        for label, col in zip(spec.matrix_indices, cols))
 
 
-def annihilates(spec: AlgebraSpec, q: UniPoly, lam) -> bool:
-    return all(not r for _, r in annihilation_residuals(spec, q, lam))
+def annihilates(spec: AlgebraSpec, q: UniPoly, lam, *,
+                series: "DiagonalSeries | None" = None) -> bool:
+    return all(not r for _, r in
+               annihilation_residuals(spec, q, lam, series=series))
 
 
-def certify_minimal(spec: AlgebraSpec, q: UniPoly, lam) -> Certificate:
+def certify_minimal(spec: AlgebraSpec, q: UniPoly, lam, *,
+                    series: "DiagonalSeries | None" = None) -> Certificate:
     """Certificate that q is the minimal polynomial of M on L(lambda).
 
     Raises CertificationError when q fails to annihilate,
@@ -129,7 +192,8 @@ def certify_minimal(spec: AlgebraSpec, q: UniPoly, lam) -> Certificate:
     if not q.is_monic():
         raise ValueError("candidate polynomial must be monic")
     q.linear_factorization()
-    residuals = annihilation_residuals(spec, q, lam)
+    series = _series_for(spec, lam, series)
+    residuals = annihilation_residuals(spec, q, lam, series=series)
     bad = [(lab, r) for lab, r in residuals if r]
     if bad:
         raise CertificationError(
@@ -137,7 +201,7 @@ def certify_minimal(spec: AlgebraSpec, q: UniPoly, lam) -> Certificate:
     witnesses = []
     for root, _ in q.rational_roots():
         divisor = q // UniPoly.from_roots([root])
-        dres = annihilation_residuals(spec, divisor, lam)
+        dres = annihilation_residuals(spec, divisor, lam, series=series)
         hit = next(((lab, r) for lab, r in dres if r), None)
         if hit is None:
             raise NotMinimalError(
@@ -147,7 +211,8 @@ def certify_minimal(spec: AlgebraSpec, q: UniPoly, lam) -> Certificate:
     return Certificate(lam, q, residuals, tuple(witnesses))
 
 
-def projected_resolvent(spec: AlgebraSpec, lam, K: "int | None" = None):
+def projected_resolvent(spec: AlgebraSpec, lam, K: "int | None" = None, *,
+                        series: "DiagonalSeries | None" = None):
     """Diagonal of the evaluated projected resolvent, as reduced fractions.
 
     Returns (label, numerator, denominator) per diagonal entry, each
@@ -159,23 +224,21 @@ def projected_resolvent(spec: AlgebraSpec, lam, K: "int | None" = None):
     lam = as_weight(spec, lam)
     if K is None:
         K = 2 * spec.N + 2
+    cols = _series_for(spec, lam, series).values(K)
     out = []
-    for pos, label in enumerate(spec.matrix_indices):
-        tail = [evaluate_at_weight(projected_diagonal(spec, k)[pos], lam)
-                for k in range(K)]
-        series = LaurentTrunc(UniPoly.zero(), tail)
-        num, den = pade_reconstruct(series, spec.N)
+    for label, tail in zip(spec.matrix_indices, cols):
+        num, den = pade_reconstruct(LaurentTrunc(UniPoly.zero(), tail), spec.N)
         out.append((label, num, den))
     return tuple(out)
 
 
-def _shrink_to_minimal(spec, q, lam):
+def _shrink_to_minimal(spec, q, lam, series):
     shrunk = True
     while shrunk:
         shrunk = False
         for root, _ in q.rational_roots():
             divisor = q // UniPoly.from_roots([root])
-            if annihilates(spec, divisor, lam):
+            if annihilates(spec, divisor, lam, series=series):
                 q = divisor
                 shrunk = True
                 break
@@ -189,19 +252,21 @@ def certified_minimal_polynomial(spec: AlgebraSpec, lam,
     The shuffle candidate is certified directly when possible; if it
     fails to annihilate, the polynomial is rebuilt as the least common
     multiple of the projected resolvent denominators before repeating
-    the certification.  Returns (polynomial, Certificate).
+    the certification.  The diagonal series is computed once and
+    shared by every step.  Returns (polynomial, Certificate).
     """
     lam = as_weight(spec, lam)
+    series = DiagonalSeries(spec, lam)
     q = UniPoly.from_roots(decompose(spec, lam).roots())
-    if not annihilates(spec, q, lam):
-        entries = projected_resolvent(spec, lam, K)
+    if not annihilates(spec, q, lam, series=series):
+        entries = projected_resolvent(spec, lam, K, series=series)
         q = monic_lcm(den for _, _, den in entries)
-        if not annihilates(spec, q, lam):
+        if not annihilates(spec, q, lam, series=series):
             raise CertificationError(
                 f"resolvent denominator lcm {q} fails at weight {lam}",
-                annihilation_residuals(spec, q, lam))
-    q = _shrink_to_minimal(spec, q, lam)
-    return q, certify_minimal(spec, q, lam)
+                annihilation_residuals(spec, q, lam, series=series))
+    q = _shrink_to_minimal(spec, q, lam, series)
+    return q, certify_minimal(spec, q, lam, series=series)
 
 
 def _corank_projection(spec):

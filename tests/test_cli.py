@@ -74,6 +74,39 @@ class TestShuffleCommand:
         assert doc["parity"] == "odd"
 
 
+class TestNegativeWeights:
+    def test_minpoly_negative_weight(self, capsys):
+        doc = run_doc(capsys, "minpoly", "gl", "2", "-1,0")
+        assert doc["weight"] == ["-1", "0"]
+        assert doc["roots"] == [["0", 2]]
+
+    def test_certify_negative_weight(self, capsys):
+        doc = run_doc(capsys, "certify", "o", "7", "-2,-2,0")
+        assert doc["weight"] == ["-2", "-2", "0"]
+        assert doc["roots"] == [["2", 3]]
+        assert all(w["residual"] != "0" for w in doc["witnesses"])
+
+    def test_options_after_a_negative_weight(self, capsys):
+        doc = run_doc(capsys, "minpoly", "gl", "2", "-1/2,0",
+                      "--mode", "certified")
+        assert doc["weight"] == ["-1/2", "0"]
+        assert doc["certified"] is True
+        doc = run_doc(capsys, "resolvent", "sp", "1", "-3", "--K", "5")
+        assert doc["K"] == 5
+
+    def test_negative_sequence_and_poset(self, capsys):
+        doc = run_doc(capsys, "shuffle", "gl", "-3,2")
+        assert doc["sequence"] == ["-3", "2"]
+        doc = run_doc(capsys, "poset", "gl", "2", "-1,0;3,0")
+        assert [e["weight"] for e in doc["entries"]] == [["-1", "0"],
+                                                        ["3", "0"]]
+
+    def test_bad_negative_weight_is_usage_error(self, capsys):
+        rc, _, err = run(capsys, "minpoly", "gl", "2", "-1,banana")
+        assert rc == 1
+        assert "cannot parse weight" in err
+
+
 class TestExitCodes:
     def test_bad_weight_is_usage_error(self, capsys):
         rc, _, err = run(capsys, "minpoly", "gl", "2", "1,banana")
@@ -88,6 +121,11 @@ class TestExitCodes:
     def test_wrong_weight_length(self, capsys):
         rc, _, err = run(capsys, "minpoly", "gl", "3", "1,0")
         assert rc == 1
+
+    def test_seed_flag_is_gone(self, capsys):
+        rc, _, err = run(capsys, "minpoly", "gl", "2", "1,0", "--seed", "3")
+        assert rc == 1
+        assert "--seed" in err
 
     def test_ppdiag_rejects_gl(self, capsys):
         rc, _, err = run(capsys, "ppdiag", "gl", "2", "1,0")

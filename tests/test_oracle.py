@@ -71,6 +71,9 @@ class TestIrrepGL:
     def test_weyl_dimension(self):
         assert weyl_dimension_gl((3, 1)) == 3
         assert weyl_dimension_gl((2, 1, 0)) == 8
+        # not integral: a real exception, which python -O keeps
+        with pytest.raises(ValueError):
+            weyl_dimension_gl((Fraction(1, 2), 0))
 
     def test_determinant_rep(self):
         rep = build_irrep_gl((1, 1), 2)

@@ -7,12 +7,15 @@ from itertools import product
 import pytest
 
 from hwpoly.algebra import make_spec
+from hwpoly.enveloping import evaluate_at_weight
+from hwpoly.genmatrix import projected_diagonal
 from hwpoly.oracle import build_catalog_rep, oracle_minpoly
 from hwpoly.polyrat import UniPoly, monic_lcm
 from hwpoly.shuffle import minpoly_from_weight
 from hwpoly.verify import (
     Certificate,
     CertificationError,
+    DiagonalSeries,
     NotMinimalError,
     annihilates,
     annihilation_residuals,
@@ -24,6 +27,47 @@ from hwpoly.verify import (
     pp_diagnostic,
     projected_resolvent,
 )
+
+
+F = Fraction
+
+
+class TestDiagonalSeries:
+    # integer, half-integer and negative weights per rank
+    WEIGHTS = {
+        1: [(3,), (F(1, 2),), (-2,)],
+        2: [(3, -1), (F(1, 2), F(-3, 2)), (-2, F(-5, 2))],
+        3: [(2, 0, -1), (F(5, 2), F(1, 2), F(-1, 2)), (-1, -3, F(-3, 2))],
+    }
+
+    @pytest.mark.parametrize("family,n,orders", [
+        ("gl", 2, None), ("gl", 3, None), ("sp", 1, None),
+        ("o_odd", 1, None), ("o_even", 2, None),
+        # o_5 stops at k < 2N: PBW powers 10 and 11 alone take 40 s
+        ("o_odd", 2, 10)])
+    def test_matches_pbw_projected_diagonal(self, family, n, orders):
+        spec = make_spec(family, n)
+        K = orders or 2 * spec.N + 2
+        for lam in self.WEIGHTS[n]:
+            cols = DiagonalSeries(spec, lam).values(K)
+            for pos, col in enumerate(cols):
+                assert col == [
+                    evaluate_at_weight(projected_diagonal(spec, k)[pos], lam)
+                    for k in range(K)], (spec.label, lam, pos)
+
+    def test_grows_on_demand(self):
+        series = DiagonalSeries(make_spec("sp", 1), (2,))
+        short = series.values(3)
+        assert series.values(6)[0][:3] == short[0]
+        assert [len(c) for c in series.values(2)] == [2, 2]
+
+    def test_rejects_a_foreign_series(self):
+        spec = make_spec("gl", 2)
+        series = DiagonalSeries(spec, (1, 0))
+        with pytest.raises(ValueError):
+            annihilation_residuals(spec, UniPoly.x(), (2, 0), series=series)
+        with pytest.raises(ValueError):
+            annihilates(make_spec("gl", 1), UniPoly.x(), (1,), series=series)
 
 
 class TestAnnihilation:
@@ -86,6 +130,16 @@ class TestCertifiedMinimal:
                 lcd = monic_lcm(
                     den for _, _, den in projected_resolvent(spec, lam))
                 assert fast == cert == lcd, (family, lam)
+
+    @pytest.mark.parametrize("family,n,lam", [
+        ("gl", 8, (7, 6, 5, 4, 3, 2, 1, 0)),
+        ("o_odd", 5, (5, 4, 3, 2, 0))])
+    def test_rank_at_least_six(self, family, n, lam):
+        spec = make_spec(family, n)
+        q, cert = certified_minimal_polynomial(spec, lam)
+        assert q == minpoly_from_weight(spec, lam)
+        assert len(cert.witnesses) == len(q.rational_roots())
+        assert all(w[2] for w in cert.witnesses)
 
     def test_resolvent_entries_defining_weight(self):
         spec = make_spec("gl", 2)
