@@ -10,9 +10,10 @@ when certification fails, and 1 on a usage error.
 
 The truncation order for series-based commands comes from --K when
 given, else from the HWPOLY_K environment variable, else from each
-operation's documented default.  An argument that starts with a minus
-sign followed by a digit, such as the weight ``-1,0``, is a positional
-value, never an option.
+operation's documented default; an order below 1 is a usage error, and
+the resolvent rejects one below twice the matrix size.  An argument
+that starts with a minus sign followed by a digit, such as the weight
+``-1,0``, is a positional value, never an option.
 """
 
 from __future__ import annotations
@@ -81,15 +82,26 @@ def _spec_for(family: str, num: int):
     raise _Usage(f"unknown family {family!r}")
 
 
+def _order(text: str) -> int:
+    """A truncation order: a positive integer."""
+    try:
+        K = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+    if K < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {K}")
+    return K
+
+
 def _resolve_K(args, fallback=None):
     if args.K is not None:
         return args.K
     env = os.environ.get("HWPOLY_K")
     if env is not None:
         try:
-            return int(env)
-        except ValueError:
-            raise _Usage(f"HWPOLY_K must be an integer, got {env!r}")
+            return _order(env)
+        except argparse.ArgumentTypeError as exc:
+            raise _Usage(f"HWPOLY_K {exc}")
     return fallback
 
 
@@ -285,7 +297,7 @@ def _add_algebra(sub):
 
 
 def _add_common(sub):
-    sub.add_argument("--K", type=int, default=None,
+    sub.add_argument("--K", type=_order, default=None,
                      help="series truncation order")
     sub.add_argument("--json", metavar="PATH", default=None,
                      help="write the document to PATH instead of stdout")

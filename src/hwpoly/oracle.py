@@ -23,7 +23,7 @@ from functools import lru_cache
 from .algebra import AlgebraSpec, Family, make_spec
 from .enveloping import VermaModule
 from .linalg import ONE, ZERO, Echelon, mat_vec
-from .polyrat import UniPoly, monic_lcm
+from .polyrat import InvariantError, UniPoly, monic_lcm
 
 __all__ = [
     "RepMatrices",
@@ -218,7 +218,7 @@ def _krylov_annihilator(op, start, maxdeg):
             res = ech.last_residual
             return UniPoly(res[len(start):len(start) + k + 1])
         w = mat_vec(op, w)
-    raise AssertionError("no dependence within the space dimension")
+    raise InvariantError("no dependence within the space dimension")
 
 
 def oracle_minpoly(rep: RepMatrices) -> UniPoly:

@@ -6,6 +6,10 @@ zero tests, so approximate arithmetic would prove nothing.
 
 UniPoly stores coefficients in ascending degree order with trailing
 zeros stripped, hence equal values have equal representations.  A
+UniPoly built by from_roots also keeps its root multiset, so reporting
+or certifying it never searches for rational roots; the divisor search
+serves polynomials known only by their coefficients, such as Pade
+denominators and the oracle's Krylov annihilators.  A
 LaurentTrunc is an expansion in powers of 1/u around u = infinity: a
 polynomial part plus the coefficients of u^-1 .. u^-K.  Orders beyond
 u^-K are unknown; the arithmetic tracks how far a result can still be
@@ -20,6 +24,7 @@ detected instead of silently misread.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -47,16 +52,26 @@ class ReconstructionError(ValueError):
     """No rational function within the degree bound matches the tail."""
 
 
-class UniPoly:
-    """Univariate polynomial over Q, coefficients ascending in degree."""
+class InvariantError(RuntimeError):
+    """An exact computation reached a state its mathematics rules out."""
 
-    __slots__ = ("coeffs",)
+
+class UniPoly:
+    """Univariate polynomial over Q, coefficients ascending in degree.
+
+    A polynomial built by from_roots also keeps its root multiset, so
+    rational_roots and linear_factorization read it back instead of
+    searching.  Equality and hashing look at the coefficients only.
+    """
+
+    __slots__ = ("coeffs", "_roots")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [rat(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._roots = None
 
     @classmethod
     def zero(cls):
@@ -73,9 +88,21 @@ class UniPoly:
 
     @classmethod
     def from_roots(cls, roots: Iterable) -> "UniPoly":
-        p = cls.one()
-        for r in roots:
-            p = p * cls((-rat(r), 1))
+        """The monic product of (u - r) over the roots, with repetition.
+
+        The result remembers its roots as the sorted (root,
+        multiplicity) list that rational_roots reports.
+        """
+        rs = sorted(rat(r) for r in roots)
+        cs = [ONE]
+        for r in rs:
+            # multiply by (u - r) in place, highest degree first
+            cs.append(ONE)
+            for k in range(len(cs) - 2, 0, -1):
+                cs[k] = cs[k - 1] - r * cs[k]
+            cs[0] = -r * cs[0]
+        p = cls(cs)
+        p._roots = tuple(Counter(rs).items())
         return p
 
     @property
@@ -208,7 +235,18 @@ class UniPoly:
         return a.monic() if not a.is_zero() else a
 
     def rational_roots(self) -> "list[tuple[Fraction, int]]":
-        """All rational roots with multiplicities, ascending."""
+        """All rational roots with multiplicities, ascending.
+
+        A polynomial built by from_roots returns the roots it was built
+        from.  Any other polynomial is searched: every divisor of the
+        constant term over every divisor of the leading one, after
+        clearing denominators, which grows quickly with both.
+        """
+        if self._roots is not None:
+            return list(self._roots)
+        return self._search_roots()
+
+    def _search_roots(self) -> "list[tuple[Fraction, int]]":
         if self.is_zero():
             raise ValueError("zero polynomial")
         found = []
@@ -244,7 +282,8 @@ class UniPoly:
 
         Raises ValueError when an irreducible factor of degree >= 2
         remains, since the callers (certification, root reporting) have
-        nothing sensible to do with such a factor.
+        nothing sensible to do with such a factor.  A polynomial built
+        by from_roots splits by construction and is not searched.
         """
         roots = self.rational_roots()
         if sum(m for _, m in roots) != self.degree:
@@ -428,7 +467,7 @@ def pade_reconstruct(series: LaurentTrunc, dmax: int) -> "tuple[UniPoly, UniPoly
             rem[e] = acc
         num = series.poly * den + UniPoly(rem)
         if not num.is_zero() and not num.gcd(den).degree == 0 and den.degree > 0:
-            raise AssertionError("reconstructed fraction is not reduced")
+            raise InvariantError("reconstructed fraction is not reduced")
         return num, den
     raise ReconstructionError(
         f"no rational function with denominator degree <= {dmax} matches the tail")

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraSpec, Family, as_weight
-from .polyrat import UniPoly
+from .polyrat import InvariantError, UniPoly
 
 PLAIN, STARRED = "plain", "starred"
 
@@ -101,7 +101,7 @@ class ShuffleDecomposition:
             try:
                 first.remove(-self.epsilon)
             except ValueError:
-                raise AssertionError(
+                raise InvariantError(
                     "odd decomposition must contain a part starting at -epsilon")
         if self.epsilon == Fraction(1, 2):
             # the odd orthogonal matrix has a middle row the doubled

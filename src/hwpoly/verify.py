@@ -186,12 +186,16 @@ def certify_minimal(spec: AlgebraSpec, q: UniPoly, lam, *,
 
     Raises CertificationError when q fails to annihilate,
     NotMinimalError when some root can be dropped, and ValueError when
-    q is not monic or does not split over the rationals.
+    q is not monic or does not split over the rationals.  The roots of
+    q are found once (read back, when q was built by
+    UniPoly.from_roots) and each divisor is rebuilt from the multiset
+    without one copy of its root.  The NotMinimalError raised is the
+    one for the least droppable root.
     """
     lam = as_weight(spec, lam)
     if not q.is_monic():
         raise ValueError("candidate polynomial must be monic")
-    q.linear_factorization()
+    roots = q.linear_factorization()
     series = _series_for(spec, lam, series)
     residuals = annihilation_residuals(spec, q, lam, series=series)
     bad = [(lab, r) for lab, r in residuals if r]
@@ -199,8 +203,9 @@ def certify_minimal(spec: AlgebraSpec, q: UniPoly, lam, *,
         raise CertificationError(
             f"{q} does not annihilate at weight {lam}", residuals)
     witnesses = []
-    for root, _ in q.rational_roots():
-        divisor = q // UniPoly.from_roots([root])
+    for root, _ in roots:
+        divisor = UniPoly.from_roots(
+            r for r, m in roots for _ in range(m - (r == root)))
         dres = annihilation_residuals(spec, divisor, lam, series=series)
         hit = next(((lab, r) for lab, r in dres if r), None)
         if hit is None:
@@ -218,31 +223,24 @@ def projected_resolvent(spec: AlgebraSpec, lam, K: "int | None" = None, *,
     Returns (label, numerator, denominator) per diagonal entry, each
     recovered from the first K series coefficients with denominator
     degree at most N; off diagonal entries vanish identically and are
-    not listed.  K defaults to 2N + 2, the least order guaranteeing a
-    unique recovery at that degree bound.
+    not listed.  Two strictly proper fractions whose denominators have
+    degree at most N and that agree on u^-1 .. u^-2N are equal, so K
+    below 2N raises ValueError: a shorter tail can be fitted by a wrong
+    fraction.  K defaults to 2N + 2.
     """
     lam = as_weight(spec, lam)
     if K is None:
         K = 2 * spec.N + 2
+    if K < 2 * spec.N:
+        raise ValueError(
+            f"truncation order {K} is below 2N = {2 * spec.N}, too short "
+            "to determine the resolvent")
     cols = _series_for(spec, lam, series).values(K)
     out = []
     for label, tail in zip(spec.matrix_indices, cols):
         num, den = pade_reconstruct(LaurentTrunc(UniPoly.zero(), tail), spec.N)
         out.append((label, num, den))
     return tuple(out)
-
-
-def _shrink_to_minimal(spec, q, lam, series):
-    shrunk = True
-    while shrunk:
-        shrunk = False
-        for root, _ in q.rational_roots():
-            divisor = q // UniPoly.from_roots([root])
-            if annihilates(spec, divisor, lam, series=series):
-                q = divisor
-                shrunk = True
-                break
-    return q
 
 
 def certified_minimal_polynomial(spec: AlgebraSpec, lam,
@@ -252,8 +250,10 @@ def certified_minimal_polynomial(spec: AlgebraSpec, lam,
     The shuffle candidate is certified directly when possible; if it
     fails to annihilate, the polynomial is rebuilt as the least common
     multiple of the projected resolvent denominators before repeating
-    the certification.  The diagonal series is computed once and
-    shared by every step.  Returns (polynomial, Certificate).
+    the certification.  Whenever a root can be dropped, the least such
+    root is dropped and certification starts again.  The diagonal
+    series is computed once and shared by every step.  Returns
+    (polynomial, Certificate).
     """
     lam = as_weight(spec, lam)
     series = DiagonalSeries(spec, lam)
@@ -265,8 +265,11 @@ def certified_minimal_polynomial(spec: AlgebraSpec, lam,
             raise CertificationError(
                 f"resolvent denominator lcm {q} fails at weight {lam}",
                 annihilation_residuals(spec, q, lam, series=series))
-    q = _shrink_to_minimal(spec, q, lam, series)
-    return q, certify_minimal(spec, q, lam, series=series)
+    while True:
+        try:
+            return q, certify_minimal(spec, q, lam, series=series)
+        except NotMinimalError as exc:
+            q = exc.divisor
 
 
 def _corank_projection(spec):

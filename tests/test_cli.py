@@ -4,6 +4,7 @@ import pathlib
 import pytest
 
 from hwpoly import cli
+from hwpoly.polyrat import UniPoly
 from hwpoly.verify import CertificationError
 
 SCHEMA_PATH = pathlib.Path(__file__).resolve().parent.parent / "docs" / "cli_schema.json"
@@ -131,6 +132,26 @@ class TestExitCodes:
         rc, _, err = run(capsys, "ppdiag", "gl", "2", "1,0")
         assert rc == 1
 
+    @pytest.mark.parametrize("order", ["0", "-3", "x"])
+    def test_truncation_order_below_one_is_usage_error(self, capsys,
+                                                       monkeypatch, order):
+        rc, out, err = run(capsys, "resolvent", "gl", "2", "1,0", "--K", order)
+        assert (rc, out) == (1, "")
+        assert "--K" in err
+        monkeypatch.setenv("HWPOLY_K", order)
+        rc, out, err = run(capsys, "resolvent", "gl", "2", "1,0")
+        assert (rc, out) == (1, "")
+        assert "HWPOLY_K" in err
+
+    def test_resolvent_order_below_2N_is_rejected(self, capsys):
+        # at K = 2 the tail (1, 1) of gl_2 at (1, 0) also fits 1/(u - 1),
+        # which once gave the lcm u^2 - u instead of u^2 - 2u
+        rc, out, err = run(capsys, "resolvent", "gl", "2", "1,0", "--K", "2")
+        assert (rc, out) == (1, "")
+        assert "2N = 4" in err
+        doc = run_doc(capsys, "resolvent", "gl", "2", "1,0", "--K", "4")
+        assert doc["lcm"] == ["0", "-2", "1"]
+
     def test_certification_failure_is_exit_two(self, capsys, monkeypatch):
         def boom(spec, lam, K=None):
             raise CertificationError("forced")
@@ -175,3 +196,34 @@ class TestOtherCommands:
     def test_poset_orders_by_divisibility(self, capsys):
         doc = run_doc(capsys, "poset", "gl", "1", "2;2", "--K", "6")
         assert len(doc["entries"]) == 1
+
+
+class TestCarriedRoots:
+    """The shuffle answer reaches the output without a rational root search."""
+
+    @pytest.fixture
+    def no_search(self, monkeypatch):
+        def boom(self):
+            raise AssertionError(f"searched the roots of {self}")
+        monkeypatch.setattr(UniPoly, "_search_roots", boom)
+
+    def test_fast_minpoly(self, capsys, no_search):
+        doc = run_doc(capsys, "minpoly", "o", "13", "11/2,9/2,7/2,5/2,3/2,1/2")
+        assert len(doc["roots"]) == 12
+
+    def test_certify_direct_and_trimmed(self, capsys, no_search):
+        doc = run_doc(capsys, "certify", "gl", "3", "2,1,0")
+        assert doc["roots"] == [["0", 1], ["2", 1], ["4", 1]]
+        # o_7 at (-2,-2,0): the shuffle candidate (u-2)^3 (u-3)^2 is
+        # trimmed to (u-2)^3
+        doc = run_doc(capsys, "certify", "o", "7", "-2,-2,0")
+        assert doc["roots"] == [["2", 3]]
+
+    def test_rank_8_third_weight(self, capsys, no_search):
+        # the divisor search on these coefficients took over ten seconds
+        doc = run_doc(capsys, "minpoly", "sp", "8", "--",
+                      "-2/3,5/3,8/3,-5/3,0,5/3,2,0")
+        assert doc["roots"] == [
+            ["-2/3", 2], ["2/3", 1], ["10/3", 1], ["4", 2], ["14/3", 1],
+            ["7", 1], ["34/3", 1], ["12", 2], ["38/3", 1], ["46/3", 1],
+            ["50/3", 2]]

@@ -1,7 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwpoly.polyrat import (
     LaurentTrunc,
@@ -64,6 +67,31 @@ def test_linear_factorization():
         (Fraction(0), 1), (Fraction(1, 2), 1), (Fraction(3), 1)]
     with pytest.raises(ValueError):
         (U * U - 2).linear_factorization()
+
+
+def test_from_roots_hands_out_copies_of_its_roots():
+    p = UniPoly.from_roots([2, Fraction(-1, 3), 2, 0])
+    p.rational_roots().clear()
+    assert p.linear_factorization() == [
+        (Fraction(-1, 3), 1), (Fraction(0), 1), (Fraction(2), 2)]
+
+
+# Small rational roots, zero and negatives included, with denominators
+# 1, 2 and 3: the search must still find what from_roots records.
+_ROOTS = st.lists(
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3])),
+    max_size=5)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_ROOTS)
+def test_search_agrees_with_carried_roots(roots):
+    built = UniPoly.from_roots(roots)
+    carried = built.rational_roots()
+    assert carried == sorted(Counter(roots).items())
+    # coefficients alone carry no roots, so this runs the divisor search
+    assert UniPoly(built.coeffs).rational_roots() == carried
+    assert UniPoly(built.coeffs).linear_factorization() == carried
 
 
 def test_series_of_geometric():

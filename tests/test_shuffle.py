@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from hwpoly.algebra import make_spec
-from hwpoly.polyrat import UniPoly
+from hwpoly.polyrat import InvariantError, UniPoly
 from hwpoly.shuffle import (
     PLAIN,
     STARRED,
+    Part,
+    ShuffleDecomposition,
     decompose,
     minpoly_from_weight,
     shifted_weight,
@@ -194,6 +196,14 @@ class TestShuffleMirror:
                 if dec.parity == "odd":
                     assert -eps in dec.first_term_multiset()
                     dec.roots()
+
+    def test_odd_parity_needs_a_part_at_minus_epsilon(self):
+        parts = (Part(0, (Fraction(3),), (PLAIN,), 1),
+                 Part(1, (Fraction(-3),), (STARRED,), 0))
+        dec = ShuffleDecomposition("mirror", (Fraction(3),), parts, "odd",
+                                   Fraction(1))
+        with pytest.raises(InvariantError):
+            dec.roots()
 
 
 class TestMinpolyFromWeight:

@@ -148,6 +148,15 @@ class TestCertifiedMinimal:
             (1, UniPoly((-1, 1)), UniPoly((0, -2, 1))),
             (2, UniPoly.one(), UniPoly.x()))
 
+    def test_resolvent_order_bound(self):
+        # two fractions with denominators of degree <= N that agree on
+        # 2N tail orders are equal, so K = 2N is enough and less is not
+        spec = make_spec("gl", 2)
+        assert (projected_resolvent(spec, (1, 0), 4)
+                == projected_resolvent(spec, (1, 0)))
+        with pytest.raises(ValueError):
+            projected_resolvent(spec, (1, 0), 3)
+
     def test_rank_zero_uses_resolvent_fallback(self):
         # The empty shuffle gives 1 here, which cannot annihilate; the
         # pipeline must recover u from the resolvent instead.
