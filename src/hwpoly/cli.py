@@ -82,15 +82,25 @@ def _spec_for(family: str, num: int):
     raise _Usage(f"unknown family {family!r}")
 
 
-def _order(text: str) -> int:
-    """A truncation order: a positive integer."""
+def _int_at_least(text: str, least: int) -> int:
     try:
-        K = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
-    if K < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {K}")
-    return K
+    if value < least:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {least}, got {value}")
+    return value
+
+
+def _order(text: str) -> int:
+    """A truncation order: a positive integer."""
+    return _int_at_least(text, 1)
+
+
+def _bound(text: str) -> int:
+    """An inclusive upper bound of a check range: a nonnegative integer."""
+    return _int_at_least(text, 0)
 
 
 def _resolve_K(args, fallback=None):
@@ -360,8 +370,8 @@ def _build_parser() -> _Parser:
     s = subs.add_parser("howe", help="dual pair transfer checks")
     s.add_argument("n", type=int)
     s.add_argument("k", type=int)
-    s.add_argument("--rmax", type=int, default=3)
-    s.add_argument("--dmax", type=int, default=3)
+    s.add_argument("--rmax", type=_bound, default=3)
+    s.add_argument("--dmax", type=_bound, default=3)
     _add_common(s)
     s.set_defaults(func=_cmd_howe)
 

@@ -12,6 +12,14 @@ product of two normal monomials is expanded in closed form
 
 with all operations taken componentwise; this is the two-block
 analogue of repeatedly commuting a derivative past a position factor.
+When no variable carries both a derivative of the left factor and a
+position of the right one, the sum has the single term mu = 0 and the
+product is the monomial with the exponent tuples added.
+
+Coefficients are Python ints while they are integral and Fractions
+only once a caller brings in a non-integral scalar: the generators,
+the entries of L and R, the shift n - k and every product coefficient
+above are integers, so the dual pair checks never leave int.
 
 Two commuting copies of general linear Lie algebras embed here: the
 k x k matrix L = X D^t acting by left multiplication on the matrix
@@ -33,13 +41,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from math import comb, factorial
+from operator import add
 
 from .algebra import make_spec
 from .polyrat import UniPoly
 from .shuffle import minpoly_from_weight
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+
+def _coeff(c):
+    """c as an int when it is integral, as a Fraction otherwise."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class WeylAlgebra:
@@ -63,19 +77,19 @@ class WeylAlgebra:
         e = [0] * self.nvars
         e[self.slot(a, i)] = 1
         z = (0,) * self.nvars
-        return WeylElement(self, {(tuple(e), z): ONE})
+        return WeylElement(self, {(tuple(e), z): 1})
 
     def d(self, a: int, i: int) -> "WeylElement":
         e = [0] * self.nvars
         e[self.slot(a, i)] = 1
         z = (0,) * self.nvars
-        return WeylElement(self, {(z, tuple(e)): ONE})
+        return WeylElement(self, {(z, tuple(e)): 1})
 
 
 def _acc(d, key, c):
-    v = d.get(key, ZERO) + c
+    v = d.get(key, 0) + c
     if v:
-        d[key] = v
+        d[key] = _coeff(v)
     elif key in d:
         del d[key]
 
@@ -84,19 +98,18 @@ def _mono_mul(alg, m1, m2):
     """Normal form of the product of two normal monomials, as a dict."""
     (g1, b1), (g2, b2) = m1, m2
     active = [v for v in range(alg.nvars) if b1[v] and g2[v]]
+    xs, ds = tuple(map(add, g1, g2)), tuple(map(add, b1, b2))
+    if not active:
+        return {(xs, ds): 1}
     out = {}
     for mu in iproduct(*(range(min(b1[v], g2[v]) + 1) for v in active)):
-        coeff = ONE
-        xe, de = list(g1), list(b1)
+        coeff = 1
+        xe, de = list(xs), list(ds)
         for v, m in zip(active, mu):
             coeff *= comb(b1[v], m) * comb(g2[v], m) * factorial(m)
-        for v in range(alg.nvars):
-            xe[v] += g2[v]
-            de[v] += b2[v]
-        for v, m in zip(active, mu):
             xe[v] -= m
             de[v] -= m
-        _acc(out, (tuple(xe), tuple(de)), coeff)
+        out[(tuple(xe), tuple(de))] = coeff
     return out
 
 
@@ -115,7 +128,7 @@ class WeylElement:
 
     @classmethod
     def scalar(cls, alg, c):
-        c = Fraction(c)
+        c = _coeff(c)
         z = (0,) * alg.nvars
         return cls(alg, {(z, z): c} if c else {})
 
@@ -153,21 +166,23 @@ class WeylElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _coeff(other)
             if not c:
                 return WeylElement.zero(self.alg)
-            return WeylElement(self.alg,
-                               {m: c * v for m, v in self.terms.items()})
+            return WeylElement(self.alg, {m: _coeff(c * v)
+                                          for m, v in self.terms.items()})
         if not isinstance(other, WeylElement):
             return NotImplemented
         self._check(other)
         out = {}
+        get = out.get
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 c = c1 * c2
                 for m, cc in _mono_mul(self.alg, m1, m2).items():
-                    _acc(out, m, c * cc)
-        return WeylElement(self.alg, out)
+                    out[m] = get(m, 0) + c * cc
+        return WeylElement(self.alg,
+                           {m: _coeff(v) for m, v in out.items() if v})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -200,7 +215,7 @@ def weyl_normalize(alg: WeylAlgebra, expr) -> WeylElement:
     expr = list(expr)
     if not expr or not (len(expr[0]) == 2
                         and isinstance(expr[0][0], (int, Fraction))):
-        expr = [(ONE, expr)]
+        expr = [(1, expr)]
     total = WeylElement.zero(alg)
     for coeff, word in expr:
         acc = WeylElement.scalar(alg, coeff)
@@ -283,11 +298,16 @@ class CheckReport:
 
 
 def check_conv_powers(n: int, k: int, r_max: int) -> CheckReport:
-    """Power convolution: sum_l (R^r)_il x_al = sum_b ((L+(n-k)I)^r)_ab x_bi."""
+    """Power convolution: sum_l (R^r)_il x_al = sum_b ((L+(n-k)I)^r)_ab x_bi.
+
+    Checked for r = 0 .. r_max; a negative r_max raises ValueError.
+    """
+    if r_max < 0:
+        raise ValueError(f"r_max must be nonnegative, got {r_max}")
     emb = dual_pair(n, k)
     alg = emb.alg
     rpow = _wmat_powers(alg, emb.right, r_max)
-    lpow = _wmat_powers(alg, _wmat_shift(emb.left, Fraction(n - k)), r_max)
+    lpow = _wmat_powers(alg, _wmat_shift(emb.left, n - k), r_max)
     failures = []
     checks = 0
     for r in range(r_max + 1):
@@ -316,7 +336,7 @@ def check_resolvent_transfer(n: int, k: int, K: int) -> CheckReport:
     emb = dual_pair(n, k)
     alg = emb.alg
     rpow = _wmat_powers(alg, emb.right, K)
-    spow = _wmat_powers(alg, _wmat_shift(emb.left, Fraction(n - k)), K - 1)
+    spow = _wmat_powers(alg, _wmat_shift(emb.left, n - k), K - 1)
     failures = []
     checks = n * n   # the trivially equal zeroth order
     for r in range(1, K + 1):

@@ -1,9 +1,9 @@
 """Dense exact linear algebra over the rationals.
 
 Small kit shared by the series reconstruction and the matrix oracles:
-fraction-valued row reduction with optional augmentation, an exact
-solver, and a few matrix helpers.  Everything copies its input rows,
-nothing here mutates caller data.
+fraction-valued row reduction with optional augmentation and an exact
+solver.  Everything copies its input rows, nothing here mutates caller
+data.
 """
 
 from __future__ import annotations
@@ -12,37 +12,6 @@ from fractions import Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def identity(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_vec(a, v):
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), ZERO) for row in a]
-
-
-def mat_mul(a, b):
-    ncols = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [ZERO] * ncols
-        for k, c in enumerate(row):
-            if c:
-                brow = b[k]
-                for j in range(ncols):
-                    if brow[j]:
-                        acc[j] += c * brow[j]
-        out.append(acc)
-    return out
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def is_zero_matrix(a):
-    return all(not x for row in a for x in row)
 
 
 class Echelon:

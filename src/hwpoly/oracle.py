@@ -3,8 +3,9 @@
 The first realises concrete modules as explicit matrices (polynomial
 gl irreducibles through the Young symmetrizer, plus the trivial and
 defining modules of every family) and extracts the minimal polynomial
-of the generator matrix by exact Krylov iteration on C^N tensor V; it
-shares no code path with the certifier.  The second is a truncated
+of the generator matrix by exact Krylov iteration on C^N tensor V, with
+the operator held as sparse rows; it shares no code path with the
+certifier.  The second is a truncated
 Verma module that applies a word of generators to the highest weight
 vector factor by factor, giving the coefficient of the highest weight
 vector without invoking PBW normal ordering.  Its generator action is
@@ -22,7 +23,7 @@ from functools import lru_cache
 
 from .algebra import AlgebraSpec, Family, make_spec
 from .enveloping import VermaModule
-from .linalg import ONE, ZERO, Echelon, mat_vec
+from .linalg import ONE, ZERO, Echelon
 from .polyrat import InvariantError, UniPoly, monic_lcm
 
 __all__ = [
@@ -208,6 +209,12 @@ def build_irrep_gl(lam, n, bound: int = 4) -> RepMatrices:
     return _build_irrep_gl(lam, n, bound)
 
 
+def _row_apply(rows, v):
+    """The sparse operator rows applied to the dense vector v."""
+    live = {j for j, x in enumerate(v) if x}
+    return [sum((c * v[j] for j, c in row if j in live), ZERO) for row in rows]
+
+
 def _krylov_annihilator(op, start, maxdeg):
     ech = Echelon(len(start), aug=maxdeg + 1)
     w = list(start)
@@ -217,43 +224,44 @@ def _krylov_annihilator(op, start, maxdeg):
         if ech.insert(w + augv) is None:
             res = ech.last_residual
             return UniPoly(res[len(start):len(start) + k + 1])
-        w = mat_vec(op, w)
+        w = _row_apply(op, w)
     raise InvariantError("no dependence within the space dimension")
 
 
 def oracle_minpoly(rep: RepMatrices) -> UniPoly:
     """Minimal polynomial of the generator matrix acting on C^N tensor V.
 
-    Runs a Krylov iteration from every coordinate vector, skipping
-    those already killed by the least common multiple found so far.
+    The operator is held as sparse rows, one list of (column,
+    coefficient) pairs per row built from the nonzero block entries, so
+    each product costs the nonzero entries only.  Runs a Krylov
+    iteration from every coordinate vector, skipping those already
+    killed by the least common multiple found so far.
     """
     spec = rep.spec
     mi = spec.matrix_indices
     dim = rep.dim
     size = len(mi) * dim
-    op = [[ZERO] * size for _ in range(size)]
+    op = [[] for _ in range(size)]
     for ii, i in enumerate(mi):
         for jj, j in enumerate(mi):
             c, idx = spec.resolve(i, j)
             if idx is None or not c:
                 continue
-            block = rep.mats[idx]
-            for a in range(dim):
-                row = op[ii * dim + a]
-                for b in range(dim):
-                    if block[a][b]:
-                        row[jj * dim + b] = c * block[a][b]
+            for a, brow in enumerate(rep.mats[idx]):
+                op[ii * dim + a] += ((jj * dim + b, c * x)
+                                     for b, x in enumerate(brow) if x)
     q = UniPoly.one()
     for s in range(size):
+        # q(op) e_s by Horner's rule; e_s is the s-th coordinate vector
+        w = [ZERO] * size
+        w[s] = q.coeffs[-1]
+        for c in reversed(q.coeffs[:-1]):
+            w = _row_apply(op, w)
+            w[s] += c
+        if not any(w):
+            continue
         start = [ZERO] * size
         start[s] = ONE
-        w = [ZERO] * size
-        for c in reversed(q.coeffs):
-            w = mat_vec(op, w)
-            if c:
-                w = [x + c * y for x, y in zip(w, start)]
-        if all(not x for x in w):
-            continue
         q = monic_lcm([q, _krylov_annihilator(op, start, size)])
     return q
 

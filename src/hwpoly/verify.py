@@ -168,10 +168,14 @@ def annihilation_residuals(spec: AlgebraSpec, q: UniPoly, lam, *,
     that the caller already holds; its terms are reused.
     """
     lam = as_weight(spec, lam)
-    cols = _series_for(spec, lam, series).values(len(q.coeffs))
-    return tuple(
-        (label, sum((c * s for c, s in zip(q.coeffs, col) if c), ZERO))
-        for label, col in zip(spec.matrix_indices, cols))
+    return tuple(_residuals(q, _series_for(spec, lam, series)))
+
+
+def _residuals(q: UniPoly, series: DiagonalSeries):
+    """Yield (label, residual) per diagonal entry, each on demand."""
+    cols = series.values(len(q.coeffs))
+    for label, col in zip(series.spec.matrix_indices, cols):
+        yield label, sum((c * s for c, s in zip(q.coeffs, col) if c), ZERO)
 
 
 def annihilates(spec: AlgebraSpec, q: UniPoly, lam, *,
@@ -206,8 +210,8 @@ def certify_minimal(spec: AlgebraSpec, q: UniPoly, lam, *,
     for root, _ in roots:
         divisor = UniPoly.from_roots(
             r for r, m in roots for _ in range(m - (r == root)))
-        dres = annihilation_residuals(spec, divisor, lam, series=series)
-        hit = next(((lab, r) for lab, r in dres if r), None)
+        hit = next(((lab, r) for lab, r in _residuals(divisor, series) if r),
+                   None)
         if hit is None:
             raise NotMinimalError(
                 f"divisor {divisor} still annihilates at weight {lam}",

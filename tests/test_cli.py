@@ -143,6 +143,19 @@ class TestExitCodes:
         assert (rc, out) == (1, "")
         assert "HWPOLY_K" in err
 
+    @pytest.mark.parametrize("flag,value", [("--rmax", "-2"), ("--dmax", "-1"),
+                                            ("--rmax", "x")])
+    def test_howe_negative_bound_is_usage_error(self, capsys, flag, value):
+        # a negative bound once printed a vacuous pass with exit 0
+        rc, out, err = run(capsys, "howe", "1", "1", flag, value)
+        assert (rc, out) == (1, "")
+        assert flag in err
+
+    def test_howe_zero_bounds_are_accepted(self, capsys):
+        doc = run_doc(capsys, "howe", "1", "1", "--rmax", "0", "--dmax", "0")
+        assert doc["conv"]["checks"] == 1 and doc["conv"]["passed"]
+        assert [row["d"] for row in doc["divisibility"]] == [0]
+
     def test_resolvent_order_below_2N_is_rejected(self, capsys):
         # at K = 2 the tail (1, 1) of gl_2 at (1, 0) also fits 1/(u - 1),
         # which once gave the lcm u^2 - u instead of u^2 - 2u

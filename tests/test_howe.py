@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import product as iproduct
+from math import comb, factorial
 
 import pytest
 
-from hwpoly.howe import (CheckReport, WeylAlgebra, WeylElement,
+from hwpoly.howe import (CheckReport, WeylAlgebra, WeylElement, _mono_mul,
                          check_conv_powers, check_divisibility_instance,
                          check_resolvent_transfer, dual_pair, weyl_normalize)
 from hwpoly.polyrat import UniPoly
@@ -72,12 +74,85 @@ class TestProductLaw:
             a, b, c = rand_elem(), rand_elem(), rand_elem()
             assert (a * b) * c == a * (b * c)
 
+    def test_associativity_with_fraction_coefficients(self):
+        rng = random.Random(612)
+        alg = WeylAlgebra(2, 1)
+
+        def rand_elem():
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                xe = tuple(rng.randint(0, 2) for _ in range(alg.nvars))
+                de = tuple(rng.randint(0, 2) for _ in range(alg.nvars))
+                terms[(xe, de)] = rng.choice(
+                    [rng.randint(-3, 3),
+                     Fraction(rng.randint(-3, 3), rng.choice([2, 3]))])
+            return WeylElement(alg, {m: c for m, c in terms.items() if c})
+
+        for _ in range(40):
+            a, b, c = rand_elem(), rand_elem(), rand_elem()
+            assert (a * b) * c == a * (b * c)
+            assert a * (b + c) == a * b + a * c
+
+    def test_non_integral_scalar(self):
+        alg = WeylAlgebra(1, 2)
+        x, d = alg.x(2, 1), alg.d(1, 1)
+        half = x * Fraction(1, 2)
+        assert half != x
+        assert set(map(type, half.terms.values())) == {Fraction}
+        assert half * 2 == x
+        # the product is integral again and is stored as an int
+        assert set(map(type, (half * 2).terms.values())) == {int}
+        assert (Fraction(1, 3) * d) * x * 3 == d * x
+        assert WeylElement.scalar(alg, Fraction(4, 2)).terms == {
+            ((0, 0), (0, 0)): 2}
+
     def test_derivative_of_power(self):
         # d x^5 = x^5 d + 5 x^4
         alg = WeylAlgebra(1, 1)
         x, d = alg.x(1, 1), alg.d(1, 1)
         x5 = x * x * x * x * x
         assert d * x5 == x5 * d + 5 * (x * x * x * x)
+
+
+def _contraction_sum(m1, m2):
+    """The closed product formula summed over every variable, zeros included."""
+    (g1, b1), (g2, b2) = m1, m2
+    out = {}
+    for mu in iproduct(*(range(min(b, g) + 1) for b, g in zip(b1, g2))):
+        coeff = 1
+        for b, g, m in zip(b1, g2, mu):
+            coeff *= comb(b, m) * comb(g, m) * factorial(m)
+        key = (tuple(x + y - m for x, y, m in zip(g1, g2, mu)),
+               tuple(x + y - m for x, y, m in zip(b1, b2, mu)))
+        out[key] = out.get(key, 0) + coeff
+    return out
+
+
+class TestMonomialProduct:
+    def test_matches_contraction_sum_on_random_monomials(self):
+        rng = random.Random(613)
+        alg = WeylAlgebra(2, 2)
+
+        def rand_exps():
+            return tuple(rng.choice([0, 0, 0, 1, 2, 3])
+                         for _ in range(alg.nvars))
+
+        fast = 0
+        for _ in range(400):
+            m1 = (rand_exps(), rand_exps())
+            m2 = (rand_exps(), rand_exps())
+            got = _mono_mul(alg, m1, m2)
+            assert got == _contraction_sum(m1, m2), (m1, m2)
+            assert all(type(c) is int for c in got.values())
+            fast += not any(b and g for b, g in zip(m1[1], m2[0]))
+        # both the no-contraction path and the general sum are exercised
+        assert 50 < fast < 350
+
+    def test_no_contraction_adds_exponents(self):
+        alg = WeylAlgebra(1, 2)
+        m1 = ((1, 2), (0, 3))
+        m2 = ((4, 0), (1, 1))
+        assert _mono_mul(alg, m1, m2) == {((5, 2), (1, 4)): 1}
 
 
 class TestDualPair:
@@ -126,6 +201,25 @@ class TestConvPowers:
     def test_rectangular(self):
         assert check_conv_powers(2, 1, 2).passed
         assert check_conv_powers(1, 3, 2).passed
+
+    def test_products_keep_int_coefficients(self, monkeypatch):
+        seen = set()
+        mul = WeylElement.__mul__
+
+        def spy(self, other):
+            out = mul(self, other)
+            seen.update(type(c) for c in out.terms.values())
+            return out
+
+        monkeypatch.setattr(WeylElement, "__mul__", spy)
+        assert check_conv_powers(2, 2, 2).passed
+        assert seen == {int}
+
+    def test_negative_power_bound_rejected(self):
+        # a negative bound would run no check and still report a pass
+        with pytest.raises(ValueError):
+            check_conv_powers(1, 1, -1)
+        assert check_conv_powers(1, 1, 0).checks == 1
 
 
 class TestResolventTransfer:

@@ -7,7 +7,6 @@ import pytest
 
 from hwpoly.algebra import make_spec
 from hwpoly.enveloping import hc_evaluate, pbw_normalize
-from hwpoly.linalg import mat_mul, mat_sub
 from hwpoly.oracle import (
     VermaTruncation,
     build_catalog_rep,
@@ -18,6 +17,15 @@ from hwpoly.oracle import (
 )
 from hwpoly.polyrat import UniPoly
 from hwpoly.shuffle import minpoly_from_weight
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def assert_bracket_fidelity(rep):
@@ -106,6 +114,16 @@ class TestIrrepGL:
             spec = make_spec("gl", 3)
             assert oracle_minpoly(build_irrep_gl(lam, 3)) == \
                 minpoly_from_weight(spec, lam)
+
+    @pytest.mark.parametrize("lam", [
+        (0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0), (1, 1, 0, 0),
+        (3, 0, 0, 0), (2, 1, 0, 0), (1, 1, 1, 0), (4, 0, 0, 0),
+        (3, 1, 0, 0), (2, 2, 0, 0), (2, 1, 1, 0), (1, 1, 1, 1)],
+        ids=lambda lam: ",".join(map(str, lam)))
+    def test_gl4_minpoly_matches_shuffle(self, lam):
+        # every gl_4 partition of size at most 4, the oracle's bound
+        assert oracle_minpoly(build_irrep_gl(lam, 4)) == \
+            minpoly_from_weight(make_spec("gl", 4), lam)
 
     def test_contract_errors(self):
         with pytest.raises(ValueError):
