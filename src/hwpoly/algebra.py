@@ -279,26 +279,6 @@ class ParabolicData:
     upper: frozenset
     lower: frozenset
 
-    def contains_weight(self, wt) -> bool:
-        """Whether wt lies in the lattice spanned by the Levi's roots."""
-        spec = self.spec
-        n, t = spec.n, self.level
-        wt = tuple(wt)
-        if len(wt) != n:
-            raise ValueError("wrong number of weight coordinates")
-        if any(Fraction(c).denominator != 1 for c in wt):
-            return False
-        if spec.family is Family.GL:
-            return all(wt[k] == 0 for k in range(t, n)) and sum(wt[:t]) == 0
-        if any(wt[k] != 0 for k in range(n - t)):
-            return False
-        inner = wt[n - t:]
-        if spec.family is Family.O_ODD:
-            return True
-        if spec.family is Family.O_EVEN and t == 1:
-            return inner[0] == 0
-        return sum(inner) % 2 == 0
-
 
 def parabolic(spec: AlgebraSpec, level: int) -> ParabolicData:
     if not 1 <= level <= spec.n:

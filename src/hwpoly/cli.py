@@ -8,12 +8,15 @@ object to stdout (or writes it with --json) with all rationals
 rendered as exact fraction strings; exit status is 0 on success, 2
 when certification fails, and 1 on a usage error.
 
-The truncation order for series-based commands comes from --K when
-given, else from the HWPOLY_K environment variable, else from each
-operation's documented default; an order below 1 is a usage error, and
-the resolvent rejects one below twice the matrix size.  An argument
-that starts with a minus sign followed by a digit, such as the weight
-``-1,0``, is a positional value, never an option.
+The commands that read a series truncation order are minpoly and
+parity (with --mode certified), certify, resolvent, relcheck, ppdiag
+and howe.  The order comes from --K when given, else from the HWPOLY_K
+environment variable, else from each operation's documented default;
+an order below 1 is a usage error, and the resolvent rejects one below
+twice the matrix size.  The other commands take no --K and ignore
+HWPOLY_K.  An argument that starts with a minus sign followed by a
+digit, such as the weight ``-1,0``, is a positional value, never an
+option.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from .howe import (check_conv_powers, check_divisibility_instance,
                    check_resolvent_transfer)
 from .oracle import build_catalog_rep, build_irrep_gl, oracle_minpoly
 from .polyrat import UniPoly, monic_lcm
-from .shuffle import (decompose, minpoly_from_weight, shifted_weight,
-                      shuffle_gl, shuffle_mirror)
+from .shuffle import (minpoly_from_weight, shifted_weight, shuffle_gl,
+                      shuffle_mirror)
 from .verify import (CertificationError, NotMinimalError,
                      certified_minimal_polynomial, check_relative_formulas,
                      divisibility_poset, parity_classify, pp_diagnostic,
@@ -306,9 +309,12 @@ def _add_algebra(sub):
     sub.add_argument("num", type=int)
 
 
-def _add_common(sub):
+def _add_order(sub):
     sub.add_argument("--K", type=_order, default=None,
                      help="series truncation order")
+
+
+def _add_common(sub):
     sub.add_argument("--json", metavar="PATH", default=None,
                      help="write the document to PATH instead of stdout")
 
@@ -321,6 +327,7 @@ def _build_parser() -> _Parser:
     _add_algebra(s)
     s.add_argument("weight")
     s.add_argument("--mode", choices=["fast", "certified"], default="fast")
+    _add_order(s)
     _add_common(s)
     s.set_defaults(func=_cmd_minpoly)
 
@@ -333,24 +340,28 @@ def _build_parser() -> _Parser:
     s = subs.add_parser("certify", help="certified minimal polynomial")
     _add_algebra(s)
     s.add_argument("weight")
+    _add_order(s)
     _add_common(s)
     s.set_defaults(func=_cmd_certify)
 
     s = subs.add_parser("resolvent", help="projected resolvent diagonal")
     _add_algebra(s)
     s.add_argument("weight")
+    _add_order(s)
     _add_common(s)
     s.set_defaults(func=_cmd_resolvent)
 
     s = subs.add_parser("relcheck", help="corank one restriction identities")
     _add_algebra(s)
     s.add_argument("weight")
+    _add_order(s)
     _add_common(s)
     s.set_defaults(func=_cmd_relcheck)
 
     s = subs.add_parser("ppdiag", help="trace series diagnostic (o and sp)")
     _add_algebra(s)
     s.add_argument("weight")
+    _add_order(s)
     _add_common(s)
     s.set_defaults(func=_cmd_ppdiag)
 
@@ -358,6 +369,7 @@ def _build_parser() -> _Parser:
     _add_algebra(s)
     s.add_argument("weight")
     s.add_argument("--mode", choices=["fast", "certified"], default="fast")
+    _add_order(s)
     _add_common(s)
     s.set_defaults(func=_cmd_parity)
 
@@ -372,6 +384,7 @@ def _build_parser() -> _Parser:
     s.add_argument("k", type=int)
     s.add_argument("--rmax", type=_bound, default=3)
     s.add_argument("--dmax", type=_bound, default=3)
+    _add_order(s)
     _add_common(s)
     s.set_defaults(func=_cmd_howe)
 

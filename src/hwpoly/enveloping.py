@@ -38,7 +38,6 @@ Verma oracle both run on it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
 
 from .algebra import (CARTAN, NEG, AlgebraSpec, Family, ParabolicData,
                       as_weight, inner_spec)

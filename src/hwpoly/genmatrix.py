@@ -21,13 +21,8 @@ on it, as are their projected diagonals.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import AlgebraSpec, Family
 from .enveloping import UElement, project_hc
-from .polyrat import UniPoly
-
-ONE = Fraction(1)
 
 
 class MatrixU:
@@ -40,11 +35,6 @@ class MatrixU:
         self.rows = rows
         if len(rows) != spec.N or any(len(r) != spec.N for r in rows):
             raise ValueError("matrix shape must match the spec size")
-
-    @classmethod
-    def zero(cls, spec):
-        z = UElement.zero(spec)
-        return cls(spec, [[z] * spec.N for _ in range(spec.N)])
 
     @classmethod
     def identity(cls, spec):
@@ -65,49 +55,24 @@ class MatrixU:
         return self.rows[self._pos(i)][self._pos(j)]
 
     def __mul__(self, other):
-        if isinstance(other, MatrixU):
-            if other.spec is not self.spec:
-                raise ValueError("matrices live over different specs")
-            n = self.spec.N
-            out = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = UElement.zero(self.spec)
-                    for p in range(n):
-                        a = self.rows[i][p]
-                        b = other.rows[p][j]
-                        if not a.is_zero() and not b.is_zero():
-                            acc = acc + a * b
-                    row.append(acc)
-                out.append(row)
-            return MatrixU(self.spec, out)
-        if isinstance(other, (int, Fraction)):
-            return MatrixU(self.spec,
-                           [[e * other for e in row] for row in self.rows])
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
         if not isinstance(other, MatrixU):
             return NotImplemented
-        return MatrixU(self.spec, [[a + b for a, b in zip(ra, rb)]
-                                   for ra, rb in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        if not isinstance(other, MatrixU):
-            return NotImplemented
-        return MatrixU(self.spec, [[a - b for a, b in zip(ra, rb)]
-                                   for ra, rb in zip(self.rows, other.rows)])
-
-    def __eq__(self, other):
-        if isinstance(other, MatrixU):
-            return self.spec is other.spec and self.rows == other.rows
-        return NotImplemented
-
-    def is_zero(self):
-        return all(e.is_zero() for row in self.rows for e in row)
+        if other.spec is not self.spec:
+            raise ValueError("matrices live over different specs")
+        n = self.spec.N
+        out = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                acc = UElement.zero(self.spec)
+                for p in range(n):
+                    a = self.rows[i][p]
+                    b = other.rows[p][j]
+                    if not a.is_zero() and not b.is_zero():
+                        acc = acc + a * b
+                row.append(acc)
+            out.append(row)
+        return MatrixU(self.spec, out)
 
     def diagonal(self):
         """Pairs (label, entry) down the diagonal."""
@@ -151,60 +116,6 @@ def projected_diagonal(spec: AlgebraSpec, k: int):
         got = tuple(project_hc(e) for _, e in mk.diagonal())
         cache[k] = got
     return got
-
-
-class ResolventCoeffs:
-    """Coefficients of (u - M)^{-1}: entry k is M^k, the u^{-k-1} term."""
-
-    __slots__ = ("spec", "coeffs")
-
-    def __init__(self, spec, coeffs):
-        self.spec = spec
-        self.coeffs = tuple(coeffs)
-
-    @property
-    def order(self):
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, k):
-        return self.coeffs[k]
-
-    def __len__(self):
-        return len(self.coeffs)
-
-
-def resolvent_coeffs(m: MatrixU, K: int) -> ResolventCoeffs:
-    """Powers m^0..m^K packaged as resolvent expansion coefficients."""
-    if K < 0:
-        raise ValueError("order must be nonnegative")
-    spec = m.spec
-    if m is spec._cache_misc.get("genmat"):
-        return ResolventCoeffs(spec, [generator_power(spec, k) for k in range(K + 1)])
-    out = [MatrixU.identity(spec)]
-    for _ in range(K):
-        out.append(out[-1] * m)
-    return ResolventCoeffs(spec, out)
-
-
-def poly_apply(p: UniPoly, m: MatrixU) -> MatrixU:
-    """p(m), using the shared power cache for the generator matrix."""
-    spec = m.spec
-    if p.is_zero():
-        return MatrixU.zero(spec)
-    use_cache = m is spec._cache_misc.get("genmat")
-    out = MatrixU.zero(spec)
-    if use_cache:
-        for k, c in enumerate(p.coeffs):
-            if c:
-                out = out + generator_power(spec, k) * c
-        return out
-    pw = MatrixU.identity(spec)
-    for k, c in enumerate(p.coeffs):
-        if k:
-            pw = pw * m
-        if c:
-            out = out + pw * c
-    return out
 
 
 def trace(m: MatrixU) -> UElement:

@@ -331,8 +331,11 @@ def check_resolvent_transfer(n: int, k: int, K: int) -> CheckReport:
     The coefficient of u^-r on the left is R^r; on the right it is the
     matrix with entries sum_ab (S_(r-1))_ab x_bi d_aj, where
     S_m = (L - (k - n) I)^m collects the shifted resolvent expansion.
-    The r = 0 order is the identity matrix on both sides.
+    The r = 0 order is the identity matrix on both sides.  Checked for
+    r = 1 .. K; K below 1 would check nothing, so it raises ValueError.
     """
+    if K < 1:
+        raise ValueError(f"K must be at least 1, got {K}")
     emb = dual_pair(n, k)
     alg = emb.alg
     rpow = _wmat_powers(alg, emb.right, K)

@@ -5,13 +5,12 @@ gl irreducibles through the Young symmetrizer, plus the trivial and
 defining modules of every family) and extracts the minimal polynomial
 of the generator matrix by exact Krylov iteration on C^N tensor V, with
 the operator held as sparse rows; it shares no code path with the
-certifier.  The second is a truncated
-Verma module that applies a word of generators to the highest weight
-vector factor by factor, giving the coefficient of the highest weight
-vector without invoking PBW normal ordering.  Its generator action is
-the one the certifier runs on (enveloping.VermaModule), so it checks
-that action against PBW normal form rather than standing apart from
-the certifier.
+certifier.  The second, hw_coefficient, applies a word of generators
+to the highest weight vector of the Verma module (enveloping.VermaModule)
+factor by factor, giving the coefficient of the highest weight vector
+without invoking PBW normal ordering.  That generator action is the one
+the certifier runs on, so it checks that action against PBW normal
+form rather than standing apart from the certifier.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .polyrat import InvariantError, UniPoly, monic_lcm
 
 __all__ = [
     "RepMatrices",
-    "VermaTruncation",
     "build_catalog_rep",
     "build_irrep_gl",
     "hw_coefficient",
@@ -51,12 +49,6 @@ class RepMatrices:
         if idx is None:
             return [[ZERO] * self.dim for _ in range(self.dim)]
         return [[c * x for x in row] for row in self.mats[idx]]
-
-    def entry(self, i, j, a, b):
-        c, idx = self.spec.resolve(i, j)
-        if idx is None:
-            return ZERO
-        return c * self.mats[idx][a][b]
 
 
 def build_catalog_rep(spec: AlgebraSpec, name: str) -> RepMatrices:
@@ -266,45 +258,17 @@ def oracle_minpoly(rep: RepMatrices) -> UniPoly:
     return q
 
 
-class VermaTruncation(VermaModule):
-    """Verma module for a highest weight, truncated at a monomial depth.
-
-    Words of generators act on the highest weight vector through the
-    shared Verma action of the enveloping module.  Monomials deeper
-    than the truncation are dropped and the fact recorded; a depth of
-    at least the word length makes the highest weight coefficient
-    exact.
-    """
-
-    def __init__(self, spec: AlgebraSpec, lam, depth: int):
-        super().__init__(spec, lam)
-        self.depth = depth
-        self.truncated = False
-
-    def apply_word(self, word):
-        """Apply matrix index pairs right to left to the highest vector."""
-        state = {(): ONE}
-        for i, j in reversed(list(word)):
-            c, idx = self.spec.resolve(i, j)
-            if idx is None:
-                return {}
-            state = self.apply(idx, state, c)
-            deep = [tau for tau in state if len(tau) > self.depth]
-            if deep:
-                self.truncated = True
-                for tau in deep:
-                    del state[tau]
-        return state
-
-    def highest_coefficient(self, word) -> Fraction:
-        return self.apply_word(word).get((), ZERO)
-
-
 def hw_coefficient(spec: AlgebraSpec, word, lam) -> Fraction:
     """Coefficient of the highest weight vector in word . v_lambda.
 
-    Exact: the truncation depth is the word length, which intermediate
-    monomials cannot exceed.
+    The word's matrix index pairs act right to left on v_lambda through
+    the Verma module action, with no PBW normal ordering.
     """
-    word = list(word)
-    return VermaTruncation(spec, lam, len(word)).highest_coefficient(word)
+    verma = VermaModule(spec, lam)
+    state = {(): ONE}
+    for i, j in reversed(list(word)):
+        c, idx = spec.resolve(i, j)
+        if idx is None:
+            return ZERO
+        state = verma.apply(idx, state, c)
+    return state.get((), ZERO)

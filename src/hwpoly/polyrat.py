@@ -12,8 +12,7 @@ serves polynomials known only by their coefficients, such as Pade
 denominators and the oracle's Krylov annihilators.  A
 LaurentTrunc is an expansion in powers of 1/u around u = infinity: a
 polynomial part plus the coefficients of u^-1 .. u^-K.  Orders beyond
-u^-K are unknown; the arithmetic tracks how far a result can still be
-trusted (multiplying by a degree d polynomial loses d orders).
+u^-K are unknown.
 
 pade_reconstruct recovers a rational function from such an expansion by
 trying denominator degrees in ascending order and solving the linear
@@ -337,80 +336,22 @@ def _divisors(n):
 class LaurentTrunc:
     """Expansion P(u) + sum_{m=1..K} c_m u^-m with unknown orders past K."""
 
-    __slots__ = ("poly", "tail", "order")
+    __slots__ = ("poly", "tail")
 
-    def __init__(self, poly: UniPoly, tail: Sequence, order: "int | None" = None):
+    def __init__(self, poly: UniPoly, tail: Sequence):
         self.poly = poly
-        cs = tuple(rat(c) for c in tail)
-        if order is None:
-            order = len(cs)
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        if len(cs) != order:
-            raise ValueError("tail length must equal the truncation order")
-        self.tail = cs
-        self.order = order
+        self.tail = tuple(rat(c) for c in tail)
 
-    @classmethod
-    def from_poly(cls, p: UniPoly, order: int) -> "LaurentTrunc":
-        return cls(p, (ZERO,) * order, order)
+    @property
+    def order(self) -> int:
+        """The truncation order K, the number of known tail coefficients."""
+        return len(self.tail)
 
     def tail_coeff(self, m: int) -> Fraction:
         """Coefficient of u^-m, 1 <= m <= order."""
         if not 1 <= m <= self.order:
             raise IndexError(f"order {m} is beyond the truncation")
         return self.tail[m - 1]
-
-    def __eq__(self, other):
-        if isinstance(other, LaurentTrunc):
-            return (self.poly, self.tail, self.order) == (other.poly, other.tail, other.order)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.poly, self.tail))
-
-    def _binop(self, other, sign):
-        k = min(self.order, other.order)
-        poly = self.poly + sign * other.poly
-        tail = tuple(self.tail[i] + sign * other.tail[i] for i in range(k))
-        return LaurentTrunc(poly, tail, k)
-
-    def __add__(self, other):
-        return self._binop(other, 1)
-
-    def __sub__(self, other):
-        return self._binop(other, -1)
-
-    def __neg__(self):
-        return LaurentTrunc(-self.poly, tuple(-c for c in self.tail), self.order)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = rat(other)
-            return LaurentTrunc(self.poly * c, tuple(c * t for t in self.tail), self.order)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def mul_poly(self, p: UniPoly) -> "LaurentTrunc":
-        """Multiply by a polynomial, losing deg(p) orders of the tail."""
-        if p.is_zero():
-            return LaurentTrunc.from_poly(UniPoly.zero(), self.order)
-        new_order = self.order - p.degree
-        if new_order < 0:
-            raise TruncationError("tail too short to multiply by this polynomial")
-        poly = self.poly * p
-        newtail = [ZERO] * new_order
-        for j, b in enumerate(p.coeffs):
-            if not b:
-                continue
-            for m in range(1, self.order + 1):
-                e = j - m
-                if e >= 0:
-                    poly = poly + UniPoly([ZERO] * e + [b * self.tail[m - 1]])
-                elif -e <= new_order:
-                    newtail[-e - 1] += b * self.tail[m - 1]
-        return LaurentTrunc(poly, newtail, new_order)
 
     def __repr__(self):
         return f"LaurentTrunc({self.poly!r}, {list(self.tail)!r})"
@@ -429,7 +370,7 @@ def series_of_rational(num: UniPoly, den: UniPoly, order: int) -> LaurentTrunc:
         for t in range(1, m):
             acc -= tail[t - 1] * den.coeff(d - m + t)
         tail.append(acc / lead)
-    return LaurentTrunc(q, tail, order)
+    return LaurentTrunc(q, tail)
 
 
 def pade_reconstruct(series: LaurentTrunc, dmax: int) -> "tuple[UniPoly, UniPoly]":

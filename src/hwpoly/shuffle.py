@@ -173,18 +173,12 @@ def decompose(spec: AlgebraSpec, lam) -> ShuffleDecomposition:
     return shuffle_mirror(l, spec.epsilon)
 
 
-def minpoly_from_weight(spec: AlgebraSpec, lam, mode: str = "fast",
-                        K: "int | None" = None) -> UniPoly:
+def minpoly_from_weight(spec: AlgebraSpec, lam) -> UniPoly:
     """Minimal polynomial of the generator matrix on L(lambda).
 
-    mode "fast" reads the answer off the shuffle decomposition; mode
-    "certified" re-derives it through the projection criteria (see the
-    verify module) and raises if certification fails.  Both modes
-    return a monic UniPoly that splits over Q.
+    Read off the shuffle decomposition: a monic UniPoly that carries
+    its root multiset and so splits over Q.  The verify module's
+    certified_minimal_polynomial derives it independently through the
+    projection criteria.
     """
-    if mode == "fast":
-        return UniPoly.from_roots(decompose(spec, lam).roots())
-    if mode == "certified":
-        from .verify import certified_minimal_polynomial
-        return certified_minimal_polynomial(spec, lam, K=K)[0]
-    raise ValueError(f"unknown mode {mode!r}")
+    return UniPoly.from_roots(decompose(spec, lam).roots())

@@ -167,28 +167,6 @@ def test_parabolic_sets():
         parabolic(gl2, 0)
 
 
-def test_levi_weight_lattice_membership():
-    gl3 = make_spec("gl", 3)
-    p = parabolic(gl3, 2)
-    assert p.contains_weight((1, -1, 0))
-    assert not p.contains_weight((1, 0, -1))
-    assert not p.contains_weight((1, 1, 0))
-    sp2 = make_spec("sp", 2)
-    q = parabolic(sp2, 1)
-    assert q.contains_weight((0, 2))
-    assert not q.contains_weight((0, 1))      # sp level-1 lattice is 2Z
-    assert not q.contains_weight((1, 1))
-    o4 = make_spec("o_even", 2)
-    r = parabolic(o4, 1)
-    assert not r.contains_weight((0, 2))      # so_2 has no roots at all
-    assert r.contains_weight((0, 0))
-    o5 = make_spec("o_odd", 2)
-    s = parabolic(o5, 1)
-    assert s.contains_weight((0, 1))
-    assert not s.contains_weight((1, 0))
-    assert not s.contains_weight((0, F(1, 2)))
-
-
 def test_inner_spec_and_label():
     assert make_spec("sp", 2).label == "sp_4"
     assert make_spec("o_odd", 1).label == "o_3"

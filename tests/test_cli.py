@@ -128,6 +128,29 @@ class TestExitCodes:
         assert rc == 1
         assert "--seed" in err
 
+    @pytest.mark.parametrize("argv,reads_K", [
+        (("minpoly", "gl", "1", "0"), True),
+        (("certify", "gl", "1", "0"), True),
+        (("resolvent", "gl", "1", "0"), True),
+        (("relcheck", "gl", "1", "0"), True),
+        (("ppdiag", "sp", "1", "0"), True),
+        (("parity", "sp", "1", "0"), True),
+        (("howe", "1", "1", "--rmax", "0", "--dmax", "0"), True),
+        (("shuffle", "gl", "3,2"), False),
+        (("oracle", "gl", "2", "trivial"), False),
+        (("poset", "gl", "1", "2;2"), False),
+    ])
+    def test_K_only_where_an_order_is_read(self, capsys, argv, reads_K):
+        # shuffle, oracle and poset read no series order, and once
+        # accepted a --K that did nothing
+        rc, out, err = run(capsys, *argv, "--K", "4")
+        if reads_K:
+            assert rc == 0, err
+        else:
+            assert (rc, out) == (1, "")
+            assert "--K" in err
+            assert run(capsys, *argv)[0] == 0
+
     def test_ppdiag_rejects_gl(self, capsys):
         rc, _, err = run(capsys, "ppdiag", "gl", "2", "1,0")
         assert rc == 1
@@ -207,7 +230,7 @@ class TestOtherCommands:
         assert [row["divisible"] for row in doc["divisibility"]] == [True] * 3
 
     def test_poset_orders_by_divisibility(self, capsys):
-        doc = run_doc(capsys, "poset", "gl", "1", "2;2", "--K", "6")
+        doc = run_doc(capsys, "poset", "gl", "1", "2;2")
         assert len(doc["entries"]) == 1
 
 

@@ -1,23 +1,14 @@
-from fractions import Fraction
-
 import pytest
 
-from hwpoly.algebra import Family, make_spec
+from hwpoly.algebra import make_spec
 from hwpoly.enveloping import UElement, project_hc
 from hwpoly.genmatrix import (
-    MatrixU,
     generator_matrix,
     generator_power,
-    poly_apply,
     projected_diagonal,
-    resolvent_coeffs,
     trace,
     trace_prime,
 )
-from hwpoly.polyrat import UniPoly
-
-F = Fraction
-U = UniPoly.x()
 
 
 def gen(spec, i, j):
@@ -45,19 +36,6 @@ def test_square_entry_frozen_gl2():
     expect = (gen(gl2, 1, 1) * gen(gl2, 1, 1) + gen(gl2, 2, 1) * gen(gl2, 1, 2)
               + gen(gl2, 1, 1) - gen(gl2, 2, 2))
     assert m2[1, 1] == expect
-    assert poly_apply(U * U, generator_matrix(gl2))[1, 1] == expect
-
-
-def test_poly_apply_affine():
-    gl2 = make_spec("gl", 2)
-    m = generator_matrix(gl2)
-    got = poly_apply(U - 3, m)
-    assert got[1, 1] == gen(gl2, 1, 1) - 3
-    assert got[1, 2] == gen(gl2, 1, 2)
-    assert poly_apply(UniPoly.zero(), m).is_zero()
-    # non-generator matrices take the fallback path
-    got2 = poly_apply(U * U, MatrixU.identity(gl2))
-    assert got2 == MatrixU.identity(gl2)
 
 
 def test_trace_vanishes_for_osp():
@@ -79,15 +57,6 @@ def test_trace_prime():
         trace_prime(generator_matrix(make_spec("gl", 2)))
     sp1 = make_spec("sp", 1)
     assert trace_prime(generator_matrix(sp1)).is_zero()
-
-
-def test_resolvent_coeffs_basic():
-    gl2 = make_spec("gl", 2)
-    rc = resolvent_coeffs(generator_matrix(gl2), 3)
-    assert len(rc) == 4
-    assert rc[0] == MatrixU.identity(gl2)
-    assert rc[1] == generator_matrix(gl2)
-    assert rc[3] == generator_power(gl2, 3)
 
 
 @pytest.mark.parametrize("name,n", [("gl", 2), ("gl", 3), ("sp", 1), ("o_odd", 1), ("o_even", 2)])

@@ -238,6 +238,14 @@ class TestResolventTransfer:
         assert rep.passed
         assert rep.checks == 4 + 2 * 4
 
+    @pytest.mark.parametrize("K", [0, -3])
+    def test_order_below_one_rejected(self, K):
+        # only the trivially equal zeroth order would be counted, a pass
+        # that checks nothing
+        with pytest.raises(ValueError, match="at least 1"):
+            check_resolvent_transfer(2, 2, K)
+        assert check_resolvent_transfer(1, 1, 1).checks == 2
+
 
 class TestDivisibility:
     def test_frozen_k2_d1(self):

@@ -1,4 +1,4 @@
-"""Finite dimensional oracles: explicit modules, Krylov, truncated Verma."""
+"""Finite dimensional oracles: explicit modules, Krylov, Verma coefficients."""
 
 import random
 from fractions import Fraction
@@ -8,7 +8,6 @@ import pytest
 from hwpoly.algebra import make_spec
 from hwpoly.enveloping import hc_evaluate, pbw_normalize
 from hwpoly.oracle import (
-    VermaTruncation,
     build_catalog_rep,
     build_irrep_gl,
     hw_coefficient,
@@ -171,12 +170,3 @@ class TestVerma:
                 direct = hw_coefficient(spec, word, lam)
                 engine = hc_evaluate(pbw_normalize(spec, word), lam)
                 assert direct == engine, (spec.label, lam, word)
-
-    def test_truncation_flag(self):
-        spec = make_spec("gl", 2)
-        vt = VermaTruncation(spec, (3, 1), 0)
-        assert vt.highest_coefficient([(1, 2), (2, 1)]) == 0
-        assert vt.truncated
-        exact = VermaTruncation(spec, (3, 1), 2)
-        assert exact.highest_coefficient([(1, 2), (2, 1)]) == 2
-        assert not exact.truncated

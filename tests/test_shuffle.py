@@ -256,7 +256,3 @@ class TestMinpolyFromWeight:
     def test_decompose_routes_by_family(self):
         assert decompose(make_spec("gl", 2), (0, 0)).kind == "gl"
         assert decompose(make_spec("sp", 1), (0,)).kind == "mirror"
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            minpoly_from_weight(make_spec("gl", 1), (0,), mode="best")

@@ -26,3 +26,29 @@ def test_no_assert_statements_in_the_package():
                   if isinstance(node, ast.Assert)
                   or _raises_assertion_error(node)]
     assert found == []
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def test_no_unused_imports_in_the_package():
+    # __init__.py imports to re-export, so it is the one exception
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    found = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        # a name that appears only inside a quoted annotation counts as
+        # unused, since the annotation is a string constant to ast
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}"
+                  for line, name in _imported_names(tree) if name not in used]
+    assert found == []
