@@ -35,9 +35,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 NEG, CARTAN, POS = "neg", "cartan", "pos"
 
 
@@ -100,7 +97,7 @@ class AlgebraSpec:
                 self.gen_index[(m - n - 1, m - n - 1)] for m in range(1, n + 1))
         self.cartan_coord = {g: k for k, g in enumerate(self.cartan_by_coord)}
         self.weights = tuple(self._weight_of(p) for p in gens)
-        self._brackets = self._fill_brackets()
+        self._brackets = {}
         # caches used by the enveloping engine; deterministic contents,
         # shared safely because make_spec memoises instances
         self._cache_gtm = {}
@@ -167,58 +164,55 @@ class AlgebraSpec:
     def resolve(self, i, j):
         """Express E-span element F[i,j] (or gl E[i,j]) in canonical terms.
 
-        Returns (coefficient, generator index); the index is None when
+        Returns (coefficient, generator index); the coefficient is the
+        int 1 or -1, and the index is None, with coefficient 0, when
         the element is zero (orthogonal F[i,-i]).  Raises on indices
         outside the matrix index set.
         """
         if i not in self._index_set or j not in self._index_set:
             raise ValueError(f"indices ({i}, {j}) outside the algebra")
         if self.family is Family.GL:
-            return ONE, self.gen_index[(i, j)]
+            return 1, self.gen_index[(i, j)]
         if self._is_zero_pair(i, j):
-            return ZERO, None
+            return 0, None
         idx = self.gen_index.get((i, j))
         if idx is not None:
-            return ONE, idx
-        return Fraction(-self.theta(i, j)), self.gen_index[(-j, -i)]
+            return 1, idx
+        return -self.theta(i, j), self.gen_index[(-j, -i)]
 
-    def _fill_brackets(self):
-        table = {}
-        ngen = len(self.gens)
-        for a in range(ngen):
-            i, j = self.gens[a]
-            for b in range(ngen):
-                k, l = self.gens[b]
-                acc = {}
-                if self.family is Family.GL:
-                    raw = []
-                    if j == k:
-                        raw.append((ONE, (i, l)))
-                    if l == i:
-                        raw.append((-ONE, (k, j)))
-                else:
-                    raw = []
-                    if k == j:
-                        raw.append((ONE, (i, l)))
-                    if i == l:
-                        raw.append((-ONE, (k, j)))
-                    if i == -k:
-                        raw.append((Fraction(-self.theta(k, -j)), (-j, l)))
-                    if -l == j:
-                        raw.append((Fraction(self.theta(i, -l)), (k, -i)))
-                for coeff, pair in raw:
-                    s, idx = self.resolve(*pair)
-                    if idx is not None and s:
-                        acc[idx] = acc.get(idx, ZERO) + coeff * s
-                table[(a, b)] = tuple(sorted(
-                    (g, c) for g, c in acc.items() if c))
-        return table
+    def _compute_bracket(self, a, b):
+        i, j = self.gens[a]
+        k, l = self.gens[b]
+        raw = []
+        if j == k:
+            raw.append((1, (i, l)))
+        if l == i:
+            raw.append((-1, (k, j)))
+        if self.family is not Family.GL:
+            if i == -k:
+                raw.append((-self.theta(k, -j), (-j, l)))
+            if -l == j:
+                raw.append((self.theta(i, -l), (k, -i)))
+        acc = {}
+        for coeff, pair in raw:
+            s, idx = self.resolve(*pair)
+            if idx is not None:
+                acc[idx] = acc.get(idx, 0) + coeff * s
+        return tuple(sorted((g, c) for g, c in acc.items() if c))
 
     # -- queries -------------------------------------------------------
 
     def bracket(self, a: int, b: int):
-        """Structure constants of [gen a, gen b] as ((index, coeff), ...)."""
-        return self._brackets[(a, b)]
+        """Structure constants of [gen a, gen b] as ((index, coeff), ...).
+
+        The coefficients are ints (each is one of +-1, +-2, +-4).  Each
+        pair is computed on its first request and memoised on the spec.
+        """
+        key = (a, b)
+        out = self._brackets.get(key)
+        if out is None:
+            out = self._brackets[key] = self._compute_bracket(a, b)
+        return out
 
     @property
     def label(self) -> str:

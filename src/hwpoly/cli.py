@@ -13,10 +13,11 @@ parity (with --mode certified), certify, resolvent, relcheck, ppdiag
 and howe.  The order comes from --K when given, else from the HWPOLY_K
 environment variable, else from each operation's documented default;
 an order below 1 is a usage error, and the resolvent rejects one below
-twice the matrix size.  The other commands take no --K and ignore
-HWPOLY_K.  An argument that starts with a minus sign followed by a
-digit, such as the weight ``-1,0``, is a positional value, never an
-option.
+twice the matrix size.  minpoly and parity in the default fast mode
+read no order: --K there is a usage error, and HWPOLY_K is ignored, as
+it is by the commands that take no --K.  An argument that starts with
+a minus sign followed by a digit, such as the weight ``-1,0``, is a
+positional value, never an option.
 """
 
 from __future__ import annotations
@@ -106,6 +107,15 @@ def _bound(text: str) -> int:
     return _int_at_least(text, 0)
 
 
+def _fast_or_certified(spec, lam, args):
+    """The minimal polynomial in the requested --mode."""
+    if args.mode == "certified":
+        return certified_minimal_polynomial(spec, lam, K=_resolve_K(args))[0]
+    if args.K is not None:
+        raise _Usage("--K applies only with --mode certified")
+    return minpoly_from_weight(spec, lam)
+
+
 def _resolve_K(args, fallback=None):
     if args.K is not None:
         return args.K
@@ -147,10 +157,7 @@ def _decomposition_doc(dec):
 def _cmd_minpoly(args):
     spec = _spec_for(args.family, args.num)
     lam = _parse_weight(args.weight)
-    if args.mode == "certified":
-        q, _ = certified_minimal_polynomial(spec, lam, K=_resolve_K(args))
-    else:
-        q = minpoly_from_weight(spec, lam)
+    q = _fast_or_certified(spec, lam, args)
     return {
         "algebra": spec.label,
         "weight": [_s(x) for x in lam],
@@ -235,10 +242,7 @@ def _cmd_ppdiag(args):
 def _cmd_parity(args):
     spec = _spec_for(args.family, args.num)
     lam = _parse_weight(args.weight)
-    if args.mode == "certified":
-        q, _ = certified_minimal_polynomial(spec, lam, K=_resolve_K(args))
-    else:
-        q = minpoly_from_weight(spec, lam)
+    q = _fast_or_certified(spec, lam, args)
     return {
         "algebra": spec.label,
         "weight": [_s(x) for x in lam],

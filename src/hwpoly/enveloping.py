@@ -31,13 +31,16 @@ parabolics (project_relative).
 
 VermaModule is the other half: the action of single generators on the
 Verma module M(lambda), which evaluates the Harish-Chandra image at one
-weight without normal ordering any product.  The certifier and the
-Verma oracle both run on it.
+weight without normal ordering any product.  It computes in ints alone,
+on the generators scaled by the least common denominator of lambda, so
+callers divide by that scale once per generator in the word.  The
+certifier and the Verma oracle both run on it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .algebra import (CARTAN, NEG, AlgebraSpec, Family, ParabolicData,
                       as_weight, inner_spec)
@@ -339,23 +342,36 @@ def hc_evaluate(a: UElement, lam) -> Fraction:
 class VermaModule:
     """The Verma module M(lambda), acted on one generator at a time.
 
-    A vector is a dict mapping sorted lowering monomials (tuples of
-    generator indices) to coefficients; the empty monomial is the
-    highest weight vector v_lambda.  Generators act by the recursion
-    g b m = b (g m) + [g, b] m, which consults only the structure
-    constants and lambda, never the PBW products above.  For a weight
-    zero element a, the coefficient of v_lambda in a v_lambda is the
-    Harish-Chandra image of a evaluated at lambda.  Actions are
-    memoised on the instance and live exactly as long as it does.
+    Arithmetic is in Python ints only.  Let d (``scale``) be the least
+    common denominator of lambda.  The module acts by the rescaled
+    basis x' = d x of the Lie algebra: a lowering x' creates its
+    monomial with coefficient 1, a Cartan h' multiplies v_lambda by the
+    integer d lambda(h), and [x'_a, x'_b] = sum d c_h x'_h has integer
+    constants because every c_h is.  A vector is a dict mapping sorted
+    lowering monomials in the x' (tuples of generator indices) to int
+    coefficients; the empty monomial is the highest weight vector
+    v_lambda.  A word of k generators therefore acts as d^-k times the
+    same word in the x', so the coefficient of v_lambda in
+    x_1 ... x_k v_lambda is the int found here divided by d^k.
+
+    Generators act by the recursion g b m = b (g m) + [g, b] m, which
+    consults only the structure constants and lambda, never the PBW
+    products above.  For a weight zero element a, the coefficient of
+    v_lambda in a v_lambda is the Harish-Chandra image of a evaluated
+    at lambda.  Actions are memoised on the instance and live exactly
+    as long as it does.
     """
 
     def __init__(self, spec: AlgebraSpec, lam):
         self.spec = spec
         self.lam = as_weight(spec, lam)
+        self.scale = d = lcm(*(x.denominator for x in self.lam))
+        self._cartan = {g: int(d * self.lam[k])
+                        for g, k in spec.cartan_coord.items()}
         self._cache = {}
 
     def act(self, g, nu):
-        """g applied to nu v_lambda, for a sorted lowering monomial nu."""
+        """x'_g applied to nu v_lambda, for a sorted lowering monomial nu."""
         key = (g, nu)
         hit = self._cache.get(key)
         if hit is not None:
@@ -363,32 +379,39 @@ class VermaModule:
         spec = self.spec
         kind = spec.triangular[g]
         if kind == NEG and (not nu or g <= nu[0]):
-            out = {(g,) + nu: ONE}
+            out = {(g,) + nu: 1}
         elif not nu:
-            if kind == CARTAN:
-                value = self.lam[spec.cartan_coord[g]]
-                out = {(): value} if value else {}
-            else:
-                out = {}
+            value = self._cartan.get(g, 0)
+            out = {(): value} if value else {}
         else:
             b, rest = nu[0], nu[1:]
-            out = {}
-            for mu, c in self.act(g, rest).items():
-                self.apply(b, {mu: c}, out=out)
+            out = self.apply(b, self.act(g, rest))
             for h, c in spec.bracket(g, b):
-                self.apply(h, {rest: c}, out=out)
+                self.apply(h, {rest: self.scale * c}, out=out)
         self._cache[key] = out
         return out
 
-    def apply(self, g, vec, c=ONE, out=None):
-        """Add c times g applied to vec into out (a new dict if None)."""
+    def apply(self, g, vec, c=1, out=None):
+        """Add c times x'_g applied to vec into out (a new dict if None).
+
+        c and the coefficients of vec are ints; a zero sum is dropped.
+        """
         if out is None:
             out = {}
-        act = self.act
+        if not c:
+            return out
+        cache, get = self._cache, out.get
         for nu, cv in vec.items():
+            image = cache.get((g, nu))
+            if image is None:
+                image = self.act(g, nu)
             k = c * cv
-            for tau, ct in act(g, nu).items():
-                _acc(out, tau, k * ct)
+            for tau, ct in image.items():
+                v = get(tau, 0) + k * ct
+                if v:
+                    out[tau] = v
+                else:
+                    del out[tau]
         return out
 
 

@@ -262,13 +262,16 @@ def hw_coefficient(spec: AlgebraSpec, word, lam) -> Fraction:
     """Coefficient of the highest weight vector in word . v_lambda.
 
     The word's matrix index pairs act right to left on v_lambda through
-    the Verma module action, with no PBW normal ordering.
+    the Verma module action, with no PBW normal ordering.  That action
+    runs in ints on the basis rescaled by the module's scale d, so the
+    int coefficient it leaves is divided by d to the word's length.
     """
+    word = list(word)
     verma = VermaModule(spec, lam)
-    state = {(): ONE}
-    for i, j in reversed(list(word)):
+    state = {(): 1}
+    for i, j in reversed(word):
         c, idx = spec.resolve(i, j)
         if idx is None:
             return ZERO
         state = verma.apply(idx, state, c)
-    return state.get((), ZERO)
+    return Fraction(state.get((), 0), verma.scale ** len(word))

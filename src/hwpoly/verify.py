@@ -8,8 +8,11 @@ vanish identically and only the diagonal needs evaluating.  The image
 of a weight zero element at lambda is the coefficient of v_lambda when
 it acts on v_lambda in the Verma module, so DiagonalSeries walks the
 columns of M^k through M(lambda) one power at a time; each column stays
-inside fixed weight spaces, so its state does not grow with k.  One
-series serves a whole certification call and is discarded with it.
+inside fixed weight spaces, so its state does not grow with k.  The
+columns are int vectors on the generators scaled by the weight's least
+common denominator d, and only the N values of each power k become
+fractions, with denominator d^k.  One series serves a whole
+certification call and is discarded with it.
 
 certified_minimal_polynomial starts from the shuffle candidate, checks
 annihilation, trims any root whose removal still annihilates, and only
@@ -113,6 +116,12 @@ class DiagonalSeries:
     in the weight space lambda + wt(p) - wt(i), so the state never grows
     with k and needs no truncation.  One instance serves one
     certification call and holds the only state that depends on lambda.
+
+    The columns are int vectors in the rescaled basis of the
+    VermaModule: with d its scale, M_pq = c x_g = (c/d) x'_g for the
+    int sign c, so the recurrence steps with c alone, the stored column
+    is d^k u^(k), and only the N values of each step become fractions,
+    s_i(k) = (coefficient of v_lambda) / d^k.
     """
 
     def __init__(self, spec: AlgebraSpec, lam):
@@ -127,7 +136,7 @@ class DiagonalSeries:
                                                   for i in mi)
              if g is not None]
             for j in mi]
-        self._columns = [{p: {(): ONE}} for p in range(len(mi))]
+        self._columns = [{p: {(): 1}} for p in range(len(mi))]
         self._values = [[ONE] for _ in mi]
         self._order = 1
 
@@ -141,6 +150,7 @@ class DiagonalSeries:
     def _step(self):
         apply = self._module.apply
         entries = self._entries
+        power = self._module.scale ** self._order
         for i, column in enumerate(self._columns):
             new = {}
             for q, vec in column.items():
@@ -148,7 +158,8 @@ class DiagonalSeries:
                     apply(g, vec, c, new.setdefault(p, {}))
             column = {p: vec for p, vec in new.items() if vec}
             self._columns[i] = column
-            self._values[i].append(column.get(i, {}).get((), ZERO))
+            self._values[i].append(
+                Fraction(column.get(i, {}).get((), 0), power))
         self._order += 1
 
 

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from hwpoly.algebra import Family, make_spec, parabolic, inner_spec, as_weight
+from hwpoly.algebra import (AlgebraSpec, Family, as_weight, inner_spec,
+                            make_spec, parabolic)
+from hwpoly.shuffle import minpoly_from_weight
 
 F = Fraction
 
@@ -139,6 +141,21 @@ def test_sp2_bracket_value():
     f = sp.gen_index[(1, -1)]
     h = sp.gen_index[(-1, -1)]
     assert spec_bracket_as_dict(sp, e, f) == {h: 4}
+
+
+def test_brackets_are_lazy_ints():
+    # fast mode never reads a bracket, so building a spec computes none
+    spec = AlgebraSpec("o_odd", 4)
+    minpoly_from_weight(spec, (3, 2, 1, 0))
+    assert spec._brackets == {}
+    e = spec.gen_index[(-4, -3)]
+    f = spec.gen_index[(-3, -4)]
+    got = spec.bracket(e, f)
+    assert list(spec._brackets) == [(e, f)]
+    assert spec.bracket(e, f) is got
+    assert all(type(c) is int for _, c in got)
+    c, idx = spec.resolve(4, 3)
+    assert type(c) is int and c == -1 and spec.gens[idx] == (-3, -4)
 
 
 def spec_bracket_as_dict(spec, a, b):

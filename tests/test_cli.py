@@ -129,20 +129,22 @@ class TestExitCodes:
         assert "--seed" in err
 
     @pytest.mark.parametrize("argv,reads_K", [
-        (("minpoly", "gl", "1", "0"), True),
+        (("minpoly", "gl", "1", "0", "--mode", "certified"), True),
         (("certify", "gl", "1", "0"), True),
         (("resolvent", "gl", "1", "0"), True),
         (("relcheck", "gl", "1", "0"), True),
         (("ppdiag", "sp", "1", "0"), True),
-        (("parity", "sp", "1", "0"), True),
+        (("parity", "sp", "1", "0", "--mode", "certified"), True),
         (("howe", "1", "1", "--rmax", "0", "--dmax", "0"), True),
         (("shuffle", "gl", "3,2"), False),
         (("oracle", "gl", "2", "trivial"), False),
         (("poset", "gl", "1", "2;2"), False),
+        (("minpoly", "gl", "1", "0"), False),
+        (("parity", "sp", "1", "0"), False),
     ])
     def test_K_only_where_an_order_is_read(self, capsys, argv, reads_K):
-        # shuffle, oracle and poset read no series order, and once
-        # accepted a --K that did nothing
+        # shuffle, oracle, poset and the fast mode of minpoly and parity
+        # read no series order, and once accepted a --K that did nothing
         rc, out, err = run(capsys, *argv, "--K", "4")
         if reads_K:
             assert rc == 0, err
@@ -150,6 +152,24 @@ class TestExitCodes:
             assert (rc, out) == (1, "")
             assert "--K" in err
             assert run(capsys, *argv)[0] == 0
+
+    @pytest.mark.parametrize("command", ["minpoly", "parity"])
+    def test_fast_mode_rejects_K_and_ignores_env(self, capsys, monkeypatch,
+                                                 command):
+        # fast mode once exited 0 with --K 1, an order it never read
+        rc, out, err = run(capsys, command, "sp", "2", "1,0", "--K", "1")
+        assert (rc, out) == (1, "")
+        assert "--K applies only with --mode certified" in err
+        monkeypatch.setenv("HWPOLY_K", "0")
+        fast = run_doc(capsys, command, "sp", "2", "1,0")
+        rc, out, err = run(capsys, command, "sp", "2", "1,0",
+                           "--mode", "certified")
+        assert (rc, out) == (1, "")
+        assert "HWPOLY_K" in err
+        monkeypatch.delenv("HWPOLY_K")
+        certified = run_doc(capsys, command, "sp", "2", "1,0",
+                            "--mode", "certified", "--K", "9")
+        assert fast["polynomial"] == certified["polynomial"]
 
     def test_ppdiag_rejects_gl(self, capsys):
         rc, _, err = run(capsys, "ppdiag", "gl", "2", "1,0")

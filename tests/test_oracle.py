@@ -155,6 +155,21 @@ class TestVerma:
         spec = make_spec("o_odd", 1)
         assert hw_coefficient(spec, [(1, -1), (0, 0)], (3,)) == 0
 
+    def test_third_integer_weights(self):
+        # the action runs on the basis scaled by the denominator d of the
+        # weight, so each value is an int divided by d to the word length
+        spec = make_spec("sp", 1)
+        assert hw_coefficient(spec, [(-1, 1), (1, -1)], (Fraction(1, 3),)) \
+            == Fraction(4, 3)
+        gl2 = make_spec("gl", 2)
+        assert hw_coefficient(gl2, [(1, 2), (1, 1), (2, 1)],
+                              (Fraction(2, 3), Fraction(-1, 3))) \
+            == Fraction(-1, 3)
+        assert hw_coefficient(gl2, [(1, 1)] * 3, (Fraction(-2, 3), 0)) \
+            == Fraction(-8, 27)
+        assert hw_coefficient(gl2, [(1, 2), (2, 1)], (Fraction(1, 6), 1)) \
+            == Fraction(-5, 6)
+
     def test_matches_engine_on_random_words(self):
         rng = random.Random(20260822)
         cases = [("gl", 2), ("gl", 3), ("sp", 1), ("sp", 2),
@@ -167,6 +182,22 @@ class TestVerma:
                             for _ in range(n))
                 word = [(rng.choice(mi), rng.choice(mi))
                         for _ in range(rng.randint(0, 4))]
+                direct = hw_coefficient(spec, word, lam)
+                engine = hc_evaluate(pbw_normalize(spec, word), lam)
+                assert direct == engine, (spec.label, lam, word)
+
+    def test_matches_engine_at_third_integer_weights(self):
+        rng = random.Random(20261018)
+        cases = [("gl", 2), ("gl", 3), ("sp", 1), ("sp", 2),
+                 ("o_odd", 1), ("o_odd", 2), ("o_even", 2)]
+        for family, n in cases:
+            spec = make_spec(family, n)
+            mi = spec.matrix_indices
+            for _ in range(30):
+                lam = tuple(Fraction(rng.randint(-9, 9), rng.choice([3, 6]))
+                            for _ in range(n))
+                word = [(rng.choice(mi), rng.choice(mi))
+                        for _ in range(rng.randint(1, 4))]
                 direct = hw_coefficient(spec, word, lam)
                 engine = hc_evaluate(pbw_normalize(spec, word), lam)
                 assert direct == engine, (spec.label, lam, word)

@@ -55,6 +55,46 @@ class TestDiagonalSeries:
                     evaluate_at_weight(projected_diagonal(spec, k)[pos], lam)
                     for k in range(K)], (spec.label, lam, pos)
 
+    # denominators 2 and 3 together (scale 6), and negative weights
+    @pytest.mark.parametrize("family,n,lam,scale", [
+        ("gl", 3, (F(1, 2), F(-1, 3), 0), 6),
+        ("gl", 3, (F(-5, 6), -2, F(-4, 3)), 6),
+        ("sp", 2, (F(1, 3), F(-1, 2)), 6),
+        ("sp", 2, (F(-7, 6), F(-2, 3)), 6),
+        ("o_even", 2, (F(-1, 3), F(5, 2)), 6),
+        ("o_odd", 1, (F(-4, 3),), 3)])
+    def test_matches_pbw_at_mixed_denominators(self, family, n, lam, scale):
+        spec = make_spec(family, n)
+        # sp_4 stops at k < 2N, which fixes the resolvent: PBW powers 8
+        # and 9 alone take 6 s
+        K = 2 * spec.N + (0 if family == "sp" else 2)
+        series = DiagonalSeries(spec, lam)
+        assert series._module.scale == scale
+        cols = series.values(K)
+        for pos, col in enumerate(cols):
+            assert col == [
+                evaluate_at_weight(projected_diagonal(spec, k)[pos], lam)
+                for k in range(K)], (spec.label, lam, pos)
+
+    @pytest.mark.parametrize("family,n,lam", [
+        ("gl", 3, (F(1, 2), F(-1, 3), 0)),
+        ("sp", 2, (F(1, 3), F(-1, 2))),
+        ("o_odd", 2, (F(-5, 2), F(2, 3)))])
+    def test_state_holds_ints_only(self, family, n, lam):
+        # the recurrence runs on the basis scaled by 6, so neither the
+        # Verma memo nor a column may hold a Fraction
+        series = DiagonalSeries(make_spec(family, n), lam)
+        series.values(8)
+        module = series._module
+        assert module.scale == 6
+        assert all(type(v) is int for v in module._cartan.values())
+        assert module._cache
+        for image in module._cache.values():
+            assert all(type(c) is int for c in image.values())
+        for column in series._columns:
+            for vec in column.values():
+                assert vec and all(type(c) is int for c in vec.values())
+
     def test_grows_on_demand(self):
         series = DiagonalSeries(make_spec("sp", 1), (2,))
         short = series.values(3)
@@ -133,7 +173,9 @@ class TestCertifiedMinimal:
 
     @pytest.mark.parametrize("family,n,lam", [
         ("gl", 8, (7, 6, 5, 4, 3, 2, 1, 0)),
-        ("o_odd", 5, (5, 4, 3, 2, 0))])
+        ("o_odd", 5, (5, 4, 3, 2, 0)),
+        ("sp", 6, (6, 5, 4, 3, 2, 0)),
+        ("gl", 10, (9, 8, 7, 6, 5, 4, 3, 2, 1, 0))])
     def test_rank_at_least_six(self, family, n, lam):
         spec = make_spec(family, n)
         q, cert = certified_minimal_polynomial(spec, lam)
