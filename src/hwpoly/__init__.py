@@ -9,8 +9,8 @@ arithmetic is exact rational.
 """
 
 from .algebra import AlgebraSpec, Family, make_spec, parabolic
-from .enveloping import (UElement, evaluate_at_weight, hc_evaluate,
-                         pbw_normalize, project_hc, project_relative)
+from .enveloping import (UElement, evaluate_at_weight, pbw_normalize,
+                         project_hc, project_relative)
 from .genmatrix import generator_matrix, generator_power, projected_diagonal
 from .howe import (WeylAlgebra, WeylElement, check_conv_powers,
                    check_divisibility_instance, check_resolvent_transfer,
@@ -50,7 +50,6 @@ __all__ = [
     "evaluate_at_weight",
     "generator_matrix",
     "generator_power",
-    "hc_evaluate",
     "hw_coefficient",
     "make_spec",
     "minpoly_from_weight",

@@ -1,8 +1,12 @@
 """PBW arithmetic in the universal enveloping algebra.
 
-A monomial is a tuple of generator indices, weakly increasing in the
-spec's global order; an element is a finite rational combination of
-such monomials.  Products are straightened by the usual rewriting
+Terms is the ring of finite combinations of normal-ordered monomials
+that both U(g) here and the Weyl algebra of the howe module build on;
+its docstring states the one coefficient rule of both.
+
+A monomial of U(g) is a tuple of generator indices, weakly increasing
+in the spec's global order, and a UElement is a Terms over such
+monomials.  Products are straightened by the usual rewriting
 
     x y = y x + [x, y]        (x > y),
 
@@ -10,7 +14,9 @@ applied through two memoised primitives: multiplication of a monomial
 by one generator on the left, and monomial times monomial.  The
 straightening of a word only ever creates the sorted word of the same
 multiset (coefficient 1) plus terms of strictly smaller degree, which
-is what the recursion below leans on for termination.
+is what the recursion below leans on for termination.  The bracket
+constants are ints, so the memoised normal forms, and every product
+of elements with integral coefficients, hold ints only.
 
 Why projections are monomial filters.  In the nested order every
 lowering generator of an outer level precedes the whole inner block,
@@ -45,14 +51,20 @@ from math import lcm
 from .algebra import (CARTAN, NEG, AlgebraSpec, Family, ParabolicData,
                       as_weight, inner_spec)
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+
+def _coeff(c):
+    """c as an int when it is integral, as a Fraction otherwise."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _acc(d, key, c):
-    v = d.get(key, ZERO) + c
+    """Add c to d[key] under the coefficient rule, dropping a zero sum."""
+    v = d.get(key, 0) + c
     if v:
-        d[key] = v
+        d[key] = _coeff(v)
     elif key in d:
         del d[key]
 
@@ -64,7 +76,7 @@ def _gen_times_mono(spec, g, m):
     if out is not None:
         return out
     if not m or g <= m[0]:
-        out = {(g,) + m: ONE}
+        out = {(g,) + m: 1}
     else:
         b, rest = m[0], m[1:]
         acc = {}
@@ -82,16 +94,16 @@ def _gen_times_mono(spec, g, m):
 def _mono_mul(spec, m1, m2):
     """Normal form of the product of two sorted monomials, as a dict."""
     if not m1:
-        return {m2: ONE}
+        return {m2: 1}
     if not m2:
-        return {m1: ONE}
+        return {m1: 1}
     if m1[-1] <= m2[0]:
-        return {m1 + m2: ONE}
+        return {m1 + m2: 1}
     cache = spec._cache_mm
     out = cache.get((m1, m2))
     if out is not None:
         return out
-    cur = {m2: ONE}
+    cur = {m2: 1}
     for g in reversed(m1):
         nxt = {}
         for m, c in cur.items():
@@ -102,12 +114,20 @@ def _mono_mul(spec, m1, m2):
     return cur
 
 
-class UElement:
-    """Element of U(g) in PBW normal form.  Treat as immutable."""
+class Terms:
+    """Finite combination of normal-ordered monomials.  Treat as immutable.
+
+    ``spec`` is the algebra and ``terms`` maps monomials to nonzero
+    coefficients.  The coefficient rule: a coefficient is a Python int
+    while it is integral and a Fraction only once a caller brings in a
+    non-integral scalar.  A subclass supplies the unit monomial
+    (``_unit``), the generator of one word atom (``_atom``) and
+    ``__mul__``, in its own class body.
+    """
 
     __slots__ = ("spec", "terms")
 
-    def __init__(self, spec: AlgebraSpec, terms=None):
+    def __init__(self, spec, terms=None):
         self.spec = spec
         self.terms = dict(terms) if terms else {}
 
@@ -119,12 +139,106 @@ class UElement:
 
     @classmethod
     def one(cls, spec):
-        return cls(spec, {(): ONE})
+        return cls.scalar(spec, 1)
 
     @classmethod
     def scalar(cls, spec, c):
-        c = Fraction(c)
-        return cls(spec, {(): c} if c else {})
+        c = _coeff(c)
+        return cls(spec, {cls._unit(spec): c} if c else {})
+
+    @classmethod
+    def _parse(cls, spec, expr):
+        """Normal form of a bare word or of (coefficient, word) pairs.
+
+        A word is an iterable of atoms, each mapped to its generator by
+        ``_atom``; the empty word is the unit.  The last item of the
+        first entry tells the forms apart: an atom ends in an index, a
+        pair in a word.
+        """
+        expr = list(expr)
+        if not expr or isinstance(expr[0][-1], (int, Fraction)):
+            expr = [(1, expr)]
+        total = cls.zero(spec)
+        for coeff, word in expr:
+            term = cls.scalar(spec, coeff)
+            for atom in word:
+                term = term * cls._atom(spec, atom)
+            total = total + term
+        return total
+
+    # -- ring structure ------------------------------------------------
+
+    def _check(self, other):
+        if other.spec is not self.spec:
+            raise ValueError("elements live over different algebras")
+
+    def _scale(self, c):
+        """self times the scalar c."""
+        c = _coeff(c)
+        if not c:
+            return self.zero(self.spec)
+        return type(self)(self.spec, {m: _coeff(c * v)
+                                      for m, v in self.terms.items()})
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self.scalar(self.spec, other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            _acc(out, m, c)
+        return type(self)(self.spec, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)(self.spec, {m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self.scalar(self.spec, other)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * other
+        return NotImplemented
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self.spec is other.spec and self.terms == other.terms
+        if isinstance(other, (int, Fraction)):
+            return self == self.scalar(self.spec, other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((id(self.spec), tuple(sorted(self.terms.items()))))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def commutator(self, other):
+        return self * other - other * self
+
+
+class UElement(Terms):
+    """Element of U(g) in PBW normal form over the AlgebraSpec ``spec``."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _unit(spec):
+        return ()
+
+    @classmethod
+    def _atom(cls, spec, pair):
+        i, j = pair
+        return cls.generator(spec, i, j)
 
     @classmethod
     def generator(cls, spec, i, j):
@@ -137,44 +251,11 @@ class UElement:
     @classmethod
     def cartan(cls, spec, k):
         """H_k, 1-based."""
-        return cls(spec, {(spec.cartan_by_coord[k - 1],): ONE})
-
-    # -- ring structure ------------------------------------------------
-
-    def _check(self, other):
-        if other.spec is not self.spec:
-            raise ValueError("elements live over different algebra specs")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UElement.scalar(self.spec, other)
-        if not isinstance(other, UElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _acc(out, m, c)
-        return UElement(self.spec, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UElement(self.spec, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UElement.scalar(self.spec, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return cls(spec, {(spec.cartan_by_coord[k - 1],): 1})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return UElement.zero(self.spec)
-            return UElement(self.spec, {m: c * v for m, v in self.terms.items()})
+            return self._scale(other)
         if not isinstance(other, UElement):
             return NotImplemented
         self._check(other)
@@ -185,27 +266,6 @@ class UElement:
                 for m, cc in _mono_mul(self.spec, m1, m2).items():
                     _acc(out, m, c * cc)
         return UElement(self.spec, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, UElement):
-            return self.spec is other.spec and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == UElement.scalar(self.spec, other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.spec), tuple(sorted(self.terms.items()))))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def commutator(self, other) -> "UElement":
-        return self * other - other * self
 
     @property
     def degree(self) -> int:
@@ -281,19 +341,7 @@ def pbw_normalize(spec: AlgebraSpec, expr) -> UElement:
         if expr.spec is not spec:
             raise ValueError("element belongs to a different spec")
         return expr
-    expr = list(expr)
-    if not expr or not (len(expr[0]) == 2 and isinstance(expr[0][0], (int, Fraction))
-                        and not isinstance(expr[0][1], (int, Fraction))):
-        # bare word; the empty word is the unit
-        expr = [(ONE, expr)]
-    out = UElement.zero(spec)
-    for coeff, word in expr:
-        term = UElement.scalar(spec, coeff)
-        for pair in word:
-            i, j = pair
-            term = term * UElement.generator(spec, i, j)
-        out = out + term
-    return out
+    return UElement._parse(spec, expr)
 
 
 def project_hc(a: UElement) -> UElement:
@@ -322,7 +370,7 @@ def evaluate_at_weight(a: UElement, lam) -> Fraction:
     spec = a.spec
     lam = as_weight(spec, lam)
     coord = spec.cartan_coord
-    total = ZERO
+    total = Fraction(0)
     for m, c in a.terms.items():
         v = c
         for g in m:
@@ -332,11 +380,6 @@ def evaluate_at_weight(a: UElement, lam) -> Fraction:
             v *= lam[k]
         total += v
     return total
-
-
-def hc_evaluate(a: UElement, lam) -> Fraction:
-    """evaluate_at_weight after project_hc, the workhorse residual map."""
-    return evaluate_at_weight(project_hc(a), lam)
 
 
 class VermaModule:

@@ -15,8 +15,9 @@ Rows and columns are addressed by the spec's matrix index labels
 so call sites read like the formulas they implement.
 
 Powers of the generator matrix are the single most expensive objects
-in the package; they are therefore computed once per spec and cached
-on it, as are their projected diagonals.
+in the package, each with several times the PBW terms of the one
+before, all with int coefficients; they are therefore computed once
+per spec and cached on it, as are their projected diagonals.
 """
 
 from __future__ import annotations

@@ -16,10 +16,10 @@ When no variable carries both a derivative of the left factor and a
 position of the right one, the sum has the single term mu = 0 and the
 product is the monomial with the exponent tuples added.
 
-Coefficients are Python ints while they are integral and Fractions
-only once a caller brings in a non-integral scalar: the generators,
-the entries of L and R, the shift n - k and every product coefficient
-above are integers, so the dual pair checks never leave int.
+WeylElement is a Terms of the enveloping module and follows its
+coefficient rule: the generators, the entries of L and R, the shift
+n - k and every product coefficient above are integers, so the dual
+pair checks never leave int.
 
 Two commuting copies of general linear Lie algebras embed here: the
 k x k matrix L = X D^t acting by left multiplication on the matrix
@@ -44,16 +44,9 @@ from math import comb, factorial
 from operator import add
 
 from .algebra import make_spec
+from .enveloping import Terms, _coeff
 from .polyrat import UniPoly
 from .shuffle import minpoly_from_weight
-
-
-def _coeff(c):
-    """c as an int when it is integral, as a Fraction otherwise."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 class WeylAlgebra:
@@ -86,14 +79,6 @@ class WeylAlgebra:
         return WeylElement(self, {(z, tuple(e)): 1})
 
 
-def _acc(d, key, c):
-    v = d.get(key, 0) + c
-    if v:
-        d[key] = _coeff(v)
-    elif key in d:
-        del d[key]
-
-
 def _mono_mul(alg, m1, m2):
     """Normal form of the product of two normal monomials, as a dict."""
     (g1, b1), (g2, b2) = m1, m2
@@ -113,64 +98,32 @@ def _mono_mul(alg, m1, m2):
     return out
 
 
-class WeylElement:
-    """Polynomial coefficient differential operator.  Treat as immutable."""
+class WeylElement(Terms):
+    """Polynomial coefficient differential operator.
 
-    __slots__ = ("alg", "terms")
+    ``spec`` is the WeylAlgebra; a monomial is the pair (position
+    exponents, derivative exponents) of a normal-ordered product.
+    """
 
-    def __init__(self, alg: WeylAlgebra, terms=None):
-        self.alg = alg
-        self.terms = dict(terms) if terms else {}
+    __slots__ = ()
 
-    @classmethod
-    def zero(cls, alg):
-        return cls(alg)
-
-    @classmethod
-    def scalar(cls, alg, c):
-        c = _coeff(c)
+    @staticmethod
+    def _unit(alg):
         z = (0,) * alg.nvars
-        return cls(alg, {(z, z): c} if c else {})
+        return (z, z)
 
     @classmethod
-    def one(cls, alg):
-        return cls.scalar(alg, 1)
-
-    def _check(self, other):
-        if other.alg is not self.alg:
-            raise ValueError("elements live over different Weyl algebras")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = WeylElement.scalar(self.alg, other)
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _acc(out, m, c)
-        return WeylElement(self.alg, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return WeylElement(self.alg, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = WeylElement.scalar(self.alg, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    def _atom(cls, alg, atom):
+        kind, a, i = atom
+        if kind == "x":
+            return alg.x(a, i)
+        if kind == "d":
+            return alg.d(a, i)
+        raise ValueError(f"unknown atom kind {kind!r}")
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
-            if not c:
-                return WeylElement.zero(self.alg)
-            return WeylElement(self.alg, {m: _coeff(c * v)
-                                          for m, v in self.terms.items()})
+            return self._scale(other)
         if not isinstance(other, WeylElement):
             return NotImplemented
         self._check(other)
@@ -179,31 +132,10 @@ class WeylElement:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 c = c1 * c2
-                for m, cc in _mono_mul(self.alg, m1, m2).items():
+                for m, cc in _mono_mul(self.spec, m1, m2).items():
                     out[m] = get(m, 0) + c * cc
-        return WeylElement(self.alg,
+        return WeylElement(self.spec,
                            {m: _coeff(v) for m, v in out.items() if v})
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, WeylElement):
-            return self.alg is other.alg and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == WeylElement.scalar(self.alg, other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.alg), tuple(sorted(self.terms.items()))))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def commutator(self, other) -> "WeylElement":
-        return self * other - other * self
 
 
 def weyl_normalize(alg: WeylAlgebra, expr) -> WeylElement:
@@ -212,22 +144,7 @@ def weyl_normalize(alg: WeylAlgebra, expr) -> WeylElement:
     Accepts either a bare word, an iterable of atoms ("x", a, i) or
     ("d", a, i), or a list of (coefficient, word) pairs.
     """
-    expr = list(expr)
-    if not expr or not (len(expr[0]) == 2
-                        and isinstance(expr[0][0], (int, Fraction))):
-        expr = [(1, expr)]
-    total = WeylElement.zero(alg)
-    for coeff, word in expr:
-        acc = WeylElement.scalar(alg, coeff)
-        for kind, a, i in word:
-            if kind == "x":
-                acc = acc * alg.x(a, i)
-            elif kind == "d":
-                acc = acc * alg.d(a, i)
-            else:
-                raise ValueError(f"unknown atom kind {kind!r}")
-        total = total + acc
-    return total
+    return WeylElement._parse(alg, expr)
 
 
 @dataclass(frozen=True)
@@ -265,7 +182,7 @@ def _wmat_mul(A, B):
     size = len(A)
     return tuple(
         tuple(sum((A[i][l] * B[l][j] for l in range(size)),
-                  WeylElement.zero(A[0][0].alg))
+                  WeylElement.zero(A[0][0].spec))
               for j in range(size))
         for i in range(size))
 

@@ -25,13 +25,10 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
-from .linalg import solve_with_rank
-
-Rat = Fraction
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .linalg import ONE, ZERO, solve_with_rank
 
 
 def rat(x) -> Fraction:
@@ -257,9 +254,7 @@ class UniPoly:
         if val:
             found.append((ZERO, val))
         if p.degree >= 1:
-            den_lcm = 1
-            for c in p.coeffs:
-                den_lcm = den_lcm * c.denominator // _gcd_int(den_lcm, c.denominator)
+            den_lcm = lcm(*(c.denominator for c in p.coeffs))
             ints = [int(c * den_lcm) for c in p.coeffs]
             a0, an = abs(ints[0]), abs(ints[-1])
             cands = set()
@@ -310,12 +305,6 @@ class UniPoly:
             else:
                 parts.append(("+ " if c > 0 else "- ") + term)
         return " ".join(parts)
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):

@@ -45,6 +45,7 @@ from .enveloping import (
     restrict_corank_one,
 )
 from .genmatrix import generator_power, projected_diagonal, trace_prime
+from .linalg import ONE, ZERO
 from .polyrat import (
     LaurentTrunc,
     UniPoly,
@@ -53,9 +54,6 @@ from .polyrat import (
     series_of_rational,
 )
 from .shuffle import decompose
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class CertificationError(Exception):

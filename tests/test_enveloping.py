@@ -7,12 +7,12 @@ from hwpoly.algebra import make_spec, parabolic
 from hwpoly.enveloping import (
     UElement,
     evaluate_at_weight,
-    hc_evaluate,
     pbw_normalize,
     project_hc,
     project_relative,
     restrict_corank_one,
 )
+from hwpoly.howe import WeylAlgebra
 
 F = Fraction
 
@@ -135,7 +135,8 @@ def test_evaluate_at_weight():
     assert evaluate_at_weight(a, (F(1, 2), 3)) == F(1, 4) + F(1, 2) - 3
     with pytest.raises(ValueError):
         evaluate_at_weight(gen(gl2, 1, 2), (0, 0))
-    assert hc_evaluate(gen(gl2, 1, 2) * gen(gl2, 2, 1), (1, 0)) == 1
+    assert evaluate_at_weight(project_hc(gen(gl2, 1, 2) * gen(gl2, 2, 1)),
+                              (1, 0)) == 1
 
 
 def test_weight_structure():
@@ -182,3 +183,31 @@ def test_scalar_mixing_and_equality():
     assert UElement.scalar(gl2, F(1, 2)) * 2 == UElement.one(gl2)
     assert a.degree == 1
     assert UElement.zero(gl2).degree == -1
+
+
+def _u_generators():
+    return gen(make_spec("gl", 2), 1, 2), gen(make_spec("gl", 3), 1, 2)
+
+
+def _weyl_positions():
+    return WeylAlgebra(1, 1).x(1, 1), WeylAlgebra(1, 2).x(1, 1)
+
+
+@pytest.mark.parametrize("elements", [_u_generators, _weyl_positions],
+                         ids=["UElement", "WeylElement"])
+def test_coefficient_rule_and_foreign_algebras(elements):
+    # U(g) and the Weyl algebra share one ring: a coefficient is an int
+    # while it is integral, and elements of two algebras never mix
+    x, foreign = elements()
+    for doubled in (x * F(4, 2), F(4, 2) * x):
+        assert [(c, type(c)) for c in doubled.terms.values()] == [(2, int)]
+    half = x * F(1, 2)
+    assert [type(c) for c in half.terms.values()] == [Fraction]
+    back = half * 2
+    assert back == x
+    assert [type(c) for c in back.terms.values()] == [int]
+    assert [type(c) for c in (half + half).terms.values()] == [int]
+    for op in (lambda a, b: a + b, lambda a, b: a - b,
+               lambda a, b: a * b, lambda a, b: a.commutator(b)):
+        with pytest.raises(ValueError):
+            op(x, foreign)

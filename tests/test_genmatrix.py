@@ -137,3 +137,18 @@ def test_projected_diagonal_cache():
     d = projected_diagonal(gl2, 2)
     assert d[0] == project_hc(generator_power(gl2, 2)[1, 1])
     assert projected_diagonal(gl2, 2) is d
+
+
+@pytest.mark.parametrize("name,n", [("gl", 3), ("sp", 2), ("o_odd", 2)])
+def test_powers_and_memos_hold_ints_only(name, n):
+    # the bracket constants are ints, so PBW powering never needs a Fraction
+    spec = make_spec(name, n)
+    k = 5
+    generator_power(spec, k)
+    coeffs = [c for p in range(k + 1)
+              for row in generator_power(spec, p).rows
+              for e in row for c in e.terms.values()]
+    for memo in (spec._cache_gtm, spec._cache_mm):
+        assert memo
+        coeffs += [c for nf in memo.values() for c in nf.values()]
+    assert coeffs and {type(c) for c in coeffs} == {int}

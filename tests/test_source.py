@@ -52,3 +52,39 @@ def test_no_unused_imports_in_the_package():
         found += [f"{path.name}:{line} {name}"
                   for line, name in _imported_names(tree) if name not in used]
     assert found == []
+
+
+def _module_level_assigned(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for leaf in ast.walk(target):
+                if isinstance(leaf, ast.Name) and not leaf.id.startswith("__"):
+                    yield node.lineno, leaf.id
+
+
+def test_no_unread_module_level_names_in_the_package():
+    # a module-level name counts as read when its own module loads it or
+    # another module of the package imports it by name
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    imported = {(node.module, alias.name)
+                for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    found = []
+    for mod, tree in trees.items():
+        if mod == "__init__":
+            continue
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)}
+        found += [f"{mod}.py:{line} {name}"
+                  for line, name in _module_level_assigned(tree)
+                  if name not in loaded and (mod, name) not in imported]
+    assert found == []
