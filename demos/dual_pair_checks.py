@@ -20,11 +20,11 @@ def main():
 
     # The two embedded matrices commute entry by entry.
     checked = 0
-    for a in range(k):
-        for b in range(k):
-            for i in range(n):
-                for j in range(n):
-                    comm = pair.left[a][b].commutator(pair.right[i][j])
+    for a in range(1, k + 1):
+        for b in range(1, k + 1):
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    comm = pair.left[a, b].commutator(pair.right[i, j])
                     assert comm.is_zero()
                     checked += 1
     print(f"commutant: {checked} entry pairs, all zero")

@@ -8,14 +8,13 @@ object to stdout (or writes it with --json) with all rationals
 rendered as exact fraction strings; exit status is 0 on success, 2
 when certification fails, and 1 on a usage error.
 
-The commands that read a series truncation order are minpoly and
-parity (with --mode certified), certify, resolvent, relcheck, ppdiag
-and howe.  The order comes from --K when given, else from the HWPOLY_K
-environment variable, else from each operation's documented default;
-an order below 1 is a usage error, and the resolvent rejects one below
-twice the matrix size.  minpoly and parity in the default fast mode
-read no order: --K there is a usage error, and HWPOLY_K is ignored, as
-it is by the commands that take no --K.  An argument that starts with
+Only the commands that read a series truncation order take --K:
+resolvent (default 2N + 2, and an order below twice the matrix size is
+rejected), relcheck and ppdiag (default 6) and howe (default 3).  An
+order below 1 is a usage error.  The certifying commands, certify and
+the certified mode of minpoly and parity, fit no series unless the
+shuffle candidate fails, and then every order from 2N on fits the same
+fraction, so they take no order at all.  An argument that starts with
 a minus sign followed by a digit, such as the weight ``-1,0``, is a
 positional value, never an option.
 """
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -110,22 +108,8 @@ def _bound(text: str) -> int:
 def _fast_or_certified(spec, lam, args):
     """The minimal polynomial in the requested --mode."""
     if args.mode == "certified":
-        return certified_minimal_polynomial(spec, lam, K=_resolve_K(args))[0]
-    if args.K is not None:
-        raise _Usage("--K applies only with --mode certified")
+        return certified_minimal_polynomial(spec, lam)[0]
     return minpoly_from_weight(spec, lam)
-
-
-def _resolve_K(args, fallback=None):
-    if args.K is not None:
-        return args.K
-    env = os.environ.get("HWPOLY_K")
-    if env is not None:
-        try:
-            return _order(env)
-        except argparse.ArgumentTypeError as exc:
-            raise _Usage(f"HWPOLY_K {exc}")
-    return fallback
 
 
 def _s(x) -> str:
@@ -183,7 +167,7 @@ def _cmd_shuffle(args):
 def _cmd_certify(args):
     spec = _spec_for(args.family, args.num)
     lam = _parse_weight(args.weight)
-    q, cert = certified_minimal_polynomial(spec, lam, K=_resolve_K(args))
+    q, cert = certified_minimal_polynomial(spec, lam)
     return {
         "algebra": spec.label,
         "weight": [_s(x) for x in lam],
@@ -198,12 +182,11 @@ def _cmd_certify(args):
 def _cmd_resolvent(args):
     spec = _spec_for(args.family, args.num)
     lam = _parse_weight(args.weight)
-    K = _resolve_K(args)
-    entries = projected_resolvent(spec, lam, K=K)
+    entries = projected_resolvent(spec, lam, K=args.K)
     return {
         "algebra": spec.label,
         "weight": [_s(x) for x in lam],
-        "K": K if K is not None else 2 * spec.N + 2,
+        "K": args.K if args.K is not None else 2 * spec.N + 2,
         "entries": [{"entry": _s(lab), "num": _poly(num), "den": _poly(den)}
                     for lab, num, den in entries],
         "lcm": _poly(monic_lcm(den for _, _, den in entries)),
@@ -213,12 +196,11 @@ def _cmd_resolvent(args):
 def _cmd_relcheck(args):
     spec = _spec_for(args.family, args.num)
     lam = _parse_weight(args.weight)
-    K = _resolve_K(args, 6)
-    reports = check_relative_formulas(spec, lam, K=K)
+    reports = check_relative_formulas(spec, lam, K=args.K)
     return {
         "algebra": spec.label,
         "weight": [_s(x) for x in lam],
-        "K": K,
+        "K": args.K,
         "reports": [{"name": r.name, "residuals": [_s(x) for x in r.residuals],
                      "exact": r.exact} for r in reports],
     }
@@ -227,12 +209,11 @@ def _cmd_relcheck(args):
 def _cmd_ppdiag(args):
     spec = _spec_for(args.family, args.num)
     lam = _parse_weight(args.weight)
-    K = _resolve_K(args, 6)
-    report = pp_diagnostic(spec, lam, K=K)
+    report = pp_diagnostic(spec, lam, K=args.K)
     return {
         "algebra": spec.label,
         "weight": [_s(x) for x in lam],
-        "K": K,
+        "K": args.K,
         "name": report.name,
         "residuals": [_s(x) for x in report.residuals],
         "exact": report.exact,
@@ -274,7 +255,7 @@ def _cmd_oracle(args):
 
 def _cmd_howe(args):
     conv = check_conv_powers(args.n, args.k, args.rmax)
-    transfer = check_resolvent_transfer(args.n, args.k, _resolve_K(args, 3))
+    transfer = check_resolvent_transfer(args.n, args.k, args.K)
     divis = []
     if args.n == 1:
         for d in range(args.dmax + 1):
@@ -313,8 +294,8 @@ def _add_algebra(sub):
     sub.add_argument("num", type=int)
 
 
-def _add_order(sub):
-    sub.add_argument("--K", type=_order, default=None,
+def _add_order(sub, default):
+    sub.add_argument("--K", type=_order, default=default,
                      help="series truncation order")
 
 
@@ -331,7 +312,6 @@ def _build_parser() -> _Parser:
     _add_algebra(s)
     s.add_argument("weight")
     s.add_argument("--mode", choices=["fast", "certified"], default="fast")
-    _add_order(s)
     _add_common(s)
     s.set_defaults(func=_cmd_minpoly)
 
@@ -344,28 +324,27 @@ def _build_parser() -> _Parser:
     s = subs.add_parser("certify", help="certified minimal polynomial")
     _add_algebra(s)
     s.add_argument("weight")
-    _add_order(s)
     _add_common(s)
     s.set_defaults(func=_cmd_certify)
 
     s = subs.add_parser("resolvent", help="projected resolvent diagonal")
     _add_algebra(s)
     s.add_argument("weight")
-    _add_order(s)
+    _add_order(s, None)
     _add_common(s)
     s.set_defaults(func=_cmd_resolvent)
 
     s = subs.add_parser("relcheck", help="corank one restriction identities")
     _add_algebra(s)
     s.add_argument("weight")
-    _add_order(s)
+    _add_order(s, 6)
     _add_common(s)
     s.set_defaults(func=_cmd_relcheck)
 
     s = subs.add_parser("ppdiag", help="trace series diagnostic (o and sp)")
     _add_algebra(s)
     s.add_argument("weight")
-    _add_order(s)
+    _add_order(s, 6)
     _add_common(s)
     s.set_defaults(func=_cmd_ppdiag)
 
@@ -373,7 +352,6 @@ def _build_parser() -> _Parser:
     _add_algebra(s)
     s.add_argument("weight")
     s.add_argument("--mode", choices=["fast", "certified"], default="fast")
-    _add_order(s)
     _add_common(s)
     s.set_defaults(func=_cmd_parity)
 
@@ -388,7 +366,7 @@ def _build_parser() -> _Parser:
     s.add_argument("k", type=int)
     s.add_argument("--rmax", type=_bound, default=3)
     s.add_argument("--dmax", type=_bound, default=3)
-    _add_order(s)
+    _add_order(s, 3)
     _add_common(s)
     s.set_defaults(func=_cmd_howe)
 

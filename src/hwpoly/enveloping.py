@@ -248,11 +248,6 @@ class UElement(Terms):
             return cls.zero(spec)
         return cls(spec, {(idx,): c})
 
-    @classmethod
-    def cartan(cls, spec, k):
-        """H_k, 1-based."""
-        return cls(spec, {(spec.cartan_by_coord[k - 1],): 1})
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._scale(other)
@@ -266,11 +261,6 @@ class UElement(Terms):
                 for m, cc in _mono_mul(self.spec, m1, m2).items():
                     _acc(out, m, c * cc)
         return UElement(self.spec, out)
-
-    @property
-    def degree(self) -> int:
-        """Largest monomial length, -1 for zero."""
-        return max((len(m) for m in self.terms), default=-1)
 
     # -- weight structure ----------------------------------------------
 

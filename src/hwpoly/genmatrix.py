@@ -1,18 +1,20 @@
-"""Matrices over the enveloping algebra, and the generator matrix.
+"""Matrices over a term algebra, and the generator matrix.
 
-The object of study is the N x N matrix M whose (i, j) entry is the
-spanning element F[i,j] (E[i,j] for gl), viewed as a matrix over U(g).
-Its powers expand the resolvent (u - M)^{-1} = sum_k M^k u^{-k-1};
-after Harish-Chandra projection and evaluation the diagonal of those
-powers carries all minimal polynomial data.  The certifier in the
-verify module reads those values off a Verma module recurrence
-instead; the PBW powers here serve the corank one identities and the
-trace diagnostic, whose entries keep Cartan or Levi coordinates
-symbolic, and stand as an independent check of that recurrence.
+MatrixU is the one matrix type, over any Terms algebra: U(g) here, the
+Weyl algebra in the howe module.  The object of study is the N x N
+matrix M whose (i, j) entry is the spanning element F[i,j] (E[i,j]
+for gl), viewed as a matrix over U(g).  Its powers expand the
+resolvent (u - M)^{-1} = sum_k M^k u^{-k-1}; after Harish-Chandra
+projection and evaluation the diagonal of those powers carries all
+minimal polynomial data.  The certifier in the verify module reads
+those values off a Verma module recurrence instead; the PBW powers
+here serve the corank one identities and the trace diagnostic, whose
+entries keep Cartan or Levi coordinates symbolic, and stand as an
+independent check of that recurrence.
 
-Rows and columns are addressed by the spec's matrix index labels
-(1..n for gl, otherwise -n..n without or with 0), not by positions,
-so call sites read like the formulas they implement.
+Rows and columns are addressed by labels, not by positions (for M the
+spec's matrix index labels, 1..n for gl, otherwise -n..n without or
+with 0), so call sites read like the formulas they implement.
 
 Powers of the generator matrix are the single most expensive objects
 in the package, each with several times the PBW terms of the one
@@ -22,50 +24,68 @@ per spec and cached on it, as are their projected diagonals.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .algebra import AlgebraSpec, Family
 from .enveloping import UElement, project_hc
 
 
 class MatrixU:
-    """Square matrix of UElements addressed by matrix index labels."""
+    """Square matrix of Terms entries addressed by labels.
 
-    __slots__ = ("spec", "rows")
+    elem is the entry class, spec the algebra all entries live over and
+    labels the row (and column) labels in order.  A matrix carries all
+    three itself, since an N = 0 matrix has no entry to read them off.
+    """
 
-    def __init__(self, spec: AlgebraSpec, rows):
+    __slots__ = ("elem", "spec", "labels", "rows", "_pos")
+
+    def __init__(self, elem, spec, labels, rows):
+        self.elem = elem
         self.spec = spec
+        self.labels = tuple(labels)
         self.rows = rows
-        if len(rows) != spec.N or any(len(r) != spec.N for r in rows):
-            raise ValueError("matrix shape must match the spec size")
+        self._pos = {v: p for p, v in enumerate(self.labels)}
+        n = len(self.labels)
+        if len(rows) != n or any(len(r) != n for r in rows):
+            raise ValueError("matrix shape must match its labels")
 
     @classmethod
-    def identity(cls, spec):
-        z = UElement.zero(spec)
-        e = UElement.one(spec)
-        return cls(spec, [[e if i == j else z for j in range(spec.N)]
-                          for i in range(spec.N)])
-
-    def _pos(self, label):
-        pos = self.spec._cache_misc.get("mpos")
-        if pos is None:
-            pos = {v: p for p, v in enumerate(self.spec.matrix_indices)}
-            self.spec._cache_misc["mpos"] = pos
-        return pos[label]
+    def scalar(cls, elem, spec, labels, c=1):
+        """c times the identity matrix."""
+        z, e = elem.zero(spec), elem.scalar(spec, c)
+        return cls(elem, spec, labels,
+                   [[e if i == j else z for j in labels] for i in labels])
 
     def __getitem__(self, key):
         i, j = key
-        return self.rows[self._pos(i)][self._pos(j)]
+        return self.rows[self._pos[i]][self._pos[j]]
+
+    def _check(self, other):
+        if other.spec is not self.spec or other.labels != self.labels:
+            raise ValueError("matrices live over different algebras or labels")
+
+    def __add__(self, other):
+        """Entrywise sum; a scalar c stands for c times the identity."""
+        if isinstance(other, (int, Fraction)):
+            other = MatrixU.scalar(self.elem, self.spec, self.labels, other)
+        if not isinstance(other, MatrixU):
+            return NotImplemented
+        self._check(other)
+        return MatrixU(self.elem, self.spec, self.labels,
+                       [[a + b for a, b in zip(r, s)]
+                        for r, s in zip(self.rows, other.rows)])
 
     def __mul__(self, other):
         if not isinstance(other, MatrixU):
             return NotImplemented
-        if other.spec is not self.spec:
-            raise ValueError("matrices live over different specs")
-        n = self.spec.N
+        self._check(other)
+        n = len(self.labels)
         out = []
         for i in range(n):
             row = []
             for j in range(n):
-                acc = UElement.zero(self.spec)
+                acc = self.elem.zero(self.spec)
                 for p in range(n):
                     a = self.rows[i][p]
                     b = other.rows[p][j]
@@ -73,31 +93,39 @@ class MatrixU:
                         acc = acc + a * b
                 row.append(acc)
             out.append(row)
-        return MatrixU(self.spec, out)
+        return MatrixU(self.elem, self.spec, self.labels, out)
+
+    def powers(self, top):
+        """[M^0, M^1, ..., M^top]."""
+        out = [MatrixU.scalar(self.elem, self.spec, self.labels)]
+        for _ in range(top):
+            out.append(out[-1] * self)
+        return out
 
     def diagonal(self):
         """Pairs (label, entry) down the diagonal."""
-        return [(lbl, self.rows[p][p])
-                for p, lbl in enumerate(self.spec.matrix_indices)]
+        return [(lbl, self.rows[p][p]) for p, lbl in enumerate(self.labels)]
 
     def __repr__(self):
-        return f"<MatrixU {self.spec.label} {self.spec.N}x{self.spec.N}>"
+        n = len(self.labels)
+        return f"<MatrixU {self.elem.__name__} {n}x{n}>"
 
 
 def generator_matrix(spec: AlgebraSpec) -> MatrixU:
     """The matrix of spanning elements; one shared instance per spec."""
     m = spec._cache_misc.get("genmat")
     if m is None:
-        rows = [[UElement.generator(spec, i, j) for j in spec.matrix_indices]
-                for i in spec.matrix_indices]
-        m = MatrixU(spec, rows)
+        mi = spec.matrix_indices
+        rows = [[UElement.generator(spec, i, j) for j in mi] for i in mi]
+        m = MatrixU(UElement, spec, mi, rows)
         spec._cache_misc["genmat"] = m
     return m
 
 
 def generator_power(spec: AlgebraSpec, k: int) -> MatrixU:
     """M^k for the generator matrix, cached per spec."""
-    table = spec._cache_misc.setdefault("powers", [MatrixU.identity(spec)])
+    table = spec._cache_misc.setdefault(
+        "powers", [MatrixU.scalar(UElement, spec, spec.matrix_indices)])
     while len(table) <= k:
         table.append(table[-1] * generator_matrix(spec))
     return table[k]
@@ -119,8 +147,8 @@ def projected_diagonal(spec: AlgebraSpec, k: int):
     return got
 
 
-def trace(m: MatrixU) -> UElement:
-    acc = UElement.zero(m.spec)
+def trace(m: MatrixU):
+    acc = m.elem.zero(m.spec)
     for _, e in m.diagonal():
         acc = acc + e
     return acc

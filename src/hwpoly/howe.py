@@ -23,7 +23,9 @@ pair checks never leave int.
 
 Two commuting copies of general linear Lie algebras embed here: the
 k x k matrix L = X D^t acting by left multiplication on the matrix
-space and the n x n matrix R = X^t D acting on the right.  The checks
+space and the n x n matrix R = X^t D acting on the right, labelled
+1..k and 1..n.  Both are genmatrix.MatrixU, the one matrix type over
+Terms, which also holds the generator matrix over U(g).  The checks
 below confirm, symbolically, the power convolution identity relating
 R-powers applied to a position row with shifted L-powers, its
 resolvent form
@@ -45,6 +47,7 @@ from operator import add
 
 from .algebra import make_spec
 from .enveloping import Terms, _coeff
+from .genmatrix import MatrixU
 from .polyrat import UniPoly
 from .shuffle import minpoly_from_weight
 
@@ -152,53 +155,20 @@ class DualPairEmbedding:
     """The commuting matrices L = X D^t (k x k) and R = X^t D (n x n)."""
 
     alg: WeylAlgebra
-    left: tuple
-    right: tuple
+    left: MatrixU
+    right: MatrixU
 
 
 def dual_pair(n: int, k: int) -> DualPairEmbedding:
     alg = WeylAlgebra(n, k)
-    left = tuple(
-        tuple(sum((alg.x(a, l) * alg.d(b, l) for l in range(1, n + 1)),
-                  WeylElement.zero(alg))
-              for b in range(1, k + 1))
-        for a in range(1, k + 1))
-    right = tuple(
-        tuple(sum((alg.x(b, i) * alg.d(b, j) for b in range(1, k + 1)),
-                  WeylElement.zero(alg))
-              for j in range(1, n + 1))
-        for i in range(1, n + 1))
-    return DualPairEmbedding(alg, left, right)
-
-
-def _wmat_identity(alg, size):
-    return tuple(
-        tuple(WeylElement.one(alg) if i == j else WeylElement.zero(alg)
-              for j in range(size))
-        for i in range(size))
-
-
-def _wmat_mul(A, B):
-    size = len(A)
-    return tuple(
-        tuple(sum((A[i][l] * B[l][j] for l in range(size)),
-                  WeylElement.zero(A[0][0].spec))
-              for j in range(size))
-        for i in range(size))
-
-
-def _wmat_powers(alg, M, top):
-    powers = [_wmat_identity(alg, len(M))]
-    for _ in range(top):
-        powers.append(_wmat_mul(powers[-1], M))
-    return powers
-
-
-def _wmat_shift(M, c):
-    """M + c I."""
-    return tuple(
-        tuple(M[i][j] + c if i == j else M[i][j] for j in range(len(M)))
-        for i in range(len(M)))
+    rows, cols = range(1, k + 1), range(1, n + 1)
+    zero = WeylElement.zero(alg)
+    left = [[sum((alg.x(a, l) * alg.d(b, l) for l in cols), zero)
+             for b in rows] for a in rows]
+    right = [[sum((alg.x(b, i) * alg.d(b, j) for b in rows), zero)
+              for j in cols] for i in cols]
+    return DualPairEmbedding(alg, MatrixU(WeylElement, alg, rows, left),
+                             MatrixU(WeylElement, alg, cols, right))
 
 
 @dataclass(frozen=True)
@@ -223,17 +193,17 @@ def check_conv_powers(n: int, k: int, r_max: int) -> CheckReport:
         raise ValueError(f"r_max must be nonnegative, got {r_max}")
     emb = dual_pair(n, k)
     alg = emb.alg
-    rpow = _wmat_powers(alg, emb.right, r_max)
-    lpow = _wmat_powers(alg, _wmat_shift(emb.left, n - k), r_max)
+    rpow = emb.right.powers(r_max)
+    lpow = (emb.left + (n - k)).powers(r_max)
     failures = []
     checks = 0
     for r in range(r_max + 1):
         for i in range(1, n + 1):
             for a in range(1, k + 1):
-                lhs = sum((rpow[r][i - 1][l - 1] * alg.x(a, l)
+                lhs = sum((rpow[r][i, l] * alg.x(a, l)
                            for l in range(1, n + 1)),
                           WeylElement.zero(alg))
-                rhs = sum((lpow[r][a - 1][b - 1] * alg.x(b, i)
+                rhs = sum((lpow[r][a, b] * alg.x(b, i)
                            for b in range(1, k + 1)),
                           WeylElement.zero(alg))
                 checks += 1
@@ -255,8 +225,8 @@ def check_resolvent_transfer(n: int, k: int, K: int) -> CheckReport:
         raise ValueError(f"K must be at least 1, got {K}")
     emb = dual_pair(n, k)
     alg = emb.alg
-    rpow = _wmat_powers(alg, emb.right, K)
-    spow = _wmat_powers(alg, _wmat_shift(emb.left, n - k), K - 1)
+    rpow = emb.right.powers(K)
+    spow = (emb.left + (n - k)).powers(K - 1)
     failures = []
     checks = n * n   # the trivially equal zeroth order
     for r in range(1, K + 1):
@@ -265,10 +235,10 @@ def check_resolvent_transfer(n: int, k: int, K: int) -> CheckReport:
                 rhs = WeylElement.zero(alg)
                 for a in range(1, k + 1):
                     for b in range(1, k + 1):
-                        rhs = rhs + (spow[r - 1][a - 1][b - 1]
+                        rhs = rhs + (spow[r - 1][a, b]
                                      * alg.x(b, i) * alg.d(a, j))
                 checks += 1
-                if rpow[r][i - 1][j - 1] != rhs:
+                if rpow[r][i, j] != rhs:
                     failures.append((r, i, j))
     return CheckReport(f"resolvent_transfer(n={n}, k={k})", checks,
                        tuple(failures))

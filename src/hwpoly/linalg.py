@@ -1,9 +1,9 @@
 """Dense exact linear algebra over the rationals.
 
 Small kit shared by the series reconstruction and the matrix oracles:
-fraction-valued row reduction with optional augmentation and an exact
-solver.  Everything copies its input rows, nothing here mutates caller
-data.
+fraction-valued row reduction with optional augmentation, and an exact
+solver that runs it with one augmented column.  Everything copies its
+input rows, nothing here mutates caller data.
 """
 
 from __future__ import annotations
@@ -85,35 +85,22 @@ class Echelon:
 
 
 def solve_with_rank(a, b):
-    """Solve a x = b exactly by Gauss-Jordan elimination.
+    """Solve a x = b exactly by row reduction of the augmented rows.
 
     Returns (solution, nfree).  solution is None when the system is
-    inconsistent; otherwise free variables are set to zero.
+    inconsistent; otherwise free variables are set to zero.  Every row
+    is inserted before the verdict, so nfree is n minus the rank of a.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    aug = [[Fraction(x) for x in a[i]] + [Fraction(b[i])] for i in range(m)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, m) if aug[i][c]), None)
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        s = aug[r][c]
-        aug[r] = [x / s for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n]:
-            return None, n - r
+    n = len(a[0]) if a else 0
+    ech = Echelon(n, aug=1)
+    consistent = True
+    for row, rhs in zip(a, b):
+        if ech.insert([Fraction(x) for x in row] + [Fraction(rhs)]) is None:
+            consistent = consistent and not ech.last_residual[n]
+    nfree = n - len(ech.pivots)
+    if not consistent:
+        return None, nfree
     sol = [ZERO] * n
-    for i, c in enumerate(piv_cols):
-        sol[c] = aug[i][n]
-    return sol, n - r
+    for row, p in zip(ech.rows, ech.pivots):
+        sol[p] = row[n]
+    return sol, nfree

@@ -128,7 +128,7 @@ def _perm_sign(perm):
 @lru_cache(maxsize=None)
 def _build_irrep_gl(lam, n, bound):
     spec = make_spec("gl", n)
-    if list(lam) != sorted(lam, reverse=True) or lam[-1] < 0:
+    if list(lam) != sorted(lam, reverse=True) or min(lam, default=0) < 0:
         raise ValueError("weight must be dominant with nonnegative entries")
     d = sum(lam)
     if d > bound:

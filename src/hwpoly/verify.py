@@ -256,23 +256,23 @@ def projected_resolvent(spec: AlgebraSpec, lam, K: "int | None" = None, *,
     return tuple(out)
 
 
-def certified_minimal_polynomial(spec: AlgebraSpec, lam,
-                                 K: "int | None" = None):
+def certified_minimal_polynomial(spec: AlgebraSpec, lam):
     """Minimal polynomial with its certificate.
 
     The shuffle candidate is certified directly when possible; if it
     fails to annihilate, the polynomial is rebuilt as the least common
     multiple of the projected resolvent denominators before repeating
-    the certification.  Whenever a root can be dropped, the least such
-    root is dropped and certification starts again.  The diagonal
-    series is computed once and shared by every step.  Returns
-    (polynomial, Certificate).
+    the certification.  That fallback fits 2N + 2 orders; every order
+    from 2N on gives the same fractions, so none is taken.  Whenever a
+    root can be dropped, the least such root is dropped and
+    certification starts again.  The diagonal series is computed once
+    and shared by every step.  Returns (polynomial, Certificate).
     """
     lam = as_weight(spec, lam)
     series = DiagonalSeries(spec, lam)
     q = UniPoly.from_roots(decompose(spec, lam).roots())
     if not annihilates(spec, q, lam, series=series):
-        entries = projected_resolvent(spec, lam, K, series=series)
+        entries = projected_resolvent(spec, lam, series=series)
         q = monic_lcm(den for _, _, den in entries)
         if not annihilates(spec, q, lam, series=series):
             raise CertificationError(

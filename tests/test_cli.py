@@ -129,12 +129,12 @@ class TestExitCodes:
         assert "--seed" in err
 
     @pytest.mark.parametrize("argv,reads_K", [
-        (("minpoly", "gl", "1", "0", "--mode", "certified"), True),
-        (("certify", "gl", "1", "0"), True),
+        (("minpoly", "gl", "1", "0", "--mode", "certified"), False),
+        (("certify", "gl", "1", "0"), False),
         (("resolvent", "gl", "1", "0"), True),
         (("relcheck", "gl", "1", "0"), True),
         (("ppdiag", "sp", "1", "0"), True),
-        (("parity", "sp", "1", "0", "--mode", "certified"), True),
+        (("parity", "sp", "1", "0", "--mode", "certified"), False),
         (("howe", "1", "1", "--rmax", "0", "--dmax", "0"), True),
         (("shuffle", "gl", "3,2"), False),
         (("oracle", "gl", "2", "trivial"), False),
@@ -144,7 +144,8 @@ class TestExitCodes:
     ])
     def test_K_only_where_an_order_is_read(self, capsys, argv, reads_K):
         # shuffle, oracle, poset and the fast mode of minpoly and parity
-        # read no series order, and once accepted a --K that did nothing
+        # read no series order, and once accepted a --K that did nothing;
+        # the certifying commands once took a --K that changed no answer
         rc, out, err = run(capsys, *argv, "--K", "4")
         if reads_K:
             assert rc == 0, err
@@ -159,16 +160,16 @@ class TestExitCodes:
         # fast mode once exited 0 with --K 1, an order it never read
         rc, out, err = run(capsys, command, "sp", "2", "1,0", "--K", "1")
         assert (rc, out) == (1, "")
-        assert "--K applies only with --mode certified" in err
+        assert "--K" in err
+        rc, out, err = run(capsys, command, "sp", "2", "1,0",
+                           "--mode", "certified", "--K", "9")
+        assert (rc, out) == (1, "")
+        assert "--K" in err
+        # an HWPOLY_K of 0 once made the certified mode a usage error
         monkeypatch.setenv("HWPOLY_K", "0")
         fast = run_doc(capsys, command, "sp", "2", "1,0")
-        rc, out, err = run(capsys, command, "sp", "2", "1,0",
-                           "--mode", "certified")
-        assert (rc, out) == (1, "")
-        assert "HWPOLY_K" in err
-        monkeypatch.delenv("HWPOLY_K")
         certified = run_doc(capsys, command, "sp", "2", "1,0",
-                            "--mode", "certified", "--K", "9")
+                            "--mode", "certified")
         assert fast["polynomial"] == certified["polynomial"]
 
     def test_ppdiag_rejects_gl(self, capsys):
@@ -176,15 +177,10 @@ class TestExitCodes:
         assert rc == 1
 
     @pytest.mark.parametrize("order", ["0", "-3", "x"])
-    def test_truncation_order_below_one_is_usage_error(self, capsys,
-                                                       monkeypatch, order):
+    def test_truncation_order_below_one_is_usage_error(self, capsys, order):
         rc, out, err = run(capsys, "resolvent", "gl", "2", "1,0", "--K", order)
         assert (rc, out) == (1, "")
         assert "--K" in err
-        monkeypatch.setenv("HWPOLY_K", order)
-        rc, out, err = run(capsys, "resolvent", "gl", "2", "1,0")
-        assert (rc, out) == (1, "")
-        assert "HWPOLY_K" in err
 
     @pytest.mark.parametrize("flag,value", [("--rmax", "-2"), ("--dmax", "-1"),
                                             ("--rmax", "x")])
@@ -224,12 +220,6 @@ class TestOtherCommands:
         assert len(doc["witnesses"]) == len(doc["roots"])
         assert all(w["residual"] != "0" for w in doc["witnesses"])
 
-    def test_resolvent_respects_env_truncation(self, capsys, monkeypatch):
-        monkeypatch.setenv("HWPOLY_K", "7")
-        doc = run_doc(capsys, "resolvent", "gl", "2", "1,0")
-        assert doc["K"] == 7
-        assert len(doc["entries"]) == 2
-
     def test_relcheck_exact(self, capsys):
         doc = run_doc(capsys, "relcheck", "gl", "2", "2/3,-1", "--K", "5")
         assert all(r["exact"] for r in doc["reports"])
@@ -243,6 +233,12 @@ class TestOtherCommands:
         fast_doc = run_doc(capsys, "minpoly", "gl", "2", "2,1")
         assert oracle_doc["polynomial"] == fast_doc["polynomial"]
         assert oracle_doc["dim"] == 2
+
+    def test_oracle_rank_zero_empty_weight(self, capsys):
+        # the empty gl_0 weight once ended in an IndexError traceback
+        doc = run_doc(capsys, "oracle", "gl", "0", "")
+        assert doc["polynomial"] == ["1"]
+        assert doc == run_doc(capsys, "oracle", "gl", "0", "trivial")
 
     def test_howe_divisibility_family(self, capsys):
         doc = run_doc(capsys, "howe", "1", "2", "--rmax", "2", "--dmax", "2")

@@ -181,8 +181,6 @@ def test_scalar_mixing_and_equality():
     assert (a - a) == 0
     assert 2 * a == a + a
     assert UElement.scalar(gl2, F(1, 2)) * 2 == UElement.one(gl2)
-    assert a.degree == 1
-    assert UElement.zero(gl2).degree == -1
 
 
 def _u_generators():

@@ -160,24 +160,26 @@ class TestDualPair:
         for n, k in [(1, 2), (2, 2), (2, 3)]:
             emb = dual_pair(n, k)
             for mat, size in ((emb.left, k), (emb.right, n)):
-                for i in range(size):
-                    for j in range(size):
-                        for p in range(size):
-                            for q in range(size):
-                                got = mat[i][j].commutator(mat[p][q])
+                labels = range(1, size + 1)
+                assert mat.labels == tuple(labels)
+                for i in labels:
+                    for j in labels:
+                        for p in labels:
+                            for q in labels:
+                                got = mat[i, j].commutator(mat[p, q])
                                 want = WeylElement.zero(emb.alg)
                                 if j == p:
-                                    want = want + mat[i][q]
+                                    want = want + mat[i, q]
                                 if q == i:
-                                    want = want - mat[p][j]
+                                    want = want - mat[p, j]
                                 assert got == want
 
     def test_left_right_commute(self):
         for n, k in [(1, 1), (2, 2), (3, 2), (2, 3)]:
             emb = dual_pair(n, k)
-            for row in emb.left:
+            for row in emb.left.rows:
                 for e in row:
-                    for row2 in emb.right:
+                    for row2 in emb.right.rows:
                         for f in row2:
                             assert e.commutator(f).is_zero()
 

@@ -124,6 +124,12 @@ class TestIrrepGL:
         assert oracle_minpoly(build_irrep_gl(lam, 4)) == \
             minpoly_from_weight(make_spec("gl", 4), lam)
 
+    def test_rank_zero_is_the_trivial_module(self):
+        # the empty weight once raised IndexError reading lam[-1]
+        rep = build_irrep_gl((), 0)
+        assert rep.dim == 1
+        assert oracle_minpoly(rep) == UniPoly.one()
+
     def test_contract_errors(self):
         with pytest.raises(ValueError):
             build_irrep_gl((0, 1), 2)

@@ -88,3 +88,23 @@ def test_no_unread_module_level_names_in_the_package():
                   for line, name in _module_level_assigned(tree)
                   if name not in loaded and (mod, name) not in imported]
     assert found == []
+
+
+def _reads_environment(node):
+    if isinstance(node, ast.Attribute):
+        return (isinstance(node.value, ast.Name) and node.value.id == "os"
+                and node.attr in ("environ", "getenv"))
+    if isinstance(node, ast.ImportFrom) and node.module == "os":
+        return any(a.name in ("environ", "getenv") for a in node.names)
+    return False
+
+
+def test_no_environment_reads_in_the_package():
+    # every input of a command is an argument: an environment variable
+    # would change answers without showing in the command line
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if _reads_environment(node)]
+    assert found == []
