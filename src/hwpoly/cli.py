@@ -37,10 +37,7 @@ from .shuffle import (minpoly_from_weight, shifted_weight, shuffle_gl,
 from .verify import (CertificationError, NotMinimalError,
                      certified_minimal_polynomial, check_relative_formulas,
                      divisibility_poset, parity_classify, pp_diagnostic,
-                     projected_resolvent)
-
-_MIRROR_EPSILON = {"sp": Fraction(1), "o_even": Fraction(0),
-                   "o_odd": Fraction(1, 2)}
+                     projected_resolvent, resolvent_order)
 
 
 class _Usage(Exception):
@@ -157,10 +154,9 @@ def _cmd_shuffle(args):
     seq = _parse_weight(args.sequence)
     if args.family == "gl":
         dec = shuffle_gl(seq)
-    elif args.family in _MIRROR_EPSILON:
-        dec = shuffle_mirror(seq, _MIRROR_EPSILON[args.family])
     else:
-        raise _Usage(f"unknown shuffle family {args.family!r}")
+        epsilon = make_spec(args.family, len(seq)).epsilon
+        dec = shuffle_mirror(seq, epsilon)
     return _decomposition_doc(dec)
 
 
@@ -182,11 +178,12 @@ def _cmd_certify(args):
 def _cmd_resolvent(args):
     spec = _spec_for(args.family, args.num)
     lam = _parse_weight(args.weight)
-    entries = projected_resolvent(spec, lam, K=args.K)
+    K = resolvent_order(spec) if args.K is None else args.K
+    entries = projected_resolvent(spec, lam, K=K)
     return {
         "algebra": spec.label,
         "weight": [_s(x) for x in lam],
-        "K": args.K if args.K is not None else 2 * spec.N + 2,
+        "K": K,
         "entries": [{"entry": _s(lab), "num": _poly(num), "den": _poly(den)}
                     for lab, num, den in entries],
         "lcm": _poly(monic_lcm(den for _, _, den in entries)),

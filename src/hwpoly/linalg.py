@@ -18,7 +18,9 @@ class Echelon:
     """Incremental reduced row echelon form over Q.
 
     The first `width` columns take part in pivoting; `aug` extra columns
-    are carried along and never pivoted on.  The augmentation lets
+    are carried along and never pivoted on.  Inserted rows may hold ints
+    or Fractions; each is scaled by the Fraction reciprocal of its
+    pivot, so the stored rows are Fractions.  The augmentation lets
     callers track how inserted rows combine, which is what the Krylov
     annihilator extraction needs.
     """
@@ -57,8 +59,8 @@ class Echelon:
         self.last_residual = v
         if piv is None:
             return None
-        scale = v[piv]
-        v = [x / scale for x in v]
+        inv = ONE / v[piv]
+        v = [x * inv for x in v]
         for row in self.rows:
             c = row[piv]
             if c:
@@ -72,17 +74,6 @@ class Echelon:
         self.pivots.insert(k, piv)
         return piv
 
-    def coordinates(self, vec):
-        """Coordinates of vec in the row span, or None if outside it.
-
-        Rows are in reduced form, so the coordinate along each row is
-        just the entry of vec at that row's pivot column.
-        """
-        v = self.reduce(vec)
-        if any(v[j] for j in range(self.width)):
-            return None
-        return [vec[p] for p in self.pivots]
-
 
 def solve_with_rank(a, b):
     """Solve a x = b exactly by row reduction of the augmented rows.
@@ -95,7 +86,7 @@ def solve_with_rank(a, b):
     ech = Echelon(n, aug=1)
     consistent = True
     for row, rhs in zip(a, b):
-        if ech.insert([Fraction(x) for x in row] + [Fraction(rhs)]) is None:
+        if ech.insert(list(row) + [rhs]) is None:
             consistent = consistent and not ech.last_residual[n]
     nfree = n - len(ech.pivots)
     if not consistent:

@@ -1,11 +1,12 @@
 """Finite dimensional and Verma module cross-checks.
 
 The first realises concrete modules as explicit matrices (polynomial
-gl irreducibles through the Young symmetrizer, plus the trivial and
-defining modules of every family) and extracts the minimal polynomial
-of the generator matrix by exact Krylov iteration on C^N tensor V, with
-the operator held as sparse rows; it shares no code path with the
-certifier.  The second, hw_coefficient, applies a word of generators
+gl irreducibles on the Gelfand-Tsetlin basis, whose vectors are the
+patterns with top row lambda and whose generators act by rational
+matrix entries, plus the trivial and defining modules of every family)
+and extracts the minimal polynomial of the generator matrix by exact
+Krylov iteration on C^N tensor V, with the operator held as sparse
+rows; it shares no code path with the certifier.  The second, hw_coefficient, applies a word of generators
 to the highest weight vector of the Verma module (enveloping.VermaModule)
 factor by factor, giving the coefficient of the highest weight vector
 without invoking PBW normal ordering.  That generator action is the one
@@ -15,10 +16,9 @@ form rather than standing apart from the certifier.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from math import prod
 
 from .algebra import AlgebraSpec, Family, make_spec
 from .enveloping import VermaModule
@@ -86,119 +86,112 @@ def weyl_dimension_gl(lam):
     return d
 
 
-def _apply_place_perm(t, perm):
-    out = [None] * len(t)
-    for k, v in enumerate(t):
-        out[perm[k]] = v
-    return tuple(out)
+# Largest |lambda| that build_irrep_gl accepts.
+_BOUND = 4
 
 
-def _perm_group(cells_by_group, d):
-    """All permutations of 0..d-1 moving places only inside each group."""
-    perms = [tuple(range(d))]
-    for cells in cells_by_group:
-        new = []
-        for assign in itertools.permutations(cells):
-            for base in perms:
-                p = list(base)
-                for src, dst in zip(cells, assign):
-                    p[src] = base[dst]
-                new.append(tuple(p))
-        perms = new
-    return perms
+def _rows_below(row):
+    """Every row interlacing row from below: row[i] >= x[i] >= row[i+1]."""
+    out = [()]
+    for i in range(len(row) - 1):
+        out = [r + (x,) for r in out for x in range(row[i + 1], row[i] + 1)]
+    return out
 
 
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for s in range(len(perm)):
-        if seen[s]:
-            continue
-        length = 0
-        k = s
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def _moved(pat, k, i, step):
+    """The pattern pat with entry i of its row pat[k] moved by step."""
+    row = list(pat[k])
+    row[i] += step
+    return pat[:k] + (tuple(row),) + pat[k + 1:]
 
 
-@lru_cache(maxsize=None)
-def _build_irrep_gl(lam, n, bound):
-    spec = make_spec("gl", n)
-    if list(lam) != sorted(lam, reverse=True) or min(lam, default=0) < 0:
-        raise ValueError("weight must be dominant with nonnegative entries")
-    d = sum(lam)
-    if d > bound:
-        raise ValueError(f"|lambda| = {d} exceeds the oracle bound {bound}")
-    if d == 0:
-        return build_catalog_rep(spec, "trivial")
-
-    rows = [list(range(sum(lam[:i]), sum(lam[:i + 1])))
-            for i in range(n) if lam[i]]
-    ncols = lam[0]
-    cols = [[row[c] for row in rows if c < len(row)] for c in range(ncols)]
-    row_perms = _perm_group(rows, d)
-    col_perms = [(p, _perm_sign(p)) for p in _perm_group(cols, d)]
-
-    basis = list(itertools.product(range(n), repeat=d))
-    pos = {t: k for k, t in enumerate(basis)}
-    ech = Echelon(len(basis))
-    for t in basis:
-        sym = {}
-        for p in row_perms:
-            u = _apply_place_perm(t, p)
-            sym[u] = sym.get(u, ZERO) + ONE
-        img = {}
-        for q, sgn in col_perms:
-            for u, c in sym.items():
-                w = _apply_place_perm(u, q)
-                img[w] = img.get(w, ZERO) + sgn * c
-        dense = [ZERO] * len(basis)
-        for u, c in img.items():
-            dense[pos[u]] = c
-        ech.insert(dense)
-    module = [list(r) for r in ech.rows]
-    dim = len(module)
-    if dim != weyl_dimension_gl(lam):
-        raise RuntimeError(
-            f"Young symmetrizer image has rank {dim}, not the Weyl dimension")
-
-    mats = []
-    for i, j in spec.gens:
-        cols_out = []
-        for vec in module:
-            out = [ZERO] * len(basis)
-            for k, c in enumerate(vec):
-                if not c:
-                    continue
-                t = basis[k]
-                for p_idx, v in enumerate(t):
-                    if v == j - 1:
-                        s = t[:p_idx] + (i - 1,) + t[p_idx + 1:]
-                        out[pos[s]] += c
-            coords = ech.coordinates(out)
-            if coords is None:
-                raise RuntimeError("generator action left the module")
-            cols_out.append(coords)
-        mats.append(tuple(tuple(cols_out[b][a] for b in range(dim))
-                          for a in range(dim)))
-    return RepMatrices(spec, f"irrep{lam}", dim, tuple(mats))
+def _product(a, b):
+    """Product of two matrices held as lists of sparse columns."""
+    out = []
+    for col in b:
+        acc = {}
+        for k, c in col.items():
+            for r, x in a[k].items():
+                acc[r] = acc.get(r, ZERO) + c * x
+        out.append(acc)
+    return out
 
 
-def build_irrep_gl(lam, n, bound: int = 4) -> RepMatrices:
-    """Polynomial gl_n irreducible via the Young symmetrizer.
+def _commutator(a, b):
+    """[a, b] of two matrices held as lists of sparse columns."""
+    out = []
+    for ab, ba in zip(_product(a, b), _product(b, a)):
+        for r, x in ba.items():
+            ab[r] = ab.get(r, ZERO) - x
+        out.append({r: x for r, x in ab.items() if x})
+    return out
 
-    The filling is row major; row symmetrization is applied first and
-    the signed column sum second.  The rank of the image is checked
-    against the Weyl dimension formula before any matrix is extracted.
+
+def build_irrep_gl(lam, n) -> RepMatrices:
+    """Polynomial gl_n irreducible in its Gelfand-Tsetlin basis.
+
+    The basis vectors are the patterns with top row lam, each row
+    interlacing the one above it.  E_kk, E_(k,k+1) and E_(k+1,k) act by
+    the rational formulas of Gelfand and Tsetlin (Molev, "Gelfand-Tsetlin
+    bases for classical Lie algebras", math/0211289, section 2) in
+    l_ki = lam_ki - i + 1; the other E_ij are iterated commutators of
+    these.  The number of patterns is checked against the
+    Weyl dimension formula before any matrix is built.
     """
     lam = tuple(int(x) for x in lam)
     if len(lam) != n:
         raise ValueError("weight length must equal the rank")
-    return _build_irrep_gl(lam, n, bound)
+    spec = make_spec("gl", n)
+    if list(lam) != sorted(lam, reverse=True) or min(lam, default=0) < 0:
+        raise ValueError("weight must be dominant with nonnegative entries")
+    d = sum(lam)
+    if d > _BOUND:
+        raise ValueError(f"|lambda| = {d} exceeds the oracle bound {_BOUND}")
+    if d == 0:
+        return build_catalog_rep(spec, "trivial")
+
+    # pat[k - 1] is row k, of length k; the top row n is lam
+    pats = [(lam,)]
+    for _ in range(n - 1):
+        pats = [(row,) + pat for pat in pats for row in _rows_below(pat[0])]
+    dim = len(pats)
+    if dim != weyl_dimension_gl(lam):
+        raise RuntimeError(
+            f"{dim} Gelfand-Tsetlin patterns, not the Weyl dimension")
+    pos = {pat: b for b, pat in enumerate(pats)}
+
+    # e[i, j][b] maps a to the coefficient of basis vector a in E_ij b;
+    # ls[k] is row k + 1 of a pattern shifted to l_ki = lam_ki - i + 1
+    e = {}
+    for k in range(n):
+        e[k + 1, k + 1] = [
+            {b: Fraction(sum(pat[k]) - (sum(pat[k - 1]) if k else 0))}
+            for b, pat in enumerate(pats)]
+    for k in range(n - 1):
+        up, down = [], []
+        for pat in pats:
+            ls = [[x - i for i, x in enumerate(row)] for row in pat]
+            lk, above, below = ls[k], ls[k + 1], ls[k - 1] if k else ()
+            ucol, dcol = {}, {}
+            for i, li in enumerate(lk):
+                den = prod(li - la for a, la in enumerate(lk) if a != i)
+                b = pos.get(_moved(pat, k, i, 1))
+                if b is not None:
+                    ucol[b] = Fraction(-prod(li - x for x in above), den)
+                b = pos.get(_moved(pat, k, i, -1))
+                if b is not None:
+                    dcol[b] = Fraction(prod(li - x for x in below), den)
+            up.append(ucol)
+            down.append(dcol)
+        e[k + 1, k + 2], e[k + 2, k + 1] = up, down
+    for gap in range(2, n):
+        for i in range(1, n - gap + 1):
+            j = i + gap
+            e[i, j] = _commutator(e[i, j - 1], e[j - 1, j])
+            e[j, i] = _commutator(e[j, j - 1], e[j - 1, i])
+    mats = tuple(tuple(tuple(e[g][b].get(a, ZERO) for b in range(dim))
+                       for a in range(dim)) for g in spec.gens)
+    return RepMatrices(spec, f"irrep{lam}", dim, mats)
 
 
 def _row_apply(rows, v):

@@ -1,4 +1,4 @@
-"""Exact univariate polynomials and truncated Laurent expansions at infinity.
+"""Exact univariate polynomials and truncated expansions at infinity.
 
 All coefficients are fractions.Fraction.  Nothing in the package uses
 floating point: certification of minimal polynomials rests on exact
@@ -9,12 +9,12 @@ zeros stripped, hence equal values have equal representations.  A
 UniPoly built by from_roots also keeps its root multiset, so reporting
 or certifying it never searches for rational roots; the divisor search
 serves polynomials known only by their coefficients, such as Pade
-denominators and the oracle's Krylov annihilators.  A
-LaurentTrunc is an expansion in powers of 1/u around u = infinity: a
-polynomial part plus the coefficients of u^-1 .. u^-K.  Orders beyond
-u^-K are unknown.
+denominators and the oracle's Krylov annihilators.
 
-pade_reconstruct recovers a rational function from such an expansion by
+series_of_rational expands a rational function in powers of 1/u around
+u = infinity: a polynomial part plus the tail of coefficients of
+u^-1 .. u^-K.  Orders beyond u^-K are unknown.  pade_reconstruct
+recovers a strictly proper rational function from such a tail by
 trying denominator degrees in ascending order and solving the linear
 system given by the whole available tail, so a successful fit is
 automatically the reduced form and a short or corrupted tail is
@@ -322,32 +322,13 @@ def _divisors(n):
     return sorted(out)
 
 
-class LaurentTrunc:
-    """Expansion P(u) + sum_{m=1..K} c_m u^-m with unknown orders past K."""
+def series_of_rational(num: UniPoly, den: UniPoly,
+                       order: int) -> "tuple[UniPoly, tuple]":
+    """Expand num/den at u = infinity to the given truncation order.
 
-    __slots__ = ("poly", "tail")
-
-    def __init__(self, poly: UniPoly, tail: Sequence):
-        self.poly = poly
-        self.tail = tuple(rat(c) for c in tail)
-
-    @property
-    def order(self) -> int:
-        """The truncation order K, the number of known tail coefficients."""
-        return len(self.tail)
-
-    def tail_coeff(self, m: int) -> Fraction:
-        """Coefficient of u^-m, 1 <= m <= order."""
-        if not 1 <= m <= self.order:
-            raise IndexError(f"order {m} is beyond the truncation")
-        return self.tail[m - 1]
-
-    def __repr__(self):
-        return f"LaurentTrunc({self.poly!r}, {list(self.tail)!r})"
-
-
-def series_of_rational(num: UniPoly, den: UniPoly, order: int) -> LaurentTrunc:
-    """Expand num/den at u = infinity to the given truncation order."""
+    Returns (poly, tail): the polynomial part and the coefficients of
+    u^-1 .. u^-order.
+    """
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
     q, r = divmod(num, den)
@@ -359,20 +340,21 @@ def series_of_rational(num: UniPoly, den: UniPoly, order: int) -> LaurentTrunc:
         for t in range(1, m):
             acc -= tail[t - 1] * den.coeff(d - m + t)
         tail.append(acc / lead)
-    return LaurentTrunc(q, tail)
+    return q, tuple(tail)
 
 
-def pade_reconstruct(series: LaurentTrunc, dmax: int) -> "tuple[UniPoly, UniPoly]":
-    """Recover (num, den) with den monic of minimal degree <= dmax.
+def pade_reconstruct(tail: Sequence, dmax: int) -> "tuple[UniPoly, UniPoly]":
+    """Recover a strictly proper num/den, den monic, from its tail.
 
-    Denominator degrees are tried in ascending order; for each degree
+    The tail holds the coefficients of u^-1 .. u^-K, and den gets the
+    least degree <= dmax that fits it.  Denominator degrees are tried in ascending order; for each degree
     the whole tail is used, so the first consistent fit is the reduced
     answer.  Raises TruncationError when the tail is too short to pin a
     degree down and ReconstructionError when nothing fits within dmax
     or a fit is not unique.
     """
-    c = series.tail
-    k = series.order
+    c = tuple(rat(x) for x in tail)
+    k = len(c)
     for d in range(dmax + 1):
         if k - d < d:
             raise TruncationError(
@@ -395,7 +377,7 @@ def pade_reconstruct(series: LaurentTrunc, dmax: int) -> "tuple[UniPoly, UniPoly
                 b = ONE if j == d else sol[j]
                 acc += b * c[j - e - 1]
             rem[e] = acc
-        num = series.poly * den + UniPoly(rem)
+        num = UniPoly(rem)
         if not num.is_zero() and not num.gcd(den).degree == 0 and den.degree > 0:
             raise InvariantError("reconstructed fraction is not reduced")
         return num, den

@@ -46,13 +46,7 @@ from .enveloping import (
 )
 from .genmatrix import generator_power, projected_diagonal, trace_prime
 from .linalg import ONE, ZERO
-from .polyrat import (
-    LaurentTrunc,
-    UniPoly,
-    monic_lcm,
-    pade_reconstruct,
-    series_of_rational,
-)
+from .polyrat import UniPoly, monic_lcm, pade_reconstruct, series_of_rational
 from .shuffle import decompose
 
 
@@ -229,6 +223,11 @@ def certify_minimal(spec: AlgebraSpec, q: UniPoly, lam, *,
     return Certificate(lam, q, residuals, tuple(witnesses))
 
 
+def resolvent_order(spec: AlgebraSpec) -> int:
+    """The series order projected_resolvent fits by default, 2N + 2."""
+    return 2 * spec.N + 2
+
+
 def projected_resolvent(spec: AlgebraSpec, lam, K: "int | None" = None, *,
                         series: "DiagonalSeries | None" = None):
     """Diagonal of the evaluated projected resolvent, as reduced fractions.
@@ -239,11 +238,11 @@ def projected_resolvent(spec: AlgebraSpec, lam, K: "int | None" = None, *,
     not listed.  Two strictly proper fractions whose denominators have
     degree at most N and that agree on u^-1 .. u^-2N are equal, so K
     below 2N raises ValueError: a shorter tail can be fitted by a wrong
-    fraction.  K defaults to 2N + 2.
+    fraction.  K defaults to resolvent_order(spec).
     """
     lam = as_weight(spec, lam)
     if K is None:
-        K = 2 * spec.N + 2
+        K = resolvent_order(spec)
     if K < 2 * spec.N:
         raise ValueError(
             f"truncation order {K} is below 2N = {2 * spec.N}, too short "
@@ -251,7 +250,7 @@ def projected_resolvent(spec: AlgebraSpec, lam, K: "int | None" = None, *,
     cols = _series_for(spec, lam, series).values(K)
     out = []
     for label, tail in zip(spec.matrix_indices, cols):
-        num, den = pade_reconstruct(LaurentTrunc(UniPoly.zero(), tail), spec.N)
+        num, den = pade_reconstruct(tail, spec.N)
         out.append((label, num, den))
     return tuple(out)
 
@@ -400,10 +399,9 @@ def pp_diagnostic(spec: AlgebraSpec, lam, K: int = 6) -> DiagnosticReport:
         eps2 = UniPoly((-2 * spec.epsilon, ONE))
         num = eps2 * (p2 - p1)
     den = half * p2
-    series = series_of_rational(num.shift(-rho1), den.shift(-rho1), K)
-    closed = [series.tail_coeff(m) for m in range(1, K + 1)]
+    poly, closed = series_of_rational(num.shift(-rho1), den.shift(-rho1), K)
     # residual 0 is the polynomial part, which the engine series lacks
-    head = sum((abs(c) for c in series.poly.coeffs), ZERO)
+    head = sum((abs(c) for c in poly.coeffs), ZERO)
     return DiagnosticReport(
         "trace-generating-function",
         (head,) + tuple(e - f for e, f in zip(engine, closed)))

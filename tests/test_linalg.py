@@ -65,24 +65,21 @@ class TestSolveWithRank:
 
 
 class TestEchelon:
+    def test_int_rows_stay_exact(self):
+        # rows were once normalised by int division, so [0, 2, 4] was
+        # stored as [0.0, 1.0, 2.0]
+        ech = Echelon(3)
+        ech.insert([0, 2, 4])
+        ech.insert([3, 1, 0])
+        assert ech.rows == [[1, 0, F(-2, 3)], [0, 1, 2]]
+        assert {type(x) for row in ech.rows for x in row} == {F}
+
     def test_insert_reports_pivots_and_dependence(self):
         ech = Echelon(3)
         assert ech.insert([F(0), F(2), F(4)]) == 1
         assert ech.insert([F(1), F(1), F(1)]) == 0
         assert ech.insert([F(1), F(3), F(5)]) is None
         assert ech.pivots == [0, 1]
-
-    def test_coordinates_inside_the_span(self):
-        ech = Echelon(3)
-        ech.insert([F(1), F(0), F(2)])
-        ech.insert([F(0), F(1), F(-1)])
-        assert ech.coordinates([F(3), F(4), F(2)]) == [F(3), F(4)]
-
-    def test_coordinates_outside_the_span(self):
-        ech = Echelon(3)
-        ech.insert([F(1), F(0), F(2)])
-        ech.insert([F(0), F(1), F(-1)])
-        assert ech.coordinates([F(0), F(0), F(1)]) is None
 
     def test_last_residual_carries_the_augmentation(self):
         # rows tagged by unit augmentation vectors: the residual of a
@@ -113,4 +110,4 @@ class TestEchelon:
     def test_zero_vector_is_dependent(self, width):
         ech = Echelon(width)
         assert ech.insert([F(0)] * width) is None
-        assert ech.coordinates([F(0)] * width) == []
+        assert ech.rows == []

@@ -92,8 +92,11 @@ class TestIrrepGL:
         assert minpoly_from_weight(spec, (1, 1)) == UniPoly.from_roots([1])
 
     def test_bracket_fidelity(self):
-        for lam, n in [((2, 0), 2), ((2, 1), 2), ((1, 1, 0), 3),
-                       ((2, 1, 0), 3)]:
+        # the dense check costs about 20 s at dimension 20, so the gl_4
+        # modules are the small ones, of dimension at most 6
+        for lam, n in [((3,), 1), ((2, 0), 2), ((2, 1), 2), ((1, 1, 0), 3),
+                       ((2, 1, 0), 3), ((1, 0, 0, 0), 4), ((1, 1, 0, 0), 4),
+                       ((1, 1, 1, 0), 4)]:
             assert_bracket_fidelity(build_irrep_gl(lam, n))
 
     def test_degree_trace(self):
@@ -104,6 +107,8 @@ class TestIrrepGL:
             assert tr == sum(lam) * rep.dim
 
     def test_minpoly_matches_shuffle(self):
+        assert oracle_minpoly(build_irrep_gl((3,), 1)) == \
+            minpoly_from_weight(make_spec("gl", 1), (3,))
         grid2 = [(0, 0), (1, 0), (2, 0), (3, 0), (1, 1), (2, 1)]
         for lam in grid2:
             spec = make_spec("gl", 2)

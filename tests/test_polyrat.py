@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwpoly.polyrat import (
-    LaurentTrunc,
     ReconstructionError,
     TruncationError,
     UniPoly,
@@ -96,46 +95,45 @@ def test_search_agrees_with_carried_roots(roots):
 
 def test_series_of_geometric():
     # frozen: 1/(u-3) expands with tail 3^k
-    s = series_of_rational(UniPoly.one(), U - 3, 5)
-    assert s.poly.is_zero()
-    assert list(s.tail) == [3 ** k for k in range(5)]
+    poly, tail = series_of_rational(UniPoly.one(), U - 3, 5)
+    assert poly.is_zero()
+    assert list(tail) == [3 ** k for k in range(5)]
 
 
 def test_series_with_polynomial_part():
     # u^2/(u-1) = u + 1 + 1/(u-1)
-    s = series_of_rational(U * U, U - 1, 4)
-    assert s.poly == U + 1
-    assert list(s.tail) == [1, 1, 1, 1]
+    poly, tail = series_of_rational(U * U, U - 1, 4)
+    assert poly == U + 1
+    assert list(tail) == [1, 1, 1, 1]
 
 
 def test_series_multiply_back():
     # (2u^2 - u + 3)/((u - 1)(u + 2)) = 2 + (4/3)/(u - 1) - (13/3)/(u + 2),
     # so the u^-m coefficient is 4/3 - (13/3) (-2)^(m-1)
     num, den = 2 * U * U - U + 3, (U - 1) * (U + 2)
-    s = series_of_rational(num, den, 8)
-    assert s.poly == UniPoly((2,))
-    assert list(s.tail) == [-3, 10, -16, 36, -68, 140, -276, 556]
-    assert pade_reconstruct(s, 2) == (num, den)
+    poly, tail = series_of_rational(num, den, 8)
+    assert poly == UniPoly((2,))
+    assert list(tail) == [-3, 10, -16, 36, -68, 140, -276, 556]
+    # the tail alone gives the proper part, 7 - 3u over the same den
+    assert pade_reconstruct(tail, 2) == (7 - 3 * U, den)
+    assert poly * den + (7 - 3 * U) == num
 
 
 def test_pade_frozen_example():
     # frozen: tail (1, 0, 2, 0, 4) is u/(u^2 - 2)
-    s = LaurentTrunc(UniPoly.zero(), (1, 0, 2, 0, 4))
-    num, den = pade_reconstruct(s, 2)
+    num, den = pade_reconstruct((1, 0, 2, 0, 4), 2)
     assert num == U
     assert den == U * U - 2
 
 
 def test_pade_truncation_guard():
-    s = LaurentTrunc(UniPoly.zero(), (1, 0, 2))
     with pytest.raises(TruncationError):
-        pade_reconstruct(s, 2)
+        pade_reconstruct((1, 0, 2), 2)
 
 
 def test_pade_no_fit():
-    s = LaurentTrunc(UniPoly.zero(), (1, 1, 2, 6, 24, 120))
     with pytest.raises(ReconstructionError):
-        pade_reconstruct(s, 2)
+        pade_reconstruct((1, 1, 2, 6, 24, 120), 2)
 
 
 def test_pade_round_trip_random():
@@ -154,20 +152,10 @@ def test_pade_round_trip_random():
             num = num // g
             den = (den // g).monic()
         k = 2 * den.degree + 2
-        s = series_of_rational(num, den, k)
-        got_num, got_den = pade_reconstruct(s, den.degree)
+        poly, tail = series_of_rational(num, den, k)
+        got_num, got_den = pade_reconstruct(tail, den.degree)
         assert got_den == den
-        assert got_num == num
-
-
-def test_trunc_arithmetic_orders():
-    a = series_of_rational(UniPoly.one(), U - 1, 6)
-    assert a.order == 6
-    assert a.tail_coeff(6) == 1
-    with pytest.raises(IndexError):
-        a.tail_coeff(7)
-    with pytest.raises(IndexError):
-        a.tail_coeff(0)
+        assert poly * got_den + got_num == num
 
 
 def test_rat_rejects_floats():
