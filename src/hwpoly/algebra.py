@@ -35,6 +35,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+from .polyrat import rat
+
 NEG, CARTAN, POS = "neg", "cartan", "pos"
 
 
@@ -248,15 +250,10 @@ def inner_spec(spec: AlgebraSpec) -> AlgebraSpec:
 
 def as_weight(spec: AlgebraSpec, coords):
     """Validate and coerce a weight to a tuple of n fractions."""
-    out = tuple(Fraction(c) if not isinstance(c, float) else _reject(c)
-                for c in coords)
+    out = tuple(rat(c) for c in coords)
     if len(out) != spec.n:
         raise ValueError(f"weight must have {spec.n} coordinates, got {len(out)}")
     return out
-
-
-def _reject(c):
-    raise TypeError("floating point weight coordinates are not accepted")
 
 
 @dataclass(frozen=True)

@@ -3,20 +3,16 @@
 Algebras are named by family and a single number: ``gl 3`` and ``sp 2``
 take the rank, while ``o 5`` takes the matrix size so that its parity
 can select the even or odd orthogonal family.  Weights are comma
-separated rationals such as ``1,-1/2,0``.  Every command prints a JSON
-object to stdout (or writes it with --json) with all rationals
-rendered as exact fraction strings; exit status is 0 on success, 2
-when certification fails, and 1 on a usage error.
+separated rationals such as ``1,-1/2,0``.  Every command prints one
+JSON object to stdout (or writes it with --json) with all rationals
+rendered as exact fraction strings.  A command on an algebra puts
+``"algebra"`` first in its document, followed by ``"weight"`` when it
+takes one.  An argument that starts with a minus sign followed by a
+digit, such as the weight ``-1,0``, is a positional value, never an
+option.
 
-Only the commands that read a series truncation order take --K:
-resolvent (default 2N + 2, and an order below twice the matrix size is
-rejected), relcheck and ppdiag (default 6) and howe (default 3).  An
-order below 1 is a usage error.  The certifying commands, certify and
-the certified mode of minpoly and parity, fit no series unless the
-shuffle candidate fails, and then every order from 2N on fits the same
-fraction, so they take no order at all.  An argument that starts with
-a minus sign followed by a digit, such as the weight ``-1,0``, is a
-positional value, never an option.
+Exit status is 0 on success, 2 when certification fails, and 1 on a
+usage error or when the --json file cannot be written.
 """
 
 from __future__ import annotations
@@ -70,15 +66,11 @@ def _parse_weight(text: str):
 
 
 def _spec_for(family: str, num: int):
-    if family == "gl":
-        return make_spec("gl", num)
-    if family == "sp":
-        return make_spec("sp", num)
-    if family == "o":
-        if num < 2:
-            raise _Usage("orthogonal size must be at least 2")
-        return make_spec("o_even" if num % 2 == 0 else "o_odd", num // 2)
-    raise _Usage(f"unknown family {family!r}")
+    if family != "o":
+        return make_spec(family, num)
+    if num < 2:
+        raise _Usage("orthogonal size must be at least 2")
+    return make_spec("o_even" if num % 2 == 0 else "o_odd", num // 2)
 
 
 def _int_at_least(text: str, least: int) -> int:
@@ -121,27 +113,9 @@ def _roots(q: UniPoly):
     return [[_s(r), m] for r, m in q.rational_roots()]
 
 
-def _decomposition_doc(dec):
-    doc = {
-        "kind": dec.kind,
-        "sequence": [_s(x) for x in dec.sequence],
-        "parts": [{"terms": [_s(t) for t in p.terms],
-                   "origins": list(p.origins),
-                   "mirror": p.mirror_id} for p in dec.parts],
-        "parity": dec.parity,
-        "epsilon": None if dec.epsilon is None else _s(dec.epsilon),
-        "roots": [_s(r) for r in dec.roots()],
-    }
-    return doc
-
-
-def _cmd_minpoly(args):
-    spec = _spec_for(args.family, args.num)
-    lam = _parse_weight(args.weight)
+def _cmd_minpoly(spec, lam, args):
     q = _fast_or_certified(spec, lam, args)
     return {
-        "algebra": spec.label,
-        "weight": [_s(x) for x in lam],
         "l": [_s(x) for x in shifted_weight(spec, lam)],
         "roots": _roots(q),
         "polynomial": _poly(q),
@@ -155,18 +129,22 @@ def _cmd_shuffle(args):
     if args.family == "gl":
         dec = shuffle_gl(seq)
     else:
-        epsilon = make_spec(args.family, len(seq)).epsilon
-        dec = shuffle_mirror(seq, epsilon)
-    return _decomposition_doc(dec)
+        dec = shuffle_mirror(seq, make_spec(args.family, len(seq)).epsilon)
+    return {
+        "kind": dec.kind,
+        "sequence": [_s(x) for x in dec.sequence],
+        "parts": [{"terms": [_s(t) for t in p.terms],
+                   "origins": list(p.origins),
+                   "mirror": p.mirror_id} for p in dec.parts],
+        "parity": dec.parity,
+        "epsilon": None if dec.epsilon is None else _s(dec.epsilon),
+        "roots": [_s(r) for r in dec.roots()],
+    }
 
 
-def _cmd_certify(args):
-    spec = _spec_for(args.family, args.num)
-    lam = _parse_weight(args.weight)
+def _cmd_certify(spec, lam, args):
     q, cert = certified_minimal_polynomial(spec, lam)
     return {
-        "algebra": spec.label,
-        "weight": [_s(x) for x in lam],
         "polynomial": _poly(q),
         "roots": _roots(q),
         "certified": True,
@@ -175,14 +153,10 @@ def _cmd_certify(args):
     }
 
 
-def _cmd_resolvent(args):
-    spec = _spec_for(args.family, args.num)
-    lam = _parse_weight(args.weight)
+def _cmd_resolvent(spec, lam, args):
     K = resolvent_order(spec) if args.K is None else args.K
     entries = projected_resolvent(spec, lam, K=K)
     return {
-        "algebra": spec.label,
-        "weight": [_s(x) for x in lam],
         "K": K,
         "entries": [{"entry": _s(lab), "num": _poly(num), "den": _poly(den)}
                     for lab, num, den in entries],
@@ -190,26 +164,18 @@ def _cmd_resolvent(args):
     }
 
 
-def _cmd_relcheck(args):
-    spec = _spec_for(args.family, args.num)
-    lam = _parse_weight(args.weight)
+def _cmd_relcheck(spec, lam, args):
     reports = check_relative_formulas(spec, lam, K=args.K)
     return {
-        "algebra": spec.label,
-        "weight": [_s(x) for x in lam],
         "K": args.K,
         "reports": [{"name": r.name, "residuals": [_s(x) for x in r.residuals],
                      "exact": r.exact} for r in reports],
     }
 
 
-def _cmd_ppdiag(args):
-    spec = _spec_for(args.family, args.num)
-    lam = _parse_weight(args.weight)
+def _cmd_ppdiag(spec, lam, args):
     report = pp_diagnostic(spec, lam, K=args.K)
     return {
-        "algebra": spec.label,
-        "weight": [_s(x) for x in lam],
         "K": args.K,
         "name": report.name,
         "residuals": [_s(x) for x in report.residuals],
@@ -217,20 +183,12 @@ def _cmd_ppdiag(args):
     }
 
 
-def _cmd_parity(args):
-    spec = _spec_for(args.family, args.num)
-    lam = _parse_weight(args.weight)
+def _cmd_parity(spec, lam, args):
     q = _fast_or_certified(spec, lam, args)
-    return {
-        "algebra": spec.label,
-        "weight": [_s(x) for x in lam],
-        "polynomial": _poly(q),
-        "parity": parity_classify(spec, q, lam),
-    }
+    return {"polynomial": _poly(q), "parity": parity_classify(spec, q, lam)}
 
 
-def _cmd_oracle(args):
-    spec = _spec_for(args.family, args.num)
+def _cmd_oracle(spec, args):
     if args.rep in ("trivial", "defining"):
         rep = build_catalog_rep(spec, args.rep)
     elif args.family == "gl":
@@ -242,7 +200,6 @@ def _cmd_oracle(args):
         raise _Usage("weight-built oracle modules exist for gl only")
     q = oracle_minpoly(rep)
     return {
-        "algebra": spec.label,
         "rep": rep.name,
         "dim": rep.dim,
         "polynomial": _poly(q),
@@ -274,127 +231,108 @@ def _cmd_howe(args):
     }
 
 
-def _cmd_poset(args):
-    spec = _spec_for(args.family, args.num)
+def _cmd_poset(spec, args):
     weights = [_parse_weight(w) for w in args.weights.split(";") if w != ""]
     entries, edges = divisibility_poset(spec, weights)
     return {
-        "algebra": spec.label,
         "entries": [{"weight": [_s(x) for x in w], "polynomial": _poly(q)}
                     for w, q in entries],
         "edges": [list(e) for e in edges],
     }
 
 
-def _add_algebra(sub):
-    sub.add_argument("family", choices=["gl", "sp", "o"])
-    sub.add_argument("num", type=int)
+_ALGEBRA = (("family", {"choices": ["gl", "sp", "o"]}), ("num", {"type": int}))
+_WEIGHT = _ALGEBRA + (("weight", {}),)
+_MODE = (("--mode", {"choices": ["fast", "certified"], "default": "fast"}),)
 
 
-def _add_order(sub, default):
-    sub.add_argument("--K", type=_order, default=default,
-                     help="series truncation order")
+def _K(default):
+    return (("--K", {"type": _order, "default": default,
+                     "help": "series truncation order"}),)
 
 
-def _add_common(sub):
-    sub.add_argument("--json", metavar="PATH", default=None,
-                     help="write the document to PATH instead of stdout")
+# (name, help, arguments, handler), in the order of --help.  Each
+# argument is (name or flag, add_argument keywords); every command also
+# takes --json.  _document says how a handler is called.
+_COMMANDS = (
+    ("minpoly", "minimal polynomial from the weight", _WEIGHT + _MODE,
+     _cmd_minpoly),
+    ("shuffle", "decompose a shifted weight sequence",
+     (("family", {"choices": ["gl", "sp", "o_even", "o_odd"]}),
+      ("sequence", {})), _cmd_shuffle),
+    ("certify", "certified minimal polynomial", _WEIGHT, _cmd_certify),
+    ("resolvent", "projected resolvent diagonal", _WEIGHT + _K(None),
+     _cmd_resolvent),
+    ("relcheck", "corank one restriction identities", _WEIGHT + _K(6),
+     _cmd_relcheck),
+    ("ppdiag", "trace series diagnostic (o and sp)", _WEIGHT + _K(6),
+     _cmd_ppdiag),
+    ("parity", "mirror parity of the minimal polynomial", _WEIGHT + _MODE,
+     _cmd_parity),
+    ("oracle", "matrix-model minimal polynomial",
+     _ALGEBRA + (("rep", {"help": "'trivial', 'defining', or a gl weight"}),),
+     _cmd_oracle),
+    ("howe", "dual pair transfer checks",
+     (("n", {"type": int}), ("k", {"type": int}),
+      ("--rmax", {"type": _bound, "default": 3}),
+      ("--dmax", {"type": _bound, "default": 3})) + _K(3), _cmd_howe),
+    ("poset", "divisibility among certified polynomials",
+     _ALGEBRA + (("weights", {"help": "weights separated by ';'"}),),
+     _cmd_poset),
+)
+
+
+def _document(args):
+    """The document of the parsed command.
+
+    A command on an algebra gets its spec, and its weight when it takes
+    one: handler(spec, lam, args) or handler(spec, args).  The others
+    (shuffle, howe) get handler(args).
+    """
+    if "num" not in args:
+        return args.handler(args)
+    spec = _spec_for(args.family, args.num)
+    if "weight" not in args:
+        return {"algebra": spec.label, **args.handler(spec, args)}
+    lam = _parse_weight(args.weight)
+    return {"algebra": spec.label, "weight": [_s(x) for x in lam],
+            **args.handler(spec, lam, args)}
 
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="hwpoly", description=__doc__.splitlines()[0])
     subs = p.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("minpoly", help="minimal polynomial from the weight")
-    _add_algebra(s)
-    s.add_argument("weight")
-    s.add_argument("--mode", choices=["fast", "certified"], default="fast")
-    _add_common(s)
-    s.set_defaults(func=_cmd_minpoly)
-
-    s = subs.add_parser("shuffle", help="decompose a shifted weight sequence")
-    s.add_argument("family", choices=["gl", "sp", "o_even", "o_odd"])
-    s.add_argument("sequence")
-    _add_common(s)
-    s.set_defaults(func=_cmd_shuffle)
-
-    s = subs.add_parser("certify", help="certified minimal polynomial")
-    _add_algebra(s)
-    s.add_argument("weight")
-    _add_common(s)
-    s.set_defaults(func=_cmd_certify)
-
-    s = subs.add_parser("resolvent", help="projected resolvent diagonal")
-    _add_algebra(s)
-    s.add_argument("weight")
-    _add_order(s, None)
-    _add_common(s)
-    s.set_defaults(func=_cmd_resolvent)
-
-    s = subs.add_parser("relcheck", help="corank one restriction identities")
-    _add_algebra(s)
-    s.add_argument("weight")
-    _add_order(s, 6)
-    _add_common(s)
-    s.set_defaults(func=_cmd_relcheck)
-
-    s = subs.add_parser("ppdiag", help="trace series diagnostic (o and sp)")
-    _add_algebra(s)
-    s.add_argument("weight")
-    _add_order(s, 6)
-    _add_common(s)
-    s.set_defaults(func=_cmd_ppdiag)
-
-    s = subs.add_parser("parity", help="mirror parity of the minimal polynomial")
-    _add_algebra(s)
-    s.add_argument("weight")
-    s.add_argument("--mode", choices=["fast", "certified"], default="fast")
-    _add_common(s)
-    s.set_defaults(func=_cmd_parity)
-
-    s = subs.add_parser("oracle", help="matrix-model minimal polynomial")
-    _add_algebra(s)
-    s.add_argument("rep", help="'trivial', 'defining', or a gl weight")
-    _add_common(s)
-    s.set_defaults(func=_cmd_oracle)
-
-    s = subs.add_parser("howe", help="dual pair transfer checks")
-    s.add_argument("n", type=int)
-    s.add_argument("k", type=int)
-    s.add_argument("--rmax", type=_bound, default=3)
-    s.add_argument("--dmax", type=_bound, default=3)
-    _add_order(s, 3)
-    _add_common(s)
-    s.set_defaults(func=_cmd_howe)
-
-    s = subs.add_parser("poset", help="divisibility among certified polynomials")
-    _add_algebra(s)
-    s.add_argument("weights", help="weights separated by ';'")
-    _add_common(s)
-    s.set_defaults(func=_cmd_poset)
-
+    for name, help_text, arguments, handler in _COMMANDS:
+        s = subs.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            s.add_argument(flag, **keywords)
+        s.add_argument("--json", metavar="PATH", default=None,
+                       help="write the document to PATH instead of stdout")
+        s.set_defaults(handler=handler)
     return p
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        doc = args.func(args)
-    except _Usage as exc:
-        print(f"hwpoly: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        doc = _document(args)
+    except (_Usage, ValueError) as exc:
         print(f"hwpoly: {exc}", file=sys.stderr)
         return 1
     except (CertificationError, NotMinimalError) as exc:
         print(f"hwpoly: certification failure: {exc}", file=sys.stderr)
         return 2
     text = json.dumps(doc, indent=2) + "\n"
-    if getattr(args, "json", None):
+    if not args.json:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(args.json, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"hwpoly: cannot write {args.json}: {exc.strerror}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -50,13 +50,16 @@ from math import lcm
 
 from .algebra import (CARTAN, NEG, AlgebraSpec, Family, ParabolicData,
                       as_weight, inner_spec)
+from .polyrat import rat
 
 
 def _coeff(c):
-    """c as an int when it is integral, as a Fraction otherwise."""
+    """c as an int when it is integral, as a Fraction otherwise.  The int
+    test comes first, as _acc calls this on every accumulation; rat rejects
+    floats."""
     if type(c) is int:
         return c
-    c = Fraction(c)
+    c = rat(c)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -120,9 +123,9 @@ class Terms:
     ``spec`` is the algebra and ``terms`` maps monomials to nonzero
     coefficients.  The coefficient rule: a coefficient is a Python int
     while it is integral and a Fraction only once a caller brings in a
-    non-integral scalar.  A subclass supplies the unit monomial
-    (``_unit``), the generator of one word atom (``_atom``) and
-    ``__mul__``, in its own class body.
+    non-integral scalar; a float scalar or coefficient is a TypeError.
+    A subclass supplies the unit monomial (``_unit``), the generator of
+    one word atom (``_atom``) and ``__mul__``, in its own class body.
     """
 
     __slots__ = ("spec", "terms")

@@ -43,13 +43,6 @@ class RepMatrices:
     dim: int
     mats: tuple   # mats[gen index] = tuple of row tuples
 
-    def generator_matrix(self, i, j):
-        """Dense matrix of F[i,j] (gl E[i,j]), sign folded in."""
-        c, idx = self.spec.resolve(i, j)
-        if idx is None:
-            return [[ZERO] * self.dim for _ in range(self.dim)]
-        return [[c * x for x in row] for row in self.mats[idx]]
-
 
 def build_catalog_rep(spec: AlgebraSpec, name: str) -> RepMatrices:
     """The trivial or defining module of any family."""

@@ -106,12 +106,6 @@ class UniPoly:
         """Degree, with the zero polynomial given degree -1."""
         return len(self.coeffs) - 1
 
-    @property
-    def lead(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

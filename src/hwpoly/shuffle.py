@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraSpec, Family, as_weight
-from .polyrat import InvariantError, UniPoly
+from .polyrat import InvariantError, UniPoly, rat
 
 PLAIN, STARRED = "plain", "starred"
 
@@ -86,11 +86,6 @@ class ShuffleDecomposition:
             raise ValueError("endpoints describe the gl decomposition")
         return sorted(p.last for p in self.parts)
 
-    def first_term_multiset(self):
-        if self.kind != "mirror":
-            raise ValueError("first terms describe the mirror decomposition")
-        return sorted(p.first for p in self.parts)
-
     def roots(self):
         """Root multiset of the minimal polynomial, sorted ascending."""
         if self.kind == "gl":
@@ -116,7 +111,7 @@ class ShuffleDecomposition:
 
 def shuffle_gl(seq) -> ShuffleDecomposition:
     """Greedy decomposition of a gl shifted weight into falling runs."""
-    seq = tuple(Fraction(x) for x in seq)
+    seq = tuple(rat(x) for x in seq)
     parts = []
     for x in seq:
         best = None
@@ -134,8 +129,8 @@ def shuffle_gl(seq) -> ShuffleDecomposition:
 
 def shuffle_mirror(seq, epsilon) -> ShuffleDecomposition:
     """Mirror symmetric decomposition of l and its negated reverse."""
-    seq = tuple(Fraction(x) for x in seq)
-    epsilon = Fraction(epsilon)
+    seq = tuple(rat(x) for x in seq)
+    epsilon = rat(epsilon)
     terms = []    # per part: list of (value, origin)
     mirror = []   # per part: index of the mirrored part
     for x in reversed(seq):

@@ -8,6 +8,10 @@ from hwpoly.polyrat import UniPoly
 from hwpoly.verify import CertificationError
 
 SCHEMA_PATH = pathlib.Path(__file__).resolve().parent.parent / "docs" / "cli_schema.json"
+# recorded exit code and stdout document of each invocation (None for an
+# empty stdout); --help text is left out, as it varies between Pythons
+DOCUMENTS = json.loads(
+    (pathlib.Path(__file__).resolve().parent / "cli_documents.json").read_text())
 
 
 def run(capsys, *argv):
@@ -20,6 +24,15 @@ def run_doc(capsys, *argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 0, err
     return json.loads(out)
+
+
+@pytest.mark.parametrize("case", DOCUMENTS,
+                         ids=[" ".join(c["argv"]) for c in DOCUMENTS])
+def test_recorded_documents(capsys, case):
+    rc, out, err = run(capsys, *case["argv"])
+    doc = case["document"]
+    assert rc == case["exit"], err
+    assert out == ("" if doc is None else json.dumps(doc, indent=2) + "\n")
 
 
 class TestMinpoly:
@@ -60,6 +73,16 @@ class TestMinpoly:
         assert out == ""
         doc = json.loads(target.read_text())
         assert doc["l"] == ["6", "0"]
+
+    @pytest.mark.parametrize("where", ["missing/doc.json", "."])
+    def test_unwritable_json_path_is_exit_one(self, capsys, tmp_path, where):
+        # a missing directory and a directory once ended in a traceback
+        target = tmp_path / where
+        rc, out, err = run(capsys, "minpoly", "gl", "2", "1,0",
+                           "--json", str(target))
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"hwpoly: cannot write {target}: ")
+        assert "Traceback" not in err
 
 
 class TestShuffleCommand:

@@ -12,7 +12,7 @@ from hwpoly.enveloping import (
     project_relative,
     restrict_corank_one,
 )
-from hwpoly.howe import WeylAlgebra
+from hwpoly.howe import WeylAlgebra, WeylElement, weyl_normalize
 
 F = Fraction
 
@@ -209,3 +209,18 @@ def test_coefficient_rule_and_foreign_algebras(elements):
                lambda a, b: a * b, lambda a, b: a.commutator(b)):
         with pytest.raises(ValueError):
             op(x, foreign)
+
+
+@pytest.mark.parametrize("cls,algebra,normalize,word", [
+    (UElement, lambda: make_spec("gl", 2), pbw_normalize, [(1, 2)]),
+    (WeylElement, lambda: WeylAlgebra(1, 1), weyl_normalize, [("x", 1, 1)]),
+], ids=["UElement", "WeylElement"])
+def test_float_coefficients_are_rejected(cls, algebra, normalize, word):
+    # a float scalar was once stored as its binary expansion, 0.1 as
+    # 3602879701896397/36028797018963968
+    alg = algebra()
+    with pytest.raises(TypeError):
+        cls.scalar(alg, 0.1)
+    with pytest.raises(TypeError):
+        normalize(alg, [(0.5, word)])
+    assert normalize(alg, [(F(1, 2), word)]) * 2 == normalize(alg, word)

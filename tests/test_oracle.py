@@ -27,6 +27,12 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
+def entry_matrix(rep, i, j):
+    """The matrix of F[i,j] (gl E[i,j]) on rep, sign folded in."""
+    c, idx = rep.spec.resolve(i, j)
+    return [[c * x for x in row] for row in rep.mats[idx]]
+
+
 def assert_bracket_fidelity(rep):
     spec = rep.spec
     for a, (i, j) in enumerate(spec.gens):
@@ -85,9 +91,9 @@ class TestIrrepGL:
     def test_determinant_rep(self):
         rep = build_irrep_gl((1, 1), 2)
         spec = rep.spec
-        assert rep.generator_matrix(1, 1) == [[1]]
-        assert rep.generator_matrix(2, 2) == [[1]]
-        assert rep.generator_matrix(1, 2) == [[0]]
+        assert entry_matrix(rep, 1, 1) == [[1]]
+        assert entry_matrix(rep, 2, 2) == [[1]]
+        assert entry_matrix(rep, 1, 2) == [[0]]
         assert oracle_minpoly(rep) == UniPoly.from_roots([1])
         assert minpoly_from_weight(spec, (1, 1)) == UniPoly.from_roots([1])
 
@@ -102,7 +108,7 @@ class TestIrrepGL:
     def test_degree_trace(self):
         for lam, n in [((2, 1), 2), ((1, 1, 1), 3)]:
             rep = build_irrep_gl(lam, n)
-            tr = sum(rep.generator_matrix(i, i)[a][a]
+            tr = sum(entry_matrix(rep, i, i)[a][a]
                      for i in range(1, n + 1) for a in range(rep.dim))
             assert tr == sum(lam) * rep.dim
 

@@ -142,7 +142,8 @@ class TestShuffleMirror:
         # l = 3/2, the vector representation of the rank one odd algebra
         dec = shuffle_mirror([Fraction(3, 2)], Fraction(1, 2))
         assert dec.parity == "even"
-        assert dec.first_term_multiset() == [Fraction(-3, 2), Fraction(3, 2)]
+        assert sorted(p.first for p in dec.parts) == [Fraction(-3, 2),
+                                                    Fraction(3, 2)]
         assert dec.roots() == [-1, 1, 2]
 
     def test_odd3_middle_root_multiplicity(self):
@@ -194,7 +195,7 @@ class TestShuffleMirror:
                 seq = [rng.randint(-2, 4) + eps for _ in range(n)]
                 dec = shuffle_mirror(seq, eps)
                 if dec.parity == "odd":
-                    assert -eps in dec.first_term_multiset()
+                    assert -eps in [p.first for p in dec.parts]
                     dec.roots()
 
     def test_odd_parity_needs_a_part_at_minus_epsilon(self):
@@ -256,3 +257,13 @@ class TestMinpolyFromWeight:
     def test_decompose_routes_by_family(self):
         assert decompose(make_spec("gl", 2), (0, 0)).kind == "gl"
         assert decompose(make_spec("sp", 1), (0,)).kind == "mirror"
+
+
+def test_float_sequences_are_rejected():
+    # shuffle_gl([0.5]) once read 0.5 as the exact 1/2
+    with pytest.raises(TypeError):
+        shuffle_gl([0.5])
+    with pytest.raises(TypeError):
+        shuffle_mirror([1], 0.5)
+    with pytest.raises(TypeError):
+        minpoly_from_weight(make_spec("sp", 1), (0.5,))
