@@ -31,9 +31,9 @@ monomial filters; the enveloping module explains why.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .polyrat import rat
 
@@ -256,15 +256,14 @@ def as_weight(spec: AlgebraSpec, coords):
     return out
 
 
-@dataclass(frozen=True)
-class ParabolicData:
+class ParabolicData(NamedTuple):
     """Levi and nilradical generator sets at one level of the chain.
 
     Level t keeps the whole rank t inner block together with every
     Cartan generator above it; level n is the full algebra.
     """
 
-    spec: AlgebraSpec = field(repr=False)
+    spec: AlgebraSpec
     level: int
     levi: frozenset
     upper: frozenset

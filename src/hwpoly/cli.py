@@ -24,16 +24,12 @@ import sys
 from fractions import Fraction
 
 from .algebra import make_spec
-from .howe import (check_conv_powers, check_divisibility_instance,
-                   check_resolvent_transfer)
-from .oracle import build_catalog_rep, build_irrep_gl, oracle_minpoly
-from .polyrat import UniPoly, monic_lcm
+from .polyrat import CertificationError, NotMinimalError, UniPoly, monic_lcm
 from .shuffle import (minpoly_from_weight, shifted_weight, shuffle_gl,
                       shuffle_mirror)
-from .verify import (CertificationError, NotMinimalError,
-                     certified_minimal_polynomial, check_relative_formulas,
-                     divisibility_poset, parity_classify, pp_diagnostic,
-                     projected_resolvent, resolvent_order)
+
+# The certifier, the oracle and the Howe checks are imported by the
+# handlers that run them, so a fast command never loads them.
 
 
 class _Usage(Exception):
@@ -97,6 +93,7 @@ def _bound(text: str) -> int:
 def _fast_or_certified(spec, lam, args):
     """The minimal polynomial in the requested --mode."""
     if args.mode == "certified":
+        from .verify import certified_minimal_polynomial
         return certified_minimal_polynomial(spec, lam)[0]
     return minpoly_from_weight(spec, lam)
 
@@ -143,6 +140,7 @@ def _cmd_shuffle(args):
 
 
 def _cmd_certify(spec, lam, args):
+    from .verify import certified_minimal_polynomial
     q, cert = certified_minimal_polynomial(spec, lam)
     return {
         "polynomial": _poly(q),
@@ -154,6 +152,7 @@ def _cmd_certify(spec, lam, args):
 
 
 def _cmd_resolvent(spec, lam, args):
+    from .verify import projected_resolvent, resolvent_order
     K = resolvent_order(spec) if args.K is None else args.K
     entries = projected_resolvent(spec, lam, K=K)
     return {
@@ -165,6 +164,7 @@ def _cmd_resolvent(spec, lam, args):
 
 
 def _cmd_relcheck(spec, lam, args):
+    from .verify import check_relative_formulas
     reports = check_relative_formulas(spec, lam, K=args.K)
     return {
         "K": args.K,
@@ -174,6 +174,7 @@ def _cmd_relcheck(spec, lam, args):
 
 
 def _cmd_ppdiag(spec, lam, args):
+    from .verify import pp_diagnostic
     report = pp_diagnostic(spec, lam, K=args.K)
     return {
         "K": args.K,
@@ -184,11 +185,13 @@ def _cmd_ppdiag(spec, lam, args):
 
 
 def _cmd_parity(spec, lam, args):
+    from .verify import parity_classify
     q = _fast_or_certified(spec, lam, args)
     return {"polynomial": _poly(q), "parity": parity_classify(spec, q, lam)}
 
 
 def _cmd_oracle(spec, args):
+    from .oracle import build_catalog_rep, build_irrep_gl, oracle_minpoly
     if args.rep in ("trivial", "defining"):
         rep = build_catalog_rep(spec, args.rep)
     elif args.family == "gl":
@@ -208,6 +211,8 @@ def _cmd_oracle(spec, args):
 
 
 def _cmd_howe(args):
+    from .howe import (check_conv_powers, check_divisibility_instance,
+                       check_resolvent_transfer)
     conv = check_conv_powers(args.n, args.k, args.rmax)
     transfer = check_resolvent_transfer(args.n, args.k, args.K)
     divis = []
@@ -232,6 +237,7 @@ def _cmd_howe(args):
 
 
 def _cmd_poset(spec, args):
+    from .verify import divisibility_poset
     weights = [_parse_weight(w) for w in args.weights.split(";") if w != ""]
     entries, edges = divisibility_poset(spec, weights)
     return {
@@ -323,7 +329,7 @@ def main(argv=None) -> int:
         print(f"hwpoly: certification failure: {exc}", file=sys.stderr)
         return 2
     text = json.dumps(doc, indent=2) + "\n"
-    if not args.json:
+    if args.json is None:
         sys.stdout.write(text)
         return 0
     try:

@@ -16,9 +16,9 @@ form rather than standing apart from the certifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from typing import NamedTuple
 
 from .algebra import AlgebraSpec, Family, make_spec
 from .enveloping import VermaModule
@@ -34,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RepMatrices:
+class RepMatrices(NamedTuple):
     """A module given by one matrix per canonical generator."""
 
     spec: AlgebraSpec

@@ -19,6 +19,10 @@ trying denominator degrees in ascending order and solving the linear
 system given by the whole available tail, so a successful fit is
 automatically the reduced form and a short or corrupted tail is
 detected instead of silently misread.
+
+The certifier's two verdicts, CertificationError and NotMinimalError,
+are defined here beside InvariantError, so a caller can catch them
+without loading the certifier.
 """
 
 from __future__ import annotations
@@ -50,6 +54,22 @@ class ReconstructionError(ValueError):
 
 class InvariantError(RuntimeError):
     """An exact computation reached a state its mathematics rules out."""
+
+
+class CertificationError(Exception):
+    """The candidate polynomial does not annihilate the module."""
+
+    def __init__(self, message, residuals=()):
+        super().__init__(message)
+        self.residuals = tuple(residuals)
+
+
+class NotMinimalError(Exception):
+    """A proper divisor of the candidate already annihilates."""
+
+    def __init__(self, message, divisor):
+        super().__init__(message)
+        self.divisor = divisor
 
 
 class UniPoly:

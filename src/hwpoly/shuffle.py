@@ -41,8 +41,8 @@ two-component tensor square constituent).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import AlgebraSpec, Family, as_weight
 from .polyrat import InvariantError, UniPoly, rat
@@ -50,8 +50,7 @@ from .polyrat import InvariantError, UniPoly, rat
 PLAIN, STARRED = "plain", "starred"
 
 
-@dataclass(frozen=True)
-class Part:
+class Part(NamedTuple):
     """One falling-by-one run of the decomposition."""
 
     part_id: int
@@ -71,8 +70,7 @@ class Part:
         return all(o == PLAIN for o in self.origins)
 
 
-@dataclass(frozen=True)
-class ShuffleDecomposition:
+class ShuffleDecomposition(NamedTuple):
     """Parts of a gl or mirror shuffle, with parity data for the latter."""
 
     kind: str                  # "gl" or "mirror"

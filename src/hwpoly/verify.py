@@ -31,9 +31,9 @@ poset over a batch of weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .algebra import AlgebraSpec, Family, as_weight, inner_spec, parabolic
 from .enveloping import (
@@ -46,28 +46,12 @@ from .enveloping import (
 )
 from .genmatrix import generator_power, projected_diagonal, trace_prime
 from .linalg import ONE, ZERO
-from .polyrat import UniPoly, monic_lcm, pade_reconstruct, series_of_rational
+from .polyrat import (CertificationError, NotMinimalError, UniPoly, monic_lcm,
+                      pade_reconstruct, series_of_rational)
 from .shuffle import decompose
 
 
-class CertificationError(Exception):
-    """The candidate polynomial does not annihilate the module."""
-
-    def __init__(self, message, residuals=()):
-        super().__init__(message)
-        self.residuals = tuple(residuals)
-
-
-class NotMinimalError(Exception):
-    """A proper divisor of the candidate already annihilates."""
-
-    def __init__(self, message, divisor):
-        super().__init__(message)
-        self.divisor = divisor
-
-
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Annihilation residuals (all zero) plus per-root minimality witnesses.
 
     witnesses holds one (root, entry label, residual) triple for each
@@ -81,8 +65,7 @@ class Certificate:
     witnesses: tuple
 
 
-@dataclass(frozen=True)
-class DiagnosticReport:
+class DiagnosticReport(NamedTuple):
     """Residual magnitudes of one identity, checked order by order."""
 
     name: str

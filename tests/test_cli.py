@@ -84,6 +84,12 @@ class TestMinpoly:
         assert err.startswith(f"hwpoly: cannot write {target}: ")
         assert "Traceback" not in err
 
+    def test_empty_json_path_is_exit_one(self, capsys):
+        # an empty PATH once printed the document and exited 0
+        rc, out, err = run(capsys, "minpoly", "gl", "2", "1,0", "--json", "")
+        assert (rc, out) == (1, "")
+        assert err.startswith("hwpoly: cannot write : ")
+
 
 class TestShuffleCommand:
     def test_worked_example(self, capsys):
@@ -230,7 +236,7 @@ class TestExitCodes:
     def test_certification_failure_is_exit_two(self, capsys, monkeypatch):
         def boom(spec, lam, K=None):
             raise CertificationError("forced")
-        monkeypatch.setattr(cli, "certified_minimal_polynomial", boom)
+        monkeypatch.setattr("hwpoly.verify.certified_minimal_polynomial", boom)
         rc, _, err = run(capsys, "certify", "gl", "2", "1,0")
         assert rc == 2
         assert "certification failure" in err

@@ -1,0 +1,89 @@
+"""The package's lazy exports and what each CLI command imports."""
+
+import importlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import hwpoly
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+# the modules only the certifier, the oracle and the Howe checks need
+SLOW = ("hwpoly.verify", "hwpoly.enveloping", "hwpoly.genmatrix",
+        "hwpoly.howe", "hwpoly.oracle")
+
+
+def loaded_after(code):
+    """Names in sys.modules after code runs in a fresh interpreter."""
+    script = (f"import json, sys\n{code}\n"
+              "print(json.dumps(sorted(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def loaded_by_command(*argv):
+    return loaded_after(f"from hwpoly import cli\ncli.main({list(argv)!r})")
+
+
+@pytest.mark.parametrize("argv", [
+    ("minpoly", "gl", "3", "--", "2,1,0"),
+    ("minpoly", "o", "7", "5/2,3/2,1/2"),
+    ("shuffle", "gl", "3,3,2,4,1,3,2,2,1"),
+])
+def test_fast_commands_load_no_slow_module(argv):
+    loaded = loaded_by_command(*argv)
+    assert {"hwpoly.cli", "hwpoly.shuffle"} <= loaded
+    assert loaded.isdisjoint(SLOW + ("dataclasses",))
+
+
+def test_certify_loads_neither_oracle_nor_howe():
+    loaded = loaded_by_command("certify", "gl", "2", "1,0")
+    assert "hwpoly.verify" in loaded
+    assert loaded.isdisjoint(("hwpoly.howe", "hwpoly.oracle", "dataclasses"))
+
+
+def test_bare_import_loads_no_submodule():
+    loaded = loaded_after("import hwpoly")
+    assert "hwpoly" in loaded
+    assert [m for m in loaded if m.startswith("hwpoly.")] == []
+
+
+def test_every_export_is_its_home_modules_object():
+    for name in hwpoly.__all__:
+        export = getattr(hwpoly, name)
+        home = importlib.import_module(export.__module__)
+        assert home.__name__.startswith("hwpoly."), name
+        assert getattr(home, name) is export, name
+
+
+def test_dir_lists_every_export():
+    assert set(hwpoly.__all__) <= set(dir(hwpoly))
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from hwpoly import *", namespace)
+    for name in hwpoly.__all__:
+        assert namespace[name] is getattr(hwpoly, name), name
+
+
+def test_unknown_attribute_is_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hwpoly.no_such_name
+    assert not hasattr(hwpoly, "no_such_name")
+
+
+def test_verify_still_exports_its_exceptions():
+    from hwpoly import polyrat, verify
+
+    assert verify.CertificationError is polyrat.CertificationError
+    assert verify.NotMinimalError is polyrat.NotMinimalError
+    assert hwpoly.CertificationError is polyrat.CertificationError
