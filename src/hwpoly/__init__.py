@@ -33,7 +33,7 @@ _HOMES = {
                 "shifted_weight", "shuffle_gl", "shuffle_mirror"),
     "verify": ("Certificate", "certified_minimal_polynomial",
                "check_relative_formulas", "divisibility_poset",
-               "parity_classify", "pp_diagnostic", "projected_resolvent"),
+               "pp_diagnostic", "projected_resolvent"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -90,14 +90,6 @@ def _bound(text: str) -> int:
     return _int_at_least(text, 0)
 
 
-def _fast_or_certified(spec, lam, args):
-    """The minimal polynomial in the requested --mode."""
-    if args.mode == "certified":
-        from .verify import certified_minimal_polynomial
-        return certified_minimal_polynomial(spec, lam)[0]
-    return minpoly_from_weight(spec, lam)
-
-
 def _s(x) -> str:
     return str(Fraction(x))
 
@@ -111,7 +103,11 @@ def _roots(q: UniPoly):
 
 
 def _cmd_minpoly(spec, lam, args):
-    q = _fast_or_certified(spec, lam, args)
+    if args.mode == "certified":
+        from .verify import certified_minimal_polynomial
+        q = certified_minimal_polynomial(spec, lam)[0]
+    else:
+        q = minpoly_from_weight(spec, lam)
     return {
         "l": [_s(x) for x in shifted_weight(spec, lam)],
         "roots": _roots(q),
@@ -153,10 +149,9 @@ def _cmd_certify(spec, lam, args):
 
 def _cmd_resolvent(spec, lam, args):
     from .verify import projected_resolvent, resolvent_order
-    K = resolvent_order(spec) if args.K is None else args.K
-    entries = projected_resolvent(spec, lam, K=K)
+    entries = projected_resolvent(spec, lam)
     return {
-        "K": K,
+        "K": resolvent_order(spec),
         "entries": [{"entry": _s(lab), "num": _poly(num), "den": _poly(den)}
                     for lab, num, den in entries],
         "lcm": _poly(monic_lcm(den for _, _, den in entries)),
@@ -184,12 +179,6 @@ def _cmd_ppdiag(spec, lam, args):
     }
 
 
-def _cmd_parity(spec, lam, args):
-    from .verify import parity_classify
-    q = _fast_or_certified(spec, lam, args)
-    return {"polynomial": _poly(q), "parity": parity_classify(spec, q, lam)}
-
-
 def _cmd_oracle(spec, args):
     from .oracle import build_catalog_rep, build_irrep_gl, oracle_minpoly
     if args.rep in ("trivial", "defining"):
@@ -211,13 +200,17 @@ def _cmd_oracle(spec, args):
 
 
 def _cmd_howe(args):
+    # the divisibility family is the Euler case n = 1, the only reader
+    # of --dmax
+    if args.n != 1 and args.dmax is not None:
+        raise _Usage("--dmax applies to n = 1 only")
     from .howe import (check_conv_powers, check_divisibility_instance,
                        check_resolvent_transfer)
     conv = check_conv_powers(args.n, args.k, args.rmax)
     transfer = check_resolvent_transfer(args.n, args.k, args.K)
     divis = []
     if args.n == 1:
-        for d in range(args.dmax + 1):
+        for d in range((3 if args.dmax is None else args.dmax) + 1):
             rep = check_divisibility_instance(1, args.k, d)
             divis.append({"d": d, "q": _poly(rep.q),
                           "q_prime": _poly(rep.q_prime),
@@ -249,7 +242,6 @@ def _cmd_poset(spec, args):
 
 _ALGEBRA = (("family", {"choices": ["gl", "sp", "o"]}), ("num", {"type": int}))
 _WEIGHT = _ALGEBRA + (("weight", {}),)
-_MODE = (("--mode", {"choices": ["fast", "certified"], "default": "fast"}),)
 
 
 def _K(default):
@@ -261,27 +253,26 @@ def _K(default):
 # argument is (name or flag, add_argument keywords); every command also
 # takes --json.  _document says how a handler is called.
 _COMMANDS = (
-    ("minpoly", "minimal polynomial from the weight", _WEIGHT + _MODE,
-     _cmd_minpoly),
+    ("minpoly", "minimal polynomial from the weight",
+     _WEIGHT + (("--mode", {"choices": ["fast", "certified"],
+                            "default": "fast"}),), _cmd_minpoly),
     ("shuffle", "decompose a shifted weight sequence",
      (("family", {"choices": ["gl", "sp", "o_even", "o_odd"]}),
       ("sequence", {})), _cmd_shuffle),
     ("certify", "certified minimal polynomial", _WEIGHT, _cmd_certify),
-    ("resolvent", "projected resolvent diagonal", _WEIGHT + _K(None),
-     _cmd_resolvent),
+    ("resolvent", "projected resolvent diagonal", _WEIGHT, _cmd_resolvent),
     ("relcheck", "corank one restriction identities", _WEIGHT + _K(6),
      _cmd_relcheck),
     ("ppdiag", "trace series diagnostic (o and sp)", _WEIGHT + _K(6),
      _cmd_ppdiag),
-    ("parity", "mirror parity of the minimal polynomial", _WEIGHT + _MODE,
-     _cmd_parity),
     ("oracle", "matrix-model minimal polynomial",
      _ALGEBRA + (("rep", {"help": "'trivial', 'defining', or a gl weight"}),),
      _cmd_oracle),
     ("howe", "dual pair transfer checks",
      (("n", {"type": int}), ("k", {"type": int}),
       ("--rmax", {"type": _bound, "default": 3}),
-      ("--dmax", {"type": _bound, "default": 3})) + _K(3), _cmd_howe),
+      ("--dmax", {"type": _bound, "help": "n = 1 only (default 3)"}))
+     + _K(3), _cmd_howe),
     ("poset", "divisibility among certified polynomials",
      _ALGEBRA + (("weights", {"help": "weights separated by ';'"}),),
      _cmd_poset),

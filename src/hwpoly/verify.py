@@ -24,9 +24,8 @@ entry where dropping that root breaks annihilation.
 The remaining functions compare engine series against closed forms:
 the corank one restriction formulas for the resolvent, the Perelomov
 Popov style trace generating function (reported, never asserted, since
-it disagrees with the exact trace facts beyond first order), a parity
-classifier for the evaluated diagonal of q(M), and a divisibility
-poset over a batch of weights.
+it disagrees with the exact trace facts beyond first order), and a
+divisibility poset over a batch of weights.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from .genmatrix import generator_power, projected_diagonal, trace_prime
 from .linalg import ONE, ZERO
 from .polyrat import (CertificationError, NotMinimalError, UniPoly, monic_lcm,
                       pade_reconstruct, series_of_rational)
-from .shuffle import decompose
+from .shuffle import decompose, shifted_weight
 
 
 class Certificate(NamedTuple):
@@ -170,6 +169,14 @@ def annihilates(spec: AlgebraSpec, q: UniPoly, lam, *,
                annihilation_residuals(spec, q, lam, series=series))
 
 
+def _deflate(q: UniPoly, root) -> UniPoly:
+    """q / (u - root) by synthetic division, for a root of q."""
+    out = [q.coeffs[-1]]
+    for c in q.coeffs[-2:0:-1]:
+        out.append(c + root * out[-1])
+    return UniPoly(reversed(out))
+
+
 def certify_minimal(spec: AlgebraSpec, q: UniPoly, lam, *,
                     series: "DiagonalSeries | None" = None) -> Certificate:
     """Certificate that q is the minimal polynomial of M on L(lambda).
@@ -178,9 +185,10 @@ def certify_minimal(spec: AlgebraSpec, q: UniPoly, lam, *,
     NotMinimalError when some root can be dropped, and ValueError when
     q is not monic or does not split over the rationals.  The roots of
     q are found once (read back, when q was built by
-    UniPoly.from_roots) and each divisor is rebuilt from the multiset
-    without one copy of its root.  The NotMinimalError raised is the
-    one for the least droppable root.
+    UniPoly.from_roots) and each divisor q / (u - root) takes one
+    synthetic division.  The NotMinimalError raised is the one for the
+    least droppable root; its divisor is rebuilt from the root multiset,
+    so the next certification reads its roots back too.
     """
     lam = as_weight(spec, lam)
     if not q.is_monic():
@@ -194,11 +202,12 @@ def certify_minimal(spec: AlgebraSpec, q: UniPoly, lam, *,
             f"{q} does not annihilate at weight {lam}", residuals)
     witnesses = []
     for root, _ in roots:
-        divisor = UniPoly.from_roots(
-            r for r, m in roots for _ in range(m - (r == root)))
+        divisor = _deflate(q, root)
         hit = next(((lab, r) for lab, r in _residuals(divisor, series) if r),
                    None)
         if hit is None:
+            divisor = UniPoly.from_roots(
+                r for r, m in roots for _ in range(m - (r == root)))
             raise NotMinimalError(
                 f"divisor {divisor} still annihilates at weight {lam}",
                 divisor)
@@ -207,30 +216,23 @@ def certify_minimal(spec: AlgebraSpec, q: UniPoly, lam, *,
 
 
 def resolvent_order(spec: AlgebraSpec) -> int:
-    """The series order projected_resolvent fits by default, 2N + 2."""
+    """The series order projected_resolvent fits, 2N + 2."""
     return 2 * spec.N + 2
 
 
-def projected_resolvent(spec: AlgebraSpec, lam, K: "int | None" = None, *,
+def projected_resolvent(spec: AlgebraSpec, lam, *,
                         series: "DiagonalSeries | None" = None):
     """Diagonal of the evaluated projected resolvent, as reduced fractions.
 
     Returns (label, numerator, denominator) per diagonal entry, each
-    recovered from the first K series coefficients with denominator
-    degree at most N; off diagonal entries vanish identically and are
-    not listed.  Two strictly proper fractions whose denominators have
-    degree at most N and that agree on u^-1 .. u^-2N are equal, so K
-    below 2N raises ValueError: a shorter tail can be fitted by a wrong
-    fraction.  K defaults to resolvent_order(spec).
+    recovered from the first resolvent_order(spec) series coefficients
+    with denominator degree at most N; off diagonal entries vanish
+    identically and are not listed.  Two strictly proper fractions whose
+    denominators have degree at most N and that agree on u^-1 .. u^-2N
+    are equal, so any order from 2N on gives the same fractions.
     """
     lam = as_weight(spec, lam)
-    if K is None:
-        K = resolvent_order(spec)
-    if K < 2 * spec.N:
-        raise ValueError(
-            f"truncation order {K} is below 2N = {2 * spec.N}, too short "
-            "to determine the resolvent")
-    cols = _series_for(spec, lam, series).values(K)
+    cols = _series_for(spec, lam, series).values(resolvent_order(spec))
     out = []
     for label, tail in zip(spec.matrix_indices, cols):
         num, den = pade_reconstruct(tail, spec.N)
@@ -244,11 +246,10 @@ def certified_minimal_polynomial(spec: AlgebraSpec, lam):
     The shuffle candidate is certified directly when possible; if it
     fails to annihilate, the polynomial is rebuilt as the least common
     multiple of the projected resolvent denominators before repeating
-    the certification.  That fallback fits 2N + 2 orders; every order
-    from 2N on gives the same fractions, so none is taken.  Whenever a
-    root can be dropped, the least such root is dropped and
-    certification starts again.  The diagonal series is computed once
-    and shared by every step.  Returns (polynomial, Certificate).
+    the certification.  Whenever a root can be dropped, the least such
+    root is dropped and certification starts again.  The diagonal
+    series is computed once and shared by every step.  Returns
+    (polynomial, Certificate).
     """
     lam = as_weight(spec, lam)
     series = DiagonalSeries(spec, lam)
@@ -366,7 +367,7 @@ def pp_diagnostic(spec: AlgebraSpec, lam, K: int = 6) -> DiagnosticReport:
         engine.append(total)
 
     rho1 = spec.rho[0]
-    shifted = [a + b for a, b in zip(lam, spec.rho)]
+    shifted = shifted_weight(spec, lam)
     p2 = UniPoly.one()
     p1 = UniPoly.one()
     vsq = UniPoly.x() * UniPoly.x()
@@ -388,30 +389,6 @@ def pp_diagnostic(spec: AlgebraSpec, lam, K: int = 6) -> DiagnosticReport:
     return DiagnosticReport(
         "trace-generating-function",
         (head,) + tuple(e - f for e, f in zip(engine, closed)))
-
-
-def parity_classify(spec: AlgebraSpec, q: UniPoly, lam) -> str:
-    """Mirror symmetry type of the evaluated projected diagonal of q(M).
-
-    Compares the entry at i against the entry at -i for every positive
-    label: "even" when they agree, "odd" when they are opposite (which
-    forces the middle entry, if any, to vanish), "mixed" otherwise.
-    Ties prefer "even".  The comparison happens after projection and
-    evaluation, so it classifies the diagonal modulo the annihilator
-    rather than the operator itself.
-    """
-    lam = as_weight(spec, lam)
-    if spec.family is Family.GL:
-        raise ValueError("parity applies to o and sp only")
-    d = dict(annihilation_residuals(spec, q, lam))
-    even = all(d[i] == d[-i] for i in range(1, spec.n + 1))
-    odd = all(d[i] == -d[-i] for i in range(1, spec.n + 1)) \
-        and d.get(0, ZERO) == 0
-    if even:
-        return "even"
-    if odd:
-        return "odd"
-    return "mixed"
 
 
 def divisibility_poset(spec: AlgebraSpec, weights):

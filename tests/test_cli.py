@@ -1,5 +1,7 @@
 import json
 import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -8,6 +10,7 @@ from hwpoly.polyrat import UniPoly
 from hwpoly.verify import CertificationError
 
 SCHEMA_PATH = pathlib.Path(__file__).resolve().parent.parent / "docs" / "cli_schema.json"
+README_PATH = SCHEMA_PATH.parent.parent / "README.md"
 # recorded exit code and stdout document of each invocation (None for an
 # empty stdout); --help text is left out, as it varies between Pythons
 DOCUMENTS = json.loads(
@@ -33,6 +36,18 @@ def test_recorded_documents(capsys, case):
     doc = case["document"]
     assert rc == case["exit"], err
     assert out == ("" if doc is None else json.dumps(doc, indent=2) + "\n")
+
+
+def test_readme_commands_run(capsys):
+    # the README once advertised a command and an option that were gone
+    blocks = re.findall(r"^```.*?\n(.*?)^```", README_PATH.read_text(),
+                        re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("hwpoly ")]
+    assert len(lines) >= 10
+    for line in lines:
+        rc, _, err = run(capsys, *shlex.split(line)[1:])
+        assert rc == 0, f"{line}: {err}"
 
 
 class TestMinpoly:
@@ -121,7 +136,7 @@ class TestNegativeWeights:
                       "--mode", "certified")
         assert doc["weight"] == ["-1/2", "0"]
         assert doc["certified"] is True
-        doc = run_doc(capsys, "resolvent", "sp", "1", "-3", "--K", "5")
+        doc = run_doc(capsys, "relcheck", "sp", "1", "-3", "--K", "5")
         assert doc["K"] == 5
 
     def test_negative_sequence_and_poset(self, capsys):
@@ -144,9 +159,11 @@ class TestExitCodes:
         assert "cannot parse weight" in err
 
     def test_unknown_command(self, capsys):
-        rc, _, err = run(capsys, "frobnicate")
-        assert rc == 1
-        assert err != ""
+        # parity once classified a residual that is zero by definition
+        for command in ("frobnicate", "parity"):
+            rc, out, err = run(capsys, command, "o", "4", "1,1")
+            assert (rc, out) == (1, "")
+            assert err != ""
 
     def test_wrong_weight_length(self, capsys):
         rc, _, err = run(capsys, "minpoly", "gl", "3", "1,0")
@@ -160,21 +177,22 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv,reads_K", [
         (("minpoly", "gl", "1", "0", "--mode", "certified"), False),
         (("certify", "gl", "1", "0"), False),
-        (("resolvent", "gl", "1", "0"), True),
         (("relcheck", "gl", "1", "0"), True),
+        (("relcheck", "sp", "1", "0"), True),
         (("ppdiag", "sp", "1", "0"), True),
-        (("parity", "sp", "1", "0", "--mode", "certified"), False),
+        (("resolvent", "gl", "1", "0"), False),
         (("howe", "1", "1", "--rmax", "0", "--dmax", "0"), True),
         (("shuffle", "gl", "3,2"), False),
         (("oracle", "gl", "2", "trivial"), False),
         (("poset", "gl", "1", "2;2"), False),
         (("minpoly", "gl", "1", "0"), False),
-        (("parity", "sp", "1", "0"), False),
+        (("resolvent", "sp", "1", "0"), False),
     ])
     def test_K_only_where_an_order_is_read(self, capsys, argv, reads_K):
-        # shuffle, oracle, poset and the fast mode of minpoly and parity
-        # read no series order, and once accepted a --K that did nothing;
-        # the certifying commands once took a --K that changed no answer
+        # shuffle, oracle, poset and the fast mode of minpoly read no
+        # series order, and once accepted a --K that did nothing; the
+        # certifying commands and resolvent once took a --K that changed
+        # no answer
         rc, out, err = run(capsys, *argv, "--K", "4")
         if reads_K:
             assert rc == 0, err
@@ -183,7 +201,7 @@ class TestExitCodes:
             assert "--K" in err
             assert run(capsys, *argv)[0] == 0
 
-    @pytest.mark.parametrize("command", ["minpoly", "parity"])
+    @pytest.mark.parametrize("command", ["minpoly"])
     def test_fast_mode_rejects_K_and_ignores_env(self, capsys, monkeypatch,
                                                  command):
         # fast mode once exited 0 with --K 1, an order it never read
@@ -207,7 +225,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("order", ["0", "-3", "x"])
     def test_truncation_order_below_one_is_usage_error(self, capsys, order):
-        rc, out, err = run(capsys, "resolvent", "gl", "2", "1,0", "--K", order)
+        rc, out, err = run(capsys, "relcheck", "gl", "2", "1,0", "--K", order)
         assert (rc, out) == (1, "")
         assert "--K" in err
 
@@ -224,13 +242,26 @@ class TestExitCodes:
         assert doc["conv"]["checks"] == 1 and doc["conv"]["passed"]
         assert [row["d"] for row in doc["divisibility"]] == [0]
 
+    def test_howe_dmax_only_for_n_one(self, capsys):
+        # only the Euler case n = 1 has a divisibility family; for n >= 2
+        # --dmax was once accepted and ignored
+        rc, out, err = run(capsys, "howe", "2", "2", "--dmax", "1")
+        assert (rc, out) == (1, "")
+        assert "--dmax" in err
+        doc = run_doc(capsys, "howe", "2", "1", "--rmax", "0", "--K", "1")
+        assert doc["divisibility"] == []
+        doc = run_doc(capsys, "howe", "1", "1", "--rmax", "0", "--K", "1")
+        assert [row["d"] for row in doc["divisibility"]] == [0, 1, 2, 3]
+
     def test_resolvent_order_below_2N_is_rejected(self, capsys):
         # at K = 2 the tail (1, 1) of gl_2 at (1, 0) also fits 1/(u - 1),
-        # which once gave the lcm u^2 - u instead of u^2 - 2u
+        # which once gave the lcm u^2 - u instead of u^2 - 2u; no order
+        # is taken now, and the one fitted is 2N + 2
         rc, out, err = run(capsys, "resolvent", "gl", "2", "1,0", "--K", "2")
         assert (rc, out) == (1, "")
-        assert "2N = 4" in err
-        doc = run_doc(capsys, "resolvent", "gl", "2", "1,0", "--K", "4")
+        assert "--K" in err
+        doc = run_doc(capsys, "resolvent", "gl", "2", "1,0")
+        assert doc["K"] == 6
         assert doc["lcm"] == ["0", "-2", "1"]
 
     def test_certification_failure_is_exit_two(self, capsys, monkeypatch):
@@ -252,10 +283,6 @@ class TestOtherCommands:
     def test_relcheck_exact(self, capsys):
         doc = run_doc(capsys, "relcheck", "gl", "2", "2/3,-1", "--K", "5")
         assert all(r["exact"] for r in doc["reports"])
-
-    def test_parity_even_example(self, capsys):
-        doc = run_doc(capsys, "parity", "o", "4", "1,1")
-        assert doc["parity"] == "even"
 
     def test_oracle_matches_minpoly(self, capsys):
         oracle_doc = run_doc(capsys, "oracle", "gl", "2", "2,1")

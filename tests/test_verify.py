@@ -10,7 +10,7 @@ from hwpoly.algebra import make_spec
 from hwpoly.enveloping import evaluate_at_weight
 from hwpoly.genmatrix import projected_diagonal
 from hwpoly.oracle import build_catalog_rep, oracle_minpoly
-from hwpoly.polyrat import UniPoly, monic_lcm
+from hwpoly.polyrat import UniPoly, monic_lcm, pade_reconstruct
 from hwpoly.shuffle import minpoly_from_weight
 from hwpoly.verify import (
     Certificate,
@@ -23,7 +23,6 @@ from hwpoly.verify import (
     certify_minimal,
     check_relative_formulas,
     divisibility_poset,
-    parity_classify,
     pp_diagnostic,
     projected_resolvent,
 )
@@ -188,12 +187,17 @@ class TestCertifiedMinimal:
 
     def test_resolvent_order_bound(self):
         # two fractions with denominators of degree <= N that agree on
-        # 2N tail orders are equal, so K = 2N is enough and less is not
-        spec = make_spec("gl", 2)
-        assert (projected_resolvent(spec, (1, 0), 4)
-                == projected_resolvent(spec, (1, 0)))
-        with pytest.raises(ValueError):
-            projected_resolvent(spec, (1, 0), 3)
+        # 2N tail orders are equal, so the 2N + 2 orders that
+        # projected_resolvent fits give what 2N already gives
+        for family, n, lam in [("gl", 2, (1, 0)), ("sp", 1, (F(-1, 2),)),
+                               ("o_odd", 1, (3,)), ("o_even", 2, (1, -1))]:
+            spec = make_spec(family, n)
+            N = spec.N
+            tails = DiagonalSeries(spec, lam).values(2 * N + 2)
+            fits = [pade_reconstruct(t, N) for t in tails]
+            assert fits == [pade_reconstruct(t[:2 * N], N) for t in tails]
+            assert fits == [(num, den) for _, num, den
+                            in projected_resolvent(spec, lam)]
 
     def test_rank_zero_uses_resolvent_fallback(self):
         # The empty shuffle gives 1 here, which cannot annihilate; the
@@ -269,27 +273,6 @@ class TestTraceDiagnostic:
     def test_gl_rejected(self):
         with pytest.raises(ValueError):
             pp_diagnostic(make_spec("gl", 2), (0, 0))
-
-
-class TestParity:
-    def test_sp1_cases(self):
-        spec = make_spec("sp", 1)
-        assert parity_classify(spec, UniPoly.x(), (3,)) == "odd"
-        assert parity_classify(spec, UniPoly.x(), (0,)) == "even"
-        assert parity_classify(spec, UniPoly.from_roots([1]), (3,)) == "mixed"
-
-    def test_middle_entry_forces_zero(self):
-        spec = make_spec("o_odd", 1)
-        assert parity_classify(spec, UniPoly.x(), (2,)) == "odd"
-
-    def test_minimal_polynomial_reads_even(self):
-        spec = make_spec("sp", 1)
-        q = certified_minimal_polynomial(spec, (1,))[0]
-        assert parity_classify(spec, q, (1,)) == "even"
-
-    def test_gl_rejected(self):
-        with pytest.raises(ValueError):
-            parity_classify(make_spec("gl", 2), UniPoly.x(), (0, 0))
 
 
 class TestPoset:
