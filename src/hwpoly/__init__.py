@@ -26,8 +26,7 @@ _HOMES = {
     "howe": ("WeylAlgebra", "WeylElement", "check_conv_powers",
              "check_divisibility_instance", "check_resolvent_transfer",
              "dual_pair", "weyl_normalize"),
-    "oracle": ("build_catalog_rep", "build_irrep_gl", "hw_coefficient",
-               "oracle_minpoly"),
+    "oracle": ("build_catalog_rep", "build_irrep_gl", "oracle_minpoly"),
     "polyrat": ("CertificationError", "UniPoly", "monic_lcm"),
     "shuffle": ("ShuffleDecomposition", "decompose", "minpoly_from_weight",
                 "shifted_weight", "shuffle_gl", "shuffle_mirror"),

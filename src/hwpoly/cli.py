@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import make_spec
-from .polyrat import CertificationError, NotMinimalError, UniPoly, monic_lcm
+from .polyrat import CertificationError, UniPoly, monic_lcm
 from .shuffle import (minpoly_from_weight, shifted_weight, shuffle_gl,
                       shuffle_mirror)
 
@@ -316,7 +316,7 @@ def main(argv=None) -> int:
     except (_Usage, ValueError) as exc:
         print(f"hwpoly: {exc}", file=sys.stderr)
         return 1
-    except (CertificationError, NotMinimalError) as exc:
+    except CertificationError as exc:
         print(f"hwpoly: certification failure: {exc}", file=sys.stderr)
         return 2
     text = json.dumps(doc, indent=2) + "\n"

@@ -17,17 +17,16 @@ ONE = Fraction(1)
 class Echelon:
     """Incremental reduced row echelon form over Q.
 
-    The first `width` columns take part in pivoting; `aug` extra columns
-    are carried along and never pivoted on.  Inserted rows may hold ints
-    or Fractions; each is scaled by the Fraction reciprocal of its
-    pivot, so the stored rows are Fractions.  The augmentation lets
-    callers track how inserted rows combine, which is what the Krylov
-    annihilator extraction needs.
+    The first `width` columns take part in pivoting; any further columns
+    of an inserted row are carried along and never pivoted on.  Inserted
+    rows may hold ints or Fractions; each is scaled by the Fraction
+    reciprocal of its pivot, so the stored rows are Fractions.  The
+    carried columns let callers track how inserted rows combine, which
+    is what the Krylov annihilator extraction needs.
     """
 
-    def __init__(self, width, aug=0):
+    def __init__(self, width):
         self.width = width
-        self.aug = aug
         self.rows = []
         self.pivots = []
         self.last_residual = None
@@ -83,7 +82,7 @@ def solve_with_rank(a, b):
     is inserted before the verdict, so nfree is n minus the rank of a.
     """
     n = len(a[0]) if a else 0
-    ech = Echelon(n, aug=1)
+    ech = Echelon(n)
     consistent = True
     for row, rhs in zip(a, b):
         if ech.insert(list(row) + [rhs]) is None:

@@ -1,17 +1,12 @@
-"""Finite dimensional and Verma module cross-checks.
+"""Finite dimensional module cross-check.
 
-The first realises concrete modules as explicit matrices (polynomial
+It realises concrete modules as explicit matrices (polynomial
 gl irreducibles on the Gelfand-Tsetlin basis, whose vectors are the
 patterns with top row lambda and whose generators act by rational
 matrix entries, plus the trivial and defining modules of every family)
 and extracts the minimal polynomial of the generator matrix by exact
 Krylov iteration on C^N tensor V, with the operator held as sparse
-rows; it shares no code path with the certifier.  The second, hw_coefficient, applies a word of generators
-to the highest weight vector of the Verma module (enveloping.VermaModule)
-factor by factor, giving the coefficient of the highest weight vector
-without invoking PBW normal ordering.  That generator action is the one
-the certifier runs on, so it checks that action against PBW normal
-form rather than standing apart from the certifier.
+rows; it shares no code path with the certifier.
 """
 
 from __future__ import annotations
@@ -21,7 +16,6 @@ from math import prod
 from typing import NamedTuple
 
 from .algebra import AlgebraSpec, Family, make_spec
-from .enveloping import VermaModule
 from .linalg import ONE, ZERO, Echelon
 from .polyrat import InvariantError, UniPoly, monic_lcm
 
@@ -29,7 +23,6 @@ __all__ = [
     "RepMatrices",
     "build_catalog_rep",
     "build_irrep_gl",
-    "hw_coefficient",
     "oracle_minpoly",
 ]
 
@@ -193,7 +186,7 @@ def _row_apply(rows, v):
 
 
 def _krylov_annihilator(op, start, maxdeg):
-    ech = Echelon(len(start), aug=maxdeg + 1)
+    ech = Echelon(len(start))
     w = list(start)
     for k in range(maxdeg + 1):
         augv = [ZERO] * (maxdeg + 1)
@@ -242,21 +235,3 @@ def oracle_minpoly(rep: RepMatrices) -> UniPoly:
         q = monic_lcm([q, _krylov_annihilator(op, start, size)])
     return q
 
-
-def hw_coefficient(spec: AlgebraSpec, word, lam) -> Fraction:
-    """Coefficient of the highest weight vector in word . v_lambda.
-
-    The word's matrix index pairs act right to left on v_lambda through
-    the Verma module action, with no PBW normal ordering.  That action
-    runs in ints on the basis rescaled by the module's scale d, so the
-    int coefficient it leaves is divided by d to the word's length.
-    """
-    word = list(word)
-    verma = VermaModule(spec, lam)
-    state = {(): 1}
-    for i, j in reversed(word):
-        c, idx = spec.resolve(i, j)
-        if idx is None:
-            return ZERO
-        state = verma.apply(idx, state, c)
-    return Fraction(state.get((), 0), verma.scale ** len(word))

@@ -20,9 +20,9 @@ system given by the whole available tail, so a successful fit is
 automatically the reduced form and a short or corrupted tail is
 detected instead of silently misread.
 
-The certifier's two verdicts, CertificationError and NotMinimalError,
-are defined here beside InvariantError, so a caller can catch them
-without loading the certifier.
+The certifier's single verdict, CertificationError (the candidate does
+not annihilate), is defined here beside InvariantError, so a caller can
+catch it without loading the certifier.
 """
 
 from __future__ import annotations
@@ -62,14 +62,6 @@ class CertificationError(Exception):
     def __init__(self, message, residuals=()):
         super().__init__(message)
         self.residuals = tuple(residuals)
-
-
-class NotMinimalError(Exception):
-    """A proper divisor of the candidate already annihilates."""
-
-    def __init__(self, message, divisor):
-        super().__init__(message)
-        self.divisor = divisor
 
 
 class UniPoly:

@@ -14,12 +14,15 @@ common denominator d, and only the N values of each power k become
 fractions, with denominator d^k.  One series serves a whole
 certification call and is discarded with it.
 
-certified_minimal_polynomial starts from the shuffle candidate, checks
-annihilation, trims any root whose removal still annihilates, and only
-falls back to reconstructing the projected resolvent by rational
-function recovery when the candidate fails outright.  The certificate
-records zero residuals for q itself and, per distinct root, a witness
-entry where dropping that root breaks annihilation.
+certify_minimal takes one pass over a monic candidate q: it evaluates
+q once, and its single verdict, CertificationError, means q does not
+annihilate.  Otherwise it drops, in place, every root whose removal
+still annihilates, and returns the certificate of the minimal
+polynomial, a divisor of q: the zero residuals and, per distinct root,
+a witness entry where dropping that root breaks annihilation.
+certified_minimal_polynomial hands it the shuffle candidate, and only
+when that fails, the lcm of the projected resolvent denominators,
+recovered by rational function reconstruction.
 
 The remaining functions compare engine series against closed forms:
 the corank one restriction formulas for the resolvent, the Perelomov
@@ -45,8 +48,8 @@ from .enveloping import (
 )
 from .genmatrix import generator_power, projected_diagonal, trace_prime
 from .linalg import ONE, ZERO
-from .polyrat import (CertificationError, NotMinimalError, UniPoly, monic_lcm,
-                      pade_reconstruct, series_of_rational)
+from .polyrat import (CertificationError, UniPoly, monic_lcm, pade_reconstruct,
+                      series_of_rational)
 from .shuffle import decompose, shifted_weight
 
 
@@ -163,12 +166,6 @@ def _residuals(q: UniPoly, series: DiagonalSeries):
         yield label, sum((c * s for c, s in zip(q.coeffs, col) if c), ZERO)
 
 
-def annihilates(spec: AlgebraSpec, q: UniPoly, lam, *,
-                series: "DiagonalSeries | None" = None) -> bool:
-    return all(not r for _, r in
-               annihilation_residuals(spec, q, lam, series=series))
-
-
 def _deflate(q: UniPoly, root) -> UniPoly:
     """q / (u - root) by synthetic division, for a root of q."""
     out = [q.coeffs[-1]]
@@ -177,18 +174,27 @@ def _deflate(q: UniPoly, root) -> UniPoly:
     return UniPoly(reversed(out))
 
 
+def _witness(q: UniPoly, root, series: DiagonalSeries):
+    """First (label, residual) that q / (u - root) leaves nonzero, or None."""
+    return next(((lab, r) for lab, r in _residuals(_deflate(q, root), series)
+                 if r), None)
+
+
 def certify_minimal(spec: AlgebraSpec, q: UniPoly, lam, *,
                     series: "DiagonalSeries | None" = None) -> Certificate:
-    """Certificate that q is the minimal polynomial of M on L(lambda).
+    """Certificate of the minimal polynomial of M on L(lambda), a divisor of q.
 
-    Raises CertificationError when q fails to annihilate,
-    NotMinimalError when some root can be dropped, and ValueError when
-    q is not monic or does not split over the rationals.  The roots of
-    q are found once (read back, when q was built by
-    UniPoly.from_roots) and each divisor q / (u - root) takes one
-    synthetic division.  The NotMinimalError raised is the one for the
-    least droppable root; its divisor is rebuilt from the root multiset,
-    so the next certification reads its roots back too.
+    Raises CertificationError when q fails to annihilate, and ValueError
+    when q is not monic or does not split over the rationals.  The roots
+    of q are found once (read back, when q was built by
+    UniPoly.from_roots) and q is evaluated once.  Then each distinct
+    root, in ascending order, is dropped for as long as the divisor
+    q / (u - root), one synthetic division, still annihilates; once it
+    does not, the first entry it leaves nonzero is that root's witness.
+    A root that is not dropped stays so in every divisor of q, so the
+    roots left are exactly those of the minimal polynomial.  After a
+    drop the polynomial is rebuilt from its root multiset, and the
+    witnesses taken before the last drop are taken again against it.
     """
     lam = as_weight(spec, lam)
     if not q.is_monic():
@@ -196,22 +202,20 @@ def certify_minimal(spec: AlgebraSpec, q: UniPoly, lam, *,
     roots = q.linear_factorization()
     series = _series_for(spec, lam, series)
     residuals = annihilation_residuals(spec, q, lam, series=series)
-    bad = [(lab, r) for lab, r in residuals if r]
-    if bad:
+    if any(r for _, r in residuals):
         raise CertificationError(
             f"{q} does not annihilate at weight {lam}", residuals)
-    witnesses = []
-    for root, _ in roots:
-        divisor = _deflate(q, root)
-        hit = next(((lab, r) for lab, r in _residuals(divisor, series) if r),
-                   None)
-        if hit is None:
-            divisor = UniPoly.from_roots(
-                r for r, m in roots for _ in range(m - (r == root)))
-            raise NotMinimalError(
-                f"divisor {divisor} still annihilates at weight {lam}",
-                divisor)
-        witnesses.append((root, hit[0], hit[1]))
+    kept, witnesses, stale = [], [], None
+    for root, m in roots:
+        while m and (hit := _witness(q, root, series)) is None:
+            q, m, stale = _deflate(q, root), m - 1, len(witnesses)
+        if m:
+            kept += [root] * m
+            witnesses.append((root, *hit))
+    if stale is not None:
+        q = UniPoly.from_roots(kept)
+        witnesses[:stale] = [(root, *_witness(q, root, series))
+                             for root, _, _ in witnesses[:stale]]
     return Certificate(lam, q, residuals, tuple(witnesses))
 
 
@@ -243,29 +247,23 @@ def projected_resolvent(spec: AlgebraSpec, lam, *,
 def certified_minimal_polynomial(spec: AlgebraSpec, lam):
     """Minimal polynomial with its certificate.
 
-    The shuffle candidate is certified directly when possible; if it
-    fails to annihilate, the polynomial is rebuilt as the least common
-    multiple of the projected resolvent denominators before repeating
-    the certification.  Whenever a root can be dropped, the least such
-    root is dropped and certification starts again.  The diagonal
-    series is computed once and shared by every step.  Returns
-    (polynomial, Certificate).
+    The shuffle candidate is certified directly when it annihilates,
+    with any droppable roots trimmed in the same pass; otherwise the
+    least common multiple of the projected resolvent denominators is
+    certified instead.  The diagonal series is computed once and shared
+    by every step.  Returns (polynomial, Certificate).
     """
     lam = as_weight(spec, lam)
     series = DiagonalSeries(spec, lam)
-    q = UniPoly.from_roots(decompose(spec, lam).roots())
-    if not annihilates(spec, q, lam, series=series):
+    try:
+        cert = certify_minimal(
+            spec, UniPoly.from_roots(decompose(spec, lam).roots()), lam,
+            series=series)
+    except CertificationError:
         entries = projected_resolvent(spec, lam, series=series)
-        q = monic_lcm(den for _, _, den in entries)
-        if not annihilates(spec, q, lam, series=series):
-            raise CertificationError(
-                f"resolvent denominator lcm {q} fails at weight {lam}",
-                annihilation_residuals(spec, q, lam, series=series))
-    while True:
-        try:
-            return q, certify_minimal(spec, q, lam, series=series)
-        except NotMinimalError as exc:
-            q = exc.divisor
+        cert = certify_minimal(spec, monic_lcm(den for _, _, den in entries),
+                               lam, series=series)
+    return cert.polynomial, cert
 
 
 def _corank_projection(spec):
@@ -358,6 +356,8 @@ def pp_diagnostic(spec: AlgebraSpec, lam, K: int = 6) -> DiagnosticReport:
     lam = as_weight(spec, lam)
     if spec.family is Family.GL:
         raise ValueError("trace diagnostic applies to o and sp only")
+    if spec.n < 1:
+        raise ValueError("rank must be at least 1")
     engine = []
     for m in range(1, K + 1):
         total = ZERO

@@ -12,13 +12,12 @@ from fractions import Fraction
 from itertools import product
 
 from hwpoly.algebra import CARTAN, POS, make_spec, parabolic
-from hwpoly.enveloping import (UElement, evaluate_at_weight, pbw_normalize,
-                               project_hc, project_relative)
+from hwpoly.enveloping import (UElement, VermaModule, evaluate_at_weight,
+                               pbw_normalize, project_hc, project_relative)
 from hwpoly.genmatrix import projected_diagonal
 from hwpoly.howe import (check_conv_powers, check_divisibility_instance,
                          check_resolvent_transfer)
-from hwpoly.oracle import (build_catalog_rep, build_irrep_gl, hw_coefficient,
-                           oracle_minpoly)
+from hwpoly.oracle import build_catalog_rep, build_irrep_gl, oracle_minpoly
 from hwpoly.polyrat import UniPoly
 from hwpoly.shuffle import minpoly_from_weight, shifted_weight, shuffle_gl
 from hwpoly.verify import (certified_minimal_polynomial,
@@ -28,6 +27,23 @@ F = Fraction
 
 # every non-GL spec in scope, by family and rank
 BC_SPECS = (("sp", 1), ("sp", 2), ("o_odd", 1), ("o_even", 2), ("o_odd", 2))
+
+
+def hw_coefficient(spec, word, lam):
+    """Coefficient of v_lambda in word . v_lambda, through the Verma action.
+
+    The word's matrix index pairs act right to left; the action runs on
+    the basis rescaled by the module's scale d, so the int coefficient
+    it leaves is divided by d to the word's length.
+    """
+    verma = VermaModule(spec, lam)
+    state = {(): 1}
+    for i, j in reversed(word):
+        c, idx = spec.resolve(i, j)
+        if idx is None:
+            return Fraction(0)
+        state = verma.apply(idx, state, c)
+    return Fraction(state.get((), 0), verma.scale ** len(word))
 
 
 def _conclude(num, name, failures):

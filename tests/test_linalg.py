@@ -84,7 +84,7 @@ class TestEchelon:
     def test_last_residual_carries_the_augmentation(self):
         # rows tagged by unit augmentation vectors: the residual of a
         # dependent row records the combination that cancels it
-        ech = Echelon(2, aug=3)
+        ech = Echelon(2)
         rows = [[F(1), F(2)], [F(0), F(1)], [F(2), F(7)]]
         for k, row in enumerate(rows):
             tag = [F(0)] * 3

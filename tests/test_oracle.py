@@ -6,16 +6,33 @@ from fractions import Fraction
 import pytest
 
 from hwpoly.algebra import make_spec
-from hwpoly.enveloping import evaluate_at_weight, pbw_normalize, project_hc
+from hwpoly.enveloping import (VermaModule, evaluate_at_weight, pbw_normalize,
+                               project_hc)
 from hwpoly.oracle import (
     build_catalog_rep,
     build_irrep_gl,
-    hw_coefficient,
     oracle_minpoly,
     weyl_dimension_gl,
 )
 from hwpoly.polyrat import UniPoly
 from hwpoly.shuffle import minpoly_from_weight
+
+
+def hw_coefficient(spec, word, lam):
+    """Coefficient of v_lambda in word . v_lambda, through the Verma action.
+
+    The word's matrix index pairs act right to left; the action runs on
+    the basis rescaled by the module's scale d, so the int coefficient
+    it leaves is divided by d to the word's length.
+    """
+    verma = VermaModule(spec, lam)
+    state = {(): 1}
+    for i, j in reversed(word):
+        c, idx = spec.resolve(i, j)
+        if idx is None:
+            return Fraction(0)
+        state = verma.apply(idx, state, c)
+    return Fraction(state.get((), 0), verma.scale ** len(word))
 
 
 def mat_mul(a, b):

@@ -50,6 +50,11 @@ def test_certify_loads_neither_oracle_nor_howe():
     assert loaded.isdisjoint(("hwpoly.howe", "hwpoly.oracle", "dataclasses"))
 
 
+def test_oracle_loads_no_other_slow_module():
+    loaded = loaded_by_command("oracle", "gl", "2", "1,0")
+    assert loaded & set(SLOW) == {"hwpoly.oracle"}
+
+
 def test_bare_import_loads_no_submodule():
     loaded = loaded_after("import hwpoly")
     assert "hwpoly" in loaded
@@ -85,5 +90,4 @@ def test_verify_still_exports_its_exceptions():
     from hwpoly import polyrat, verify
 
     assert verify.CertificationError is polyrat.CertificationError
-    assert verify.NotMinimalError is polyrat.NotMinimalError
     assert hwpoly.CertificationError is polyrat.CertificationError

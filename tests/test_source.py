@@ -108,3 +108,20 @@ def test_no_environment_reads_in_the_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if _reads_environment(node)]
     assert found == []
+
+
+def test_no_unread_instance_attributes():
+    # an attribute stored on self counts as read when any module of the
+    # package loads an attribute of that name
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
+    found = [f"{name}:{node.lineno} self.{node.attr}"
+             for name, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Store)
+             and isinstance(node.value, ast.Name) and node.value.id == "self"
+             and node.attr not in loaded]
+    assert found == []

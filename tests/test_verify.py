@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from hwpoly import verify
 from hwpoly.algebra import make_spec
 from hwpoly.enveloping import evaluate_at_weight
 from hwpoly.genmatrix import projected_diagonal
@@ -16,8 +17,6 @@ from hwpoly.verify import (
     Certificate,
     CertificationError,
     DiagonalSeries,
-    NotMinimalError,
-    annihilates,
     annihilation_residuals,
     certified_minimal_polynomial,
     certify_minimal,
@@ -102,20 +101,25 @@ class TestDiagonalSeries:
         with pytest.raises(ValueError):
             annihilation_residuals(spec, UniPoly.x(), (2, 0), series=series)
         with pytest.raises(ValueError):
-            annihilates(make_spec("gl", 1), UniPoly.x(), (1,), series=series)
+            annihilation_residuals(make_spec("gl", 1), UniPoly.x(), (1,),
+                                   series=series)
+
+
+def _annihilates(spec, q, lam):
+    return not any(r for _, r in annihilation_residuals(spec, q, lam))
 
 
 class TestAnnihilation:
     def test_trivial_module(self):
         spec = make_spec("gl", 2)
-        assert annihilates(spec, UniPoly.x(), (0, 0))
+        assert _annihilates(spec, UniPoly.x(), (0, 0))
         res = annihilation_residuals(spec, UniPoly.one(), (0, 0))
         assert res == ((1, 1), (2, 1))
 
     def test_defining_weight(self):
         spec = make_spec("gl", 2)
-        assert annihilates(spec, UniPoly.from_roots([0, 2]), (1, 0))
-        assert not annihilates(spec, UniPoly.from_roots([0, 1]), (1, 0))
+        assert _annihilates(spec, UniPoly.from_roots([0, 2]), (1, 0))
+        assert not _annihilates(spec, UniPoly.from_roots([0, 1]), (1, 0))
 
 
 class TestCertifyMinimal:
@@ -133,13 +137,54 @@ class TestCertifyMinimal:
         with pytest.raises(CertificationError) as exc:
             certify_minimal(spec, UniPoly.from_roots([0, 1]), (1, 0))
         assert any(r for _, r in exc.value.residuals)
-        with pytest.raises(NotMinimalError) as exc2:
-            certify_minimal(spec, UniPoly.from_roots([0, 1]), (0, 0))
-        assert exc2.value.divisor == UniPoly.x()
+        # a droppable root is trimmed: u kills the trivial module
+        cert = certify_minimal(spec, UniPoly.from_roots([0, 1]), (0, 0))
+        assert cert.polynomial == UniPoly.x()
+        assert cert.witnesses == ((0, 1, 1),)
         with pytest.raises(ValueError):
             certify_minimal(spec, UniPoly((1, 0, 1)), (0, 0))
         with pytest.raises(ValueError):
             certify_minimal(spec, UniPoly((0, 2)), (0, 0))
+
+
+class TestTrimInPlace:
+    """certify_minimal trims a multiple of the minimal polynomial."""
+
+    # singular weights in every family; the shuffle candidate at o_7
+    # (-2,-2,0) is itself a proper multiple
+    CASES = [("gl", 2, (0, 0)), ("gl", 3, (1, 1, 0)), ("sp", 2, (1, 1)),
+             ("o_odd", 2, (1, 0)), ("o_even", 2, (1, 1)),
+             ("o_odd", 3, (-2, -2, 0))]
+
+    @pytest.mark.parametrize("family,n,lam", CASES)
+    def test_multiples_trim_to_the_certified_answer(self, family, n, lam):
+        spec = make_spec(family, n)
+        q, cert = certified_minimal_polynomial(spec, lam)
+        roots = [r for r, m in q.rational_roots() for _ in range(m)]
+        r = roots[len(roots) // 2]
+        outside = max(roots) + F(1, 2)
+        for extra in ([r], [outside], [r, r], [min(roots) - 1]):
+            trimmed = certify_minimal(spec, UniPoly.from_roots(roots + extra),
+                                      lam)
+            assert trimmed.polynomial == q, (spec.label, lam, extra)
+            assert trimmed.witnesses == cert.witnesses, (spec.label, extra)
+            assert trimmed.residuals == cert.residuals
+            # the trimmed polynomial carries its roots
+            assert trimmed.polynomial._roots is not None
+
+    def test_direct_path_evaluates_the_candidate_once(self, monkeypatch):
+        calls = []
+        original = verify.annihilation_residuals
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "annihilation_residuals", counted)
+        spec = make_spec("sp", 2)
+        q, _ = certified_minimal_polynomial(spec, (2, 1))
+        assert q == minpoly_from_weight(spec, (2, 1))
+        assert len(calls) == 1
 
 
 class TestCertifiedMinimal:
@@ -273,6 +318,12 @@ class TestTraceDiagnostic:
     def test_gl_rejected(self):
         with pytest.raises(ValueError):
             pp_diagnostic(make_spec("gl", 2), (0, 0))
+
+    @pytest.mark.parametrize("family", ["sp", "o_odd"])
+    def test_rank_zero_rejected(self, family):
+        # rank zero once ended in an IndexError from spec.rho[0]
+        with pytest.raises(ValueError, match="rank must be at least 1"):
+            pp_diagnostic(make_spec(family, 0), ())
 
 
 class TestPoset:
