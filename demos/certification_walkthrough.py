@@ -7,12 +7,13 @@ demand zeros; then remove each root in turn and exhibit a nonzero
 residual, which proves minimality.  Independently, a projected
 resolvent reconstructed by Pade approximation recovers the polynomial
 from its power series alone.  This script prints every ingredient for
-one singular weight.
+one singular weight; all three steps read one DiagonalSeries, the
+evaluated diagonal of the powers of M at that weight.
 """
 
-from hwpoly import (certified_minimal_polynomial, make_spec,
-                    minpoly_from_weight, monic_lcm, projected_resolvent)
-from hwpoly.verify import annihilation_residuals
+from hwpoly import (DiagonalSeries, make_spec, minpoly_from_weight,
+                    monic_lcm, projected_resolvent)
+from hwpoly.verify import annihilation_residuals, certify_minimal
 
 
 def main():
@@ -22,17 +23,19 @@ def main():
     q_fast = minpoly_from_weight(spec, lam)
     print(f"{spec.label}, weight {lam}")
     print(f"fast mode answer: {q_fast}\n")
+    series = DiagonalSeries(spec, lam)
 
     # Step 1: the annihilation residuals of the candidate.  One value
     # per matrix index; all must vanish.
     print("annihilation residuals of q(M):")
-    for label, r in annihilation_residuals(spec, q_fast, lam):
+    for label, r in annihilation_residuals(series, q_fast):
         print(f"  entry {label:>3}: {r}")
     print()
 
     # Step 2: minimality witnesses.  Dropping any single root must
     # leave some entry with a nonzero residual.
-    q, cert = certified_minimal_polynomial(spec, lam)
+    cert = certify_minimal(series, q_fast)
+    q = cert.polynomial
     print("witnesses against each shortened candidate:")
     for root, label, residual in cert.witnesses:
         print(f"  without root {str(root):>4}: entry {label} evaluates "
@@ -44,7 +47,7 @@ def main():
     # (u - M)^-1 is a rational function of u; the least common
     # denominator is the minimal polynomial again.
     print("projected resolvent diagonal (numerator / denominator):")
-    entries = projected_resolvent(spec, lam)
+    entries = projected_resolvent(series)
     for label, num, den in entries:
         print(f"  entry {label:>3}: ({num}) / ({den})")
     lcm = monic_lcm(den for _, _, den in entries)

@@ -30,9 +30,9 @@ _HOMES = {
     "polyrat": ("CertificationError", "UniPoly", "monic_lcm"),
     "shuffle": ("ShuffleDecomposition", "decompose", "minpoly_from_weight",
                 "shifted_weight", "shuffle_gl", "shuffle_mirror"),
-    "verify": ("Certificate", "certified_minimal_polynomial",
-               "check_relative_formulas", "divisibility_poset",
-               "pp_diagnostic", "projected_resolvent"),
+    "verify": ("Certificate", "DiagonalSeries",
+               "certified_minimal_polynomial", "check_relative_formulas",
+               "divisibility_poset", "pp_diagnostic", "projected_resolvent"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

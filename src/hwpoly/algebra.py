@@ -257,29 +257,20 @@ def as_weight(spec: AlgebraSpec, coords):
 
 
 class ParabolicData(NamedTuple):
-    """Levi and nilradical generator sets at one level of the chain.
+    """Levi generator set at one level of the chain.
 
     Level t keeps the whole rank t inner block together with every
-    Cartan generator above it; level n is the full algebra.
+    Cartan generator above it; level n is the full algebra.  Every other
+    generator spans the nilradical, upper or lower by spec.triangular.
     """
 
     spec: AlgebraSpec
-    level: int
     levi: frozenset
-    upper: frozenset
-    lower: frozenset
 
 
 def parabolic(spec: AlgebraSpec, level: int) -> ParabolicData:
     if not 1 <= level <= spec.n:
         raise ValueError(f"level must be in 1..{spec.n}")
-    levi, upper, lower = set(), set(), set()
-    for g in range(len(spec.gens)):
-        if spec.gen_level[g] <= level or spec.triangular[g] == CARTAN:
-            levi.add(g)
-        elif spec.triangular[g] == POS:
-            upper.add(g)
-        else:
-            lower.add(g)
-    return ParabolicData(spec, level, frozenset(levi), frozenset(upper),
-                         frozenset(lower))
+    return ParabolicData(spec, frozenset(
+        g for g in range(len(spec.gens))
+        if spec.gen_level[g] <= level or spec.triangular[g] == CARTAN))

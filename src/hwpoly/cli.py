@@ -148,8 +148,8 @@ def _cmd_certify(spec, lam, args):
 
 
 def _cmd_resolvent(spec, lam, args):
-    from .verify import projected_resolvent, resolvent_order
-    entries = projected_resolvent(spec, lam)
+    from .verify import DiagonalSeries, projected_resolvent, resolvent_order
+    entries = projected_resolvent(DiagonalSeries(spec, lam))
     return {
         "K": resolvent_order(spec),
         "entries": [{"entry": _s(lab), "num": _poly(num), "den": _poly(den)}

@@ -9,7 +9,8 @@ zeros stripped, hence equal values have equal representations.  A
 UniPoly built by from_roots also keeps its root multiset, so reporting
 or certifying it never searches for rational roots; the divisor search
 serves polynomials known only by their coefficients, such as Pade
-denominators and the oracle's Krylov annihilators.
+denominators and the oracle's Krylov annihilators, and runs at most
+once per polynomial, which keeps what it found.
 
 series_of_rational expands a rational function in powers of 1/u around
 u = infinity: a polynomial part plus the tail of coefficients of
@@ -67,9 +68,10 @@ class CertificationError(Exception):
 class UniPoly:
     """Univariate polynomial over Q, coefficients ascending in degree.
 
-    A polynomial built by from_roots also keeps its root multiset, so
-    rational_roots and linear_factorization read it back instead of
-    searching.  Equality and hashing look at the coefficients only.
+    A polynomial built by from_roots also keeps its root multiset, and
+    any other keeps the roots its first search found, so rational_roots
+    and linear_factorization search at most once.  Equality and hashing
+    look at the coefficients only.
     """
 
     __slots__ = ("coeffs", "_roots")
@@ -240,13 +242,14 @@ class UniPoly:
         """All rational roots with multiplicities, ascending.
 
         A polynomial built by from_roots returns the roots it was built
-        from.  Any other polynomial is searched: every divisor of the
-        constant term over every divisor of the leading one, after
-        clearing denominators, which grows quickly with both.
+        from.  Any other polynomial is searched once, and keeps what was
+        found: every divisor of the constant term over every divisor of
+        the leading one, after clearing denominators, which grows
+        quickly with both.
         """
-        if self._roots is not None:
-            return list(self._roots)
-        return self._search_roots()
+        if self._roots is None:
+            self._roots = tuple(self._search_roots())
+        return list(self._roots)
 
     def _search_roots(self) -> "list[tuple[Fraction, int]]":
         if self.is_zero():

@@ -53,7 +53,6 @@ PLAIN, STARRED = "plain", "starred"
 class Part(NamedTuple):
     """One falling-by-one run of the decomposition."""
 
-    part_id: int
     terms: tuple
     origins: tuple
     mirror_id: int
@@ -121,7 +120,7 @@ def shuffle_gl(seq) -> ShuffleDecomposition:
         else:
             parts[best].append(x)
     packed = tuple(
-        Part(k, tuple(t), (PLAIN,) * len(t), k) for k, t in enumerate(parts))
+        Part(tuple(t), (PLAIN,) * len(t), k) for k, t in enumerate(parts))
     return ShuffleDecomposition("gl", seq, packed, None, None)
 
 
@@ -145,7 +144,7 @@ def shuffle_mirror(seq, epsilon) -> ShuffleDecomposition:
             terms[best].insert(0, (x, PLAIN))
             terms[mirror[best]].append((-x, STARRED))
     packed = tuple(
-        Part(k, tuple(v for v, _ in t), tuple(o for _, o in t), mirror[k])
+        Part(tuple(v for v, _ in t), tuple(o for _, o in t), mirror[k])
         for k, t in enumerate(terms))
     odd = any(p.all_plain() and p.last == epsilon for p in packed)
     return ShuffleDecomposition("mirror", seq, packed,

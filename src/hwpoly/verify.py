@@ -11,8 +11,10 @@ columns of M^k through M(lambda) one power at a time; each column stays
 inside fixed weight spaces, so its state does not grow with k.  The
 columns are int vectors on the generators scaled by the weight's least
 common denominator d, and only the N values of each power k become
-fractions, with denominator d^k.  One series serves a whole
-certification call and is discarded with it.
+fractions, with denominator d^k.  The series is the one handle of the
+certifier: annihilation_residuals(series, q), certify_minimal(series, q)
+and projected_resolvent(series) all read its spec and weight, and share
+its terms.  certified_minimal_polynomial builds one per call.
 
 certify_minimal takes one pass over a monic candidate q: it evaluates
 q once, and its single verdict, CertificationError, means q does not
@@ -91,8 +93,9 @@ class DiagonalSeries:
     obeys u_p^(k) = sum_q M_pq u_q^(k-1) from u_p^(0) = delta_pi v_lambda,
     and s_i(k) is the coefficient of v_lambda in u_i^(k).  Each u_p stays
     in the weight space lambda + wt(p) - wt(i), so the state never grows
-    with k and needs no truncation.  One instance serves one
-    certification call and holds the only state that depends on lambda.
+    with k and needs no truncation.  One instance serves every
+    certifier call at one weight and holds the only state that depends
+    on lambda, validated once.
 
     The columns are int vectors in the rescaled basis of the
     VermaModule: with d its scale, M_pq = c x_g = (c/d) x'_g for the
@@ -140,26 +143,12 @@ class DiagonalSeries:
         self._order += 1
 
 
-def _series_for(spec, lam, series):
-    if series is None:
-        return DiagonalSeries(spec, lam)
-    if series.spec is not spec or series.lam != lam:
-        raise ValueError("series belongs to a different algebra or weight")
-    return series
+def annihilation_residuals(series: DiagonalSeries, q: UniPoly):
+    """Evaluated projection of each diagonal entry of q(M) at series.lam."""
+    return tuple(_residuals(series, q))
 
 
-def annihilation_residuals(spec: AlgebraSpec, q: UniPoly, lam, *,
-                           series: "DiagonalSeries | None" = None):
-    """Evaluated projection of each diagonal entry of q(M).
-
-    series, when given, is the DiagonalSeries of this spec and weight
-    that the caller already holds; its terms are reused.
-    """
-    lam = as_weight(spec, lam)
-    return tuple(_residuals(q, _series_for(spec, lam, series)))
-
-
-def _residuals(q: UniPoly, series: DiagonalSeries):
+def _residuals(series: DiagonalSeries, q: UniPoly):
     """Yield (label, residual) per diagonal entry, each on demand."""
     cols = series.values(len(q.coeffs))
     for label, col in zip(series.spec.matrix_indices, cols):
@@ -174,49 +163,48 @@ def _deflate(q: UniPoly, root) -> UniPoly:
     return UniPoly(reversed(out))
 
 
-def _witness(q: UniPoly, root, series: DiagonalSeries):
+def _witness(series: DiagonalSeries, q: UniPoly, root):
     """First (label, residual) that q / (u - root) leaves nonzero, or None."""
-    return next(((lab, r) for lab, r in _residuals(_deflate(q, root), series)
+    return next(((lab, r) for lab, r in _residuals(series, _deflate(q, root))
                  if r), None)
 
 
-def certify_minimal(spec: AlgebraSpec, q: UniPoly, lam, *,
-                    series: "DiagonalSeries | None" = None) -> Certificate:
+def certify_minimal(series: DiagonalSeries, q: UniPoly) -> Certificate:
     """Certificate of the minimal polynomial of M on L(lambda), a divisor of q.
 
-    Raises CertificationError when q fails to annihilate, and ValueError
-    when q is not monic or does not split over the rationals.  The roots
-    of q are found once (read back, when q was built by
-    UniPoly.from_roots) and q is evaluated once.  Then each distinct
-    root, in ascending order, is dropped for as long as the divisor
-    q / (u - root), one synthetic division, still annihilates; once it
-    does not, the first entry it leaves nonzero is that root's witness.
-    A root that is not dropped stays so in every divisor of q, so the
-    roots left are exactly those of the minimal polynomial.  After a
-    drop the polynomial is rebuilt from its root multiset, and the
-    witnesses taken before the last drop are taken again against it.
+    lambda is series.lam.  Raises CertificationError when q fails to
+    annihilate, and ValueError when q is not monic or does not split
+    over the rationals.  The roots of q are found once (read back, when
+    q was built by UniPoly.from_roots) and q is evaluated once.  Then
+    each distinct root, in ascending order, is dropped for as long as
+    the divisor q / (u - root), one synthetic division, still
+    annihilates; once it does not, the first entry it leaves nonzero is
+    that root's witness.  A root that is not dropped stays so in every
+    divisor of q, so the roots left are exactly those of the minimal
+    polynomial.  After a drop the polynomial is rebuilt from its root
+    multiset, and the witnesses taken before the last drop are taken
+    again against it.  Either way the certified polynomial carries its
+    roots.
     """
-    lam = as_weight(spec, lam)
     if not q.is_monic():
         raise ValueError("candidate polynomial must be monic")
     roots = q.linear_factorization()
-    series = _series_for(spec, lam, series)
-    residuals = annihilation_residuals(spec, q, lam, series=series)
+    residuals = annihilation_residuals(series, q)
     if any(r for _, r in residuals):
         raise CertificationError(
-            f"{q} does not annihilate at weight {lam}", residuals)
+            f"{q} does not annihilate at weight {series.lam}", residuals)
     kept, witnesses, stale = [], [], None
     for root, m in roots:
-        while m and (hit := _witness(q, root, series)) is None:
+        while m and (hit := _witness(series, q, root)) is None:
             q, m, stale = _deflate(q, root), m - 1, len(witnesses)
         if m:
             kept += [root] * m
             witnesses.append((root, *hit))
     if stale is not None:
         q = UniPoly.from_roots(kept)
-        witnesses[:stale] = [(root, *_witness(q, root, series))
+        witnesses[:stale] = [(root, *_witness(series, q, root))
                              for root, _, _ in witnesses[:stale]]
-    return Certificate(lam, q, residuals, tuple(witnesses))
+    return Certificate(series.lam, q, residuals, tuple(witnesses))
 
 
 def resolvent_order(spec: AlgebraSpec) -> int:
@@ -224,19 +212,19 @@ def resolvent_order(spec: AlgebraSpec) -> int:
     return 2 * spec.N + 2
 
 
-def projected_resolvent(spec: AlgebraSpec, lam, *,
-                        series: "DiagonalSeries | None" = None):
+def projected_resolvent(series: DiagonalSeries):
     """Diagonal of the evaluated projected resolvent, as reduced fractions.
 
     Returns (label, numerator, denominator) per diagonal entry, each
-    recovered from the first resolvent_order(spec) series coefficients
-    with denominator degree at most N; off diagonal entries vanish
-    identically and are not listed.  Two strictly proper fractions whose
-    denominators have degree at most N and that agree on u^-1 .. u^-2N
-    are equal, so any order from 2N on gives the same fractions.
+    recovered from the first resolvent_order(series.spec) series
+    coefficients with denominator degree at most N; off diagonal entries
+    vanish identically and are not listed.  Two strictly proper
+    fractions whose denominators have degree at most N and that agree on
+    u^-1 .. u^-2N are equal, so any order from 2N on gives the same
+    fractions.
     """
-    lam = as_weight(spec, lam)
-    cols = _series_for(spec, lam, series).values(resolvent_order(spec))
+    spec = series.spec
+    cols = series.values(resolvent_order(spec))
     out = []
     for label, tail in zip(spec.matrix_indices, cols):
         num, den = pade_reconstruct(tail, spec.N)
@@ -250,19 +238,16 @@ def certified_minimal_polynomial(spec: AlgebraSpec, lam):
     The shuffle candidate is certified directly when it annihilates,
     with any droppable roots trimmed in the same pass; otherwise the
     least common multiple of the projected resolvent denominators is
-    certified instead.  The diagonal series is computed once and shared
-    by every step.  Returns (polynomial, Certificate).
+    certified instead.  One DiagonalSeries is built and shared by every
+    step.  Returns (polynomial, Certificate).
     """
-    lam = as_weight(spec, lam)
     series = DiagonalSeries(spec, lam)
     try:
         cert = certify_minimal(
-            spec, UniPoly.from_roots(decompose(spec, lam).roots()), lam,
-            series=series)
+            series, UniPoly.from_roots(decompose(spec, series.lam).roots()))
     except CertificationError:
-        entries = projected_resolvent(spec, lam, series=series)
-        cert = certify_minimal(spec, monic_lcm(den for _, _, den in entries),
-                               lam, series=series)
+        entries = projected_resolvent(series)
+        cert = certify_minimal(series, monic_lcm(den for _, _, den in entries))
     return cert.polynomial, cert
 
 

@@ -92,9 +92,9 @@ class TestShuffleMirror:
                                  + [-Fraction(x) for x in seq])
                 got = sorted(x for p in dec.parts for x in p.terms)
                 assert got == doubled
-                for p in dec.parts:
+                for k, p in enumerate(dec.parts):
                     q = dec.parts[p.mirror_id]
-                    assert q.mirror_id == p.part_id
+                    assert q.mirror_id == k
                     assert q.terms == tuple(-x for x in reversed(p.terms))
                     assert q.origins == tuple(
                         STARRED if o == PLAIN else PLAIN
@@ -199,8 +199,8 @@ class TestShuffleMirror:
                     dec.roots()
 
     def test_odd_parity_needs_a_part_at_minus_epsilon(self):
-        parts = (Part(0, (Fraction(3),), (PLAIN,), 1),
-                 Part(1, (Fraction(-3),), (STARRED,), 0))
+        parts = (Part((Fraction(3),), (PLAIN,), 1),
+                 Part((Fraction(-3),), (STARRED,), 0))
         dec = ShuffleDecomposition("mirror", (Fraction(3),), parts, "odd",
                                    Fraction(1))
         with pytest.raises(InvariantError):

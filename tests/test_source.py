@@ -110,9 +110,15 @@ def test_no_environment_reads_in_the_package():
     assert found == []
 
 
+def _is_named_tuple(node):
+    return isinstance(node, ast.ClassDef) and any(
+        isinstance(base, ast.Name) and base.id == "NamedTuple"
+        for base in node.bases)
+
+
 def test_no_unread_instance_attributes():
-    # an attribute stored on self counts as read when any module of the
-    # package loads an attribute of that name
+    # an attribute stored on self, or a NamedTuple field, counts as read
+    # when any module of the package loads an attribute of that name
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
     loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
@@ -124,4 +130,9 @@ def test_no_unread_instance_attributes():
              and isinstance(node.ctx, ast.Store)
              and isinstance(node.value, ast.Name) and node.value.id == "self"
              and node.attr not in loaded]
+    found += [f"{name}:{field.lineno} {node.name}.{field.target.id}"
+              for name, tree in trees.items() for node in ast.walk(tree)
+              if _is_named_tuple(node)
+              for field in node.body if isinstance(field, ast.AnnAssign)
+              and field.target.id not in loaded]
     assert found == []

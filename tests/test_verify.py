@@ -1,6 +1,7 @@
 """Certification pipeline, resolvent recovery, and structural diagnostics."""
 
 import random
+import types
 from fractions import Fraction
 from itertools import product
 
@@ -95,25 +96,18 @@ class TestDiagonalSeries:
         assert series.values(6)[0][:3] == short[0]
         assert [len(c) for c in series.values(2)] == [2, 2]
 
-    def test_rejects_a_foreign_series(self):
-        spec = make_spec("gl", 2)
-        series = DiagonalSeries(spec, (1, 0))
-        with pytest.raises(ValueError):
-            annihilation_residuals(spec, UniPoly.x(), (2, 0), series=series)
-        with pytest.raises(ValueError):
-            annihilation_residuals(make_spec("gl", 1), UniPoly.x(), (1,),
-                                   series=series)
-
 
 def _annihilates(spec, q, lam):
-    return not any(r for _, r in annihilation_residuals(spec, q, lam))
+    return not any(r for _, r in
+                   annihilation_residuals(DiagonalSeries(spec, lam), q))
 
 
 class TestAnnihilation:
     def test_trivial_module(self):
         spec = make_spec("gl", 2)
         assert _annihilates(spec, UniPoly.x(), (0, 0))
-        res = annihilation_residuals(spec, UniPoly.one(), (0, 0))
+        res = annihilation_residuals(DiagonalSeries(spec, (0, 0)),
+                                     UniPoly.one())
         assert res == ((1, 1), (2, 1))
 
     def test_defining_weight(self):
@@ -126,7 +120,7 @@ class TestCertifyMinimal:
     def test_certificate_contents(self):
         spec = make_spec("gl", 2)
         q = UniPoly.from_roots([0, 2])
-        cert = certify_minimal(spec, q, (1, 0))
+        cert = certify_minimal(DiagonalSeries(spec, (1, 0)), q)
         assert isinstance(cert, Certificate)
         assert all(not r for _, r in cert.residuals)
         assert sorted(w[0] for w in cert.witnesses) == [0, 2]
@@ -135,16 +129,18 @@ class TestCertifyMinimal:
     def test_failure_modes(self):
         spec = make_spec("gl", 2)
         with pytest.raises(CertificationError) as exc:
-            certify_minimal(spec, UniPoly.from_roots([0, 1]), (1, 0))
+            certify_minimal(DiagonalSeries(spec, (1, 0)),
+                            UniPoly.from_roots([0, 1]))
         assert any(r for _, r in exc.value.residuals)
         # a droppable root is trimmed: u kills the trivial module
-        cert = certify_minimal(spec, UniPoly.from_roots([0, 1]), (0, 0))
+        trivial = DiagonalSeries(spec, (0, 0))
+        cert = certify_minimal(trivial, UniPoly.from_roots([0, 1]))
         assert cert.polynomial == UniPoly.x()
         assert cert.witnesses == ((0, 1, 1),)
         with pytest.raises(ValueError):
-            certify_minimal(spec, UniPoly((1, 0, 1)), (0, 0))
+            certify_minimal(trivial, UniPoly((1, 0, 1)))
         with pytest.raises(ValueError):
-            certify_minimal(spec, UniPoly((0, 2)), (0, 0))
+            certify_minimal(trivial, UniPoly((0, 2)))
 
 
 class TestTrimInPlace:
@@ -163,9 +159,10 @@ class TestTrimInPlace:
         roots = [r for r, m in q.rational_roots() for _ in range(m)]
         r = roots[len(roots) // 2]
         outside = max(roots) + F(1, 2)
+        series = DiagonalSeries(spec, lam)
         for extra in ([r], [outside], [r, r], [min(roots) - 1]):
-            trimmed = certify_minimal(spec, UniPoly.from_roots(roots + extra),
-                                      lam)
+            trimmed = certify_minimal(series,
+                                      UniPoly.from_roots(roots + extra))
             assert trimmed.polynomial == q, (spec.label, lam, extra)
             assert trimmed.witnesses == cert.witnesses, (spec.label, extra)
             assert trimmed.residuals == cert.residuals
@@ -207,8 +204,8 @@ class TestCertifiedMinimal:
             for lam in weights:
                 fast = minpoly_from_weight(spec, lam)
                 cert = certified_minimal_polynomial(spec, lam)[0]
-                lcd = monic_lcm(
-                    den for _, _, den in projected_resolvent(spec, lam))
+                lcd = monic_lcm(den for _, _, den in
+                                projected_resolvent(DiagonalSeries(spec, lam)))
                 assert fast == cert == lcd, (family, lam)
 
     @pytest.mark.parametrize("family,n,lam", [
@@ -225,7 +222,7 @@ class TestCertifiedMinimal:
 
     def test_resolvent_entries_defining_weight(self):
         spec = make_spec("gl", 2)
-        entries = projected_resolvent(spec, (1, 0))
+        entries = projected_resolvent(DiagonalSeries(spec, (1, 0)))
         assert entries == (
             (1, UniPoly((-1, 1)), UniPoly((0, -2, 1))),
             (2, UniPoly.one(), UniPoly.x()))
@@ -238,17 +235,55 @@ class TestCertifiedMinimal:
                                ("o_odd", 1, (3,)), ("o_even", 2, (1, -1))]:
             spec = make_spec(family, n)
             N = spec.N
-            tails = DiagonalSeries(spec, lam).values(2 * N + 2)
+            series = DiagonalSeries(spec, lam)
+            tails = series.values(2 * N + 2)
             fits = [pade_reconstruct(t, N) for t in tails]
             assert fits == [pade_reconstruct(t[:2 * N], N) for t in tails]
             assert fits == [(num, den) for _, num, den
-                            in projected_resolvent(spec, lam)]
+                            in projected_resolvent(series)]
 
-    def test_rank_zero_uses_resolvent_fallback(self):
-        # The empty shuffle gives 1 here, which cannot annihilate; the
-        # pipeline must recover u from the resolvent instead.
+    def test_rank_zero_certifies_u_directly(self, monkeypatch):
+        # o_1 has only its middle row, which the shuffle answers with u,
+        # so the candidate certifies without the resolvent.
+        def unreachable(series):
+            raise AssertionError("resolvent fallback ran")
+
+        monkeypatch.setattr(verify, "projected_resolvent", unreachable)
         spec = make_spec("o_odd", 0)
         assert certified_minimal_polynomial(spec, ())[0] == UniPoly.x()
+
+    def test_fallback_certifies_the_resolvent_lcm(self, monkeypatch):
+        # A shuffle candidate short of the root 0 cannot annihilate, so
+        # the lcm of the resolvent denominators is certified instead.
+        spec, lam = make_spec("gl", 3), (2, 1, 0)
+        direct = certified_minimal_polynomial(spec, lam)[1]
+        short = types.SimpleNamespace(roots=lambda: [2, 4])
+        monkeypatch.setattr(verify, "decompose", lambda spec, lam: short)
+        resolvents = []
+        original = verify.projected_resolvent
+
+        def counted(series):
+            resolvents.append(series)
+            return original(series)
+
+        monkeypatch.setattr(verify, "projected_resolvent", counted)
+        searches = []
+        search = UniPoly._search_roots
+
+        def counted_search(self):
+            searches.append(self)
+            return search(self)
+
+        monkeypatch.setattr(UniPoly, "_search_roots", counted_search)
+        q, cert = certified_minimal_polynomial(spec, lam)
+        assert len(resolvents) == 1
+        assert q == UniPoly.from_roots([0, 2, 4])
+        assert cert.witnesses == direct.witnesses == (
+            (0, 1, 3), (2, 1, -1), (4, 1, 3))
+        assert all(not r for _, r in cert.residuals)
+        # the lcm is factored once, and the answer keeps those roots
+        assert q.rational_roots() == [(0, 1), (2, 1), (4, 1)]
+        assert len(searches) == 1
 
     def test_agrees_with_matrix_oracle(self):
         for family, n in [("gl", 3), ("sp", 1), ("sp", 2), ("o_even", 2)]:
@@ -303,9 +338,6 @@ class TestTraceDiagnostic:
         for family, n in [("sp", 1), ("sp", 2), ("o_odd", 1), ("o_even", 2)]:
             spec = make_spec(family, n)
             for lam in [(0,) * n, (1,) * n, (2,) + (0,) * (n - 1)]:
-                res = annihilation_residuals(spec, UniPoly.x(), lam)
-                from hwpoly.enveloping import evaluate_at_weight
-                from hwpoly.genmatrix import projected_diagonal
                 t1 = sum(evaluate_at_weight(projected_diagonal(spec, 0)[p],
                                             lam)
                          for p in range(spec.N))
