@@ -12,9 +12,22 @@ product of two normal monomials is expanded in closed form
 
 with all operations taken componentwise; this is the two-block
 analogue of repeatedly commuting a derivative past a position factor.
-When no variable carries both a derivative of the left factor and a
-position of the right one, the sum has the single term mu = 0 and the
-product is the monomial with the exponent tuples added.
+
+A monomial is one Python int of 16-bit exponent fields.  Variable v =
+(a - 1) n + (i - 1) keeps its position exponent in field v, bits
+16 v .. 16 v + 15, and its derivative exponent in field n k + v, so
+the empty monomial is 0 and the exponent addition above is one integer
+addition.  Taking mu from both exponents of v subtracts mu times the
+int with a 1 in each of the two fields of v.  The contraction sum runs
+only over the variables where the factors meet: each monomial of the
+factor with fewer terms lists the variables it could contract (the
+derivative fields of a left monomial, the position fields of a right
+one), and each monomial of the other factor is read on those fields
+alone.  When they meet nowhere the sum has the single term mu = 0 and
+the product is the sum of the two ints.  A product whose factors hold
+a field of 2^15 or more raises ValueError before it adds anything;
+fields below 2^15 sum to at most 2^16 - 2, so no field ever carries
+into its neighbour and no answer is ever approximate.
 
 WeylElement is a Terms of the enveloping module and follows its
 coefficient rule: the generators, the entries of L and R, the shift
@@ -34,15 +47,17 @@ resolvent form
 
 order by order, and minimal polynomial divisibility across the pair
 on the Euler family of modules (n = 1, homogeneous polynomials of
-degree d against the k-sided symmetric power).
+degree d against the k-sided symmetric power).  Each side of each
+identity is one dict that every product of its sum adds into, rather
+than a new element per addition.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iproduct
+from functools import reduce
 from math import comb, factorial
-from operator import add
+from operator import or_
 from typing import NamedTuple
 
 from .algebra import make_spec
@@ -51,11 +66,16 @@ from .genmatrix import MatrixU
 from .polyrat import UniPoly
 from .shuffle import minpoly_from_weight
 
+_FIELD = 16
+_MASK = (1 << _FIELD) - 1
+_LIMIT = 1 << (_FIELD - 1)
+
 
 class WeylAlgebra:
-    """Index bookkeeping for the Weyl algebra on a k x n matrix."""
+    """Index bookkeeping and monomial packing for a k x n matrix."""
 
-    __slots__ = ("n", "k", "nvars")
+    __slots__ = ("n", "k", "nvars", "_dshift", "_fields", "_high",
+                 "_contractions")
 
     def __init__(self, n: int, k: int):
         if n < 1 or k < 1:
@@ -63,57 +83,113 @@ class WeylAlgebra:
         self.n = n
         self.k = k
         self.nvars = n * k
+        self._dshift = _FIELD * self.nvars
+        # per variable: the shift of its position field and the int that
+        # takes one from both of its exponents
+        self._fields = tuple(
+            (_FIELD * v, (1 << _FIELD * v) + (1 << _FIELD * v + self._dshift))
+            for v in range(self.nvars))
+        self._high = sum(_LIMIT << _FIELD * f for f in range(2 * self.nvars))
+        # (e, f, unit) -> the terms (mu * unit, C(e, mu) C(f, mu) mu!) of
+        # one variable's contraction sum
+        self._contractions = {}
 
     def slot(self, a: int, i: int) -> int:
         if not (1 <= a <= self.k and 1 <= i <= self.n):
             raise ValueError(f"variable ({a}, {i}) out of range")
         return (a - 1) * self.n + (i - 1)
 
+    def monomial(self, xe, de) -> int:
+        """The packed int of x^xe d^de, each a sequence of nvars exponents."""
+        fields = [*xe, *de]
+        if len(fields) != 2 * self.nvars:
+            raise ValueError(f"a monomial has {self.nvars} position and "
+                             f"{self.nvars} derivative exponents")
+        m = 0
+        for e in reversed(fields):
+            if not 0 <= e < _LIMIT:
+                raise ValueError(f"exponent {e} outside 0 .. 2**15 - 1")
+            m = m << _FIELD | e
+        return m
+
     def x(self, a: int, i: int) -> "WeylElement":
         e = [0] * self.nvars
         e[self.slot(a, i)] = 1
-        z = (0,) * self.nvars
-        return WeylElement(self, {(tuple(e), z): 1})
+        return WeylElement(self, {self.monomial(e, [0] * self.nvars): 1})
 
     def d(self, a: int, i: int) -> "WeylElement":
         e = [0] * self.nvars
         e[self.slot(a, i)] = 1
-        z = (0,) * self.nvars
-        return WeylElement(self, {(z, tuple(e)): 1})
+        return WeylElement(self, {self.monomial([0] * self.nvars, e): 1})
 
 
-def _mono_mul(alg, m1, m2):
-    """Normal form of the product of two normal monomials, as a dict."""
-    (g1, b1), (g2, b2) = m1, m2
-    active = [v for v in range(alg.nvars) if b1[v] and g2[v]]
-    xs, ds = tuple(map(add, g1, g2)), tuple(map(add, b1, b2))
-    if not active:
-        return {(xs, ds): 1}
-    out = {}
-    for mu in iproduct(*(range(min(b1[v], g2[v]) + 1) for v in active)):
-        coeff = 1
-        xe, de = list(xs), list(ds)
-        for v, m in zip(active, mu):
-            coeff *= comb(b1[v], m) * comb(g2[v], m) * factorial(m)
-            xe[v] -= m
-            de[v] -= m
-        out[(tuple(xe), tuple(de))] = coeff
-    return out
+def _add_product(alg, acc, left, right):
+    """Add the product of the term dicts left and right into acc.
+
+    Zero sums stay in acc; _element drops them.
+    """
+    if (reduce(or_, left, 0) | reduce(or_, right, 0)) & alg._high:
+        raise ValueError("a Weyl exponent reached 2**15, past the range "
+                         "of a packed monomial")
+    # the outer loop runs over the factor with fewer terms: own is the
+    # shift of the fields it contracts on, other that of its partner's
+    if len(left) <= len(right):
+        small, large, own, other = left, right, alg._dshift, 0
+    else:
+        small, large, own, other = right, left, 0, alg._dshift
+    get = acc.get
+    table = alg._contractions
+    for ms, cs in small.items():
+        meet = [(s + other, e, unit) for s, unit in alg._fields
+                if (e := (ms >> (s + own)) & _MASK)]
+        if not meet:
+            for ml, cl in large.items():
+                m = ms + ml
+                acc[m] = get(m, 0) + cs * cl
+            continue
+        for ml, cl in large.items():
+            m, c = ms + ml, cs * cl
+            # the contraction sum as (amount taken off m, weight) pairs,
+            # a product over the variables where ml meets ms
+            steps = None
+            for s, e, unit in meet:
+                f = (ml >> s) & _MASK
+                if f:
+                    var = table.get((e, f, unit))
+                    if var is None:
+                        var = table[e, f, unit] = tuple(
+                            (mu * unit,
+                             comb(e, mu) * comb(f, mu) * factorial(mu))
+                            for mu in range(min(e, f) + 1))
+                    steps = var if steps is None else [
+                        (d1 + d2, w1 * w2)
+                        for d1, w1 in steps for d2, w2 in var]
+            if steps is None:
+                acc[m] = get(m, 0) + c
+                continue
+            for drop, w in steps:
+                mm = m - drop
+                acc[mm] = get(mm, 0) + c * w
+
+
+def _element(alg, acc):
+    """The WeylElement of a dict filled by _add_product."""
+    return WeylElement(alg, {m: c if type(c) is int else _coeff(c)
+                             for m, c in acc.items() if c})
 
 
 class WeylElement(Terms):
     """Polynomial coefficient differential operator.
 
-    ``spec`` is the WeylAlgebra; a monomial is the pair (position
-    exponents, derivative exponents) of a normal-ordered product.
+    ``spec`` is the WeylAlgebra; a monomial is the packed int of a
+    normal-ordered product, built by ``WeylAlgebra.monomial``.
     """
 
     __slots__ = ()
 
     @staticmethod
     def _unit(alg):
-        z = (0,) * alg.nvars
-        return (z, z)
+        return 0
 
     @classmethod
     def _atom(cls, alg, atom):
@@ -130,15 +206,9 @@ class WeylElement(Terms):
         if not isinstance(other, WeylElement):
             return NotImplemented
         self._check(other)
-        out = {}
-        get = out.get
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                c = c1 * c2
-                for m, cc in _mono_mul(self.spec, m1, m2).items():
-                    out[m] = get(m, 0) + c * cc
-        return WeylElement(self.spec,
-                           {m: _coeff(v) for m, v in out.items() if v})
+        acc = {}
+        _add_product(self.spec, acc, self.terms, other.terms)
+        return _element(self.spec, acc)
 
 
 def weyl_normalize(alg: WeylAlgebra, expr) -> WeylElement:
@@ -193,21 +263,20 @@ def check_conv_powers(n: int, k: int, r_max: int) -> CheckReport:
     alg = emb.alg
     rpow = emb.right.powers(r_max)
     lpow = (emb.left + (n - k)).powers(r_max)
+    rows, cols = range(1, k + 1), range(1, n + 1)
+    x = {(a, i): alg.x(a, i).terms for a in rows for i in cols}
     failures = []
     checks = 0
     for r in range(r_max + 1):
-        for i in range(1, n + 1):
-            for a in range(1, k + 1):
-                lhs = sum((rpow[r][i, l] * alg.x(a, l)
-                           for l in range(1, n + 1)
-                           if not rpow[r][i, l].is_zero()),
-                          WeylElement.zero(alg))
-                rhs = sum((lpow[r][a, b] * alg.x(b, i)
-                           for b in range(1, k + 1)
-                           if not lpow[r][a, b].is_zero()),
-                          WeylElement.zero(alg))
+        for i in cols:
+            for a in rows:
+                lhs, rhs = {}, {}
+                for l in cols:
+                    _add_product(alg, lhs, rpow[r][i, l].terms, x[a, l])
+                for b in rows:
+                    _add_product(alg, rhs, lpow[r][a, b].terms, x[b, i])
                 checks += 1
-                if lhs != rhs:
+                if _element(alg, lhs) != _element(alg, rhs):
                     failures.append((r, i, a))
     return CheckReport(f"conv_powers(n={n}, k={k})", checks, tuple(failures))
 
@@ -227,19 +296,21 @@ def check_resolvent_transfer(n: int, k: int, K: int) -> CheckReport:
     alg = emb.alg
     rpow = emb.right.powers(K)
     spow = (emb.left + (n - k)).powers(K - 1)
+    rows, cols = range(1, k + 1), range(1, n + 1)
+    xd = {(b, i, a, j): (alg.x(b, i) * alg.d(a, j)).terms
+          for b in rows for i in cols for a in rows for j in cols}
     failures = []
     checks = n * n   # the trivially equal zeroth order
     for r in range(1, K + 1):
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                rhs = WeylElement.zero(alg)
-                for a in range(1, k + 1):
-                    for b in range(1, k + 1):
-                        s = spow[r - 1][a, b]
-                        if not s.is_zero():
-                            rhs = rhs + s * alg.x(b, i) * alg.d(a, j)
+        for i in cols:
+            for j in cols:
+                rhs = {}
+                for a in rows:
+                    for b in rows:
+                        _add_product(alg, rhs, spow[r - 1][a, b].terms,
+                                     xd[b, i, a, j])
                 checks += 1
-                if rpow[r][i, j] != rhs:
+                if rpow[r][i, j] != _element(alg, rhs):
                     failures.append((r, i, j))
     return CheckReport(f"resolvent_transfer(n={n}, k={k})", checks,
                        tuple(failures))

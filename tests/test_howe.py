@@ -4,11 +4,28 @@ from itertools import product as iproduct
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hwpoly.howe import (CheckReport, WeylAlgebra, WeylElement, _mono_mul,
+from hwpoly import howe
+from hwpoly.genmatrix import MatrixU
+from hwpoly.howe import (CheckReport, WeylAlgebra, WeylElement,
                          check_conv_powers, check_divisibility_instance,
                          check_resolvent_transfer, dual_pair, weyl_normalize)
 from hwpoly.polyrat import UniPoly
+
+
+def _unpack(alg, m):
+    """(position exponents, derivative exponents) of a packed monomial:
+    16-bit fields, positions in the low nvars fields."""
+    assert m >= 0 and m >> 32 * alg.nvars == 0, m
+    fields = [(m >> 16 * f) & 0xFFFF for f in range(2 * alg.nvars)]
+    return tuple(fields[:alg.nvars]), tuple(fields[alg.nvars:])
+
+
+def _unpacked(elem):
+    """The terms of elem keyed by (position, derivative) exponent tuples."""
+    return {_unpack(elem.spec, m): c for m, c in elem.terms.items()}
 
 
 class TestWeylNormalize:
@@ -66,7 +83,7 @@ class TestProductLaw:
             for _ in range(rng.randint(1, 3)):
                 xe = tuple(rng.randint(0, 2) for _ in range(alg.nvars))
                 de = tuple(rng.randint(0, 2) for _ in range(alg.nvars))
-                out = out + WeylElement(alg, {(xe, de):
+                out = out + WeylElement(alg, {alg.monomial(xe, de):
                                               Fraction(rng.randint(-3, 3))})
             return out
 
@@ -83,7 +100,7 @@ class TestProductLaw:
             for _ in range(rng.randint(1, 3)):
                 xe = tuple(rng.randint(0, 2) for _ in range(alg.nvars))
                 de = tuple(rng.randint(0, 2) for _ in range(alg.nvars))
-                terms[(xe, de)] = rng.choice(
+                terms[alg.monomial(xe, de)] = rng.choice(
                     [rng.randint(-3, 3),
                      Fraction(rng.randint(-3, 3), rng.choice([2, 3]))])
             return WeylElement(alg, {m: c for m, c in terms.items() if c})
@@ -104,7 +121,7 @@ class TestProductLaw:
         assert set(map(type, (half * 2).terms.values())) == {int}
         assert (Fraction(1, 3) * d) * x * 3 == d * x
         assert WeylElement.scalar(alg, Fraction(4, 2)).terms == {
-            ((0, 0), (0, 0)): 2}
+            alg.monomial((0, 0), (0, 0)): 2}
 
     def test_derivative_of_power(self):
         # d x^5 = x^5 d + 5 x^4
@@ -128,6 +145,11 @@ def _contraction_sum(m1, m2):
     return out
 
 
+def _monomial_element(alg, m):
+    """The one-term element 1 * x^g d^b of the exponent pair m = (g, b)."""
+    return WeylElement(alg, {alg.monomial(*m): 1})
+
+
 class TestMonomialProduct:
     def test_matches_contraction_sum_on_random_monomials(self):
         rng = random.Random(613)
@@ -141,7 +163,8 @@ class TestMonomialProduct:
         for _ in range(400):
             m1 = (rand_exps(), rand_exps())
             m2 = (rand_exps(), rand_exps())
-            got = _mono_mul(alg, m1, m2)
+            got = _unpacked(_monomial_element(alg, m1)
+                            * _monomial_element(alg, m2))
             assert got == _contraction_sum(m1, m2), (m1, m2)
             assert all(type(c) is int for c in got.values())
             fast += not any(b and g for b, g in zip(m1[1], m2[0]))
@@ -152,7 +175,166 @@ class TestMonomialProduct:
         alg = WeylAlgebra(1, 2)
         m1 = ((1, 2), (0, 3))
         m2 = ((4, 0), (1, 1))
-        assert _mono_mul(alg, m1, m2) == {((5, 2), (1, 4)): 1}
+        got = _monomial_element(alg, m1) * _monomial_element(alg, m2)
+        assert _unpacked(got) == {((5, 2), (1, 4)): 1}
+        assert got.terms == {alg.monomial(*m1) + alg.monomial(*m2): 1}
+
+    def test_packing_layout(self):
+        # positions in the low fields, derivatives above, 16 bits each
+        alg = WeylAlgebra(2, 1)
+        packed = alg.monomial((1, 2), (3, 4))
+        assert packed == 1 + (2 << 16) + (3 << 32) + (4 << 48)
+        assert WeylElement.one(alg).terms == {0: 1}
+        assert alg.x(1, 2).terms == {1 << 16: 1}
+        assert alg.d(1, 1).terms == {1 << 32: 1}
+        for m in (((1, 2), (3, 4)), ((0, 0), (0, 0)),
+                  ((2 ** 15 - 1, 0), (0, 7))):
+            assert _unpack(alg, alg.monomial(*m)) == m
+
+    @pytest.mark.parametrize("xe,de", [((2 ** 15, 0), (0, 0)),
+                                       ((0, 0), (0, 2 ** 15)),
+                                       ((-1, 0), (0, 0)),
+                                       ((0,), (0, 0))])
+    def test_packing_rejects_out_of_range(self, xe, de):
+        with pytest.raises(ValueError):
+            WeylAlgebra(2, 1).monomial(xe, de)
+
+
+def _reference_product(alg, a, b):
+    """a * b expanded term by term through _contraction_sum."""
+    out = {}
+    for m1, c1 in _unpacked(a).items():
+        for m2, c2 in _unpacked(b).items():
+            for m, c in _contraction_sum(m1, m2).items():
+                out[m] = out.get(m, 0) + c1 * c2 * c
+    return {m: c for m, c in out.items() if c}
+
+
+_ALGEBRAS = st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)])
+_COEFFS = st.one_of(
+    st.integers(-4, 4).filter(bool),
+    st.builds(Fraction, st.integers(-4, 4).filter(bool),
+              st.integers(2, 5)))
+
+
+@st.composite
+def _elements(draw, alg, lo=1, hi=6, positions=None, derivatives=None):
+    """Elements of lo..hi terms, exponents 0..3; positions and derivatives
+    name the variables that may carry a nonzero exponent (all by default)."""
+    everywhere = range(alg.nvars)
+    positions = everywhere if positions is None else positions
+    derivatives = everywhere if derivatives is None else derivatives
+    exps = st.integers(0, 3)
+    monomial = st.tuples(
+        st.tuples(*(exps if v in positions else st.just(0)
+                    for v in everywhere)),
+        st.tuples(*(exps if v in derivatives else st.just(0)
+                    for v in everywhere)))
+    terms = draw(st.dictionaries(monomial, _COEFFS, min_size=lo,
+                                 max_size=hi))
+    return WeylElement(alg, {alg.monomial(*m): c for m, c in terms.items()})
+
+
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                     database=None)
+
+
+class TestPackedProductProperties:
+    @_PROPERTY
+    @given(st.data(), _ALGEBRAS, st.booleans())
+    def test_matches_reference_in_both_orientations(self, data, shape,
+                                                    left_smaller):
+        # the outer loop of a product runs over the factor with fewer
+        # terms; both choices must give the reference expansion
+        alg = WeylAlgebra(*shape)
+        few = data.draw(_elements(alg, 1, 3))
+        many = data.draw(_elements(alg, 4, 6))
+        a, b = (few, many) if left_smaller else (many, few)
+        assert len(a.terms) != len(b.terms)
+        assert _unpacked(a * b) == _reference_product(alg, a, b)
+
+    @_PROPERTY
+    @given(st.data(), _ALGEBRAS)
+    def test_matches_reference_on_equal_sizes(self, data, shape):
+        alg = WeylAlgebra(*shape)
+        a = data.draw(_elements(alg))
+        b = data.draw(_elements(alg))
+        assert _unpacked(a * b) == _reference_product(alg, a, b)
+
+    @_PROPERTY
+    @given(st.data(), st.sampled_from([(2, 1), (1, 2), (2, 2), (3, 1)]),
+           st.booleans())
+    def test_disjoint_supports_add_exponents(self, data, shape, swap):
+        # no derivative of the left factor meets a position of the right
+        # one, so every term product is the sum of the two ints
+        alg = WeylAlgebra(*shape)
+        cut = alg.nvars // 2
+        lo, hi = range(cut), range(cut, alg.nvars)
+        if swap:
+            lo, hi = hi, lo
+        a = data.draw(_elements(alg, derivatives=lo))
+        b = data.draw(_elements(alg, positions=hi))
+        want = {}
+        for m1, c1 in a.terms.items():
+            for m2, c2 in b.terms.items():
+                want[m1 + m2] = want.get(m1 + m2, 0) + c1 * c2
+        assert (a * b).terms == {m: c for m, c in want.items() if c}
+        assert _unpacked(a * b) == _reference_product(alg, a, b)
+
+    @_PROPERTY
+    @given(st.data(), _ALGEBRAS)
+    def test_associative(self, data, shape):
+        alg = WeylAlgebra(*shape)
+        a, b, c = (data.draw(_elements(alg)) for _ in range(3))
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+
+
+class TestExponentGuard:
+    @staticmethod
+    def _power(e, k):
+        # e^(2^k) by repeated squaring
+        for _ in range(k):
+            e = e * e
+        return e
+
+    @pytest.mark.parametrize("atom", ["x", "d"])
+    def test_field_of_two_to_the_fifteen_rejected(self, atom):
+        alg = WeylAlgebra(2, 1)
+        gen = getattr(alg, atom)(1, 2)
+        half = self._power(gen, 14)
+        # a product may reach 2^15 exactly, as its factors stay below it
+        full = half * half
+        assert _unpacked(full) == (
+            {((0, 2 ** 15), (0, 0)): 1} if atom == "x"
+            else {((0, 0), (0, 2 ** 15)): 1})
+        other = alg.x(1, 1) + alg.d(1, 2)
+        for left, right in ((full, other), (other, full), (full, full),
+                            (full, WeylElement.one(alg))):
+            with pytest.raises(ValueError, match="2\\*\\*15"):
+                left * right
+
+    def test_guard_runs_before_anything_is_added(self):
+        alg = WeylAlgebra(1, 1)
+        bad = WeylElement(alg, {1: 1, 1 << 15: 1})
+        acc = {}
+        with pytest.raises(ValueError):
+            howe._add_product(alg, acc, alg.x(1, 1).terms, bad.terms)
+        with pytest.raises(ValueError):
+            howe._add_product(alg, acc, bad.terms, alg.x(1, 1).terms)
+        assert acc == {}
+
+    def test_largest_field_below_the_guard_is_exact(self):
+        # two fields of 2^15 - 1 sum to 2^16 - 2 without touching the
+        # neighbouring field
+        alg = WeylAlgebra(2, 1)
+        top = 2 ** 15 - 1
+        xt = WeylElement(alg, {alg.monomial((top, 0), (0, 0)): 1})
+        dt = WeylElement(alg, {alg.monomial((0, 0), (top, 0)): 1})
+        assert _unpacked(xt * xt) == {((2 * top, 0), (0, 0)): 1}
+        assert _unpacked(dt * dt) == {((0, 0), (2 * top, 0)): 1}
+        assert _unpacked(dt * alg.x(1, 1)) == {((1, 0), (top, 0)): 1,
+                                                ((0, 0), (top - 1, 0)): top}
 
 
 class TestDualPair:
@@ -205,23 +387,62 @@ class TestConvPowers:
         assert check_conv_powers(1, 3, 2).passed
 
     def test_products_keep_int_coefficients(self, monkeypatch):
-        seen = set()
-        mul = WeylElement.__mul__
+        # the checks add their sums in place through _add_product, which
+        # WeylElement.__mul__ also calls; spy on both
+        seen, summed = set(), set()
+        mul, add_product = WeylElement.__mul__, howe._add_product
 
         def spy(self, other):
             out = mul(self, other)
             seen.update(type(c) for c in out.terms.values())
             return out
 
+        def spy_sum(alg, acc, left, right):
+            add_product(alg, acc, left, right)
+            summed.update(type(c) for c in acc.values())
+
         monkeypatch.setattr(WeylElement, "__mul__", spy)
+        monkeypatch.setattr(howe, "_add_product", spy_sum)
         assert check_conv_powers(2, 2, 2).passed
         assert seen == {int}
+        assert summed == {int}
+        summed.clear()
+        assert check_resolvent_transfer(2, 2, 2).passed
+        assert summed == {int}
 
     def test_negative_power_bound_rejected(self):
         # a negative bound would run no check and still report a pass
         with pytest.raises(ValueError):
             check_conv_powers(1, 1, -1)
         assert check_conv_powers(1, 1, 0).checks == 1
+
+
+def _perturbed_dual_pair(n, k):
+    """dual_pair(n, k) with one entry of L off by the scalar 1."""
+    emb = dual_pair(n, k)
+    rows = [list(row) for row in emb.left.rows]
+    rows[0][-1] = rows[0][-1] + 1
+    return emb._replace(left=MatrixU(WeylElement, emb.alg, emb.left.labels,
+                                     rows))
+
+
+class TestChecksCatchAWrongPair:
+    # the in-place sums must still see a wrong L
+    def test_conv_powers_fails(self, monkeypatch):
+        monkeypatch.setattr(howe, "dual_pair", _perturbed_dual_pair)
+        rep = check_conv_powers(2, 2, 2)
+        assert not rep.passed
+        assert rep.checks == 12
+        # L^0 is the identity however L is perturbed
+        assert {r for r, _, _ in rep.failures} == {1, 2}
+
+    def test_resolvent_transfer_fails(self, monkeypatch):
+        monkeypatch.setattr(howe, "dual_pair", _perturbed_dual_pair)
+        rep = check_resolvent_transfer(2, 2, 2)
+        assert not rep.passed
+        assert rep.checks == 12
+        # order 1 reads S_0 = I alone; order 2 reads S_1, where L enters
+        assert {r for r, _, _ in rep.failures} == {2}
 
 
 class TestResolventTransfer:
