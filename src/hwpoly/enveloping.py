@@ -39,8 +39,11 @@ VermaModule is the other half: the action of single generators on the
 Verma module M(lambda), which evaluates the Harish-Chandra image at one
 weight without normal ordering any product.  It computes in ints alone,
 on the generators scaled by the least common denominator of lambda, so
-callers divide by that scale once per generator in the word.  The
-certifier and the Verma oracle both run on it.
+callers divide by that scale once per generator in the word.  Its
+lowering monomials are ints too: one 16-bit exponent field per
+lowering generator, laid out once per spec, with v_lambda the int 0;
+an exponent that would reach 2^15 raises ValueError.  The certifier
+and the Verma oracle both run on it.
 """
 
 from __future__ import annotations
@@ -375,6 +378,31 @@ def evaluate_at_weight(a: UElement, lam) -> Fraction:
     return total
 
 
+# bits per exponent field of a packed Verma monomial
+_FIELD = 16
+
+
+def _verma_layout(spec):
+    """(unit, low, top): the packed lowering monomials of spec, built once.
+
+    unit[g] is the int with a 1 in the field of lowering generator g (0
+    for the others); low[b] is (g, unit[g]) for the generator g whose
+    field holds bit b - 1, so a monomial's lowest set bit, by its
+    bit_length, names its smallest generator; top has the top bit of
+    every field set.
+    """
+    layout = spec._cache_misc.get("verma")
+    if layout is None:
+        lowering = [g for g, kind in enumerate(spec.triangular) if kind == NEG]
+        unit = [0] * len(spec.gens)
+        for f, g in enumerate(lowering):
+            unit[g] = 1 << (_FIELD * f)
+        low = [None] + [(g, unit[g]) for g in lowering for _ in range(_FIELD)]
+        top = sum(unit) << (_FIELD - 1)
+        layout = spec._cache_misc["verma"] = (unit, low, top)
+    return layout
+
+
 class VermaModule:
     """The Verma module M(lambda), acted on one generator at a time.
 
@@ -383,19 +411,29 @@ class VermaModule:
     basis x' = d x of the Lie algebra: a lowering x' creates its
     monomial with coefficient 1, a Cartan h' multiplies v_lambda by the
     integer d lambda(h), and [x'_a, x'_b] = sum d c_h x'_h has integer
-    constants because every c_h is.  A vector is a dict mapping sorted
-    lowering monomials in the x' (tuples of generator indices) to int
-    coefficients; the empty monomial is the highest weight vector
-    v_lambda.  A word of k generators therefore acts as d^-k times the
-    same word in the x', so the coefficient of v_lambda in
-    x_1 ... x_k v_lambda is the int found here divided by d^k.
+    constants because every c_h is.  A word of k generators therefore
+    acts as d^-k times the same word in the x', so the coefficient of
+    v_lambda in x_1 ... x_k v_lambda is the int found here divided by
+    d^k.
+
+    A vector is a dict mapping sorted lowering monomials in the x' to
+    int coefficients.  A monomial is one int of 16-bit exponent fields,
+    one field per lowering generator in the spec's global order, the
+    smallest generator lowest; v_lambda is 0.  Prepending x'_g to a
+    monomial that starts at g or later adds the unit int of g's field,
+    the monomial's smallest generator is the field of its lowest set
+    bit, and the rest of it is the monomial minus that field's unit.
+    A prepend that would bring a field to 2^15 raises ValueError
+    instead, so no field ever carries into its neighbour.  The field
+    layout is built once per spec.
 
     Generators act by the recursion g b m = b (g m) + [g, b] m, which
     consults only the structure constants and lambda, never the PBW
     products above.  For a weight zero element a, the coefficient of
     v_lambda in a v_lambda is the Harish-Chandra image of a evaluated
-    at lambda.  Actions are memoised on the instance and live exactly
-    as long as it does.
+    at lambda.  Actions are memoised on the instance, in one dict per
+    generator keyed by the monomial, and live exactly as long as it
+    does.
     """
 
     def __init__(self, spec: AlgebraSpec, lam):
@@ -404,27 +442,33 @@ class VermaModule:
         self.scale = d = lcm(*(x.denominator for x in self.lam))
         self._cartan = {g: int(d * self.lam[k])
                         for g, k in spec.cartan_coord.items()}
-        self._cache = {}
+        self._unit, self._low, self._top = _verma_layout(spec)
+        self._cache = [{} for _ in spec.gens]
 
     def act(self, g, nu):
-        """x'_g applied to nu v_lambda, for a sorted lowering monomial nu."""
-        key = (g, nu)
-        hit = self._cache.get(key)
+        """x'_g applied to nu v_lambda, for a packed lowering monomial nu."""
+        memo = self._cache[g]
+        hit = memo.get(nu)
         if hit is not None:
             return hit
         spec = self.spec
-        kind = spec.triangular[g]
-        if kind == NEG and (not nu or g <= nu[0]):
-            out = {(g,) + nu: 1}
+        if nu:
+            b, unit_b = self._low[(nu & -nu).bit_length()]
+        if spec.triangular[g] == NEG and (not nu or g <= b):
+            tau = nu + self._unit[g]
+            if tau & self._top:
+                raise ValueError("a Verma exponent reached 2**15, past the "
+                                 "range of a packed monomial")
+            out = {tau: 1}
         elif not nu:
             value = self._cartan.get(g, 0)
-            out = {(): value} if value else {}
+            out = {0: value} if value else {}
         else:
-            b, rest = nu[0], nu[1:]
+            rest = nu - unit_b
             out = self.apply(b, self.act(g, rest))
             for h, c in spec.bracket(g, b):
                 self.apply(h, {rest: self.scale * c}, out=out)
-        self._cache[key] = out
+        memo[nu] = out
         return out
 
     def apply(self, g, vec, c=1, out=None):
@@ -436,9 +480,9 @@ class VermaModule:
             out = {}
         if not c:
             return out
-        cache, get = self._cache, out.get
+        memo, get = self._cache[g], out.get
         for nu, cv in vec.items():
-            image = cache.get((g, nu))
+            image = memo.get(nu)
             if image is None:
                 image = self.act(g, nu)
             k = c * cv

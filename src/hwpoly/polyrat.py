@@ -45,6 +45,12 @@ def rat(x) -> Fraction:
     return Fraction(x)
 
 
+def clear_denominators(values: Sequence[Fraction]):
+    """(D, [D x for x in values]) in ints, D the least common denominator."""
+    D = lcm(*(x.denominator for x in values))
+    return D, [x.numerator * (D // x.denominator) for x in values]
+
+
 class TruncationError(ValueError):
     """The truncated tail is too short to determine the answer."""
 
@@ -101,17 +107,23 @@ class UniPoly:
         """The monic product of (u - r) over the roots, with repetition.
 
         The result remembers its roots as the sorted (root,
-        multiplicity) list that rational_roots reports.
+        multiplicity) list that rational_roots reports.  The product is
+        taken in ints: with D the common denominator of the m roots and
+        a_j = D r_j, the product of the (v - a_j) has int coefficients
+        Q_k, and substituting v = D u makes coefficient k of the result
+        Q_k / D^(m-k).
         """
         rs = sorted(rat(r) for r in roots)
-        cs = [ONE]
-        for r in rs:
-            # multiply by (u - r) in place, highest degree first
-            cs.append(ONE)
+        D, scaled = clear_denominators(rs)
+        cs = [1]
+        for a in scaled:
+            # multiply by (v - a) in place, highest degree first
+            cs.append(1)
             for k in range(len(cs) - 2, 0, -1):
-                cs[k] = cs[k - 1] - r * cs[k]
-            cs[0] = -r * cs[0]
-        p = cls(cs)
+                cs[k] = cs[k - 1] - a * cs[k]
+            cs[0] = -a * cs[0]
+        m = len(rs)
+        p = cls(Fraction(c, D ** (m - k)) for k, c in enumerate(cs))
         p._roots = tuple(Counter(rs).items())
         return p
 
@@ -263,8 +275,7 @@ class UniPoly:
         if val:
             found.append((ZERO, val))
         if p.degree >= 1:
-            den_lcm = lcm(*(c.denominator for c in p.coeffs))
-            ints = [int(c * den_lcm) for c in p.coeffs]
+            _, ints = clear_denominators(p.coeffs)
             a0, an = abs(ints[0]), abs(ints[-1])
             cands = set()
             for pn in _divisors(a0):

@@ -10,11 +10,18 @@ it acts on v_lambda in the Verma module, so DiagonalSeries walks the
 columns of M^k through M(lambda) one power at a time; each column stays
 inside fixed weight spaces, so its state does not grow with k.  The
 columns are int vectors on the generators scaled by the weight's least
-common denominator d, and only the N values of each power k become
-fractions, with denominator d^k.  The series is the one handle of the
+common denominator d, and the series keeps the int numerator n_i(k) of
+each value s_i(k) = n_i(k) / d^k.  The series is the one handle of the
 certifier: annihilation_residuals(series, q), certify_minimal(series, q)
 and projected_resolvent(series) all read its spec and weight, and share
 its terms.  certified_minimal_polynomial builds one per call.
+
+The certifier's hot path is integer end to end.  A residual clears the
+denominators of q once and sums int products per diagonal entry, so
+each entry makes one Fraction; a divisor q / (u - root) is found by
+synthetic division in ints, and a candidate is multiplied out from its
+roots in ints (UniPoly.from_roots).  Only the reported numbers are
+Fractions, and each equals its Fraction-arithmetic definition exactly.
 
 certify_minimal takes one pass over a monic candidate q: it evaluates
 q once, and its single verdict, CertificationError, means q does not
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import NamedTuple
 
 from .algebra import AlgebraSpec, Family, as_weight, inner_spec, parabolic
@@ -50,8 +58,8 @@ from .enveloping import (
 )
 from .genmatrix import generator_power, projected_diagonal, trace_prime
 from .linalg import ONE, ZERO
-from .polyrat import (CertificationError, UniPoly, monic_lcm, pade_reconstruct,
-                      series_of_rational)
+from .polyrat import (CertificationError, UniPoly, clear_denominators,
+                      monic_lcm, pade_reconstruct, series_of_rational)
 from .shuffle import decompose, shifted_weight
 
 
@@ -86,6 +94,23 @@ def _magnitude(a) -> Fraction:
     return abs(a)
 
 
+def _entry_table(spec: AlgebraSpec):
+    """Per column q of M, {p: (c, g)} for each M_pq = c times generator g.
+
+    Only the nonzero entries are listed; p and q are positions in
+    matrix index order.  Built once per spec and kept on it.
+    """
+    table = spec._cache_misc.get("entries")
+    if table is None:
+        mi = spec.matrix_indices
+        table = spec._cache_misc["entries"] = tuple(
+            {p: (c, g) for p, (c, g) in enumerate(spec.resolve(i, j)
+                                                  for i in mi)
+             if g is not None}
+            for j in mi)
+    return table
+
+
 class DiagonalSeries:
     """s_i(k) = pi((M^k)_ii)(lambda) for every diagonal entry, grown on demand.
 
@@ -100,46 +125,85 @@ class DiagonalSeries:
     The columns are int vectors in the rescaled basis of the
     VermaModule: with d its scale, M_pq = c x_g = (c/d) x'_g for the
     int sign c, so the recurrence steps with c alone, the stored column
-    is d^k u^(k), and only the N values of each step become fractions,
-    s_i(k) = (coefficient of v_lambda) / d^k.
+    is d^k u^(k), and each step stores the int n_i(k), the coefficient
+    of v_lambda, with s_i(k) = n_i(k) / d^k.  The last term a request
+    needs is read off the columns one power below it, through the one
+    row sum_q M_iq u_q of each column, so no column is stepped to a
+    power that no request has reached; a later, longer request steps
+    on from there.
+
+    The certifier reads exactly four things of a series: ``spec``,
+    ``lam``, ``values(K)`` (the s_i(k) as Fractions) and
+    ``numerators(K)`` (d with the ints n_i(k)).  Any engine that
+    provides these four can stand in for this one.
     """
 
     def __init__(self, spec: AlgebraSpec, lam):
         self.spec = spec
         self.lam = as_weight(spec, lam)
         self._module = VermaModule(spec, self.lam)
-        mi = spec.matrix_indices
-        # _entries[q] lists (p, c, g) with M_pq = c times generator g, for
-        # the nonzero entries; p and q are positions in matrix index order
-        self._entries = [
-            [(p, c, g) for p, (c, g) in enumerate(spec.resolve(i, j)
-                                                  for i in mi)
-             if g is not None]
-            for j in mi]
-        self._columns = [{p: {(): 1}} for p in range(len(mi))]
-        self._values = [[ONE] for _ in mi]
-        self._order = 1
+        self._entries = _entry_table(spec)
+        # the columns hold u^(depth); n(0) .. n(order - 1) are known
+        self._columns = [{p: {0: 1}} for p in range(len(self._entries))]
+        self._numerators = [[1] for _ in self._entries]
+        self._depth, self._order = 0, 1
+
+    def numerators(self, K: int):
+        """(d, per diagonal position the ints n(0), ..., n(K-1)).
+
+        Positions are in matrix index order and s(k) = n(k) / d^k.
+        """
+        K = max(K, 0)
+        while self._order < K:
+            # only the last requested term, with the columns just below it
+            if self._order == K - 1 == self._depth + 1:
+                self._last_term()
+            else:
+                self._step()
+        return self._module.scale, [n[:K] for n in self._numerators]
 
     def values(self, K: int):
         """Per diagonal position, in matrix index order, s(0), ..., s(K-1)."""
-        K = max(K, 0)
-        while self._order < K:
-            self._step()
-        return [v[:K] for v in self._values]
+        d, cols = self.numerators(K)
+        return [[Fraction(n, d ** k) for k, n in enumerate(col)]
+                for col in cols]
 
     def _step(self):
+        """Columns u^(depth) -> u^(depth + 1), recording n(depth + 1) once."""
         apply = self._module.apply
         entries = self._entries
-        power = self._module.scale ** self._order
         for i, column in enumerate(self._columns):
             new = {}
             for q, vec in column.items():
-                for p, c, g in entries[q]:
+                for p, (c, g) in entries[q].items():
                     apply(g, vec, c, new.setdefault(p, {}))
-            column = {p: vec for p, vec in new.items() if vec}
-            self._columns[i] = column
-            self._values[i].append(
-                Fraction(column.get(i, {}).get((), 0), power))
+            self._columns[i] = {p: vec for p, vec in new.items() if vec}
+        self._depth += 1
+        if self._depth == self._order:
+            self._record(column.get(i, {}).get(0, 0)
+                         for i, column in enumerate(self._columns))
+
+    def _last_term(self):
+        """n(depth + 1) from the columns u^(depth), leaving them there."""
+        act = self._module.act
+        entries = self._entries
+        terms = []
+        for i, column in enumerate(self._columns):
+            total = 0
+            for q, vec in column.items():
+                entry = entries[q].get(i)
+                if entry is not None:
+                    c, g = entry
+                    # x'_g takes u_q into the weight space of v_lambda,
+                    # which holds v_lambda alone
+                    total += c * sum(cv * act(g, nu).get(0, 0)
+                                     for nu, cv in vec.items())
+            terms.append(total)
+        self._record(terms)
+
+    def _record(self, terms):
+        for col, n in zip(self._numerators, terms):
+            col.append(n)
         self._order += 1
 
 
@@ -149,17 +213,41 @@ def annihilation_residuals(series: DiagonalSeries, q: UniPoly):
 
 
 def _residuals(series: DiagonalSeries, q: UniPoly):
-    """Yield (label, residual) per diagonal entry, each on demand."""
-    cols = series.values(len(q.coeffs))
+    """Yield (label, residual) per diagonal entry, each on demand.
+
+    With q = sum (a_k / D) u^k over the common denominator D of its
+    coefficients and s(k) = n(k) / d^k, the residual sum a_k s(k) / D
+    is (sum a_k d^(m-k) n(k)) / (D d^m) for m = deg q: one int sum per
+    entry and one Fraction, or ZERO when the sum is 0.
+    """
+    d, cols = series.numerators(len(q.coeffs))
+    den, weights = clear_denominators(q.coeffs)
+    top = max(len(weights) - 1, 0)
+    weights = [a * d ** (top - k) for k, a in enumerate(weights)]
+    den *= d ** top
     for label, col in zip(series.spec.matrix_indices, cols):
-        yield label, sum((c * s for c, s in zip(q.coeffs, col) if c), ZERO)
+        total = sum(map(mul, weights, col))
+        yield label, Fraction(total, den) if total else ZERO
 
 
 def _deflate(q: UniPoly, root) -> UniPoly:
-    """q / (u - root) by synthetic division, for a root of q."""
-    out = [q.coeffs[-1]]
-    for c in q.coeffs[-2:0:-1]:
-        out.append(c + root * out[-1])
+    """q / (u - root) by synthetic division, for a root of q.
+
+    The division runs in ints: with q = sum (A_k / D) u^k of degree m
+    and root = p / s, the quotient's coefficient k is
+    B_k / (D s^(m-1-k)), where B_(m-1) = A_m and
+    B_(k-1) = A_k s^(m-k) + p B_k.
+    """
+    D, A = clear_denominators(q.coeffs)
+    p, s = root.numerator, root.denominator
+    B, power = [A[-1]], 1
+    for a in A[-2:0:-1]:
+        power *= s
+        B.append(a * power + p * B[-1])
+    out, den = [], D
+    for b in B:
+        out.append(Fraction(b, den))
+        den *= s
     return UniPoly(reversed(out))
 
 

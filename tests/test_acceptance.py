@@ -34,16 +34,17 @@ def hw_coefficient(spec, word, lam):
 
     The word's matrix index pairs act right to left; the action runs on
     the basis rescaled by the module's scale d, so the int coefficient
-    it leaves is divided by d to the word's length.
+    it leaves is divided by d to the word's length.  v_lambda is the
+    packed monomial 0.
     """
     verma = VermaModule(spec, lam)
-    state = {(): 1}
+    state = {0: 1}
     for i, j in reversed(word):
         c, idx = spec.resolve(i, j)
         if idx is None:
             return Fraction(0)
         state = verma.apply(idx, state, c)
-    return Fraction(state.get((), 0), verma.scale ** len(word))
+    return Fraction(state.get(0, 0), verma.scale ** len(word))
 
 
 def _conclude(num, name, failures):

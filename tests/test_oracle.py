@@ -23,16 +23,17 @@ def hw_coefficient(spec, word, lam):
 
     The word's matrix index pairs act right to left; the action runs on
     the basis rescaled by the module's scale d, so the int coefficient
-    it leaves is divided by d to the word's length.
+    it leaves is divided by d to the word's length.  v_lambda is the
+    packed monomial 0.
     """
     verma = VermaModule(spec, lam)
-    state = {(): 1}
+    state = {0: 1}
     for i, j in reversed(word):
         c, idx = spec.resolve(i, j)
         if idx is None:
             return Fraction(0)
         state = verma.apply(idx, state, c)
-    return Fraction(state.get((), 0), verma.scale ** len(word))
+    return Fraction(state.get(0, 0), verma.scale ** len(word))
 
 
 def mat_mul(a, b):
@@ -203,6 +204,21 @@ class TestVerma:
             == Fraction(-8, 27)
         assert hw_coefficient(gl2, [(1, 2), (2, 1)], (Fraction(1, 6), 1)) \
             == Fraction(-5, 6)
+
+    def test_packed_field_guard(self):
+        # a field that would reach its top bit raises instead of carrying
+        # into the next generator's field
+        spec = make_spec("gl", 3)
+        verma = VermaModule(spec, (2, 1, 0))
+        lowering = [g for g, (i, j) in enumerate(spec.gens) if i > j]
+        low, high = lowering[0], lowering[-1]
+        unit = verma._unit
+        nu = (2 ** 15 - 2) * unit[low] + (2 ** 15 - 1) * unit[high]
+        assert verma.act(low, nu) == {nu + unit[low]: 1}
+        with pytest.raises(ValueError, match="2\\*\\*15"):
+            verma.act(low, nu + unit[low])
+        with pytest.raises(ValueError):
+            verma.act(high, (2 ** 15 - 1) * unit[high])
 
     def test_matches_engine_on_random_words(self):
         rng = random.Random(20260822)

@@ -16,6 +16,7 @@ from hwpoly.polyrat import (
     series_of_rational,
 )
 
+F = Fraction
 U = UniPoly.x()
 
 
@@ -75,6 +76,25 @@ def test_from_roots_hands_out_copies_of_its_roots():
         (Fraction(-1, 3), 1), (Fraction(0), 1), (Fraction(2), 2)]
 
 
+def _product_of_factors(roots):
+    product = UniPoly.one()
+    for r in roots:
+        product = product * UniPoly((-r, 1))
+    return product
+
+
+@pytest.mark.parametrize("roots", [
+    [], [3], [2, 2, 2], [-1, F(-1, 2), -1], [F(1, 2), F(-1, 3), 0, F(5, 6)],
+    [F(-7, 6), F(2, 3), F(2, 3), 4, F(-1, 2)]])
+def test_from_roots_is_the_product_of_its_factors(roots):
+    built = UniPoly.from_roots(roots)
+    product = _product_of_factors(roots)
+    assert built == product
+    assert all(type(c) is Fraction for c in built.coeffs)
+    assert built.rational_roots() == sorted(Counter(roots).items())
+    assert UniPoly(product.coeffs).rational_roots() == built.rational_roots()
+
+
 # Small rational roots, zero and negatives included, with denominators
 # 1, 2 and 3: the search must still find what from_roots records.
 _ROOTS = st.lists(
@@ -88,6 +108,7 @@ def test_search_agrees_with_carried_roots(roots):
     built = UniPoly.from_roots(roots)
     carried = built.rational_roots()
     assert carried == sorted(Counter(roots).items())
+    assert built == _product_of_factors(roots)
     # coefficients alone carry no roots, so this runs the divisor search
     assert UniPoly(built.coeffs).rational_roots() == carried
     assert UniPoly(built.coeffs).linear_factorization() == carried

@@ -6,9 +6,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwpoly import verify
-from hwpoly.algebra import make_spec
+from hwpoly.algebra import AlgebraSpec, make_spec
 from hwpoly.enveloping import evaluate_at_weight
 from hwpoly.genmatrix import projected_diagonal
 from hwpoly.oracle import build_catalog_rep, oracle_minpoly
@@ -83,18 +85,52 @@ class TestDiagonalSeries:
         module = series._module
         assert module.scale == 6
         assert all(type(v) is int for v in module._cartan.values())
-        assert module._cache
-        for image in module._cache.values():
-            assert all(type(c) is int for c in image.values())
+        assert any(module._cache)
+        for memo in module._cache:
+            for nu, image in memo.items():
+                assert type(nu) is int
+                assert all(type(tau) is int and type(c) is int
+                           for tau, c in image.items())
         for column in series._columns:
             for vec in column.values():
                 assert vec and all(type(c) is int for c in vec.values())
+        d, numerators = series.numerators(8)
+        assert d == 6
+        assert all(len(col) == 8 and all(type(n) is int for n in col)
+                   for col in numerators)
 
     def test_grows_on_demand(self):
         series = DiagonalSeries(make_spec("sp", 1), (2,))
         short = series.values(3)
         assert series.values(6)[0][:3] == short[0]
         assert [len(c) for c in series.values(2)] == [2, 2]
+
+    @pytest.mark.parametrize("family,n,lam", [
+        ("gl", 3, (F(1, 2), F(-1, 3), 0)), ("sp", 2, (F(1, 3), F(-1, 2))),
+        ("o_odd", 2, (F(-5, 2), F(2, 3))), ("o_even", 2, (1, F(-1, 2)))])
+    def test_one_request_at_a_time_matches_one_long_request(self, family, n,
+                                                            lam):
+        # the last term of each request is read off the columns one power
+        # below it; later requests step on from there
+        spec = make_spec(family, n)
+        K = 2 * spec.N + 2
+        grown = DiagonalSeries(spec, lam)
+        for k in range(K + 1):
+            grown.numerators(k)
+        for k in (K - 3, K - 1, K - 3):
+            grown.numerators(k)
+        assert grown.numerators(K) == DiagonalSeries(spec, lam).numerators(K)
+        assert grown.values(K) == DiagonalSeries(spec, lam).values(K)
+
+    def test_specs_share_one_entry_table(self):
+        spec = make_spec("sp", 2)
+        weights = [(F(1, 3), F(-1, 2)), (2, 1)]
+        shared = [DiagonalSeries(spec, lam) for lam in weights]
+        assert shared[0]._entries is shared[1]._entries
+        for lam, series in zip(weights, shared):
+            fresh = DiagonalSeries(AlgebraSpec("sp", 2), lam)
+            assert fresh._entries is not series._entries
+            assert series.values(8) == fresh.values(8)
 
 
 def _annihilates(spec, q, lam):
@@ -114,6 +150,41 @@ class TestAnnihilation:
         spec = make_spec("gl", 2)
         assert _annihilates(spec, UniPoly.from_roots([0, 2]), (1, 0))
         assert not _annihilates(spec, UniPoly.from_roots([0, 1]), (1, 0))
+
+
+# every family, with weights of scale 1, 2, 3 and 6
+_RESIDUAL_SPECS = [("gl", 2), ("gl", 3), ("sp", 1), ("sp", 2),
+                   ("o_odd", 1), ("o_odd", 2), ("o_even", 2)]
+_ROOT = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 6]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_residuals_match_the_fraction_reference(data):
+    family, n = data.draw(st.sampled_from(_RESIDUAL_SPECS))
+    spec = make_spec(family, n)
+    scale = data.draw(st.sampled_from([1, 2, 3, 6]))
+    # the first coordinate has denominator exactly scale
+    lam = (F(1 + scale * data.draw(st.integers(-3, 3)), scale),) + tuple(
+        F(data.draw(st.integers(-9, 9)), scale) for _ in range(n - 1))
+    series = DiagonalSeries(spec, lam)
+    assert series._module.scale == scale
+    roots = data.draw(st.lists(_ROOT, max_size=5))
+    annihilating = data.draw(st.booleans())
+    if annihilating:
+        q, _ = certified_minimal_polynomial(spec, lam)
+        roots += [r for r, m in q.rational_roots() for _ in range(m)]
+    q = UniPoly.from_roots(roots) * data.draw(
+        st.sampled_from([1, F(-2, 3), F(5, 6)]))
+    cols = series.values(len(q.coeffs))
+    reference = tuple(
+        (label, sum((c * s for c, s in zip(q.coeffs, col)), F(0)))
+        for label, col in zip(spec.matrix_indices, cols))
+    got = annihilation_residuals(series, q)
+    assert got == reference
+    assert all(type(r) is F for _, r in got)
+    if annihilating:
+        assert not any(r for _, r in got)
 
 
 class TestCertifyMinimal:
