@@ -3,8 +3,10 @@
 A spec fixes a family (gl, even or odd orthogonal, symplectic) and a
 rank n, and with them the combinatorial skeleton the rest of the
 package works against: the canonical generator list in its global PBW
-order, structure constants, triangular classes, ad-weights, and the
-parabolic (Levi) data of the nested subalgebra chain.
+order, structure constants, triangular classes, the Cartan coordinates,
+and the parabolic (Levi) data of the nested subalgebra chain.  No
+table of ad-weights is kept, as no computation reads one; the weight w
+of a generator x is the one its Cartan brackets give, [H_k, x] = w_k x.
 
 Index conventions.  gl_n rows and columns run 1..n.  The orthogonal
 and symplectic algebras of rank n act on C^N with rows indexed by
@@ -98,7 +100,6 @@ class AlgebraSpec:
             self.cartan_by_coord = tuple(
                 self.gen_index[(m - n - 1, m - n - 1)] for m in range(1, n + 1))
         self.cartan_coord = {g: k for k, g in enumerate(self.cartan_by_coord)}
-        self.weights = tuple(self._weight_of(p) for p in gens)
         self._brackets = {}
         # caches used by the enveloping engine; deterministic contents,
         # shared safely because make_spec memoises instances
@@ -132,31 +133,6 @@ class AlgebraSpec:
 
     def _is_zero_pair(self, i, j):
         return self.family in (Family.O_EVEN, Family.O_ODD) and j == -i
-
-    def _eps_hat(self, i):
-        v = [0] * self.n
-        if i > 0:
-            v[self.n - i] = -1
-        elif i < 0:
-            v[self.n + i] = 1
-        return v
-
-    def _weight_of(self, pair):
-        i, j = pair
-        if self.family is Family.GL:
-            v = [0] * self.n
-            v[i - 1] += 1
-            v[j - 1] -= 1
-            return tuple(v)
-        a = self._eps_hat(i)
-        b = self._eps_hat(j)
-        return tuple(x - y for x, y in zip(a, b))
-
-    def entry_weight(self, i, j):
-        """Ad-weight of the (i, j) matrix entry, as H-coordinates."""
-        if i not in self._index_set or j not in self._index_set:
-            raise ValueError(f"indices ({i}, {j}) outside the algebra")
-        return self._weight_of((i, j))
 
     def theta(self, i, j) -> int:
         if self.family is Family.SP:

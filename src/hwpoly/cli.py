@@ -103,17 +103,11 @@ def _roots(q: UniPoly):
 
 
 def _cmd_minpoly(spec, lam, args):
-    if args.mode == "certified":
-        from .verify import certified_minimal_polynomial
-        q = certified_minimal_polynomial(spec, lam)[0]
-    else:
-        q = minpoly_from_weight(spec, lam)
+    q = minpoly_from_weight(spec, lam)
     return {
         "l": [_s(x) for x in shifted_weight(spec, lam)],
         "roots": _roots(q),
         "polynomial": _poly(q),
-        "mode": args.mode,
-        "certified": args.mode == "certified",
     }
 
 
@@ -253,9 +247,7 @@ def _K(default):
 # argument is (name or flag, add_argument keywords); every command also
 # takes --json.  _document says how a handler is called.
 _COMMANDS = (
-    ("minpoly", "minimal polynomial from the weight",
-     _WEIGHT + (("--mode", {"choices": ["fast", "certified"],
-                            "default": "fast"}),), _cmd_minpoly),
+    ("minpoly", "minimal polynomial from the weight", _WEIGHT, _cmd_minpoly),
     ("shuffle", "decompose a shifted weight sequence",
      (("family", {"choices": ["gl", "sp", "o_even", "o_odd"]}),
       ("sequence", {})), _cmd_shuffle),

@@ -1,7 +1,9 @@
 """Matrices over a term algebra, and the generator matrix.
 
 MatrixU is the one matrix type, over any Terms algebra: U(g) here, the
-Weyl algebra in the howe module.  The object of study is the N x N
+Weyl algebra in the howe module.  A product fills each entry as one
+dict through the entry class's product kernel, so it builds no element
+for a single product or a partial sum.  The object of study is the N x N
 matrix M whose (i, j) entry is the spanning element F[i,j] (E[i,j]
 for gl), viewed as a matrix over U(g).  Its powers expand the
 resolvent (u - M)^{-1} = sum_k M^k u^{-k-1}; after Harish-Chandra
@@ -80,20 +82,20 @@ class MatrixU:
         if not isinstance(other, MatrixU):
             return NotImplemented
         self._check(other)
-        n = len(self.labels)
+        elem, spec = self.elem, self.spec
+        cols = [[b.terms for b in col] for col in zip(*other.rows)]
         out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = self.elem.zero(self.spec)
-                for p in range(n):
-                    a = self.rows[i][p]
-                    b = other.rows[p][j]
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return MatrixU(self.elem, self.spec, self.labels, out)
+        for row in self.rows:
+            left = [a.terms for a in row]
+            new = []
+            for col in cols:
+                acc = {}
+                for a, b in zip(left, col):
+                    if a and b:
+                        elem._add_product(spec, acc, a, b)
+                new.append(elem._element(spec, acc))
+            out.append(new)
+        return MatrixU(elem, spec, self.labels, out)
 
     def powers(self, top):
         """[M^0, M^1, ..., M^top]."""
@@ -147,13 +149,6 @@ def projected_diagonal(spec: AlgebraSpec, k: int):
     return got
 
 
-def trace(m: MatrixU):
-    acc = m.elem.zero(m.spec)
-    for _, e in m.diagonal():
-        acc = acc + e
-    return acc
-
-
 def trace_prime(m: MatrixU) -> UElement:
     """Trace omitting the outermost rows (labels n and -n).
 
@@ -163,10 +158,5 @@ def trace_prime(m: MatrixU) -> UElement:
     spec = m.spec
     if spec.family is Family.GL:
         raise ValueError("trace_prime is defined for the o/sp families only")
-    if spec.n == 0:
-        return trace(m)
-    acc = UElement.zero(spec)
-    for lbl, e in m.diagonal():
-        if abs(lbl) != spec.n:
-            acc = acc + e
-    return acc
+    return sum((e for lbl, e in m.diagonal() if abs(lbl) != spec.n),
+               UElement.zero(spec))

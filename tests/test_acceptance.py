@@ -11,9 +11,10 @@ import random
 from fractions import Fraction
 from itertools import product
 
+from helpers import hw_coefficient
 from hwpoly.algebra import CARTAN, NEG, POS, make_spec, parabolic
-from hwpoly.enveloping import (UElement, VermaModule, evaluate_at_weight,
-                               pbw_normalize, project_hc, project_relative)
+from hwpoly.enveloping import (UElement, evaluate_at_weight, pbw_normalize,
+                               project_hc, project_relative)
 from hwpoly.genmatrix import projected_diagonal
 from hwpoly.howe import (check_conv_powers, check_divisibility_instance,
                          check_resolvent_transfer)
@@ -27,24 +28,6 @@ F = Fraction
 
 # every non-GL spec in scope, by family and rank
 BC_SPECS = (("sp", 1), ("sp", 2), ("o_odd", 1), ("o_even", 2), ("o_odd", 2))
-
-
-def hw_coefficient(spec, word, lam):
-    """Coefficient of v_lambda in word . v_lambda, through the Verma action.
-
-    The word's matrix index pairs act right to left; the action runs on
-    the basis rescaled by the module's scale d, so the int coefficient
-    it leaves is divided by d to the word's length.  v_lambda is the
-    packed monomial 0.
-    """
-    verma = VermaModule(spec, lam)
-    state = {0: 1}
-    for i, j in reversed(word):
-        c, idx = spec.resolve(i, j)
-        if idx is None:
-            return Fraction(0)
-        state = verma.apply(idx, state, c)
-    return Fraction(state.get(0, 0), verma.scale ** len(word))
 
 
 def _conclude(num, name, failures):

@@ -53,24 +53,21 @@ def test_readme_commands_run(capsys):
 class TestMinpoly:
     def test_gl_fast_document(self, capsys):
         doc = run_doc(capsys, "minpoly", "gl", "3", "2,1,0")
-        assert set(doc) == {"algebra", "weight", "l", "roots",
-                            "polynomial", "mode", "certified"}
+        # minpoly is the shuffle answer only: certify is the certified one
+        assert set(doc) == {"algebra", "weight", "l", "roots", "polynomial"}
         assert doc["algebra"] == "gl_3"
         assert doc["l"] == ["4", "2", "0"]
         assert doc["roots"] == [["0", 1], ["2", 1], ["4", 1]]
-        assert doc["mode"] == "fast"
-        assert doc["certified"] is False
 
     def test_schema_validates(self, capsys):
         jsonschema = pytest.importorskip("jsonschema")
         schema = json.loads(SCHEMA_PATH.read_text())
         for argv in (("minpoly", "gl", "2", "3,-1/2"),
-                     ("minpoly", "sp", "1", "1"),
-                     ("minpoly", "o", "3", "1", "--mode", "certified")):
+                     ("minpoly", "sp", "1", "1")):
             jsonschema.validate(run_doc(capsys, *argv), schema)
 
     def test_certified_odd_orthogonal(self, capsys):
-        doc = run_doc(capsys, "minpoly", "o", "3", "1", "--mode", "certified")
+        doc = run_doc(capsys, "certify", "o", "3", "1")
         assert doc["roots"] == [["-1", 1], ["1", 1], ["2", 1]]
         assert doc["certified"] is True
 
@@ -131,9 +128,12 @@ class TestNegativeWeights:
         assert doc["roots"] == [["2", 3]]
         assert all(w["residual"] != "0" for w in doc["witnesses"])
 
-    def test_options_after_a_negative_weight(self, capsys):
-        doc = run_doc(capsys, "minpoly", "gl", "2", "-1/2,0",
-                      "--mode", "certified")
+    def test_options_after_a_negative_weight(self, capsys, tmp_path):
+        target = tmp_path / "doc.json"
+        rc, out, err = run(capsys, "certify", "gl", "2", "-1/2,0",
+                           "--json", str(target))
+        assert (rc, out) == (0, ""), err
+        doc = json.loads(target.read_text())
         assert doc["weight"] == ["-1/2", "0"]
         assert doc["certified"] is True
         doc = run_doc(capsys, "relcheck", "sp", "1", "-3", "--K", "5")
@@ -174,8 +174,15 @@ class TestExitCodes:
         assert rc == 1
         assert "--seed" in err
 
+    def test_mode_flag_is_gone(self, capsys):
+        # minpoly once had a certified mode that duplicated certify
+        rc, out, err = run(capsys, "minpoly", "gl", "2", "1,0",
+                           "--mode", "certified")
+        assert (rc, out) == (1, "")
+        assert "--mode" in err
+
     @pytest.mark.parametrize("argv,reads_K", [
-        (("minpoly", "gl", "1", "0", "--mode", "certified"), False),
+        (("certify", "o", "3", "1"), False),
         (("certify", "gl", "1", "0"), False),
         (("relcheck", "gl", "1", "0"), True),
         (("relcheck", "sp", "1", "0"), True),
@@ -189,10 +196,9 @@ class TestExitCodes:
         (("resolvent", "sp", "1", "0"), False),
     ])
     def test_K_only_where_an_order_is_read(self, capsys, argv, reads_K):
-        # shuffle, oracle, poset and the fast mode of minpoly read no
-        # series order, and once accepted a --K that did nothing; the
-        # certifying commands and resolvent once took a --K that changed
-        # no answer
+        # shuffle, oracle, poset and minpoly read no series order, and
+        # once accepted a --K that did nothing; certify and resolvent once
+        # took a --K that changed no answer
         rc, out, err = run(capsys, *argv, "--K", "4")
         if reads_K:
             assert rc == 0, err
@@ -204,19 +210,17 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["minpoly"])
     def test_fast_mode_rejects_K_and_ignores_env(self, capsys, monkeypatch,
                                                  command):
-        # fast mode once exited 0 with --K 1, an order it never read
+        # minpoly once exited 0 with --K 1, an order it never read
         rc, out, err = run(capsys, command, "sp", "2", "1,0", "--K", "1")
         assert (rc, out) == (1, "")
         assert "--K" in err
-        rc, out, err = run(capsys, command, "sp", "2", "1,0",
-                           "--mode", "certified", "--K", "9")
+        rc, out, err = run(capsys, "certify", "sp", "2", "1,0", "--K", "9")
         assert (rc, out) == (1, "")
         assert "--K" in err
-        # an HWPOLY_K of 0 once made the certified mode a usage error
+        # an HWPOLY_K of 0 once made certification a usage error
         monkeypatch.setenv("HWPOLY_K", "0")
         fast = run_doc(capsys, command, "sp", "2", "1,0")
-        certified = run_doc(capsys, command, "sp", "2", "1,0",
-                            "--mode", "certified")
+        certified = run_doc(capsys, "certify", "sp", "2", "1,0")
         assert fast["polynomial"] == certified["polynomial"]
 
     def test_ppdiag_rejects_gl(self, capsys):

@@ -1,14 +1,20 @@
-import pytest
+from fractions import Fraction
 
-from hwpoly.algebra import make_spec
-from hwpoly.enveloping import UElement, project_hc
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import entry_weight, trace, weight
+from hwpoly.algebra import AlgebraSpec, make_spec
+from hwpoly.enveloping import Terms, UElement, pbw_normalize, project_hc
 from hwpoly.genmatrix import (
+    MatrixU,
     generator_matrix,
     generator_power,
     projected_diagonal,
-    trace,
     trace_prime,
 )
+from hwpoly.howe import WeylAlgebra, WeylElement, dual_pair
 
 
 def gen(spec, i, j):
@@ -69,7 +75,8 @@ def test_entries_are_weight_homogeneous(name, n):
                 e = mk[i, j]
                 if e.is_zero():
                     continue
-                assert e.weight() == (spec.entry_weight(i, j) if k else (0,) * spec.n)
+                assert weight(e) == (entry_weight(spec, i, j) if k
+                                     else (0,) * spec.n)
 
 
 @pytest.mark.parametrize("name,n", [("gl", 2), ("sp", 1), ("o_odd", 1), ("o_even", 2)])
@@ -152,3 +159,88 @@ def test_powers_and_memos_hold_ints_only(name, n):
         assert memo
         coeffs += [c for nf in memo.values() for c in nf.values()]
     assert coeffs and {type(c) for c in coeffs} == {int}
+
+
+_COEFFS = st.one_of(st.integers(-3, 3).filter(bool),
+                    st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                              st.integers(2, 3)))
+
+
+@st.composite
+def _u_entries(draw, spec):
+    """A UElement of up to three words of length up to two, or zero."""
+    words = draw(st.lists(st.tuples(_COEFFS, st.lists(
+        st.sampled_from(spec.gens), max_size=2)), max_size=3))
+    return pbw_normalize(spec, words) if words else UElement.zero(spec)
+
+
+@st.composite
+def _weyl_entries(draw, alg):
+    """A WeylElement of up to three monomials, exponents 0..2, or zero."""
+    exps = st.lists(st.integers(0, 2), min_size=alg.nvars,
+                    max_size=alg.nvars)
+    terms = draw(st.dictionaries(st.tuples(exps, exps).map(
+        lambda m: alg.monomial(*m)), _COEFFS, max_size=3))
+    return WeylElement(alg, terms)
+
+
+def _matrix(data, elem, spec, labels, entries):
+    return MatrixU(elem, spec, labels, [[data.draw(entries)
+                                         for _ in labels] for _ in labels])
+
+
+def _assert_reference_product(a, b):
+    # each entry against its sum over the inner label, built element by
+    # element; coefficients obey the coefficient rule
+    got = a * b
+    zero = a.elem.zero(a.spec)
+    for i in a.labels:
+        for j in a.labels:
+            want = sum((a[i, p] * b[p, j] for p in a.labels), zero)
+            assert got[i, j] == want, (i, j)
+            assert all(type(c) is int or c.denominator != 1
+                       for c in got[i, j].terms.values())
+
+
+_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                     database=None)
+
+
+@_PROPERTY
+@given(st.data(), st.sampled_from([("gl", 2), ("sp", 2), ("o_odd", 2)]))
+def test_u_matrix_product_matches_entry_sums(data, name_rank):
+    spec = make_spec(*name_rank)
+    labels = spec.matrix_indices
+    a, b = (_matrix(data, UElement, spec, labels, _u_entries(spec))
+            for _ in range(2))
+    _assert_reference_product(a, b)
+
+
+@_PROPERTY
+@given(st.data(), st.integers(1, 2), st.integers(1, 2), st.integers(1, 3))
+def test_weyl_matrix_product_matches_entry_sums(data, n, k, size):
+    alg = WeylAlgebra(n, k)
+    labels = range(1, size + 1)
+    a, b = (_matrix(data, WeylElement, alg, labels, _weyl_entries(alg))
+            for _ in range(2))
+    _assert_reference_product(a, b)
+
+
+def test_matrix_products_build_no_partial_sums(monkeypatch):
+    # a product adds each entry's terms into one dict through the
+    # entry class's kernel; summing elements would copy the growing
+    # entry once per addend
+    calls = []
+    add = Terms.__add__
+
+    def spy(self, other):
+        calls.append(other)
+        return add(self, other)
+
+    right = dual_pair(3, 3).right
+    monkeypatch.setattr(Terms, "__add__", spy)
+    assert generator_power(AlgebraSpec("o_odd", 2), 4)[1, 1].terms
+    assert right.powers(3)[3][1, 1].terms
+    assert calls == []
+    UElement.one(make_spec("gl", 1)) + 1
+    assert len(calls) == 1

@@ -387,9 +387,11 @@ class TestConvPowers:
         assert check_conv_powers(1, 3, 2).passed
 
     def test_products_keep_int_coefficients(self, monkeypatch):
-        # the checks add their sums in place through _add_product, which
-        # WeylElement.__mul__ also calls; spy on both
-        seen, summed = set(), set()
+        # the checks add their sums in place through _add_product, and the
+        # matrix powers of L and R add each entry through the class's
+        # kernel WeylElement._add_product, which WeylElement.__mul__ also
+        # calls; spy on all three
+        seen, summed, powered = set(), set(), set()
         mul, add_product = WeylElement.__mul__, howe._add_product
 
         def spy(self, other):
@@ -401,14 +403,23 @@ class TestConvPowers:
             add_product(alg, acc, left, right)
             summed.update(type(c) for c in acc.values())
 
+        def spy_kernel(alg, acc, left, right):
+            add_product(alg, acc, left, right)
+            powered.update(type(c) for c in acc.values())
+
         monkeypatch.setattr(WeylElement, "__mul__", spy)
         monkeypatch.setattr(howe, "_add_product", spy_sum)
+        monkeypatch.setattr(WeylElement, "_add_product",
+                            staticmethod(spy_kernel))
         assert check_conv_powers(2, 2, 2).passed
         assert seen == {int}
         assert summed == {int}
+        assert powered == {int}
         summed.clear()
+        powered.clear()
         assert check_resolvent_transfer(2, 2, 2).passed
         assert summed == {int}
+        assert powered == {int}
 
     def test_negative_power_bound_rejected(self):
         # a negative bound would run no check and still report a pass

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import hw_coefficient
 from hwpoly.algebra import make_spec
 from hwpoly.enveloping import (VermaModule, evaluate_at_weight, pbw_normalize,
                                project_hc)
@@ -16,24 +17,6 @@ from hwpoly.oracle import (
 )
 from hwpoly.polyrat import UniPoly
 from hwpoly.shuffle import minpoly_from_weight
-
-
-def hw_coefficient(spec, word, lam):
-    """Coefficient of v_lambda in word . v_lambda, through the Verma action.
-
-    The word's matrix index pairs act right to left; the action runs on
-    the basis rescaled by the module's scale d, so the int coefficient
-    it leaves is divided by d to the word's length.  v_lambda is the
-    packed monomial 0.
-    """
-    verma = VermaModule(spec, lam)
-    state = {0: 1}
-    for i, j in reversed(word):
-        c, idx = spec.resolve(i, j)
-        if idx is None:
-            return Fraction(0)
-        state = verma.apply(idx, state, c)
-    return Fraction(state.get(0, 0), verma.scale ** len(word))
 
 
 def mat_mul(a, b):
