@@ -158,5 +158,9 @@ def trace_prime(m: MatrixU) -> UElement:
     spec = m.spec
     if spec.family is Family.GL:
         raise ValueError("trace_prime is defined for the o/sp families only")
-    return sum((e for lbl, e in m.diagonal() if abs(lbl) != spec.n),
-               UElement.zero(spec))
+    acc = {}
+    for lbl, e in m.diagonal():
+        if abs(lbl) != spec.n:
+            for mono, c in e.terms.items():
+                acc[mono] = acc.get(mono, 0) + c
+    return UElement._element(spec, acc)
