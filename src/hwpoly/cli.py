@@ -61,12 +61,12 @@ def _parse_weight(text: str):
         raise _Usage(f"cannot parse weight {text!r}")
 
 
-def _spec_for(family: str, num: int):
+def _family_rank(family: str, num: int):
     if family != "o":
-        return make_spec(family, num)
+        return family, num
     if num < 2:
         raise _Usage("orthogonal size must be at least 2")
-    return make_spec("o_even" if num % 2 == 0 else "o_odd", num // 2)
+    return ("o_even" if num % 2 == 0 else "o_odd"), num // 2
 
 
 def _int_at_least(text: str, least: int) -> int:
@@ -275,15 +275,20 @@ def _document(args):
     """The document of the parsed command.
 
     A command on an algebra gets its spec, and its weight when it takes
-    one: handler(spec, lam, args) or handler(spec, args).  The others
-    (shuffle, howe) get handler(args).
+    one, checked against the rank before the spec's tables (quadratic in
+    it) are built: handler(spec, lam, args) or handler(spec, args).  The
+    others (shuffle, howe) get handler(args).
     """
     if "num" not in args:
         return args.handler(args)
-    spec = _spec_for(args.family, args.num)
+    family, n = _family_rank(args.family, args.num)
     if "weight" not in args:
+        spec = make_spec(family, n)
         return {"algebra": spec.label, **args.handler(spec, args)}
     lam = _parse_weight(args.weight)
+    if n >= 0 and len(lam) != n:
+        raise _Usage(f"weight must have {n} coordinates, got {len(lam)}")
+    spec = make_spec(family, n)
     return {"algebra": spec.label, "weight": [_s(x) for x in lam],
             **args.handler(spec, lam, args)}
 

@@ -6,11 +6,13 @@ zero tests, so approximate arithmetic would prove nothing.
 
 UniPoly stores coefficients in ascending degree order with trailing
 zeros stripped, hence equal values have equal representations.  A
-UniPoly built by from_roots also keeps its root multiset, so reporting
-or certifying it never searches for rational roots; the divisor search
+UniPoly built from its roots keeps its root multiset, so reporting or
+certifying it never searches for rational roots; the divisor search
 serves polynomials known only by their coefficients, such as Pade
 denominators and the oracle's Krylov annihilators, and runs at most
-once per polynomial, which keeps what it found.
+once per polynomial, which keeps what it found.  Roots are multiplied
+out in ints over their common denominator (scaled_product); Fractions
+are made only for the coefficients and roots kept.
 
 series_of_rational expands a rational function in powers of 1/u around
 u = infinity: a polynomial part plus the tail of coefficients of
@@ -49,6 +51,18 @@ def clear_denominators(values: Sequence[Fraction]):
     """(D, [D x for x in values]) in ints, D the least common denominator."""
     D = lcm(*(x.denominator for x in values))
     return D, [x.numerator * (D // x.denominator) for x in values]
+
+
+def scaled_product(roots: Iterable[int]) -> "list[int]":
+    """Ascending int coefficients of the product of (v - a) over the roots."""
+    cs = [1]
+    for a in roots:
+        # multiply by (v - a) in place, highest degree first
+        cs.append(1)
+        for k in range(len(cs) - 2, 0, -1):
+            cs[k] = cs[k - 1] - a * cs[k]
+        cs[0] = -a * cs[0]
+    return cs
 
 
 class TruncationError(ValueError):
@@ -104,27 +118,24 @@ class UniPoly:
 
     @classmethod
     def from_roots(cls, roots: Iterable) -> "UniPoly":
-        """The monic product of (u - r) over the roots, with repetition.
+        """The monic product of (u - r) over the roots, with repetition."""
+        return cls.from_scaled_roots(
+            *clear_denominators([rat(r) for r in roots]))
 
-        The result remembers its roots as the sorted (root,
-        multiplicity) list that rational_roots reports.  The product is
-        taken in ints: with D the common denominator of the m roots and
-        a_j = D r_j, the product of the (v - a_j) has int coefficients
-        Q_k, and substituting v = D u makes coefficient k of the result
-        Q_k / D^(m-k).
+    @classmethod
+    def from_scaled_roots(cls, D: int, scaled: Iterable[int]) -> "UniPoly":
+        """from_roots of the roots a / D, multiplied out in ints.
+
+        With Q_k the coefficients of scaled_product, v = D u makes
+        coefficient k equal Q_k / D^(m-k).  The result remembers its
+        roots as the sorted (root, multiplicity) list of rational_roots.
         """
-        rs = sorted(rat(r) for r in roots)
-        D, scaled = clear_denominators(rs)
-        cs = [1]
-        for a in scaled:
-            # multiply by (v - a) in place, highest degree first
-            cs.append(1)
-            for k in range(len(cs) - 2, 0, -1):
-                cs[k] = cs[k - 1] - a * cs[k]
-            cs[0] = -a * cs[0]
-        m = len(rs)
-        p = cls(Fraction(c, D ** (m - k)) for k, c in enumerate(cs))
-        p._roots = tuple(Counter(rs).items())
+        scaled = sorted(scaled)
+        m = len(scaled)
+        p = cls(Fraction(c, D ** (m - k))
+                for k, c in enumerate(scaled_product(scaled)))
+        p._roots = tuple((Fraction(a, D), k)
+                         for a, k in Counter(scaled).items())
         return p
 
     @property

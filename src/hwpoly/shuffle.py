@@ -37,6 +37,11 @@ ranks one and two; without them the fast answer can miss the middle
 root (lambda = (-2,) at rank one) or keep a root the simple module
 does not support (lambda = (1/2,) at rank one, where the module is a
 two-component tensor square constituent).
+
+Both decompositions and the root formula run on ints scaled by the
+least common denominator d of the sequence and epsilon, so a step of one
+is a step of d.  minpoly_from_weight multiplies the int roots out
+directly; Fractions are made only for a ShuffleDecomposition record.
 """
 
 from __future__ import annotations
@@ -44,8 +49,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import AlgebraSpec, Family, as_weight
-from .polyrat import InvariantError, UniPoly, rat
+from .algebra import AlgebraSpec, as_weight
+from .polyrat import InvariantError, UniPoly, clear_denominators, rat
 
 PLAIN, STARRED = "plain", "starred"
 
@@ -57,17 +62,6 @@ class Part(NamedTuple):
     origins: tuple
     mirror_id: int
 
-    @property
-    def first(self):
-        return self.terms[0]
-
-    @property
-    def last(self):
-        return self.terms[-1]
-
-    def all_plain(self):
-        return all(o == PLAIN for o in self.origins)
-
 
 class ShuffleDecomposition(NamedTuple):
     """Parts of a gl or mirror shuffle, with parity data for the latter."""
@@ -77,78 +71,94 @@ class ShuffleDecomposition(NamedTuple):
     parts: tuple
     parity: "str | None"       # "even" / "odd" for mirror, None for gl
     epsilon: "Fraction | None"
-
-    def endpoint_multiset(self):
-        if self.kind != "gl":
-            raise ValueError("endpoints describe the gl decomposition")
-        return sorted(p.last for p in self.parts)
+    scaled_roots: tuple        # (d, ascending ints a): the roots are a / d
 
     def roots(self):
         """Root multiset of the minimal polynomial, sorted ascending."""
-        if self.kind == "gl":
-            return self.endpoint_multiset()
-        n = len(self.sequence)
-        first = [p.first for p in self.parts]
-        if self.parity == "odd":
-            try:
-                first.remove(-self.epsilon)
-            except ValueError:
-                raise InvariantError(
-                    "odd decomposition must contain a part starting at -epsilon")
-        if self.epsilon == Fraction(1, 2):
-            # the odd orthogonal matrix has a middle row the doubled
-            # sequence does not see
-            if self.parity == "even":
-                first.append(-self.epsilon)
-            gate = self.epsilon + Fraction(1, 2)
-            if any(p.all_plain() and p.last == gate for p in self.parts):
-                first.remove(-gate)
-        return sorted(n - 1 + self.epsilon - a for a in first)
+        d, roots = self.scaled_roots
+        return [Fraction(a, d) for a in roots]
+
+
+def _gl_parts(seq, d):
+    """Greedy falling runs of (value, origin) of seq, in steps of d."""
+    parts = []
+    for x in seq:
+        ends = [t for t in parts if t[-1][0] == x + d]
+        if ends:
+            # max keeps the earliest of the longest
+            max(ends, key=len).append((x, PLAIN))
+        else:
+            parts.append([(x, PLAIN)])
+    return parts
+
+
+def _mirror_parts(seq, d):
+    """Mirror pairs of (value, origin) of seq and their mirror indices."""
+    parts, mirror = [], []
+    for x in reversed(seq):
+        best = max((k for k, t in enumerate(parts) if t[0][0] == x - d),
+                   key=lambda k: len(parts[k]), default=None)
+        if best is None:
+            parts += [[(x, PLAIN)], [(-x, STARRED)]]
+            mirror += [len(parts) - 1, len(parts) - 2]
+        else:
+            parts[best].insert(0, (x, PLAIN))
+            parts[mirror[best]].append((-x, STARRED))
+    return parts, mirror
+
+
+def _mirror_roots(parts, n, d, e):
+    """(odd, ascending int roots) of mirror parts scaled by d, e = d epsilon."""
+    plain_ends = [t[-1][0] for t in parts if all(o == PLAIN for _, o in t)]
+    odd = e in plain_ends
+    first = [t[0][0] for t in parts]
+    if odd:
+        try:
+            first.remove(-e)
+        except ValueError:
+            raise InvariantError(
+                "odd decomposition must contain a part starting at -epsilon")
+    if 2 * e == d:
+        # the odd orthogonal matrix has a middle row the doubled
+        # sequence does not see; the gate epsilon + 1/2 is d here
+        if not odd:
+            first.append(-e)
+        if d in plain_ends:
+            first.remove(-d)
+    return odd, sorted((n - 1) * d + e - a for a in first)
+
+
+def _shuffle(seq, epsilon):
+    """(d, parts, mirror, parity, roots) on ints; epsilon None selects gl."""
+    d, scaled = clear_denominators(seq + (0 if epsilon is None else epsilon,))
+    e = scaled.pop()
+    if epsilon is None:
+        parts = _gl_parts(scaled, d)
+        return d, parts, None, None, sorted(t[-1][0] for t in parts)
+    parts, mirror = _mirror_parts(scaled, d)
+    odd, roots = _mirror_roots(parts, len(seq), d, e)
+    return d, parts, mirror, "odd" if odd else "even", roots
+
+
+def _decomposition(seq, epsilon) -> ShuffleDecomposition:
+    seq = tuple(rat(x) for x in seq)
+    d, parts, mirror, parity, roots = _shuffle(seq, epsilon)
+    return ShuffleDecomposition(
+        "gl" if mirror is None else "mirror", seq,
+        tuple(Part(tuple(Fraction(v, d) for v, _ in t),
+                   tuple(o for _, o in t), k if mirror is None else mirror[k])
+              for k, t in enumerate(parts)),
+        parity, epsilon, (d, tuple(roots)))
 
 
 def shuffle_gl(seq) -> ShuffleDecomposition:
     """Greedy decomposition of a gl shifted weight into falling runs."""
-    seq = tuple(rat(x) for x in seq)
-    parts = []
-    for x in seq:
-        best = None
-        for k, t in enumerate(parts):
-            if t[-1] == x + 1 and (best is None or len(t) > len(parts[best])):
-                best = k
-        if best is None:
-            parts.append([x])
-        else:
-            parts[best].append(x)
-    packed = tuple(
-        Part(tuple(t), (PLAIN,) * len(t), k) for k, t in enumerate(parts))
-    return ShuffleDecomposition("gl", seq, packed, None, None)
+    return _decomposition(seq, None)
 
 
 def shuffle_mirror(seq, epsilon) -> ShuffleDecomposition:
     """Mirror symmetric decomposition of l and its negated reverse."""
-    seq = tuple(rat(x) for x in seq)
-    epsilon = rat(epsilon)
-    terms = []    # per part: list of (value, origin)
-    mirror = []   # per part: index of the mirrored part
-    for x in reversed(seq):
-        best = None
-        for k, t in enumerate(terms):
-            if t[0][0] == x - 1 and (best is None or len(t) > len(terms[best])):
-                best = k
-        if best is None:
-            terms.append([(x, PLAIN)])
-            mirror.append(len(terms))
-            terms.append([(-x, STARRED)])
-            mirror.append(len(terms) - 2)
-        else:
-            terms[best].insert(0, (x, PLAIN))
-            terms[mirror[best]].append((-x, STARRED))
-    packed = tuple(
-        Part(tuple(v for v, _ in t), tuple(o for _, o in t), mirror[k])
-        for k, t in enumerate(terms))
-    odd = any(p.all_plain() and p.last == epsilon for p in packed)
-    return ShuffleDecomposition("mirror", seq, packed,
-                                "odd" if odd else "even", epsilon)
+    return _decomposition(seq, rat(epsilon))
 
 
 def shifted_weight(spec: AlgebraSpec, lam):
@@ -159,10 +169,7 @@ def shifted_weight(spec: AlgebraSpec, lam):
 
 def decompose(spec: AlgebraSpec, lam) -> ShuffleDecomposition:
     """The decomposition appropriate to the spec's family."""
-    l = shifted_weight(spec, lam)
-    if spec.family is Family.GL:
-        return shuffle_gl(l)
-    return shuffle_mirror(l, spec.epsilon)
+    return _decomposition(shifted_weight(spec, lam), spec.epsilon)
 
 
 def minpoly_from_weight(spec: AlgebraSpec, lam) -> UniPoly:
@@ -173,4 +180,5 @@ def minpoly_from_weight(spec: AlgebraSpec, lam) -> UniPoly:
     certified_minimal_polynomial derives it independently through the
     projection criteria.
     """
-    return UniPoly.from_roots(decompose(spec, lam).roots())
+    d, *_, roots = _shuffle(shifted_weight(spec, lam), spec.epsilon)
+    return UniPoly.from_scaled_roots(d, roots)

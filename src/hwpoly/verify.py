@@ -16,12 +16,15 @@ certifier: annihilation_residuals(series, q), certify_minimal(series, q)
 and projected_resolvent(series) all read its spec and weight, and share
 its terms.  certified_minimal_polynomial builds one per call.
 
-The certifier's hot path is integer end to end.  A residual clears the
-denominators of q once and sums int products per diagonal entry, so
-each entry makes one Fraction; a divisor q / (u - root) is found by
-synthetic division in ints, and a candidate is multiplied out from its
-roots in ints (UniPoly.from_roots).  Only the reported numbers are
-Fractions, and each equals its Fraction-arithmetic definition exactly.
+The certifier's hot path is integer end to end.  A residual is one int
+dot product per diagonal entry of q's cleared coefficients with the
+series numerators.  certify_minimal holds the candidate's roots as ints
+a over their common denominator D: dropping a root drops one int from
+that multiset, and each divisor it tries is that multiset multiplied
+out in ints (scaled_product).  Fractions are made only for the nonzero
+residuals reported, as witnesses or with CertificationError, and for
+the certified polynomial; each equals its Fraction-arithmetic
+definition exactly.
 
 certify_minimal takes one pass over a monic candidate q: it evaluates
 q once, and its single verdict, CertificationError, means q does not
@@ -59,7 +62,8 @@ from .enveloping import (
 from .genmatrix import generator_power, projected_diagonal, trace_prime
 from .linalg import ONE, ZERO
 from .polyrat import (CertificationError, UniPoly, clear_denominators,
-                      monic_lcm, pade_reconstruct, series_of_rational)
+                      monic_lcm, pade_reconstruct, scaled_product,
+                      series_of_rational)
 from .shuffle import decompose, shifted_weight
 
 
@@ -126,7 +130,12 @@ class DiagonalSeries:
     VermaModule: with d its scale, M_pq = c x_g = (c/d) x'_g for the
     int sign c, so the recurrence steps with c alone, the stored column
     is d^k u^(k), and each step stores the int n_i(k), the coefficient
-    of v_lambda, with s_i(k) = n_i(k) / d^k.  The last term a request
+    of v_lambda, with s_i(k) = n_i(k) / d^k.  A column is one dict
+    keyed by the packed pair (nu << shift) | p of a Verma monomial nu
+    and a position p, so v_lambda in u_i is the key i.  A step looks up
+    one row per key (nu, q), memoised per weight: the packed keys
+    (tau, p) with their coefficients c * coef in sum_p M_pq x nu over
+    M's column q, built from VermaModule.act.  The last term a request
     needs is read off the columns one power below it, through the one
     row sum_q M_iq u_q of each column, so no column is stepped to a
     power that no request has reached; a later, longer request steps
@@ -143,8 +152,10 @@ class DiagonalSeries:
         self.lam = as_weight(spec, lam)
         self._module = VermaModule(spec, self.lam)
         self._entries = _entry_table(spec)
+        self._shift = len(self._entries).bit_length()
         # the columns hold u^(depth); n(0) .. n(order - 1) are known
-        self._columns = [{p: {0: 1}} for p in range(len(self._entries))]
+        self._columns = [{p: 1} for p in range(len(self._entries))]
+        self._rows = {}
         self._numerators = [[1] for _ in self._entries]
         self._depth, self._order = 0, 1
 
@@ -170,34 +181,50 @@ class DiagonalSeries:
 
     def _step(self):
         """Columns u^(depth) -> u^(depth + 1), recording n(depth + 1) once."""
-        apply = self._module.apply
-        entries = self._entries
+        rows = self._rows
         for i, column in enumerate(self._columns):
             new = {}
-            for q, vec in column.items():
-                for p, (c, g) in entries[q].items():
-                    apply(g, vec, c, new.setdefault(p, {}))
-            self._columns[i] = {p: vec for p, vec in new.items() if vec}
+            get = new.get
+            for key, cv in column.items():
+                row = rows.get(key)
+                if row is None:
+                    row = rows[key] = self._row(key)
+                pairs = iter(row)
+                for out, c in zip(pairs, pairs):
+                    new[out] = get(out, 0) + cv * c
+            self._columns[i] = {key: c for key, c in new.items() if c}
         self._depth += 1
         if self._depth == self._order:
-            self._record(column.get(i, {}).get(0, 0)
+            self._record(column.get(i, 0)
                          for i, column in enumerate(self._columns))
+
+    def _row(self, key):
+        """The row of key = (nu, q): M_pq nu over M's column q, flat.
+
+        Each term coef tau of c x'_g nu, for M_pq = c x_g, adds the
+        packed key (tau << shift) | p and then its int c * coef.
+        """
+        act, shift = self._module.act, self._shift
+        nu, q = key >> shift, key & ((1 << shift) - 1)
+        return [x for p, (c, g) in self._entries[q].items()
+                for tau, ct in act(g, nu).items()
+                for x in ((tau << shift) | p, c * ct)]
 
     def _last_term(self):
         """n(depth + 1) from the columns u^(depth), leaving them there."""
-        act = self._module.act
+        act, shift = self._module.act, self._shift
+        mask = (1 << shift) - 1
         entries = self._entries
         terms = []
         for i, column in enumerate(self._columns):
             total = 0
-            for q, vec in column.items():
-                entry = entries[q].get(i)
+            for key, cv in column.items():
+                entry = entries[key & mask].get(i)
                 if entry is not None:
                     c, g = entry
                     # x'_g takes u_q into the weight space of v_lambda,
                     # which holds v_lambda alone
-                    total += c * sum(cv * act(g, nu).get(0, 0)
-                                     for nu, cv in vec.items())
+                    total += c * cv * act(g, key >> shift).get(0, 0)
             terms.append(total)
         self._record(terms)
 
@@ -209,52 +236,38 @@ class DiagonalSeries:
 
 def annihilation_residuals(series: DiagonalSeries, q: UniPoly):
     """Evaluated projection of each diagonal entry of q(M) at series.lam."""
-    return tuple(_residuals(series, q))
+    return tuple(_residuals(series, *clear_denominators(q.coeffs)))
 
 
-def _residuals(series: DiagonalSeries, q: UniPoly):
-    """Yield (label, residual) per diagonal entry, each on demand.
+def _residuals(series: DiagonalSeries, den: int, coeffs):
+    """Yield (label, residual) per diagonal entry of q, each on demand.
 
-    With q = sum (a_k / D) u^k over the common denominator D of its
-    coefficients and s(k) = n(k) / d^k, the residual sum a_k s(k) / D
-    is (sum a_k d^(m-k) n(k)) / (D d^m) for m = deg q: one int sum per
+    q = sum (coeffs[k] / den) u^k for ints den and coeffs.  With
+    s(k) = n(k) / d^k and m = deg q, the residual sum coeffs[k] s(k) / den
+    is (sum coeffs[k] d^(m-k) n(k)) / (den d^m): one int dot product per
     entry and one Fraction, or ZERO when the sum is 0.
     """
-    d, cols = series.numerators(len(q.coeffs))
-    den, weights = clear_denominators(q.coeffs)
-    top = max(len(weights) - 1, 0)
-    weights = [a * d ** (top - k) for k, a in enumerate(weights)]
+    d, cols = series.numerators(len(coeffs))
+    top = max(len(coeffs) - 1, 0)
+    weights = [a * d ** (top - k) for k, a in enumerate(coeffs)]
     den *= d ** top
     for label, col in zip(series.spec.matrix_indices, cols):
         total = sum(map(mul, weights, col))
         yield label, Fraction(total, den) if total else ZERO
 
 
-def _deflate(q: UniPoly, root) -> UniPoly:
-    """q / (u - root) by synthetic division, for a root of q.
+def _witness(series: DiagonalSeries, D: int, roots, a):
+    """First (label, residual) left nonzero without one root a / D, or None.
 
-    The division runs in ints: with q = sum (A_k / D) u^k of degree m
-    and root = p / s, the quotient's coefficient k is
-    B_k / (D s^(m-1-k)), where B_(m-1) = A_m and
-    B_(k-1) = A_k s^(m-k) + p B_k.
+    roots holds the scaled roots of q, with repetition, and the divisor
+    q / (u - a/D) is the product over the others: with the ints Q_k of
+    that product in v = D u, its coefficient k is Q_k D^k / D^(m-1).
     """
-    D, A = clear_denominators(q.coeffs)
-    p, s = root.numerator, root.denominator
-    B, power = [A[-1]], 1
-    for a in A[-2:0:-1]:
-        power *= s
-        B.append(a * power + p * B[-1])
-    out, den = [], D
-    for b in B:
-        out.append(Fraction(b, den))
-        den *= s
-    return UniPoly(reversed(out))
-
-
-def _witness(series: DiagonalSeries, q: UniPoly, root):
-    """First (label, residual) that q / (u - root) leaves nonzero, or None."""
-    return next(((lab, r) for lab, r in _residuals(series, _deflate(q, root))
-                 if r), None)
+    rest = list(roots)
+    rest.remove(a)
+    coeffs = [c * D ** k for k, c in enumerate(scaled_product(rest))]
+    return next(((lab, r) for lab, r
+                 in _residuals(series, D ** len(rest), coeffs) if r), None)
 
 
 def certify_minimal(series: DiagonalSeries, q: UniPoly) -> Certificate:
@@ -263,16 +276,17 @@ def certify_minimal(series: DiagonalSeries, q: UniPoly) -> Certificate:
     lambda is series.lam.  Raises CertificationError when q fails to
     annihilate, and ValueError when q is not monic or does not split
     over the rationals.  The roots of q are found once (read back, when
-    q was built by UniPoly.from_roots) and q is evaluated once.  Then
-    each distinct root, in ascending order, is dropped for as long as
-    the divisor q / (u - root), one synthetic division, still
+    q was built by UniPoly.from_roots) and q is evaluated once.  The
+    roots are then held as ints a over their common denominator D, and
+    each distinct root, in ascending order, is dropped from that
+    multiset for as long as the product of what is left still
     annihilates; once it does not, the first entry it leaves nonzero is
     that root's witness.  A root that is not dropped stays so in every
     divisor of q, so the roots left are exactly those of the minimal
-    polynomial.  After a drop the polynomial is rebuilt from its root
-    multiset, and the witnesses taken before the last drop are taken
-    again against it.  Either way the certified polynomial carries its
-    roots.
+    polynomial.  After a drop the polynomial is built from the root
+    multiset left, and the witnesses taken before the last drop are
+    taken again against it.  Either way the certified polynomial
+    carries its roots.
     """
     if not q.is_monic():
         raise ValueError("candidate polynomial must be monic")
@@ -281,18 +295,21 @@ def certify_minimal(series: DiagonalSeries, q: UniPoly) -> Certificate:
     if any(r for _, r in residuals):
         raise CertificationError(
             f"{q} does not annihilate at weight {series.lam}", residuals)
-    kept, witnesses, stale = [], [], None
-    for root, m in roots:
-        while m and (hit := _witness(series, q, root)) is None:
-            q, m, stale = _deflate(q, root), m - 1, len(witnesses)
+    D, scaled = clear_denominators([root for root, _ in roots])
+    multiset = [a for a, (_, m) in zip(scaled, roots) for _ in range(m)]
+    found, stale = [], None
+    for a, (root, m) in zip(scaled, roots):
+        while m and (hit := _witness(series, D, multiset, a)) is None:
+            multiset.remove(a)
+            m, stale = m - 1, len(found)
         if m:
-            kept += [root] * m
-            witnesses.append((root, *hit))
+            found.append((a, root, hit))
     if stale is not None:
-        q = UniPoly.from_roots(kept)
-        witnesses[:stale] = [(root, *_witness(series, q, root))
-                             for root, _, _ in witnesses[:stale]]
-    return Certificate(series.lam, q, residuals, tuple(witnesses))
+        q = UniPoly.from_scaled_roots(D, multiset)
+        found[:stale] = [(a, root, _witness(series, D, multiset, a))
+                         for a, root, _ in found[:stale]]
+    witnesses = tuple((root, *hit) for _, root, hit in found)
+    return Certificate(series.lam, q, residuals, witnesses)
 
 
 def resolvent_order(spec: AlgebraSpec) -> int:

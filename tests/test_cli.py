@@ -1,7 +1,10 @@
 import json
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +14,7 @@ from hwpoly.verify import CertificationError
 
 SCHEMA_PATH = pathlib.Path(__file__).resolve().parent.parent / "docs" / "cli_schema.json"
 README_PATH = SCHEMA_PATH.parent.parent / "README.md"
+SRC_PATH = SCHEMA_PATH.parent.parent / "src"
 # recorded exit code and stdout document of each invocation (None for an
 # empty stdout); --help text is left out, as it varies between Pythons
 DOCUMENTS = json.loads(
@@ -168,6 +172,20 @@ class TestExitCodes:
     def test_wrong_weight_length(self, capsys):
         rc, _, err = run(capsys, "minpoly", "gl", "3", "1,0")
         assert rc == 1
+
+    @pytest.mark.parametrize("family,num,rank", [
+        ("gl", "1000000", 1000000), ("o", "2000001", 1000000)])
+    def test_short_weight_at_a_huge_rank_exits_at_once(self, family, num,
+                                                       rank):
+        # the spec's tables grow as the square of the rank, so the
+        # weight's length is checked before the spec is built
+        done = subprocess.run(
+            [sys.executable, "-m", "hwpoly.cli", "minpoly", family, num, "0"],
+            env=dict(os.environ, PYTHONPATH=str(SRC_PATH)),
+            capture_output=True, text=True, timeout=10)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == (
+            f"hwpoly: weight must have {rank} coordinates, got 1\n")
 
     def test_seed_flag_is_gone(self, capsys):
         rc, _, err = run(capsys, "minpoly", "gl", "2", "1,0", "--seed", "3")

@@ -1,7 +1,9 @@
 """Shuffle decompositions and the fast minimal polynomial."""
 
+import hashlib
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,8 +12,7 @@ from hwpoly.polyrat import InvariantError, UniPoly
 from hwpoly.shuffle import (
     PLAIN,
     STARRED,
-    Part,
-    ShuffleDecomposition,
+    _mirror_roots,
     decompose,
     minpoly_from_weight,
     shifted_weight,
@@ -28,7 +29,7 @@ class TestShuffleGL:
     def test_worked_example(self):
         dec = shuffle_gl([3, 3, 2, 4, 1, 3, 2, 2, 1])
         assert part_tuples(dec) == [(3, 2), (3, 2, 1), (4, 3, 2, 1)]
-        assert dec.endpoint_multiset() == [1, 1, 2]
+        assert dec.roots() == [1, 1, 2]
 
     def test_two_singletons(self):
         dec = shuffle_gl([5, 3])
@@ -142,8 +143,8 @@ class TestShuffleMirror:
         # l = 3/2, the vector representation of the rank one odd algebra
         dec = shuffle_mirror([Fraction(3, 2)], Fraction(1, 2))
         assert dec.parity == "even"
-        assert sorted(p.first for p in dec.parts) == [Fraction(-3, 2),
-                                                    Fraction(3, 2)]
+        assert sorted(p.terms[0] for p in dec.parts) == [Fraction(-3, 2),
+                                                         Fraction(3, 2)]
         assert dec.roots() == [-1, 1, 2]
 
     def test_odd3_middle_root_multiplicity(self):
@@ -195,16 +196,13 @@ class TestShuffleMirror:
                 seq = [rng.randint(-2, 4) + eps for _ in range(n)]
                 dec = shuffle_mirror(seq, eps)
                 if dec.parity == "odd":
-                    assert -eps in [p.first for p in dec.parts]
+                    assert -eps in [p.terms[0] for p in dec.parts]
                     dec.roots()
 
     def test_odd_parity_needs_a_part_at_minus_epsilon(self):
-        parts = (Part((Fraction(3),), (PLAIN,), 1),
-                 Part((Fraction(-3),), (STARRED,), 0))
-        dec = ShuffleDecomposition("mirror", (Fraction(3),), parts, "odd",
-                                   Fraction(1))
+        # an all-plain part ends at epsilon = 1 but no part starts at -1
         with pytest.raises(InvariantError):
-            dec.roots()
+            _mirror_roots([[(2, PLAIN), (1, PLAIN)], [(-3, STARRED)]], 2, 1, 1)
 
 
 class TestMinpolyFromWeight:
@@ -267,3 +265,31 @@ def test_float_sequences_are_rejected():
         shuffle_mirror([1], 0.5)
     with pytest.raises(TypeError):
         minpoly_from_weight(make_spec("sp", 1), (0.5,))
+
+
+# sha256 of every decompose record and root multiset on the boxes below,
+# recorded before the decompositions moved to ints
+BOX_DIGEST = "a3729f84fceb1029170f80e4b25e6bb4b6b08b88294b4d0dd0c78299a5985838"
+BOXES = [(2, -3, 3, Fraction(1, 2)), (2, -2, 2, Fraction(1, 3)),
+         (3, -2, 2, Fraction(1))]
+
+
+def test_fast_engine_on_whole_boxes():
+    digest, count = hashlib.sha256(), 0
+    for family in ("gl", "sp", "o_even", "o_odd"):
+        for rank, lo, hi, step in BOXES:
+            spec = make_spec(family, rank)
+            values = [lo + k * step for k in range(int((hi - lo) / step) + 1)]
+            for lam in product(values, repeat=rank):
+                dec = decompose(spec, lam)
+                roots = dec.roots()
+                line = repr(([str(x) for x in lam],
+                             [([str(t) for t in p.terms], list(p.origins),
+                               p.mirror_id) for p in dec.parts],
+                             dec.parity, [str(r) for r in roots]))
+                digest.update(line.encode() + b"\n")
+                count += 1
+                fast = minpoly_from_weight(spec, lam).rational_roots()
+                assert [r for r, m in fast for _ in range(m)] == roots
+    assert count == 1852
+    assert digest.hexdigest() == BOX_DIGEST

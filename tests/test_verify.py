@@ -91,9 +91,15 @@ class TestDiagonalSeries:
                 assert type(nu) is int
                 assert all(type(tau) is int and type(c) is int
                            for tau, c in image.items())
+        # columns, the step memo and its rows key each int by the packed
+        # pair (monomial, position); a row alternates key and coefficient
         for column in series._columns:
-            for vec in column.values():
-                assert vec and all(type(c) is int for c in vec.values())
+            assert all(type(key) is int and type(c) is int and c
+                       for key, c in column.items())
+        assert series._rows
+        for key, row in series._rows.items():
+            assert type(key) is int
+            assert len(row) % 2 == 0 and all(type(x) is int for x in row)
         d, numerators = series.numerators(8)
         assert d == 6
         assert all(len(col) == 8 and all(type(n) is int for n in col)
@@ -185,6 +191,60 @@ def test_residuals_match_the_fraction_reference(data):
     assert all(type(r) is F for _, r in got)
     if annihilating:
         assert not any(r for _, r in got)
+
+
+def _fraction_residuals(spec, cols, p):
+    return tuple((label, sum((c * s for c, s in zip(p.coeffs, col)), F(0)))
+                 for label, col in zip(spec.matrix_indices, cols))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_certify_minimal_matches_the_fraction_reference(data):
+    # candidates with roots of denominators 1, 2, 3 and 6, repeated roots
+    # of the answer and roots outside it; the reference divides in
+    # Fractions and reads the minimal polynomial off every divisor
+    family, n = data.draw(st.sampled_from(_RESIDUAL_SPECS))
+    spec = make_spec(family, n)
+    scale = data.draw(st.sampled_from([1, 2, 3, 6]))
+    # the first coordinate has denominator exactly scale
+    lam = (F(1 + scale * data.draw(st.integers(-3, 3)), scale),) + tuple(
+        F(data.draw(st.integers(-9, 9)), scale) for _ in range(n - 1))
+    series = DiagonalSeries(spec, lam)
+    answer, _ = certified_minimal_polynomial(spec, lam)
+    roots = [r for r, m in answer.rational_roots() for _ in range(m)]
+    extra = data.draw(st.lists(st.sampled_from(roots), max_size=2))
+    if data.draw(st.integers(0, 3)) == 0:
+        # one copy short: annihilates only if extra held that root
+        roots.remove(data.draw(st.sampled_from(roots)))
+    roots += extra + data.draw(st.lists(_ROOT, max_size=2))
+    q = UniPoly.from_roots(roots)
+    cols = series.values(len(q.coeffs))
+    reference = _fraction_residuals(spec, cols, q)
+    if any(r for _, r in reference):
+        with pytest.raises(CertificationError) as exc:
+            certify_minimal(series, q)
+        assert exc.value.residuals == reference
+        return
+    cert = certify_minimal(series, q)
+    assert cert.residuals == reference
+    factors = [(UniPoly((-r, 1)), m) for r, m in q.rational_roots()]
+    divisors = []
+    for drops in product(*(range(m + 1) for _, m in factors)):
+        p = q
+        for (factor, _), k in zip(factors, drops):
+            p = p // factor ** k
+        if not any(r for _, r in _fraction_residuals(spec, cols, p)):
+            divisors.append(p)
+    least = min(divisors, key=lambda p: p.degree)
+    assert all(least.divides(p) for p in divisors)
+    assert cert.polynomial == least
+    witnesses = []
+    for r, _ in least.rational_roots():
+        short = least // UniPoly((-r, 1))
+        witnesses.append((r, *next(
+            hit for hit in _fraction_residuals(spec, cols, short) if hit[1])))
+    assert cert.witnesses == tuple(witnesses)
 
 
 class TestCertifyMinimal:
