@@ -5,8 +5,9 @@ rank n, and with them the combinatorial skeleton the rest of the
 package works against: the canonical generator list in its global PBW
 order, structure constants, triangular classes, the Cartan coordinates,
 and the parabolic (Levi) data of the nested subalgebra chain.  No
-table of ad-weights is kept, as no computation reads one; the weight w
-of a generator x is the one its Cartan brackets give, [H_k, x] = w_k x.
+table of ad-weights is kept here; the weight w of a generator x is the
+one its Cartan brackets give, [H_k, x] = w_k x, and the Verma module
+reads it off the index pair of x.
 
 Index conventions.  gl_n rows and columns run 1..n.  The orthogonal
 and symplectic algebras of rank n act on C^N with rows indexed by
@@ -58,8 +59,9 @@ class Family(enum.Enum):
             raise ValueError(f"unknown family {value!r}") from None
 
 
-_EPSILON = {Family.O_EVEN: Fraction(0), Family.O_ODD: Fraction(1, 2),
-            Family.SP: Fraction(1)}
+# epsilon of the orthogonal and symplectic families
+EPSILON = {Family.O_EVEN: Fraction(0), Family.O_ODD: Fraction(1, 2),
+           Family.SP: Fraction(1)}
 
 
 class AlgebraSpec:
@@ -84,7 +86,7 @@ class AlgebraSpec:
         else:
             odd = family is Family.O_ODD
             self.N = 2 * n + (1 if odd else 0)
-            self.epsilon = _EPSILON[family]
+            self.epsilon = EPSILON[family]
             self.matrix_indices = tuple(i for i in range(-n, n + 1) if i != 0 or odd)
             self.rho = tuple(self.epsilon + n - k for k in range(1, n + 1))
         self._index_set = frozenset(self.matrix_indices)

@@ -23,7 +23,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import make_spec
+from .algebra import EPSILON, Family, make_spec
 from .polyrat import CertificationError, UniPoly, monic_lcm
 from .shuffle import (minpoly_from_weight, shifted_weight, shuffle_gl,
                       shuffle_mirror)
@@ -116,7 +116,7 @@ def _cmd_shuffle(args):
     if args.family == "gl":
         dec = shuffle_gl(seq)
     else:
-        dec = shuffle_mirror(seq, make_spec(args.family, len(seq)).epsilon)
+        dec = shuffle_mirror(seq, EPSILON[Family(args.family)])
     return {
         "kind": dec.kind,
         "sequence": [_s(x) for x in dec.sequence],
@@ -223,9 +223,8 @@ def _cmd_howe(args):
     }
 
 
-def _cmd_poset(spec, args):
+def _cmd_poset(spec, weights, args):
     from .verify import divisibility_poset
-    weights = [_parse_weight(w) for w in args.weights.split(";") if w != ""]
     entries, edges = divisibility_poset(spec, weights)
     return {
         "entries": [{"weight": [_s(x) for x in w], "polynomial": _poly(q)}
@@ -274,23 +273,34 @@ _COMMANDS = (
 def _document(args):
     """The document of the parsed command.
 
-    A command on an algebra gets its spec, and its weight when it takes
-    one, checked against the rank before the spec's tables (quadratic in
-    it) are built: handler(spec, lam, args) or handler(spec, args).  The
-    others (shuffle, howe) get handler(args).
+    A command on an algebra gets its spec, and its weights when it takes
+    any, each parsed and checked against the rank before the spec's
+    tables (quadratic in it) are built and before any is certified:
+    handler(spec, lam, args) for one weight, handler(spec, weights,
+    args) for poset's list, handler(spec, args) for none.  The others
+    (shuffle, howe) get handler(args).
     """
     if "num" not in args:
         return args.handler(args)
     family, n = _family_rank(args.family, args.num)
-    if "weight" not in args:
-        spec = make_spec(family, n)
-        return {"algebra": spec.label, **args.handler(spec, args)}
-    lam = _parse_weight(args.weight)
-    if n >= 0 and len(lam) != n:
-        raise _Usage(f"weight must have {n} coordinates, got {len(lam)}")
+    if "weight" in args:
+        texts = [args.weight]
+    elif "weights" in args:
+        texts = [w for w in args.weights.split(";") if w != ""]
+    else:
+        texts = []
+    weights = [_parse_weight(w) for w in texts]
+    for lam in weights:
+        if n >= 0 and len(lam) != n:
+            raise _Usage(f"weight must have {n} coordinates, got {len(lam)}")
     spec = make_spec(family, n)
-    return {"algebra": spec.label, "weight": [_s(x) for x in lam],
-            **args.handler(spec, lam, args)}
+    if "weight" in args:
+        lam, = weights
+        return {"algebra": spec.label, "weight": [_s(x) for x in lam],
+                **args.handler(spec, lam, args)}
+    if "weights" in args:
+        return {"algebra": spec.label, **args.handler(spec, weights, args)}
+    return {"algebra": spec.label, **args.handler(spec, args)}
 
 
 def _build_parser() -> _Parser:

@@ -43,8 +43,10 @@ on the generators scaled by the least common denominator of lambda, so
 callers divide by that scale once per generator in the word.  Its
 lowering monomials are ints too: one 16-bit exponent field per
 lowering generator, laid out once per spec, with v_lambda the int 0;
-an exponent that would reach 2^15 raises ValueError.  The certifier
-and the Verma oracle both run on it.
+an exponent that would reach 2^15 raises ValueError.  Each image that
+depends on the spec and that denominator d alone, not on lambda, is
+memoised once per (spec, d) on the spec, so a scan over many weights
+shares it.  The certifier and the Verma oracle both run on it.
 """
 
 from __future__ import annotations
@@ -377,16 +379,19 @@ def evaluate_at_weight(a: UElement, lam) -> Fraction:
 
 # bits per exponent field of a packed Verma monomial
 _FIELD = 16
+# the one zero image, shared by every memo; no image is ever mutated
+_ZERO_IMAGE = {}
 
 
 def _verma_layout(spec):
-    """(unit, low, top): the packed lowering monomials of spec, built once.
+    """(unit, low, top, weights): the packed lowering monomials of spec.
 
     unit[g] is the int with a 1 in the field of lowering generator g (0
     for the others); low[b] is (g, unit[g]) for the generator g whose
     field holds bit b - 1, so a monomial's lowest set bit, by its
     bit_length, names its smallest generator; top has the top bit of
-    every field set.
+    every field set; weights memoises each monomial's int weight at
+    H_1 .. H_n, from the roots of the lowering generators.
     """
     layout = spec._cache_misc.get("verma")
     if layout is None:
@@ -396,7 +401,14 @@ def _verma_layout(spec):
             unit[g] = 1 << (_FIELD * f)
         low = [None] + [(g, unit[g]) for g in lowering for _ in range(_FIELD)]
         top = sum(unit) << (_FIELD - 1)
-        layout = spec._cache_misc["verma"] = (unit, low, top)
+        # [H, x] for H = E_cc - E_-c,-c (gl: E_cc) and x = F[i, j]
+        cartan = [spec.gens[h][0] for h in spec.cartan_by_coord]
+        weights = {0: (0,) * spec.n}
+        for g in lowering:
+            i, j = spec.gens[g]
+            weights[unit[g]] = tuple((i == c) - (j == c) - (i == -c) + (j == -c)
+                                     for c in cartan)
+        layout = spec._cache_misc["verma"] = (unit, low, top, weights)
     return layout
 
 
@@ -424,13 +436,24 @@ class VermaModule:
     instead, so no field ever carries into its neighbour.  The field
     layout is built once per spec.
 
-    Generators act by the recursion g b m = b (g m) + [g, b] m, which
-    consults only the structure constants and lambda, never the PBW
-    products above.  For a weight zero element a, the coefficient of
-    v_lambda in a v_lambda is the Harish-Chandra image of a evaluated
-    at lambda.  Actions are memoised on the instance, in one dict per
-    generator keyed by the monomial, and live exactly as long as it
-    does.
+    A Cartan h' acts in closed form, h' nu v_lambda = d (lambda(h) +
+    wt(nu)(h)) nu v_lambda, with the int weights wt(nu) memoised on the
+    spec.  The others act by the recursion g b m = b (g m) + [g, b] m,
+    which reads only the structure constants, d and the Cartan action,
+    never the PBW products above; prepending b is a shift of the packed
+    int.  For a weight zero element a, the coefficient of v_lambda in a
+    v_lambda is the Harish-Chandra image of a evaluated at lambda.
+
+    Images are memoised per generator, keyed by the monomial.  One whose
+    recursion meets no Cartan action depends on the spec and d alone:
+    every lowering image, and each raising image built from such images
+    only.  It goes into the table of (spec, d), ``spec._cache_misc[
+    "verma", d]``, which every module of that scale shares, so a scan
+    over many weights computes it once; these tables grow with the
+    number of distinct scales one process certifies and live as long as
+    the spec.  The other images stay on the module and go with it.  A
+    test that corrupts an action on purpose must use a fresh
+    AlgebraSpec, never one of make_spec, whose table later modules read.
     """
 
     def __init__(self, spec: AlgebraSpec, lam):
@@ -439,34 +462,71 @@ class VermaModule:
         self.scale = d = lcm(*(x.denominator for x in self.lam))
         self._cartan = {g: int(d * self.lam[k])
                         for g, k in spec.cartan_coord.items()}
-        self._unit, self._low, self._top = _verma_layout(spec)
-        self._cache = [{} for _ in spec.gens]
+        self._unit, self._low, self._top, self._weights = _verma_layout(spec)
+        self._table = spec._cache_misc.get(("verma", d))
+        if self._table is None:
+            self._table = spec._cache_misc["verma", d] = [{} for _ in spec.gens]
+        # a lowering generator reads the shared table directly
+        self._kind = kind = spec.triangular
+        self._cache = [self._table[g] if kind[g] == NEG else {}
+                       for g in range(len(kind))]
+
+    def _weight(self, nu):
+        """The int weight of the lowering monomial nu, memoised on the spec."""
+        wt = self._weights.get(nu)
+        if wt is None:
+            b, unit_b = self._low[(nu & -nu).bit_length()]
+            wt = self._weights[nu] = tuple(
+                x + y for x, y in zip(self._weight(nu - unit_b),
+                                      self._weights[unit_b]))
+        return wt
 
     def act(self, g, nu):
         """x'_g applied to nu v_lambda, for a packed lowering monomial nu."""
-        memo = self._cache[g]
-        hit = memo.get(nu)
-        if hit is not None:
-            return hit
-        spec = self.spec
-        if nu:
-            b, unit_b = self._low[(nu & -nu).bit_length()]
-        if spec.triangular[g] == NEG and (not nu or g <= b):
-            tau = nu + self._unit[g]
-            if tau & self._top:
-                raise ValueError("a Verma exponent reached 2**15, past the "
-                                 "range of a packed monomial")
-            out = {tau: 1}
+        memo, shared = self._cache[g], self._table[g]
+        out = memo.get(nu)
+        if out is None:
+            out = shared.get(nu)
+        if out is not None:
+            return out
+        kind = self._kind
+        if kind[g] == CARTAN:
+            value = self._cartan[g] + self.scale * self._weight(nu)[
+                self.spec.cartan_coord[g]]
+            out = {nu: value} if value else _ZERO_IMAGE
+        elif kind[g] == NEG and not nu & (self._unit[g] - 1):
+            out = self._prepend(g, {nu: 1})
         elif not nu:
-            value = self._cartan.get(g, 0)
-            out = {0: value} if value else {}
+            out, memo = _ZERO_IMAGE, shared
         else:
+            b, unit_b = self._low[(nu & -nu).bit_length()]
             rest = nu - unit_b
-            out = self.apply(b, self.act(g, rest))
-            for h, c in spec.bracket(g, b):
+            out = self.act(g, rest)
+            free = kind[g] == NEG or rest in shared
+            out = self._prepend(b, out) if out else {}
+            for h, c in self.spec.bracket(g, b):
                 self.apply(h, {rest: self.scale * c}, out=out)
+                free = free and (kind[h] == NEG or rest in self._table[h])
+            out = out or _ZERO_IMAGE
+            if free:
+                memo = shared
         memo[nu] = out
         return out
+
+    def _prepend(self, b, vec):
+        """x'_b applied to vec for a lowering b, a direct shift on every
+        monomial that starts at b or later."""
+        unit, top = self._unit[b], self._top
+        out, later = {}, {}
+        for tau, c in vec.items():
+            if tau & (unit - 1):
+                later[tau] = c
+            elif (tau + unit) & top:
+                raise ValueError("a Verma exponent reached 2**15, past the "
+                                 "range of a packed monomial")
+            else:
+                out[tau + unit] = c
+        return self.apply(b, later, out=out) if later else out
 
     def apply(self, g, vec, c=1, out=None):
         """Add c times x'_g applied to vec into out (a new dict if None).
@@ -477,11 +537,13 @@ class VermaModule:
             out = {}
         if not c:
             return out
-        memo, get = self._cache[g], out.get
+        memo, shared, get = self._cache[g], self._table[g], out.get
         for nu, cv in vec.items():
             image = memo.get(nu)
             if image is None:
-                image = self.act(g, nu)
+                image = shared.get(nu)
+                if image is None:
+                    image = self.act(g, nu)
             k = c * cv
             for tau, ct in image.items():
                 v = get(tau, 0) + k * ct

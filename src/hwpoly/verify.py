@@ -11,10 +11,15 @@ columns of M^k through M(lambda) one power at a time; each column stays
 inside fixed weight spaces, so its state does not grow with k.  The
 columns are int vectors on the generators scaled by the weight's least
 common denominator d, and the series keeps the int numerator n_i(k) of
-each value s_i(k) = n_i(k) / d^k.  The series is the one handle of the
-certifier: annihilation_residuals(series, q), certify_minimal(series, q)
-and projected_resolvent(series) all read its spec and weight, and share
-its terms.  certified_minimal_polynomial builds one per call.
+each value s_i(k) = n_i(k) / d^k.  The Verma images a series reads
+that do not depend on lambda are memoised once per (spec, d) on the
+spec (see VermaModule), so every series of one algebra and scale, as
+in a weight scan or a poset, shares them; a series holds the rest of
+its images, its rows and its columns.  The series is the one handle
+of the certifier: annihilation_residuals(series, q),
+certify_minimal(series, q) and projected_resolvent(series) all read
+its spec and weight, and share its terms.
+certified_minimal_polynomial builds one per call.
 
 The certifier's hot path is integer end to end.  A residual is one int
 dot product per diagonal entry of q's cleared coefficients with the

@@ -119,6 +119,22 @@ class TestShuffleCommand:
         assert doc["epsilon"] == "1/2"
         assert doc["parity"] == "odd"
 
+    def test_mirror_reads_epsilon_without_a_spec(self, capsys, monkeypatch):
+        # epsilon is a property of the family; building the spec of the
+        # sequence's length once cost quadratic time and memory in it
+        def boom(*args):
+            raise AssertionError("shuffle built a spec")
+        monkeypatch.setattr(cli, "make_spec", boom)
+        cases = [c for c in DOCUMENTS
+                 if c["argv"][0] == "shuffle" and c["argv"][1] != "gl"]
+        assert {c["argv"][1] for c in cases} == {"sp", "o_even", "o_odd"}
+        for case in cases:
+            rc, out, err = run(capsys, *case["argv"])
+            assert rc == 0, err
+            assert out == json.dumps(case["document"], indent=2) + "\n"
+        doc = run_doc(capsys, "shuffle", "sp", ",".join(["1"] * 300))
+        assert doc["epsilon"] == "1"
+
 
 class TestNegativeWeights:
     def test_minpoly_negative_weight(self, capsys):
@@ -172,6 +188,20 @@ class TestExitCodes:
     def test_wrong_weight_length(self, capsys):
         rc, _, err = run(capsys, "minpoly", "gl", "3", "1,0")
         assert rc == 1
+
+    @pytest.mark.parametrize("weights,message", [
+        ("0,1;0;0,1,2", "weight must have 2 coordinates, got 1"),
+        ("0,1;1,x", "cannot parse weight '1,x'")])
+    def test_poset_checks_every_weight_first(self, capsys, monkeypatch,
+                                              weights, message):
+        # a bad weight once surfaced only after the spec was built and
+        # the weights before it were certified
+        def boom(*args):
+            raise AssertionError("built or certified before the check")
+        monkeypatch.setattr(cli, "make_spec", boom)
+        monkeypatch.setattr("hwpoly.verify.certified_minimal_polynomial", boom)
+        rc, out, err = run(capsys, "poset", "gl", "2", weights)
+        assert (rc, out, err) == (1, "", f"hwpoly: {message}\n")
 
     @pytest.mark.parametrize("family,num,rank", [
         ("gl", "1000000", 1000000), ("o", "2000001", 1000000)])

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import hw_coefficient
-from hwpoly.algebra import make_spec
+from hwpoly.algebra import NEG, make_spec
 from hwpoly.enveloping import (VermaModule, evaluate_at_weight, pbw_normalize,
                                project_hc)
 from hwpoly.oracle import (
@@ -202,6 +202,27 @@ class TestVerma:
             verma.act(low, nu + unit[low])
         with pytest.raises(ValueError):
             verma.act(high, (2 ** 15 - 1) * unit[high])
+
+    @pytest.mark.parametrize("family", ["gl", "sp", "o_even", "o_odd"])
+    def test_monomial_weights_are_the_cartan_brackets(self, family):
+        # a Cartan generator acts in closed form through the weights of
+        # the lowering generators, read off their index pairs; each must
+        # be the weight [H_k, x] = w_k x gives, and a monomial's the sum
+        for n in (1, 2, 3, 4):
+            spec = make_spec(family, n)
+            verma = VermaModule(spec, (0,) * n)
+            total, nu = [0] * n, 0
+            for g, kind in enumerate(spec.triangular):
+                if kind != NEG:
+                    continue
+                wt = tuple(dict(spec.bracket(h, g)).get(g, 0)
+                           for h in spec.cartan_by_coord)
+                assert all(b == g for h in spec.cartan_by_coord
+                           for b, _ in spec.bracket(h, g))
+                assert verma._weight(verma._unit[g]) == wt
+                total = [t + 2 * w for t, w in zip(total, wt)]
+                nu += 2 * verma._unit[g]
+            assert verma._weight(nu) == tuple(total)
 
     def test_matches_engine_on_random_words(self):
         rng = random.Random(20260822)

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwpoly import verify
-from hwpoly.algebra import AlgebraSpec, make_spec
-from hwpoly.enveloping import evaluate_at_weight
+from hwpoly.algebra import CARTAN, NEG, AlgebraSpec, make_spec
+from hwpoly.enveloping import VermaModule, evaluate_at_weight
 from hwpoly.genmatrix import projected_diagonal
 from hwpoly.oracle import build_catalog_rep, oracle_minpoly
 from hwpoly.polyrat import UniPoly, monic_lcm, pade_reconstruct
@@ -86,11 +86,19 @@ class TestDiagonalSeries:
         assert module.scale == 6
         assert all(type(v) is int for v in module._cartan.values())
         assert any(module._cache)
-        for memo in module._cache:
+        # the module's own memo, the table it shares with every module of
+        # scale 6 on this spec, and the spec's memo of monomial weights
+        assert module._table is series.spec._cache_misc["verma", 6]
+        assert any(module._table)
+        for memo in module._cache + module._table:
             for nu, image in memo.items():
                 assert type(nu) is int
                 assert all(type(tau) is int and type(c) is int
                            for tau, c in image.items())
+        assert len(module._weights) > n + 1
+        for nu, wt in module._weights.items():
+            assert type(nu) is int
+            assert len(wt) == n and all(type(x) is int for x in wt)
         # columns, the step memo and its rows key each int by the packed
         # pair (monomial, position); a row alternates key and coefficient
         for column in series._columns:
@@ -104,6 +112,43 @@ class TestDiagonalSeries:
         assert d == 6
         assert all(len(col) == 8 and all(type(n) is int for n in col)
                    for col in numerators)
+
+    @pytest.mark.parametrize("family", ["gl", "sp", "o_even", "o_odd"])
+    def test_shared_verma_table_is_order_and_scale_free(self, family):
+        # one spec certifies a shuffled batch of weights of scales 1, 2, 3
+        # and 6, sharing one Verma table per scale; every answer must be
+        # the one a fresh spec gives, and every shared image the one a
+        # module at another weight of its scale computes from scratch
+        rng = random.Random(f"shared-table-{family}")
+
+        def weight(n, d):
+            while True:
+                lam = tuple(F(rng.randint(-3 * d, 3 * d), d)
+                            for _ in range(n))
+                if VermaModule(AlgebraSpec(family, n), lam).scale == d:
+                    return lam
+
+        for n in (1, 2, 3):
+            spec = AlgebraSpec(family, n)
+            K = 2 * spec.N + 2
+            batch = [weight(n, d) for d in (1, 2, 3, 6) for _ in range(3)]
+            rng.shuffle(batch)
+            for lam in batch:
+                fresh = AlgebraSpec(family, n)
+                assert DiagonalSeries(spec, lam).numerators(K) \
+                    == DiagonalSeries(fresh, lam).numerators(K)
+                assert certified_minimal_polynomial(spec, lam)[1] \
+                    == certified_minimal_polynomial(fresh, lam)[1]
+            for d in (1, 2, 3, 6):
+                table = spec._cache_misc["verma", d]
+                other = VermaModule(AlgebraSpec(family, n), weight(n, d))
+                # gl_1 and o_2 have no lowering generator to share
+                assert any(table) == (NEG in spec.triangular)
+                for g, memo in enumerate(table):
+                    if spec.triangular[g] == CARTAN:
+                        assert not memo
+                    for nu, image in memo.items():
+                        assert dict(other.act(g, nu)) == dict(image)
 
     def test_grows_on_demand(self):
         series = DiagonalSeries(make_spec("sp", 1), (2,))
