@@ -39,22 +39,20 @@ parabolics (project_relative).
 VermaModule is the other half: the action of single generators on the
 Verma module M(lambda), which evaluates the Harish-Chandra image at one
 weight without normal ordering any product.  It computes in ints alone,
-on the generators scaled by the least common denominator of lambda, so
-callers divide by that scale once per generator in the word.  Its
-lowering monomials are ints too: one 16-bit exponent field per
-lowering generator, laid out once per spec, with v_lambda the int 0;
-an exponent that would reach 2^15 raises ValueError.  Each image that
-depends on the spec and that denominator d alone, not on lambda, is
-memoised once per (spec, d) on the spec, so a scan over many weights
-shares it.  The certifier and the Verma oracle both run on it.
+on the generators scaled by the least common denominator d of lambda,
+so callers divide by d once per generator in the word.  Each image is
+affine in the weight, so a VermaTable holds it once per (spec, d) for
+every weight of that scale, and a module evaluates it at its lambda.
+The certifier and the Verma oracle both run on it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
-from .algebra import (CARTAN, NEG, AlgebraSpec, Family, ParabolicData,
+from .algebra import (CARTAN, NEG, POS, AlgebraSpec, Family, ParabolicData,
                       as_weight, inner_spec)
 from .polyrat import rat
 
@@ -379,37 +377,145 @@ def evaluate_at_weight(a: UElement, lam) -> Fraction:
 
 # bits per exponent field of a packed Verma monomial
 _FIELD = 16
-# the one zero image, shared by every memo; no image is ever mutated
+# the one zero image, shared by every table; no image is ever mutated
 _ZERO_IMAGE = {}
 
 
-def _verma_layout(spec):
-    """(unit, low, top, weights): the packed lowering monomials of spec.
+class VermaTable:
+    """The generators acting on every Verma module of one scale d.
 
-    unit[g] is the int with a 1 in the field of lowering generator g (0
-    for the others); low[b] is (g, unit[g]) for the generator g whose
-    field holds bit b - 1, so a monomial's lowest set bit, by its
-    bit_length, names its smallest generator; top has the top bit of
-    every field set; weights memoises each monomial's int weight at
-    H_1 .. H_n, from the roots of the lowering generators.
+    Let Lambda_k = d lambda(H_k), an int at each weight of scale d.  On
+    a lowering monomial nu, x'_g = d x_g acts affinely in the Lambda_k:
+    a lowering x' only reorders lowering generators, a Cartan h' gives
+    (Lambda_h + d wt(nu)(h)) nu, and a raising x' moved right through nu
+    meets at most one Cartan element along each term, which ends the
+    term there: the coroot [x_g, x_b] = sum f_k H_k of a raising g met
+    by the lowering b of the opposite root.  So x'_g nu v_lambda =
+    sum_s Lambda_s V_s, with int vectors V_s of the spec and d alone:
+    Lambda_0 = 1, slot k + 1 holds Lambda_k, and each raising generator
+    has a slot holding sum f_k Lambda_k (``coroots`` lists the f of
+    slots n + 1, n + 2, ...).  ``images[g][nu]`` is one int dict keyed by
+    (tau << slot_bits) | s per monomial tau of V_s, Cartan images
+    included.  The table of (spec, d) is ``spec._cache_misc["verma",
+    d]``; every module and DiagonalSeries of that scale shares it and
+    the certifier's ``rows``, for as long as the spec lives.
+
+    A lowering monomial is one int of 16-bit exponent fields, one per
+    lowering generator in global order, the smallest lowest; v_lambda is
+    0.  Prepending x'_g to a monomial that starts at g or later adds g's
+    ``unit`` int, the lowest set bit names the smallest generator, and
+    a prepend that would bring a field to 2^15 raises ValueError, so no
+    field carries into the next.  The rest act by the recursion g b m =
+    b (g m) + [g, b] m on the structure constants, never PBW products.
     """
-    layout = spec._cache_misc.get("verma")
-    if layout is None:
-        lowering = [g for g, kind in enumerate(spec.triangular) if kind == NEG]
-        unit = [0] * len(spec.gens)
+
+    def __init__(self, spec: AlgebraSpec, d: int):
+        self.spec, self.scale = spec, d
+        self._kind = kind = spec.triangular
+        lowering = [g for g, k in enumerate(kind) if k == NEG]
+        self.unit = unit = [0] * len(kind)
         for f, g in enumerate(lowering):
             unit[g] = 1 << (_FIELD * f)
-        low = [None] + [(g, unit[g]) for g in lowering for _ in range(_FIELD)]
-        top = sum(unit) << (_FIELD - 1)
-        # [H, x] for H = E_cc - E_-c,-c (gl: E_cc) and x = F[i, j]
+        # low[b] is the generator whose field holds bit b - 1, so the
+        # bit_length of a monomial's lowest bit names its smallest one
+        self._low = [None] + [g for g in lowering for _ in range(_FIELD)]
+        n = spec.n
+        # raising g: (the lowering b of the opposite root, slot, f)
+        self.coroots, self._coroot = [], {}
+        for g, (i, j) in enumerate(spec.gens):
+            if kind[g] == POS:
+                b = spec.resolve(j, i)[1]
+                f = dict(spec.bracket(g, b))
+                f = tuple(f.get(h, 0) for h in spec.cartan_by_coord)
+                self.coroots.append(f)
+                self._coroot[g] = b, n + len(self.coroots), f
+        self.slot_bits = (n + len(self.coroots)).bit_length()
+        # the top bit of every field, in the packed keys of an image
+        self._top = sum(unit) << (_FIELD - 1 + self.slot_bits)
+        # the int weight of each monomial at H_1 .. H_n, memoised; a
+        # lowering generator's from [H, x] for H = E_cc - E_-c,-c (gl: E_cc)
         cartan = [spec.gens[h][0] for h in spec.cartan_by_coord]
-        weights = {0: (0,) * spec.n}
+        self._weights = {0: (0,) * n}
         for g in lowering:
             i, j = spec.gens[g]
-            weights[unit[g]] = tuple((i == c) - (j == c) - (i == -c) + (j == -c)
-                                     for c in cartan)
-        layout = spec._cache_misc["verma"] = (unit, low, top, weights)
-    return layout
+            self._weights[unit[g]] = tuple(
+                (i == c) - (j == c) - (i == -c) + (j == -c) for c in cartan)
+        self.images, self.rows = [{} for _ in kind], {}
+
+    def _weight(self, nu):
+        """The int weight of the lowering monomial nu."""
+        wt = self._weights.get(nu)
+        if wt is None:
+            unit = self.unit[self._low[(nu & -nu).bit_length()]]
+            wt = self._weights[nu] = tuple(
+                x + y for x, y in zip(self._weight(nu - unit),
+                                      self._weights[unit]))
+        return wt
+
+    def image(self, g, nu):
+        """x'_g applied to nu v_lambda, packed as the class docstring says."""
+        memo = self.images[g]
+        out = memo.get(nu)
+        if out is not None:
+            return out
+        kind, sb, d = self._kind[g], self.slot_bits, self.scale
+        if kind == CARTAN:
+            k = self.spec.cartan_coord[g]
+            out = {nu << sb | k + 1: 1}
+            _acc(out, nu << sb, d * self._weight(nu)[k])
+        elif kind == NEG and not nu & (self.unit[g] - 1):
+            out = self._prepend(g, {nu << sb: 1})
+        elif not nu:
+            out = _ZERO_IMAGE
+        else:
+            b = self._low[(nu & -nu).bit_length()]
+            rest = nu - self.unit[b]
+            out = memo.get(rest)
+            if out is None:
+                out = self.image(g, rest)
+            out = self._prepend(b, out) if out else {}
+            partner, slot, f = self._coroot.get(g, (None, 0, ()))
+            if b == partner:
+                # d sum f_k (Lambda_k + d wt(rest)_k) rest
+                _acc(out, rest << sb | slot, d)
+                _acc(out, rest << sb,
+                     d * d * sum(map(mul, f, self._weight(rest))))
+            else:
+                for h, c in self.spec.bracket(g, b):
+                    self._add(h, rest, d * c, out)
+            out = out or _ZERO_IMAGE
+        memo[nu] = out
+        return out
+
+    def _add(self, g, nu, c, out):
+        """Add c times the image of (g, nu) into out, dropping zero sums."""
+        get = out.get
+        for key, ct in self.image(g, nu).items():
+            v = get(key, 0) + c * ct
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+
+    def _prepend(self, b, vec):
+        """x'_b applied to the packed affine vec for a lowering b, a direct
+        shift on every monomial that starts at b or later."""
+        sb = self.slot_bits
+        unit, top = self.unit[b] << sb, self._top
+        out, later = {}, []
+        for key, c in vec.items():
+            # a field of a generator before b; never in a term with a
+            # slot, whose monomial is part of one that starts at b or later
+            if key & (unit - (1 << sb)):
+                later.append((key, c))
+            elif (key + unit) & top:
+                raise ValueError("a Verma exponent reached 2**15, past the "
+                                 "range of a packed monomial")
+            else:
+                out[key + unit] = c
+        for key, c in later:
+            self._add(b, key >> sb, c, out)
+        return out
 
 
 class VermaModule:
@@ -423,134 +529,46 @@ class VermaModule:
     constants because every c_h is.  A word of k generators therefore
     acts as d^-k times the same word in the x', so the coefficient of
     v_lambda in x_1 ... x_k v_lambda is the int found here divided by
-    d^k.
-
-    A vector is a dict mapping sorted lowering monomials in the x' to
-    int coefficients.  A monomial is one int of 16-bit exponent fields,
-    one field per lowering generator in the spec's global order, the
-    smallest generator lowest; v_lambda is 0.  Prepending x'_g to a
-    monomial that starts at g or later adds the unit int of g's field,
-    the monomial's smallest generator is the field of its lowest set
-    bit, and the rest of it is the monomial minus that field's unit.
-    A prepend that would bring a field to 2^15 raises ValueError
-    instead, so no field ever carries into its neighbour.  The field
-    layout is built once per spec.
-
-    A Cartan h' acts in closed form, h' nu v_lambda = d (lambda(h) +
-    wt(nu)(h)) nu v_lambda, with the int weights wt(nu) memoised on the
-    spec.  The others act by the recursion g b m = b (g m) + [g, b] m,
-    which reads only the structure constants, d and the Cartan action,
-    never the PBW products above; prepending b is a shift of the packed
-    int.  For a weight zero element a, the coefficient of v_lambda in a
+    d^k.  For a weight zero element a, the coefficient of v_lambda in a
     v_lambda is the Harish-Chandra image of a evaluated at lambda.
 
-    Images are memoised per generator, keyed by the monomial.  One whose
-    recursion meets no Cartan action depends on the spec and d alone:
-    every lowering image, and each raising image built from such images
-    only.  It goes into the table of (spec, d), ``spec._cache_misc[
-    "verma", d]``, which every module of that scale shares, so a scan
-    over many weights computes it once; these tables grow with the
-    number of distinct scales one process certifies and live as long as
-    the spec.  The other images stay on the module and go with it.  A
-    test that corrupts an action on purpose must use a fresh
-    AlgebraSpec, never one of make_spec, whose table later modules read.
+    A vector maps packed lowering monomials (see VermaTable) to ints.
+    The module holds no image: it evaluates those of ``table``, the
+    VermaTable of (spec, d), at ``slots``, each slot's value at lambda.
+    A test that corrupts an action on purpose must use a fresh
+    AlgebraSpec, never one of make_spec, whose tables later modules read.
     """
 
     def __init__(self, spec: AlgebraSpec, lam):
-        self.spec = spec
-        self.lam = as_weight(spec, lam)
-        self.scale = d = lcm(*(x.denominator for x in self.lam))
-        self._cartan = {g: int(d * self.lam[k])
-                        for g, k in spec.cartan_coord.items()}
-        self._unit, self._low, self._top, self._weights = _verma_layout(spec)
-        self._table = spec._cache_misc.get(("verma", d))
-        if self._table is None:
-            self._table = spec._cache_misc["verma", d] = [{} for _ in spec.gens]
-        # a lowering generator reads the shared table directly
-        self._kind = kind = spec.triangular
-        self._cache = [self._table[g] if kind[g] == NEG else {}
-                       for g in range(len(kind))]
-
-    def _weight(self, nu):
-        """The int weight of the lowering monomial nu, memoised on the spec."""
-        wt = self._weights.get(nu)
-        if wt is None:
-            b, unit_b = self._low[(nu & -nu).bit_length()]
-            wt = self._weights[nu] = tuple(
-                x + y for x, y in zip(self._weight(nu - unit_b),
-                                      self._weights[unit_b]))
-        return wt
+        lam = as_weight(spec, lam)
+        self.scale = d = lcm(*(x.denominator for x in lam))
+        self.table = spec._cache_misc.get(("verma", d))
+        if self.table is None:
+            self.table = spec._cache_misc["verma", d] = VermaTable(spec, d)
+        cartan = [x.numerator * (d // x.denominator) for x in lam]
+        self.slots = (1, *cartan, *(sum(map(mul, f, cartan))
+                                    for f in self.table.coroots))
 
     def act(self, g, nu):
         """x'_g applied to nu v_lambda, for a packed lowering monomial nu."""
-        memo, shared = self._cache[g], self._table[g]
-        out = memo.get(nu)
-        if out is None:
-            out = shared.get(nu)
-        if out is not None:
-            return out
-        kind = self._kind
-        if kind[g] == CARTAN:
-            value = self._cartan[g] + self.scale * self._weight(nu)[
-                self.spec.cartan_coord[g]]
-            out = {nu: value} if value else _ZERO_IMAGE
-        elif kind[g] == NEG and not nu & (self._unit[g] - 1):
-            out = self._prepend(g, {nu: 1})
-        elif not nu:
-            out, memo = _ZERO_IMAGE, shared
-        else:
-            b, unit_b = self._low[(nu & -nu).bit_length()]
-            rest = nu - unit_b
-            out = self.act(g, rest)
-            free = kind[g] == NEG or rest in shared
-            out = self._prepend(b, out) if out else {}
-            for h, c in self.spec.bracket(g, b):
-                self.apply(h, {rest: self.scale * c}, out=out)
-                free = free and (kind[h] == NEG or rest in self._table[h])
-            out = out or _ZERO_IMAGE
-            if free:
-                memo = shared
-        memo[nu] = out
-        return out
-
-    def _prepend(self, b, vec):
-        """x'_b applied to vec for a lowering b, a direct shift on every
-        monomial that starts at b or later."""
-        unit, top = self._unit[b], self._top
-        out, later = {}, {}
-        for tau, c in vec.items():
-            if tau & (unit - 1):
-                later[tau] = c
-            elif (tau + unit) & top:
-                raise ValueError("a Verma exponent reached 2**15, past the "
-                                 "range of a packed monomial")
-            else:
-                out[tau + unit] = c
-        return self.apply(b, later, out=out) if later else out
+        return self.apply(g, {nu: 1})
 
     def apply(self, g, vec, c=1, out=None):
         """Add c times x'_g applied to vec into out (a new dict if None).
 
         c and the coefficients of vec are ints; a zero sum is dropped.
         """
-        if out is None:
-            out = {}
-        if not c:
-            return out
-        memo, shared, get = self._cache[g], self._table[g], out.get
+        out = {} if out is None else out
+        sb, slots = self.table.slot_bits, self.slots
+        mask = (1 << sb) - 1
         for nu, cv in vec.items():
-            image = memo.get(nu)
-            if image is None:
-                image = shared.get(nu)
-                if image is None:
-                    image = self.act(g, nu)
-            k = c * cv
-            for tau, ct in image.items():
-                v = get(tau, 0) + k * ct
+            for key, ct in self.table.image(g, nu).items():
+                tau = key >> sb
+                v = out.get(tau, 0) + c * cv * ct * slots[key & mask]
                 if v:
                     out[tau] = v
                 else:
-                    del out[tau]
+                    out.pop(tau, None)
         return out
 
 

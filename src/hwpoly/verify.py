@@ -11,11 +11,10 @@ columns of M^k through M(lambda) one power at a time; each column stays
 inside fixed weight spaces, so its state does not grow with k.  The
 columns are int vectors on the generators scaled by the weight's least
 common denominator d, and the series keeps the int numerator n_i(k) of
-each value s_i(k) = n_i(k) / d^k.  The Verma images a series reads
-that do not depend on lambda are memoised once per (spec, d) on the
-spec (see VermaModule), so every series of one algebra and scale, as
-in a weight scan or a poset, shares them; a series holds the rest of
-its images, its rows and its columns.  The series is the one handle
+each value s_i(k) = n_i(k) / d^k.  Every Verma image and row is
+affine in lambda and held once per (spec, d) (see VermaTable), so all
+series of one algebra and scale, as in a weight scan or a poset, share
+them; a series holds only its columns and numerators.  It is the handle
 of the certifier: annihilation_residuals(series, q),
 certify_minimal(series, q) and projected_resolvent(series) all read
 its spec and weight, and share its terms.
@@ -137,14 +136,13 @@ class DiagonalSeries:
     is d^k u^(k), and each step stores the int n_i(k), the coefficient
     of v_lambda, with s_i(k) = n_i(k) / d^k.  A column is one dict
     keyed by the packed pair (nu << shift) | p of a Verma monomial nu
-    and a position p, so v_lambda in u_i is the key i.  A step looks up
-    one row per key (nu, q), memoised per weight: the packed keys
-    (tau, p) with their coefficients c * coef in sum_p M_pq x nu over
-    M's column q, built from VermaModule.act.  The last term a request
-    needs is read off the columns one power below it, through the one
-    row sum_q M_iq u_q of each column, so no column is stepped to a
-    power that no request has reached; a later, longer request steps
-    on from there.
+    and a position p, so v_lambda in u_i is the key i.  A step reads
+    one row per key (nu, q), sum_p M_pq x nu over M's column q, from the
+    VermaTable's ``rows``: it is affine in lambda, and the step weighs
+    each term by the value of its slot at lambda.  The last term a
+    request needs is read off the columns one power below it, through
+    the one row sum_q M_iq u_q of each column, so no column is stepped
+    to a power no request has reached; a later request steps on.
 
     The certifier reads exactly four things of a series: ``spec``,
     ``lam``, ``values(K)`` (the s_i(k) as Fractions) and
@@ -160,7 +158,6 @@ class DiagonalSeries:
         self._shift = len(self._entries).bit_length()
         # the columns hold u^(depth); n(0) .. n(order - 1) are known
         self._columns = [{p: 1} for p in range(len(self._entries))]
-        self._rows = {}
         self._numerators = [[1] for _ in self._entries]
         self._depth, self._order = 0, 1
 
@@ -186,7 +183,7 @@ class DiagonalSeries:
 
     def _step(self):
         """Columns u^(depth) -> u^(depth + 1), recording n(depth + 1) once."""
-        rows = self._rows
+        rows, slots = self._module.table.rows, self._module.slots
         for i, column in enumerate(self._columns):
             new = {}
             get = new.get
@@ -194,9 +191,12 @@ class DiagonalSeries:
                 row = rows.get(key)
                 if row is None:
                     row = rows[key] = self._row(key)
-                pairs = iter(row)
+                pairs = iter(row[0])
                 for out, c in zip(pairs, pairs):
                     new[out] = get(out, 0) + cv * c
+                triples = iter(row[1])
+                for out, s, c in zip(triples, triples, triples):
+                    new[out] = get(out, 0) + cv * c * slots[s]
             self._columns[i] = {key: c for key, c in new.items() if c}
         self._depth += 1
         if self._depth == self._order:
@@ -204,22 +204,31 @@ class DiagonalSeries:
                          for i, column in enumerate(self._columns))
 
     def _row(self, key):
-        """The row of key = (nu, q): M_pq nu over M's column q, flat.
+        """The row of key = (nu, q): M_pq nu over M's column q.
 
-        Each term coef tau of c x'_g nu, for M_pq = c x_g, adds the
-        packed key (tau << shift) | p and then its int c * coef.
+        A term Lambda_s coef tau of c x'_g nu, for M_pq = c x_g, keys
+        (tau << shift) | p with the int c * coef: flat (key, int) pairs
+        for slot 0, flat (key, s, int) triples for the others.
         """
-        act, shift = self._module.act, self._shift
+        table, shift = self._module.table, self._shift
+        sb = table.slot_bits
+        mask = (1 << sb) - 1
         nu, q = key >> shift, key & ((1 << shift) - 1)
-        return [x for p, (c, g) in self._entries[q].items()
-                for tau, ct in act(g, nu).items()
-                for x in ((tau << shift) | p, c * ct)]
+        const, linear = [], []
+        for p, (c, g) in self._entries[q].items():
+            for tau, ct in table.image(g, nu).items():
+                s = tau & mask
+                if s:
+                    linear += ((tau >> sb << shift) | p, s, c * ct)
+                else:
+                    const += ((tau >> sb << shift) | p, c * ct)
+        return tuple(const), tuple(linear)
 
     def _last_term(self):
         """n(depth + 1) from the columns u^(depth), leaving them there."""
-        act, shift = self._module.act, self._shift
+        image, slots = self._module.table.image, self._module.slots
+        shift, entries = self._shift, self._entries
         mask = (1 << shift) - 1
-        entries = self._entries
         terms = []
         for i, column in enumerate(self._columns):
             total = 0
@@ -228,8 +237,9 @@ class DiagonalSeries:
                 if entry is not None:
                     c, g = entry
                     # x'_g takes u_q into the weight space of v_lambda,
-                    # which holds v_lambda alone
-                    total += c * cv * act(g, key >> shift).get(0, 0)
+                    # which holds v_lambda alone: every key is a slot
+                    for s, ct in image(g, key >> shift).items():
+                        total += c * cv * ct * slots[s]
             terms.append(total)
         self._record(terms)
 

@@ -6,9 +6,15 @@ the package's objects.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from hwpoly.algebra import Family
+from hwpoly.algebra import CARTAN, NEG, Family, as_weight
 from hwpoly.enveloping import UElement, VermaModule
+
+# whole weight boxes (rank, lo, hi, step), swept in every family by the
+# fast and the certified engine
+BOXES = [(2, -3, 3, Fraction(1, 2)), (2, -2, 2, Fraction(1, 3)),
+         (3, -2, 2, Fraction(1))]
 
 
 def _eps_hat(spec, i):
@@ -78,3 +84,59 @@ def hw_coefficient(spec, word, lam):
             return Fraction(0)
         state = verma.apply(idx, state, c)
     return Fraction(state.get(0, 0), verma.scale ** len(word))
+
+
+class ReferenceVerma:
+    """The Verma action at one weight, evaluated in ints and shared with
+    nothing: a reference for VermaModule.act.
+
+    It keys monomials as the package does (one 16-bit exponent field per
+    lowering generator in global order, the smallest lowest) and acts by
+    the scaled basis x' = d x, but reads a monomial's weight off the
+    bracket table and memoises only on itself.
+    """
+
+    def __init__(self, spec, lam):
+        self.spec = spec
+        lam = as_weight(spec, lam)
+        self.d = lcm(*(x.denominator for x in lam))
+        self.cartan = {g: int(self.d * lam[k])
+                       for g, k in spec.cartan_coord.items()}
+        lowering = [g for g, kind in enumerate(spec.triangular)
+                    if kind == NEG]
+        self.unit = {g: 1 << (16 * f) for f, g in enumerate(lowering)}
+        self.memo = {}
+
+    def _weight(self, nu, h):
+        """wt(nu)(h), the sum of [h, b] = w b over the factors b of nu."""
+        return sum(dict(self.spec.bracket(h, b)).get(b, 0)
+                   * (nu // u % 2 ** 16) for b, u in self.unit.items())
+
+    def act(self, g, nu):
+        if (g, nu) in self.memo:
+            return self.memo[g, nu]
+        kind = self.spec.triangular[g]
+        if kind == CARTAN:
+            value = self.cartan[g] + self.d * self._weight(nu, g)
+            out = {nu: value} if value else {}
+        elif not nu:
+            out = {self.unit[g]: 1} if kind == NEG else {}
+        else:
+            b, unit = next((b, u) for b, u in self.unit.items()
+                           if nu // u % 2 ** 16)
+            if kind == NEG and g <= b:
+                out = {nu + self.unit[g]: 1}
+            else:
+                rest = nu - unit
+                out = self.apply(b, self.act(g, rest))
+                for h, c in self.spec.bracket(g, b):
+                    out = self.apply(h, {rest: self.d * c}, out)
+        self.memo[g, nu] = out
+        return out
+
+    def apply(self, g, vec, out=()):
+        out = dict(out)
+        for nu, c in vec.items():
+            for tau, ct in self.act(g, nu).items():
+                out[tau] = out.get(tau, 0) + c * ct
+        return {tau: c for tau, c in out.items() if c}

@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import hw_coefficient
-from hwpoly.algebra import NEG, make_spec
+from helpers import ReferenceVerma, hw_coefficient
+from hwpoly.algebra import NEG, AlgebraSpec, make_spec
 from hwpoly.enveloping import (VermaModule, evaluate_at_weight, pbw_normalize,
                                project_hc)
 from hwpoly.oracle import (
@@ -195,7 +197,7 @@ class TestVerma:
         verma = VermaModule(spec, (2, 1, 0))
         lowering = [g for g, (i, j) in enumerate(spec.gens) if i > j]
         low, high = lowering[0], lowering[-1]
-        unit = verma._unit
+        unit = verma.table.unit
         nu = (2 ** 15 - 2) * unit[low] + (2 ** 15 - 1) * unit[high]
         assert verma.act(low, nu) == {nu + unit[low]: 1}
         with pytest.raises(ValueError, match="2\\*\\*15"):
@@ -210,7 +212,7 @@ class TestVerma:
         # be the weight [H_k, x] = w_k x gives, and a monomial's the sum
         for n in (1, 2, 3, 4):
             spec = make_spec(family, n)
-            verma = VermaModule(spec, (0,) * n)
+            table = VermaModule(spec, (0,) * n).table
             total, nu = [0] * n, 0
             for g, kind in enumerate(spec.triangular):
                 if kind != NEG:
@@ -219,10 +221,10 @@ class TestVerma:
                            for h in spec.cartan_by_coord)
                 assert all(b == g for h in spec.cartan_by_coord
                            for b, _ in spec.bracket(h, g))
-                assert verma._weight(verma._unit[g]) == wt
+                assert table._weight(table.unit[g]) == wt
                 total = [t + 2 * w for t, w in zip(total, wt)]
-                nu += 2 * verma._unit[g]
-            assert verma._weight(nu) == tuple(total)
+                nu += 2 * table.unit[g]
+            assert table._weight(nu) == tuple(total)
 
     def test_matches_engine_on_random_words(self):
         rng = random.Random(20260822)
@@ -257,3 +259,39 @@ class TestVerma:
                 engine = evaluate_at_weight(
                     project_hc(pbw_normalize(spec, word)), lam)
                 assert direct == engine, (spec.label, lam, word)
+
+
+_VERMA_SPECS = [(family, n) for family in ("gl", "sp", "o_even", "o_odd")
+                for n in (1, 2, 3, 4)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_verma_action_matches_the_reference(data):
+    # one spec per (family, rank) serves every example, so its shared
+    # tables hold whatever earlier draws left there; a fresh spec takes
+    # the same weights in the opposite order
+    family, n = data.draw(st.sampled_from(_VERMA_SPECS))
+    spec = make_spec(family, n)
+    scale = data.draw(st.sampled_from([1, 2, 3, 6]))
+    # the first coordinate has denominator exactly scale
+    weight = st.builds(
+        lambda first, rest: (Fraction(1 + scale * first, scale),)
+        + tuple(Fraction(x, scale) for x in rest),
+        st.integers(-3, 3),
+        st.lists(st.integers(-9, 9), min_size=n - 1, max_size=n - 1))
+    weights = data.draw(st.lists(weight, min_size=1, max_size=3))
+    g = data.draw(st.integers(0, len(spec.gens) - 1))
+    lowering = [b for b, kind in enumerate(spec.triangular) if kind == NEG]
+    word = data.draw(st.lists(st.sampled_from(lowering), max_size=3)) \
+        if lowering else []
+    nu = sum(ReferenceVerma(spec, weights[0]).unit[b] for b in word)
+    fresh = AlgebraSpec(family, n)
+    backwards = {lam: VermaModule(fresh, lam).act(g, nu)
+                 for lam in reversed(weights)}
+    for lam in weights:
+        module = VermaModule(spec, lam)
+        assert module.scale == scale
+        want = ReferenceVerma(spec, lam).act(g, nu)
+        assert module.act(g, nu) == want
+        assert backwards[lam] == want

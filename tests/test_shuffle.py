@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from helpers import BOXES
 from hwpoly.algebra import make_spec
 from hwpoly.polyrat import InvariantError, UniPoly
 from hwpoly.shuffle import (
@@ -270,8 +271,6 @@ def test_float_sequences_are_rejected():
 # sha256 of every decompose record and root multiset on the boxes below,
 # recorded before the decompositions moved to ints
 BOX_DIGEST = "a3729f84fceb1029170f80e4b25e6bb4b6b08b88294b4d0dd0c78299a5985838"
-BOXES = [(2, -3, 3, Fraction(1, 2)), (2, -2, 2, Fraction(1, 3)),
-         (3, -2, 2, Fraction(1))]
 
 
 def test_fast_engine_on_whole_boxes():

@@ -1,5 +1,6 @@
 """Certification pipeline, resolvent recovery, and structural diagnostics."""
 
+import hashlib
 import random
 import types
 from fractions import Fraction
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import BOXES, ReferenceVerma
 from hwpoly import verify
-from hwpoly.algebra import CARTAN, NEG, AlgebraSpec, make_spec
+from hwpoly.algebra import AlgebraSpec, make_spec
 from hwpoly.enveloping import VermaModule, evaluate_at_weight
 from hwpoly.genmatrix import projected_diagonal
 from hwpoly.oracle import build_catalog_rep, oracle_minpoly
@@ -79,35 +81,43 @@ class TestDiagonalSeries:
         ("o_odd", 2, (F(-5, 2), F(2, 3)))])
     def test_state_holds_ints_only(self, family, n, lam):
         # the recurrence runs on the basis scaled by 6, so neither the
-        # Verma memo nor a column may hold a Fraction
+        # shared Verma table nor a column may hold a Fraction
         series = DiagonalSeries(make_spec(family, n), lam)
         series.values(8)
         module = series._module
         assert module.scale == 6
-        assert all(type(v) is int for v in module._cartan.values())
-        assert any(module._cache)
-        # the module's own memo, the table it shares with every module of
-        # scale 6 on this spec, and the spec's memo of monomial weights
-        assert module._table is series.spec._cache_misc["verma", 6]
-        assert any(module._table)
-        for memo in module._cache + module._table:
+        assert all(type(v) is int for v in module.slots)
+        # one table per (spec, scale) holds every image, Cartan ones
+        # included, with the spec's memo of monomial weights
+        table = module.table
+        assert table is series.spec._cache_misc["verma", 6]
+        assert all(table.images[h] for h in series.spec.cartan_by_coord)
+        for memo in table.images:
             for nu, image in memo.items():
                 assert type(nu) is int
-                assert all(type(tau) is int and type(c) is int
-                           for tau, c in image.items())
-        assert len(module._weights) > n + 1
-        for nu, wt in module._weights.items():
+                assert all(type(key) is int and type(c) is int
+                           for key, c in image.items())
+        assert len(table._weights) > n + 1
+        for nu, wt in table._weights.items():
             assert type(nu) is int
             assert len(wt) == n and all(type(x) is int for x in wt)
-        # columns, the step memo and its rows key each int by the packed
-        # pair (monomial, position); a row alternates key and coefficient
+        # columns and rows key each int by the packed pair (monomial,
+        # position); a row holds flat (key, int) pairs of its constant
+        # terms and flat (key, slot, int) triples of the others
         for column in series._columns:
             assert all(type(key) is int and type(c) is int and c
                        for key, c in column.items())
-        assert series._rows
-        for key, row in series._rows.items():
+        assert table.rows
+        for key, (pairs, triples) in table.rows.items():
             assert type(key) is int
-            assert len(row) % 2 == 0 and all(type(x) is int for x in row)
+            assert len(pairs) % 2 == 0 and len(triples) % 3 == 0
+            assert all(type(x) is int for x in pairs + triples)
+        # the table holds the images and rows: neither the series nor its
+        # module holds any of its own
+        assert {name for name, v in vars(series).items()
+                if isinstance(v, (dict, list))} == {"_columns", "_numerators"}
+        assert not [name for name, v in vars(module).items()
+                    if isinstance(v, (dict, list))]
         d, numerators = series.numerators(8)
         assert d == 6
         assert all(len(col) == 8 and all(type(n) is int for n in col)
@@ -117,8 +127,9 @@ class TestDiagonalSeries:
     def test_shared_verma_table_is_order_and_scale_free(self, family):
         # one spec certifies a shuffled batch of weights of scales 1, 2, 3
         # and 6, sharing one Verma table per scale; every answer must be
-        # the one a fresh spec gives, and every shared image the one a
-        # module at another weight of its scale computes from scratch
+        # the one a fresh spec gives, and every table entry must be free
+        # of the weight: evaluated at two weights of its scale, it is the
+        # image the per-weight reference computes
         rng = random.Random(f"shared-table-{family}")
 
         def weight(n, d):
@@ -141,14 +152,15 @@ class TestDiagonalSeries:
                     == certified_minimal_polynomial(fresh, lam)[1]
             for d in (1, 2, 3, 6):
                 table = spec._cache_misc["verma", d]
-                other = VermaModule(AlgebraSpec(family, n), weight(n, d))
-                # gl_1 and o_2 have no lowering generator to share
-                assert any(table) == (NEG in spec.triangular)
-                for g, memo in enumerate(table):
-                    if spec.triangular[g] == CARTAN:
-                        assert not memo
-                    for nu, image in memo.items():
-                        assert dict(other.act(g, nu)) == dict(image)
+                assert any(table.images) and table.rows
+                for lam in (weight(n, d), weight(n, d)):
+                    module = VermaModule(spec, lam)
+                    assert module.table is table
+                    reference = ReferenceVerma(spec, lam)
+                    for g, memo in enumerate(table.images):
+                        # act evaluates the stored entry at lam
+                        for nu in memo:
+                            assert module.act(g, nu) == reference.act(g, nu)
 
     def test_grows_on_demand(self):
         series = DiagonalSeries(make_spec("sp", 1), (2,))
@@ -547,3 +559,31 @@ class TestPoset:
         spec = make_spec("gl", 1)
         entries, edges = divisibility_poset(spec, [(1,), (2,)])
         assert edges == ()
+
+
+# sha256 of every certified polynomial, residual tuple and witness tuple
+# on the boxes below, recorded before the Verma images became affine in
+# the weight
+CERTIFIED_BOX_DIGEST = \
+    "6073cac0d7e9942170cb298564e3d2ec2894009540ddbc0c951dbcf1ce6af082"
+
+
+def test_certified_engine_on_whole_boxes():
+    # the certifier's twin of test_shuffle's whole-box test: one spec per
+    # (family, rank) certifies every weight of its boxes, so each weight
+    # reads the images and rows the weights before it left in the tables
+    digest, count = hashlib.sha256(), 0
+    for family in ("gl", "sp", "o_even", "o_odd"):
+        for rank, lo, hi, step in BOXES:
+            spec = make_spec(family, rank)
+            values = [lo + k * step for k in range(int((hi - lo) / step) + 1)]
+            for lam in product(values, repeat=rank):
+                q, cert = certified_minimal_polynomial(spec, lam)
+                line = repr(([str(x) for x in lam], [str(c) for c in q.coeffs],
+                             [(label, str(r)) for label, r in cert.residuals],
+                             [(str(root), label, str(r))
+                              for root, label, r in cert.witnesses]))
+                digest.update(line.encode() + b"\n")
+                count += 1
+    assert count == 1852
+    assert digest.hexdigest() == CERTIFIED_BOX_DIGEST
