@@ -28,6 +28,7 @@ _HOMES = {
              "dual_pair", "weyl_normalize"),
     "oracle": ("build_catalog_rep", "build_irrep_gl", "oracle_minpoly"),
     "polyrat": ("CertificationError", "UniPoly", "monic_lcm"),
+    "recursion": ("RecursionSeries",),
     "shuffle": ("ShuffleDecomposition", "decompose", "minpoly_from_weight",
                 "shifted_weight", "shuffle_gl", "shuffle_mirror"),
     "verify": ("Certificate", "DiagonalSeries",

@@ -112,26 +112,24 @@ class AlgebraSpec:
     # -- construction helpers ------------------------------------------
 
     def _build_order(self):
-        if self.family is Family.GL:
-            def block(m):
-                if m == 0:
-                    return []
-                out = [(m, j) for j in range(1, m)]
-                out += block(m - 1)
-                out.append((m, m))
-                out += [(i, m) for i in range(1, m)]
-                return out
-            return block(self.n)
+        # level m wraps the order of level m - 1 in its lowering
+        # generators, its Cartan generator and its raising generators
         odd = self.family is Family.O_ODD
-
-        def block(m):
-            if m == 0:
-                return []
-            rng = [i for i in range(-m + 1, m + 1) if i != 0 or odd]
-            neg = [(i, -m) for i in rng if not self._is_zero_pair(i, -m)]
-            pos = [(-m, j) for j in rng if not self._is_zero_pair(-m, j)]
-            return neg + block(m - 1) + [(-m, -m)] + pos
-        return block(self.n)
+        order = []
+        for m in range(1, self.n + 1):
+            if self.family is Family.GL:
+                lowering = [(m, j) for j in range(1, m)]
+                raising = [(i, m) for i in range(1, m)]
+                cartan = (m, m)
+            else:
+                rng = [i for i in range(-m + 1, m + 1) if i != 0 or odd]
+                lowering = [(i, -m) for i in rng
+                            if not self._is_zero_pair(i, -m)]
+                raising = [(-m, j) for j in rng
+                           if not self._is_zero_pair(-m, j)]
+                cartan = (-m, -m)
+            order = lowering + order + [cartan] + raising
+        return order
 
     def _is_zero_pair(self, i, j):
         return self.family in (Family.O_EVEN, Family.O_ODD) and j == -i

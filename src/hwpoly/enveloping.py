@@ -51,6 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import mul
+from weakref import proxy
 
 from .algebra import (CARTAN, NEG, POS, AlgebraSpec, Family, ParabolicData,
                       as_weight, inner_spec)
@@ -398,7 +399,10 @@ class VermaTable:
     (tau << slot_bits) | s per monomial tau of V_s, Cartan images
     included.  The table of (spec, d) is ``spec._cache_misc["verma",
     d]``; every module and DiagonalSeries of that scale shares it and
-    the certifier's ``rows``, for as long as the spec lives.
+    the certifier's ``rows``, for as long as the spec lives.  The table
+    refers to its spec through a weak proxy, so the two form no
+    reference cycle and a spec no one holds is freed with its tables
+    at once.
 
     A lowering monomial is one int of 16-bit exponent fields, one per
     lowering generator in global order, the smallest lowest; v_lambda is
@@ -410,7 +414,7 @@ class VermaTable:
     """
 
     def __init__(self, spec: AlgebraSpec, d: int):
-        self.spec, self.scale = spec, d
+        self.spec, self.scale = proxy(spec), d
         self._kind = kind = spec.triangular
         lowering = [g for g, k in enumerate(kind) if k == NEG]
         self.unit = unit = [0] * len(kind)
@@ -519,7 +523,7 @@ class VermaTable:
 
 
 class VermaModule:
-    """The Verma module M(lambda), acted on one generator at a time.
+    """The Verma module M(lambda): its scale, table and slot values.
 
     Arithmetic is in Python ints only.  Let d (``scale``) be the least
     common denominator of lambda.  The module acts by the rescaled
@@ -533,14 +537,17 @@ class VermaModule:
     v_lambda is the Harish-Chandra image of a evaluated at lambda.
 
     A vector maps packed lowering monomials (see VermaTable) to ints.
-    The module holds no image: it evaluates those of ``table``, the
-    VermaTable of (spec, d), at ``slots``, each slot's value at lambda.
+    The module holds no image: x'_g acts on a monomial nu by the image
+    ``table.image(g, nu)`` of the VermaTable of (spec, d), each of its
+    keys weighed by the value at lambda of its slot in ``slots``.
     A test that corrupts an action on purpose must use a fresh
     AlgebraSpec, never one of make_spec, whose tables later modules read.
     """
 
     def __init__(self, spec: AlgebraSpec, lam):
         lam = as_weight(spec, lam)
+        # the table holds its spec weakly; the module keeps it alive
+        self.spec = spec
         self.scale = d = lcm(*(x.denominator for x in lam))
         self.table = spec._cache_misc.get(("verma", d))
         if self.table is None:
@@ -548,28 +555,6 @@ class VermaModule:
         cartan = [x.numerator * (d // x.denominator) for x in lam]
         self.slots = (1, *cartan, *(sum(map(mul, f, cartan))
                                     for f in self.table.coroots))
-
-    def act(self, g, nu):
-        """x'_g applied to nu v_lambda, for a packed lowering monomial nu."""
-        return self.apply(g, {nu: 1})
-
-    def apply(self, g, vec, c=1, out=None):
-        """Add c times x'_g applied to vec into out (a new dict if None).
-
-        c and the coefficients of vec are ints; a zero sum is dropped.
-        """
-        out = {} if out is None else out
-        sb, slots = self.table.slot_bits, self.slots
-        mask = (1 << sb) - 1
-        for nu, cv in vec.items():
-            for key, ct in self.table.image(g, nu).items():
-                tau = key >> sb
-                v = out.get(tau, 0) + c * cv * ct * slots[key & mask]
-                if v:
-                    out[tau] = v
-                else:
-                    out.pop(tau, None)
-        return out
 
 
 def restrict_corank_one(a: UElement, outer_value) -> UElement:

@@ -65,6 +65,20 @@ def scaled_product(roots: Iterable[int]) -> "list[int]":
     return cs
 
 
+class ScaledSeries:
+    """A family of series held as ints n(k) over powers of one int d.
+
+    A subclass provides ``numerators(K)``: d with, per series, the ints
+    n(0), ..., n(K-1) of the terms s(k) = n(k) / d^k.
+    """
+
+    def values(self, K: int):
+        """Per series s(0), ..., s(K-1) as Fractions."""
+        d, cols = self.numerators(K)
+        return [[Fraction(n, d ** k) for k, n in enumerate(col)]
+                for col in cols]
+
+
 class TruncationError(ValueError):
     """The truncated tail is too short to determine the answer."""
 

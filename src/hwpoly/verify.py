@@ -4,21 +4,31 @@ The annihilation criterion drives everything here: a polynomial q kills
 the simple highest weight module exactly when every diagonal entry of
 q(M) has vanishing Harish-Chandra image at the highest weight.  Off
 diagonal entries carry nonzero adjoint weight, so their projections
-vanish identically and only the diagonal needs evaluating.  The image
-of a weight zero element at lambda is the coefficient of v_lambda when
-it acts on v_lambda in the Verma module, so DiagonalSeries walks the
-columns of M^k through M(lambda) one power at a time; each column stays
-inside fixed weight spaces, so its state does not grow with k.  The
-columns are int vectors on the generators scaled by the weight's least
-common denominator d, and the series keeps the int numerator n_i(k) of
-each value s_i(k) = n_i(k) / d^k.  Every Verma image and row is
-affine in lambda and held once per (spec, d) (see VermaTable), so all
-series of one algebra and scale, as in a weight scan or a poset, share
-them; a series holds only its columns and numerators.  It is the handle
-of the certifier: annihilation_residuals(series, q),
-certify_minimal(series, q) and projected_resolvent(series) all read
-its spec and weight, and share its terms.
-certified_minimal_polynomial builds one per call.
+vanish identically and only the diagonal needs evaluating.  A series
+holds those images s_i(k) = pi((M^k)_ii)(lambda) at one weight as int
+numerators n_i(k) = d^k s_i(k) over the weight's least common
+denominator d.  It is the handle of the certifier:
+annihilation_residuals(series, q), certify_minimal(series, q) and
+projected_resolvent(series) all read its spec and weight, and share
+its terms.  Two engines provide one:
+
+* RecursionSeries runs the paper's corank-one recursion in ints (see
+  the recursion module).  prove_recursion compares it with the Verma
+  walk on a lattice simplex, which proves the two equal through a
+  degree D at every weight of a rank, and PROVEN lists the (family,
+  rank, D) that tier-1 proves.
+* DiagonalSeries walks the columns of M^k through the Verma module
+  M(lambda) one power at a time; the image of a weight zero element at
+  lambda is the coefficient of v_lambda when it acts on v_lambda.  Each
+  column stays inside fixed weight spaces, so its state does not grow
+  with k.  Every Verma image and row is affine in lambda and held once
+  per (spec, d) (see VermaTable), so all series of one algebra and
+  scale share them.  It is the reference the proof compares against,
+  and the engine past the table.
+
+series_for picks the engine by the number of terms asked for: the
+recursion where PROVEN covers them, the Verma walk otherwise.
+certified_minimal_polynomial and the resolvent command go through it.
 
 The certifier's hot path is integer end to end.  A residual is one int
 dot product per diagonal entry of q's cleared coefficients with the
@@ -36,9 +46,10 @@ annihilate.  Otherwise it drops, in place, every root whose removal
 still annihilates, and returns the certificate of the minimal
 polynomial, a divisor of q: the zero residuals and, per distinct root,
 a witness entry where dropping that root breaks annihilation.
-certified_minimal_polynomial hands it the shuffle candidate, and only
-when that fails, the lcm of the projected resolvent denominators,
-recovered by rational function reconstruction.
+certified_minimal_polynomial hands it the shuffle candidate, on a
+series of deg q + 1 terms, and only when that fails, the lcm of the
+projected resolvent denominators, recovered by rational function
+reconstruction from 2N + 2 terms.
 
 The remaining functions compare engine series against closed forms:
 the corank one restriction formulas for the resolvent, the Perelomov
@@ -50,6 +61,7 @@ divisibility poset over a batch of weights.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 from operator import mul
 from typing import NamedTuple
@@ -65,9 +77,10 @@ from .enveloping import (
 )
 from .genmatrix import generator_power, projected_diagonal, trace_prime
 from .linalg import ONE, ZERO
-from .polyrat import (CertificationError, UniPoly, clear_denominators,
-                      monic_lcm, pade_reconstruct, scaled_product,
-                      series_of_rational)
+from .polyrat import (CertificationError, ScaledSeries, UniPoly,
+                      clear_denominators, monic_lcm, pade_reconstruct,
+                      scaled_product, series_of_rational)
+from .recursion import RecursionSeries, proven_terms, scaled_numerators
 from .shuffle import decompose, shifted_weight
 
 
@@ -76,13 +89,16 @@ class Certificate(NamedTuple):
 
     witnesses holds one (root, entry label, residual) triple for each
     distinct root of the polynomial: dropping that root leaves the
-    recorded diagonal entry with the recorded nonzero residual.
+    recorded diagonal entry with the recorded nonzero residual.  engine
+    names the series the residuals were read from, "recursion" or
+    "verma".
     """
 
     weight: tuple
     polynomial: UniPoly
     residuals: tuple
     witnesses: tuple
+    engine: str
 
 
 class DiagnosticReport(NamedTuple):
@@ -119,7 +135,7 @@ def _entry_table(spec: AlgebraSpec):
     return table
 
 
-class DiagonalSeries:
+class DiagonalSeries(ScaledSeries):
     """s_i(k) = pi((M^k)_ii)(lambda) for every diagonal entry, grown on demand.
 
     Column i of M^k applied to v_lambda in the Verma module M(lambda)
@@ -146,9 +162,14 @@ class DiagonalSeries:
 
     The certifier reads exactly four things of a series: ``spec``,
     ``lam``, ``values(K)`` (the s_i(k) as Fractions) and
-    ``numerators(K)`` (d with the ints n_i(k)).  Any engine that
-    provides these four can stand in for this one.
+    ``numerators(K)`` (d with the ints n_i(k)); a certificate also
+    records its ``engine``.  RecursionSeries provides the same, and
+    series_for certifies on it wherever PROVEN covers the order.  This
+    walk is the reference that prove_recursion compares the recursion
+    against, and the engine past the table.
     """
+
+    engine = "verma"
 
     def __init__(self, spec: AlgebraSpec, lam):
         self.spec = spec
@@ -174,12 +195,6 @@ class DiagonalSeries:
             else:
                 self._step()
         return self._module.scale, [n[:K] for n in self._numerators]
-
-    def values(self, K: int):
-        """Per diagonal position, in matrix index order, s(0), ..., s(K-1)."""
-        d, cols = self.numerators(K)
-        return [[Fraction(n, d ** k) for k, n in enumerate(col)]
-                for col in cols]
 
     def _step(self):
         """Columns u^(depth) -> u^(depth + 1), recording n(depth + 1) once."""
@@ -324,7 +339,7 @@ def certify_minimal(series: DiagonalSeries, q: UniPoly) -> Certificate:
         found[:stale] = [(a, root, _witness(series, D, multiset, a))
                          for a, root, _ in found[:stale]]
     witnesses = tuple((root, *hit) for _, root, hit in found)
-    return Certificate(series.lam, q, residuals, witnesses)
+    return Certificate(series.lam, q, residuals, witnesses, series.engine)
 
 
 def resolvent_order(spec: AlgebraSpec) -> int:
@@ -352,23 +367,90 @@ def projected_resolvent(series: DiagonalSeries):
     return tuple(out)
 
 
+def series_for(spec: AlgebraSpec, lam, K: int):
+    """The series that certifies K terms at lam.
+
+    A RecursionSeries where PROVEN covers K terms of the spec, and a
+    DiagonalSeries otherwise: for more terms, or past the table.
+    """
+    if K <= proven_terms(spec):
+        return RecursionSeries(spec, lam)
+    return DiagonalSeries(spec, lam)
+
+
 def certified_minimal_polynomial(spec: AlgebraSpec, lam):
     """Minimal polynomial with its certificate.
 
-    The shuffle candidate is certified directly when it annihilates,
-    with any droppable roots trimmed in the same pass; otherwise the
-    least common multiple of the projected resolvent denominators is
-    certified instead.  One DiagonalSeries is built and shared by every
-    step.  Returns (polynomial, Certificate).
+    The shuffle candidate q is certified directly when it annihilates,
+    with any droppable roots trimmed in the same pass, on the series
+    series_for picks for deg q + 1 terms.  Otherwise the least common
+    multiple of the projected resolvent denominators is certified
+    instead, on the series it picks for resolvent_order terms.  Returns
+    (polynomial, Certificate).
     """
-    series = DiagonalSeries(spec, lam)
+    lam = as_weight(spec, lam)
+    q = UniPoly.from_roots(decompose(spec, lam).roots())
     try:
-        cert = certify_minimal(
-            series, UniPoly.from_roots(decompose(spec, series.lam).roots()))
+        cert = certify_minimal(series_for(spec, lam, q.degree + 1), q)
     except CertificationError:
+        series = series_for(spec, lam, resolvent_order(spec))
         entries = projected_resolvent(series)
         cert = certify_minimal(series, monic_lcm(den for _, _, den in entries))
     return cert.polynomial, cert
+
+
+def _simplex(n: int, D: int):
+    """Every (L, d) with L >= 0 in Z^n, d >= 1 and |L| + d - 1 <= D."""
+    for d in range(1, D + 2):
+        for L in product(range(D + 2 - d), repeat=n):
+            if sum(L) <= D + 1 - d:
+                yield L, d
+
+
+def prove_recursion(spec: AlgebraSpec, D: int):
+    """Compare the recursion with the Verma engine through degree D.
+
+    Returns (points, mismatches): the number of pairs (L, d) of the
+    set T(n, D) = {L >= 0 in Z^n, d >= 1, |L| + d - 1 <= D}, and one
+    (L, d, label, k) for each k <= D where scaled_numerators(spec, L,
+    d, D + 1) differs from d^k times DiagonalSeries(spec, L/d).values.
+    No mismatch proves the two engines equal, for k <= D, at every
+    weight and every scale d:
+
+    * Degree.  s_i(k)(lambda) = pi((M^k)_ii)(lambda) is a polynomial of
+      total degree at most k in lambda, the Harish-Chandra image of an
+      element of filtration degree k; so d^k s_i(k)(L/d) is a
+      polynomial in (L, d), homogeneous of degree k.
+    * Homogeneity.  The recursion's int for k is a polynomial in (L, d)
+      homogeneous of degree k, by induction on the rank.  Every pole E
+      it divides by is linear in (L, d).  Division by v - E sends a
+      series whose order j term has degree j + 1 (d times a series of
+      the induction, or the constant 1 at order -1) to one whose order
+      k term has degree k, so 1/(v - E), p (1 - d/(v - E)) and
+      (1 - X)/(v - E) all keep the degree equal to the order.  The code
+      has no branch on (L, d), so it computes that one polynomial at
+      every pair.  With d a variable of the proof, a wrong power of d
+      changes that polynomial; integral points alone (d = 1) would not
+      see it.
+    * Unisolvence.  T(n, D) is the simplex S(n + 1, D) = {x >= 0 in
+      Z^(n+1), |x| <= D} moved by d = x_(n+1) + 1, and a polynomial of
+      total degree at most D that vanishes on S(n + 1, D) is zero: in
+      the binomial basis prod_j C(x_j, a_j), |a| <= D, its values there
+      form a unitriangular system.  So two polynomials of degree at
+      most D that agree on T(n, D) agree everywhere.
+
+    The proof shows that the engines agree, not that either is right;
+    the Verma engine stays the reference.
+    """
+    points, mismatches = 0, []
+    for L, d in _simplex(spec.n, D):
+        points += 1
+        mine = scaled_numerators(spec, L, d, D + 1)
+        ref = DiagonalSeries(spec, [Fraction(x, d) for x in L]).values(D + 1)
+        for label, col, want in zip(spec.matrix_indices, mine, ref):
+            mismatches += [(L, d, label, k) for k, (n, s)
+                           in enumerate(zip(col, want)) if n != s * d ** k]
+    return points, mismatches
 
 
 def _corank_projection(spec):

@@ -68,6 +68,34 @@ def trace(m):
     return sum((e for _, e in m.diagonal()), m.elem.zero(m.spec))
 
 
+def verma_act(module, g, nu):
+    """x'_g applied to nu v_lambda in a VermaModule, for a packed
+    lowering monomial nu."""
+    return verma_apply(module, g, {nu: 1})
+
+
+def verma_apply(module, g, vec, c=1, out=None):
+    """Add c times x'_g applied to vec into out (a new dict if None).
+
+    The module's table holds the image of each monomial, affine in the
+    weight; each key is weighed by its slot's value at the module's
+    weight.  c and the coefficients of vec are ints; a zero sum is
+    dropped.
+    """
+    out = {} if out is None else out
+    sb, slots = module.table.slot_bits, module.slots
+    mask = (1 << sb) - 1
+    for nu, cv in vec.items():
+        for key, ct in module.table.image(g, nu).items():
+            tau = key >> sb
+            v = out.get(tau, 0) + c * cv * ct * slots[key & mask]
+            if v:
+                out[tau] = v
+            else:
+                out.pop(tau, None)
+    return out
+
+
 def hw_coefficient(spec, word, lam):
     """Coefficient of v_lambda in word . v_lambda, through the Verma action.
 
@@ -82,13 +110,13 @@ def hw_coefficient(spec, word, lam):
         c, idx = spec.resolve(i, j)
         if idx is None:
             return Fraction(0)
-        state = verma.apply(idx, state, c)
+        state = verma_apply(verma, idx, state, c)
     return Fraction(state.get(0, 0), verma.scale ** len(word))
 
 
 class ReferenceVerma:
     """The Verma action at one weight, evaluated in ints and shared with
-    nothing: a reference for VermaModule.act.
+    nothing: a reference for verma_act.
 
     It keys monomials as the package does (one 16-bit exponent field per
     lowering generator in global order, the smallest lowest) and acts by
