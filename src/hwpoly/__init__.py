@@ -21,8 +21,8 @@ _HOMES = {
     "algebra": ("AlgebraSpec", "Family", "make_spec", "parabolic"),
     "enveloping": ("UElement", "evaluate_at_weight", "pbw_normalize",
                    "project_hc", "project_relative"),
-    "genmatrix": ("generator_matrix", "generator_power",
-                  "projected_diagonal"),
+    "genmatrix": ("check_relative_formulas", "generator_matrix",
+                  "generator_power", "pp_diagnostic", "projected_diagonal"),
     "howe": ("WeylAlgebra", "WeylElement", "check_conv_powers",
              "check_divisibility_instance", "check_resolvent_transfer",
              "dual_pair", "weyl_normalize"),
@@ -31,9 +31,9 @@ _HOMES = {
     "recursion": ("RecursionSeries",),
     "shuffle": ("ShuffleDecomposition", "decompose", "minpoly_from_weight",
                 "shifted_weight", "shuffle_gl", "shuffle_mirror"),
-    "verify": ("Certificate", "DiagonalSeries",
-               "certified_minimal_polynomial", "check_relative_formulas",
-               "divisibility_poset", "pp_diagnostic", "projected_resolvent"),
+    "verify": ("Certificate", "certified_minimal_polynomial",
+               "divisibility_poset", "projected_resolvent"),
+    "verma": ("DiagonalSeries",),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -12,13 +12,16 @@ digit, such as the weight ``-1,0``, is a positional value, never an
 option.
 
 Exit status is 0 on success, 2 when certification fails, and 1 on a
-usage error or when the --json file cannot be written.
+usage error or when the document cannot be written: to the --json
+file, or to stdout when its reader has closed the pipe.  Either prints
+one ``hwpoly: cannot write`` line to stderr and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -154,7 +157,7 @@ def _cmd_resolvent(spec, lam, args):
 
 
 def _cmd_relcheck(spec, lam, args):
-    from .verify import check_relative_formulas
+    from .genmatrix import check_relative_formulas
     reports = check_relative_formulas(spec, lam, K=args.K)
     return {
         "K": args.K,
@@ -164,7 +167,7 @@ def _cmd_relcheck(spec, lam, args):
 
 
 def _cmd_ppdiag(spec, lam, args):
-    from .verify import pp_diagnostic
+    from .genmatrix import pp_diagnostic
     report = pp_diagnostic(spec, lam, K=args.K)
     return {
         "K": args.K,
@@ -317,6 +320,25 @@ def _build_parser() -> _Parser:
     return p
 
 
+def write_stdout(text: str) -> int:
+    """Write text to stdout and flush it: 0, or 1 when that fails.
+
+    A reader that closed its pipe (or a full device) gets one
+    ``hwpoly: cannot write stdout`` line on stderr.  stdout then points
+    at os.devnull, so the flush at exit stays quiet too.
+    """
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"hwpoly: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -329,8 +351,7 @@ def main(argv=None) -> int:
         return 2
     text = json.dumps(doc, indent=2) + "\n"
     if args.json is None:
-        sys.stdout.write(text)
-        return 0
+        return write_stdout(text)
     try:
         with open(args.json, "w") as fh:
             fh.write(text)

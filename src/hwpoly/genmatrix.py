@@ -8,11 +8,15 @@ matrix M whose (i, j) entry is the spanning element F[i,j] (E[i,j]
 for gl), viewed as a matrix over U(g).  Its powers expand the
 resolvent (u - M)^{-1} = sum_k M^k u^{-k-1}; after Harish-Chandra
 projection and evaluation the diagonal of those powers carries all
-minimal polynomial data.  The certifier in the verify module reads
-those values off a Verma module recurrence instead; the PBW powers
+minimal polynomial data.  The certifier reads those values off the
+rank recursion or a Verma module recurrence instead; the PBW powers
 here serve the corank one identities and the trace diagnostic, whose
 entries keep Cartan or Levi coordinates symbolic, and stand as an
-independent check of that recurrence.
+independent check of that recurrence.  check_relative_formulas checks
+the corank one restriction formulas for the resolvent, and
+pp_diagnostic reports the Perelomov Popov style trace generating
+function (never asserted, since it disagrees with the exact trace
+facts beyond first order).
 
 Rows and columns are addressed by labels, not by positions (for M the
 spec's matrix index labels, 1..n for gl, otherwise -n..n without or
@@ -27,9 +31,15 @@ per spec and cached on it, as are their projected diagonals.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
+from typing import NamedTuple
 
-from .algebra import AlgebraSpec, Family
-from .enveloping import UElement, project_hc
+from .algebra import AlgebraSpec, Family, as_weight, inner_spec, parabolic
+from .enveloping import (UElement, evaluate_at_weight, project_hc,
+                         project_relative, restrict_corank_one)
+from .linalg import ONE, ZERO
+from .polyrat import UniPoly, series_of_rational
+from .shuffle import shifted_weight
 
 
 class MatrixU:
@@ -164,3 +174,145 @@ def trace_prime(m: MatrixU) -> UElement:
             for mono, c in e.terms.items():
                 acc[mono] = acc.get(mono, 0) + c
     return UElement._element(spec, acc)
+
+
+class DiagnosticReport(NamedTuple):
+    """Residual magnitudes of one identity, checked order by order."""
+
+    name: str
+    residuals: tuple
+
+    @property
+    def exact(self) -> bool:
+        return all(not r for r in self.residuals)
+
+
+def _magnitude(a) -> Fraction:
+    if isinstance(a, UElement):
+        return sum((abs(c) for c in a.terms.values()), ZERO)
+    return abs(a)
+
+
+def _corank_projection(spec):
+    if spec.n >= 2:
+        par = parabolic(spec, spec.n - 1)
+        return lambda a: project_relative(a, par)
+    return project_hc
+
+
+def check_relative_formulas(spec: AlgebraSpec, lam, K: int = 6):
+    """Corank one restriction formulas for the resolvent, order by order.
+
+    Compares the restricted projection of the resolvent series of M
+    against closed forms in the resolvent of the inner algebra, keeping
+    the inner Cartan coordinates symbolic; only the outermost
+    coordinate of lam enters.  Returns one DiagnosticReport per
+    identity: the removed corner, the inner block, and (orthogonal and
+    symplectic only) the opposite corner.
+    """
+    lam = as_weight(spec, lam)
+    if spec.n < 1:
+        raise ValueError("rank must be at least 1")
+    gl = spec.family is Family.GL
+    proj = _corank_projection(spec)
+    inner = inner_spec(spec)
+    outer = lam[-1] if gl else lam[0]
+    # 1/(u - outer) for gl, 1/(u + outer) otherwise
+    geom = [outer ** t if gl else (-outer) ** t for t in range(K)]
+    corner_label = spec.n
+
+    def restricted(entry_i, entry_j, k):
+        ent = generator_power(spec, k)[entry_i, entry_j]
+        return restrict_corank_one(proj(ent), outer)
+
+    reports = []
+    corner = []
+    for m in range(1, K + 1):
+        lhs = restricted(corner_label, corner_label, m - 1)
+        corner.append(_magnitude(lhs - geom[m - 1]))
+    reports.append(DiagnosticReport("corner", tuple(corner)))
+
+    inner_labels = inner.matrix_indices
+    inner_pow = [generator_power(inner, s) for s in range(K)]
+    block = []
+    for m in range(1, K + 1):
+        worst = ZERO
+        for i in inner_labels:
+            for j in inner_labels:
+                # A_s: coefficient of u^-s in the inner resolvent at u - 1
+                a = [None] + [
+                    sum((Fraction(comb(s - 1, r)) * inner_pow[r][i, j]
+                         for r in range(s)), UElement.zero(inner))
+                    for s in range(1, m + 1)]
+                rhs = a[m]
+                for t in range(1, m):
+                    rhs = rhs - geom[t - 1] * a[m - t]
+                worst = max(worst, _magnitude(restricted(i, j, m - 1) - rhs))
+        block.append(worst)
+    reports.append(DiagnosticReport("inner-block", tuple(block)))
+
+    if not gl:
+        c = lam[0] + 2 * spec.rho[0]
+        s_series = [restricted(-spec.n, -spec.n, k) for k in range(K)]
+        tr_series = [
+            restrict_corank_one(proj(trace_prime(generator_power(spec, k))),
+                                outer)
+            for k in range(K - 1)]
+        opp = [_magnitude(s_series[0] - ONE)]
+        for m in range(1, K):
+            lhs = s_series[m] - c * s_series[m - 1]
+            if spec.family is Family.SP:
+                rhs = -2 * geom[m - 1] - tr_series[m - 1]
+            else:
+                rhs = -tr_series[m - 1]
+            opp.append(_magnitude(lhs - rhs))
+        reports.append(DiagnosticReport("opposite-corner", tuple(opp)))
+    return reports
+
+
+def pp_diagnostic(spec: AlgebraSpec, lam, K: int = 6) -> DiagnosticReport:
+    """Residuals of the closed trace generating function against the engine.
+
+    The closed form is the Perelomov Popov style expression in the
+    shifted weight; it reproduces neither of the exact low order trace
+    facts beyond u^-1 in general, which is why this is a report rather
+    than a certification step.  residuals[0] is the magnitude of the
+    closed form's polynomial part (the engine series has none) and
+    residuals[m] compares the u^-m coefficients for m = 1..K.
+    """
+    lam = as_weight(spec, lam)
+    if spec.family is Family.GL:
+        raise ValueError("trace diagnostic applies to o and sp only")
+    if spec.n < 1:
+        raise ValueError("rank must be at least 1")
+    engine = []
+    for m in range(1, K + 1):
+        total = ZERO
+        for pos in range(len(spec.matrix_indices)):
+            total += evaluate_at_weight(
+                projected_diagonal(spec, m - 1)[pos], lam)
+        engine.append(total)
+
+    rho1 = spec.rho[0]
+    shifted = shifted_weight(spec, lam)
+    p2 = UniPoly.one()
+    p1 = UniPoly.one()
+    vsq = UniPoly.x() * UniPoly.x()
+    vshift = UniPoly.x().shift(-1)
+    for li in shifted:
+        p2 = p2 * (vsq - UniPoly((li * li,)))
+        p1 = p1 * (vshift * vshift - UniPoly((li * li,)))
+    v = UniPoly.x()
+    half = UniPoly((Fraction(-1, 2), ONE))
+    if spec.family is Family.O_ODD:
+        num = v * p2 - vshift * (p2 - p1)
+    else:
+        eps2 = UniPoly((-2 * spec.epsilon, ONE))
+        num = eps2 * (p2 - p1)
+    den = half * p2
+    poly, closed = series_of_rational(num.shift(-rho1), den.shift(-rho1), K)
+    # residual 0 is the polynomial part, which the engine series lacks
+    head = sum((abs(c) for c in poly.coeffs), ZERO)
+    return DiagnosticReport(
+        "trace-generating-function",
+        (head,) + tuple(e - f for e, f in zip(engine, closed)))

@@ -2,8 +2,8 @@
 
 Write R_i(u) = sum_k s_i(k) u^(-k-1) for the diagonal of the projected
 resolvent of M at lambda, with s_i(k) = pi((M^k)_ii)(lambda).  The
-corank-one identities (verify.check_relative_formulas), projected on to
-U(h), build every R_i from the diagonal R' of the inner algebra:
+corank-one identities (genmatrix.check_relative_formulas), projected
+on to U(h), build every R_i from the diagonal R' of the inner algebra:
 
 * gl, with a = lambda_n: R_n = 1/(u - a), and for i < n
   R_i(u) = R'_i(u - 1) (u - a - 1)/(u - a), R' at (lambda_1..lambda_(n-1));
@@ -25,14 +25,17 @@ d^k s_i(k) as its coefficients, and every pole is an int, d times the
 pole in u.  Each term costs a few int operations per order.  The code
 is straight-line ring arithmetic with no branch on L or d, so each int
 it returns is one polynomial in (L, d), homogeneous of degree k;
-verify.prove_recursion compares those polynomials with the Verma
-engine's on a lattice simplex, and PROVEN lists the (family, rank) and
-degree D at which tier-1 does.  RecursionSeries serves up to D + 1
-terms of a PROVEN entry, as the certifier reads a DiagonalSeries, and
-refuses more.
+prove_recursion compares those polynomials with the Verma engine's on
+a lattice simplex, and PROVEN lists the (family, rank) and degree D at
+which tier-1 does; only it imports the Verma engine.  RecursionSeries
+serves up to D + 1 terms of a PROVEN entry, as the certifier reads a
+DiagonalSeries, and refuses more.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from itertools import product
 
 from .algebra import AlgebraSpec, Family, as_weight
 from .polyrat import ScaledSeries, clear_denominators
@@ -147,3 +150,58 @@ class RecursionSeries(ScaledSeries):
             self._K = K
             self._columns = scaled_numerators(self.spec, self._L, self._d, K)
         return self._d, [col[:K] for col in self._columns]
+
+
+def _simplex(n: int, D: int):
+    """Every (L, d) with L >= 0 in Z^n, d >= 1 and |L| + d - 1 <= D."""
+    for d in range(1, D + 2):
+        for L in product(range(D + 2 - d), repeat=n):
+            if sum(L) <= D + 1 - d:
+                yield L, d
+
+
+def prove_recursion(spec: AlgebraSpec, D: int):
+    """Compare the recursion with the Verma engine through degree D.
+
+    Returns (points, mismatches): the number of pairs (L, d) of the
+    set T(n, D) = {L >= 0 in Z^n, d >= 1, |L| + d - 1 <= D}, and one
+    (L, d, label, k) for each k <= D where scaled_numerators(spec, L,
+    d, D + 1) differs from d^k times DiagonalSeries(spec, L/d).values.
+    No mismatch proves the two engines equal, for k <= D, at every
+    weight and every scale d:
+
+    * Degree.  s_i(k)(lambda) = pi((M^k)_ii)(lambda) is a polynomial of
+      total degree at most k in lambda, the Harish-Chandra image of an
+      element of filtration degree k; so d^k s_i(k)(L/d) is a
+      polynomial in (L, d), homogeneous of degree k.
+    * Homogeneity.  The recursion's int for k is a polynomial in (L, d)
+      homogeneous of degree k, by induction on the rank.  Every pole E
+      it divides by is linear in (L, d).  Division by v - E sends a
+      series whose order j term has degree j + 1 (d times a series of
+      the induction, or the constant 1 at order -1) to one whose order
+      k term has degree k, so 1/(v - E), p (1 - d/(v - E)) and
+      (1 - X)/(v - E) all keep the degree equal to the order.  The code
+      has no branch on (L, d), so it computes that one polynomial at
+      every pair.  With d a variable of the proof, a wrong power of d
+      changes that polynomial; integral points alone (d = 1) would not
+      see it.
+    * Unisolvence.  T(n, D) is the simplex S(n + 1, D) = {x >= 0 in
+      Z^(n+1), |x| <= D} moved by d = x_(n+1) + 1, and a polynomial of
+      total degree at most D that vanishes on S(n + 1, D) is zero: in
+      the binomial basis prod_j C(x_j, a_j), |a| <= D, its values there
+      form a unitriangular system.  So two polynomials of degree at
+      most D that agree on T(n, D) agree everywhere.
+
+    The proof shows that the engines agree, not that either is right;
+    the Verma engine stays the reference.
+    """
+    from .verma import DiagonalSeries
+    points, mismatches = 0, []
+    for L, d in _simplex(spec.n, D):
+        points += 1
+        mine = scaled_numerators(spec, L, d, D + 1)
+        ref = DiagonalSeries(spec, [Fraction(x, d) for x in L]).values(D + 1)
+        for label, col, want in zip(spec.matrix_indices, mine, ref):
+            mismatches += [(L, d, label, k) for k, (n, s)
+                           in enumerate(zip(col, want)) if n != s * d ** k]
+    return points, mismatches

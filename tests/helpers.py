@@ -5,16 +5,43 @@ like the plain trace of a matrix, exists only to state properties of
 the package's objects.
 """
 
+import os
+import subprocess
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 from hwpoly.algebra import CARTAN, NEG, Family, as_weight
-from hwpoly.enveloping import UElement, VermaModule
+from hwpoly.enveloping import UElement
+from hwpoly.verma import VermaModule
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # whole weight boxes (rank, lo, hi, step), swept in every family by the
 # fast and the certified engine
 BOXES = [(2, -3, 3, Fraction(1, 2)), (2, -2, 2, Fraction(1, 3)),
          (3, -2, 2, Fraction(1))]
+
+
+def run_into_closed_pipe(argv, unbuffered):
+    """Run argv with stdout a pipe whose reader is already gone.
+
+    Returns (exit status, stderr).  unbuffered sets PYTHONUNBUFFERED, so
+    the child meets the closed pipe at its first write rather than at
+    its flush.
+    """
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=120)
+    finally:
+        os.close(write)
+    return done.returncode, done.stderr
 
 
 def _eps_hat(spec, i):

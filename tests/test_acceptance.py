@@ -15,14 +15,14 @@ from helpers import hw_coefficient
 from hwpoly.algebra import CARTAN, NEG, POS, make_spec, parabolic
 from hwpoly.enveloping import (UElement, evaluate_at_weight, pbw_normalize,
                                project_hc, project_relative)
-from hwpoly.genmatrix import projected_diagonal
+from hwpoly.genmatrix import (check_relative_formulas, pp_diagnostic,
+                              projected_diagonal)
 from hwpoly.howe import (check_conv_powers, check_divisibility_instance,
                          check_resolvent_transfer)
 from hwpoly.oracle import build_catalog_rep, build_irrep_gl, oracle_minpoly
 from hwpoly.polyrat import UniPoly
 from hwpoly.shuffle import minpoly_from_weight, shifted_weight, shuffle_gl
-from hwpoly.verify import (certified_minimal_polynomial,
-                           check_relative_formulas, pp_diagnostic)
+from hwpoly.verify import certified_minimal_polynomial
 
 F = Fraction
 

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from helpers import run_into_closed_pipe
 from hwpoly import cli
 from hwpoly.polyrat import UniPoly
 from hwpoly.verify import CertificationError
@@ -105,6 +106,29 @@ class TestMinpoly:
         rc, out, err = run(capsys, "minpoly", "gl", "2", "1,0", "--json", "")
         assert (rc, out) == (1, "")
         assert err.startswith("hwpoly: cannot write : ")
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    @pytest.mark.parametrize("argv", [("certify", "o", "7", "--", "5,3,0"),
+                                      ("shuffle", "gl", "--", "0")])
+    def test_closed_stdout_is_exit_one(self, argv, unbuffered):
+        # a reader that closed the pipe once left a BrokenPipeError
+        # traceback, from the write or from the flush at exit
+        rc, err = run_into_closed_pipe(
+            [sys.executable, "-m", "hwpoly.cli", *argv], unbuffered)
+        assert rc == 1
+        assert err == "hwpoly: cannot write stdout: Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a device that is always full")
+    def test_full_stdout_is_exit_one(self):
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "hwpoly.cli", "shuffle", "gl", "--",
+                 "0"], stdout=full, stderr=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONPATH=str(SRC_PATH)), timeout=60)
+        assert done.returncode == 1
+        assert done.stderr == (
+            "hwpoly: cannot write stdout: No space left on device\n")
 
 
 class TestShuffleCommand:

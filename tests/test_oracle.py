@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import ReferenceVerma, hw_coefficient, verma_act
 from hwpoly.algebra import NEG, AlgebraSpec, make_spec
-from hwpoly.enveloping import (VermaModule, evaluate_at_weight, pbw_normalize,
-                               project_hc)
+from hwpoly.enveloping import evaluate_at_weight, pbw_normalize, project_hc
 from hwpoly.oracle import (
     build_catalog_rep,
     build_irrep_gl,
@@ -19,6 +18,7 @@ from hwpoly.oracle import (
 )
 from hwpoly.polyrat import UniPoly
 from hwpoly.shuffle import minpoly_from_weight
+from hwpoly.verma import VermaModule
 
 
 def mat_mul(a, b):

@@ -14,8 +14,10 @@ import hwpoly
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # the modules only the certifier, the oracle and the Howe checks need
-SLOW = ("hwpoly.verify", "hwpoly.enveloping", "hwpoly.genmatrix",
-        "hwpoly.howe", "hwpoly.oracle")
+SLOW = ("hwpoly.verify", "hwpoly.verma", "hwpoly.enveloping",
+        "hwpoly.genmatrix", "hwpoly.howe", "hwpoly.oracle")
+# the PBW algebra and the Verma engine, which the recursion leaves idle
+ENGINES = ("hwpoly.enveloping", "hwpoly.genmatrix", "hwpoly.verma")
 
 
 def loaded_after(code):
@@ -48,6 +50,29 @@ def test_certify_loads_neither_oracle_nor_howe():
     loaded = loaded_by_command("certify", "gl", "2", "1,0")
     assert "hwpoly.verify" in loaded
     assert loaded.isdisjoint(("hwpoly.howe", "hwpoly.oracle", "dataclasses"))
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify", "gl", "2", "1,0"),
+    ("resolvent", "gl", "3", "--", "5,2,1"),
+    ("poset", "gl", "2", "1,0;3,0"),
+])
+def test_proven_ranks_load_only_the_recursion(argv):
+    loaded = loaded_by_command(*argv)
+    assert {"hwpoly.verify", "hwpoly.recursion"} <= loaded
+    assert loaded.isdisjoint(ENGINES)
+
+
+def test_certify_past_the_table_loads_the_verma_engine_alone():
+    loaded = loaded_by_command("certify", "sp", "4", "1,0,0,0")
+    assert "hwpoly.verma" in loaded
+    assert loaded.isdisjoint(("hwpoly.enveloping", "hwpoly.genmatrix"))
+
+
+def test_relcheck_loads_the_pbw_algebra():
+    loaded = loaded_by_command("relcheck", "gl", "2", "1,0")
+    assert {"hwpoly.enveloping", "hwpoly.genmatrix"} <= loaded
+    assert "hwpoly.verify" not in loaded
 
 
 def test_oracle_loads_no_other_slow_module():
@@ -84,6 +109,20 @@ def test_unknown_attribute_is_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         hwpoly.no_such_name
     assert not hasattr(hwpoly, "no_such_name")
+
+
+def test_verify_reads_projected_diagonal_from_genmatrix(monkeypatch):
+    # the benchmark's tracer reads and patches this one name on verify;
+    # every read looks it up in genmatrix, so a patch there shows
+    from hwpoly import genmatrix, verify
+
+    assert verify.projected_diagonal is genmatrix.projected_diagonal
+    assert "projected_diagonal" not in vars(verify)
+    monkeypatch.setattr(genmatrix, "projected_diagonal", len)
+    assert verify.projected_diagonal is len
+    assert "projected_diagonal" not in vars(verify)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        verify.no_such_name
 
 
 def test_verify_still_exports_its_exceptions():

@@ -12,12 +12,12 @@ import pytest
 from hwpoly import recursion, verify
 from helpers import verma_act
 from hwpoly.algebra import AlgebraSpec, make_spec
-from hwpoly.enveloping import VermaModule
-from hwpoly.recursion import PROVEN, RecursionSeries, proven_terms
+from hwpoly.recursion import (PROVEN, RecursionSeries, proven_terms,
+                              prove_recursion)
 from hwpoly.shuffle import minpoly_from_weight
-from hwpoly.verify import (DiagonalSeries, certified_minimal_polynomial,
-                           certify_minimal, projected_resolvent,
-                           prove_recursion, series_for)
+from hwpoly.verify import (certified_minimal_polynomial, certify_minimal,
+                           projected_resolvent, series_for)
+from hwpoly.verma import DiagonalSeries, VermaModule
 
 F = Fraction
 
@@ -43,13 +43,13 @@ def test_proof_sees_a_wrong_sp_constant(monkeypatch):
 def test_proof_sees_a_wrong_power_of_d(monkeypatch):
     # one more factor d in every term past the first is invisible at
     # d = 1, so the proof must hold points of every scale up to D + 1
-    right = verify.scaled_numerators
+    right = recursion.scaled_numerators
 
     def wrong(spec, L, d, K):
         return [[x * d ** (k > 0) for k, x in enumerate(col)]
                 for col in right(spec, L, d, K)]
 
-    monkeypatch.setattr(verify, "scaled_numerators", wrong)
+    monkeypatch.setattr(recursion, "scaled_numerators", wrong)
     _, mismatches = prove_recursion(AlgebraSpec("gl", 2), 3)
     assert mismatches
     assert all(d > 1 for _, d, _, _ in mismatches)

@@ -7,6 +7,8 @@ from math import comb
 
 import pytest
 
+from helpers import run_into_closed_pipe
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -37,3 +39,15 @@ def test_prove_recursion_rank_two(family, D):
     assert lines[1] == "mismatches: 0"
     assert lines[2].startswith("seconds: ")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("tool,args", [
+    ("prove_recursion.py", ["gl", "2", "5"]),
+    ("box_sweep.py", ["gl", "2", "-1", "1", "1"])])
+def test_closed_stdout_is_exit_one(tool, args, unbuffered):
+    # both once ended in a BrokenPipeError traceback
+    rc, err = run_into_closed_pipe(
+        [sys.executable, str(ROOT / "tools" / tool), *args], unbuffered)
+    assert rc == 1
+    assert err == "hwpoly: cannot write stdout: Broken pipe\n"

@@ -13,23 +13,22 @@ from hypothesis import strategies as st
 from helpers import BOXES, ReferenceVerma, verma_act
 from hwpoly import verify
 from hwpoly.algebra import AlgebraSpec, make_spec
-from hwpoly.enveloping import VermaModule, evaluate_at_weight
-from hwpoly.genmatrix import projected_diagonal
+from hwpoly.enveloping import evaluate_at_weight
+from hwpoly.genmatrix import (check_relative_formulas, pp_diagnostic,
+                              projected_diagonal)
 from hwpoly.oracle import build_catalog_rep, oracle_minpoly
 from hwpoly.polyrat import UniPoly, monic_lcm, pade_reconstruct
 from hwpoly.shuffle import minpoly_from_weight
 from hwpoly.verify import (
     Certificate,
     CertificationError,
-    DiagonalSeries,
     annihilation_residuals,
     certified_minimal_polynomial,
     certify_minimal,
-    check_relative_formulas,
     divisibility_poset,
-    pp_diagnostic,
     projected_resolvent,
 )
+from hwpoly.verma import DiagonalSeries, VermaModule
 
 
 F = Fraction

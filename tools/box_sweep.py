@@ -7,9 +7,10 @@ every weight whose coordinates lie in LO, LO + STEP, ..., HI; LO, HI and
 STEP are rationals such as -4, 4 and 1/2.  The script prints the number
 of weights, the seconds taken, and every weight where the shuffle
 answer (minpoly_from_weight) differs from the certified one
-(certified_minimal_polynomial), with both root multisets.  It runs from
-a checkout without installing the package and uses the standard
-library only.
+(certified_minimal_polynomial), with both root multisets.  It exits 0,
+or 1 when stdout cannot be written (its reader closed the pipe; one
+line on stderr says so).  It runs from a checkout without installing
+the package and uses the standard library only.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hwpoly import (certified_minimal_polynomial, make_spec,
                     minpoly_from_weight)
+from hwpoly.cli import write_stdout
 
 
 def box(rank: int, lo: Fraction, hi: Fraction, step: Fraction):
@@ -59,13 +61,12 @@ def main(argv=None) -> int:
         if fast != certified:
             differ.append((lam, fast, certified))
     seconds = time.perf_counter() - start
-    print(f"weights: {count}")
-    print(f"seconds: {seconds:.2f}")
-    print(f"disagreements: {len(differ)}")
-    for lam, fast, certified in differ:
-        print(f"  {spec.label} ({','.join(str(x) for x in lam)}): "
-              f"fast {_roots(fast)}; certified {_roots(certified)}")
-    return 0
+    lines = [f"weights: {count}", f"seconds: {seconds:.2f}",
+             f"disagreements: {len(differ)}"]
+    lines += [f"  {spec.label} ({','.join(str(x) for x in lam)}): "
+              f"fast {_roots(fast)}; certified {_roots(certified)}"
+              for lam, fast, certified in differ]
+    return write_stdout("\n".join(lines) + "\n")
 
 
 if __name__ == "__main__":

@@ -3,17 +3,18 @@
     python3 tools/prove_recursion.py FAMILY RANK D
 
 FAMILY is gl, sp, o_even or o_odd and RANK the rank.  The script runs
-verify.prove_recursion: at every pair (L, d) with L >= 0 in Z^RANK,
+recursion.prove_recursion: at every pair (L, d) with L >= 0 in Z^RANK,
 d >= 1 and |L| + d - 1 <= D it compares the recursion's ints with the
 Verma series at the weight L/d, scaled by d^k, for every order k <= D.
 It prints the number of points, the number of mismatches and the
 seconds taken, then each mismatch as its point, diagonal label and
-order, and exits 1 when there is any.  No mismatch proves the two
-engines equal through order D at every weight of the rank (see the
-docstring of prove_recursion).  D = N covers what certify reads, and
-D = 2N + 1 what resolvent reads, N the matrix size.  It runs from a
-checkout without installing the package and uses the standard library
-only.
+order, and exits 1 when there is any, or when stdout cannot be written
+(its reader closed the pipe; one line on stderr says so).  No mismatch
+proves the two engines equal through order D at every weight of the
+rank (see the docstring of prove_recursion).  D = N covers what
+certify reads, and D = 2N + 1 what resolvent reads, N the matrix size.
+It runs from a checkout without installing the package and uses the
+standard library only.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hwpoly import AlgebraSpec
-from hwpoly.verify import prove_recursion
+from hwpoly.cli import write_stdout
+from hwpoly.recursion import prove_recursion
 
 
 def main(argv=None) -> int:
@@ -41,13 +43,11 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     points, mismatches = prove_recursion(spec, args.D)
     seconds = time.perf_counter() - start
-    print(f"points: {points}")
-    print(f"mismatches: {len(mismatches)}")
-    print(f"seconds: {seconds:.2f}")
-    for L, d, label, k in mismatches:
-        print(f"  {spec.label} L=({','.join(map(str, L))}) d={d}: "
-              f"entry {label}, order {k}")
-    return 1 if mismatches else 0
+    lines = [f"points: {points}", f"mismatches: {len(mismatches)}",
+             f"seconds: {seconds:.2f}"]
+    lines += [f"  {spec.label} L=({','.join(map(str, L))}) d={d}: "
+              f"entry {label}, order {k}" for L, d, label, k in mismatches]
+    return write_stdout("\n".join(lines) + "\n") or (1 if mismatches else 0)
 
 
 if __name__ == "__main__":
