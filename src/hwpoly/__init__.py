@@ -3,9 +3,11 @@
 The package computes, over the classical matrix Lie algebras, the
 minimal polynomial of the generator matrix acting through a simple
 highest weight module.  A combinatorial shuffle decomposition of the
-shifted weight predicts the polynomial instantly; an independent
-projection criterion inside the enveloping algebra certifies it.  All
-arithmetic is exact rational.
+shifted weight predicts the polynomial instantly; the certifier proves
+it from the projected diagonal of the powers of that matrix, read off
+the rank recursion at the ranks where it is proven and off a walk
+through the Verma module past them, with no product in the enveloping
+algebra.  All arithmetic is exact rational.
 
 The exports load on first use: ``import hwpoly`` imports no submodule,
 and ``hwpoly.make_spec`` imports ``hwpoly.algebra`` only when it is
@@ -22,7 +24,7 @@ _HOMES = {
     "enveloping": ("UElement", "evaluate_at_weight", "pbw_normalize",
                    "project_hc", "project_relative"),
     "genmatrix": ("check_relative_formulas", "generator_matrix",
-                  "generator_power", "pp_diagnostic", "projected_diagonal"),
+                  "generator_power", "projected_diagonal"),
     "howe": ("WeylAlgebra", "WeylElement", "check_conv_powers",
              "check_divisibility_instance", "check_resolvent_transfer",
              "dual_pair", "weyl_normalize"),

@@ -166,17 +166,6 @@ def _cmd_relcheck(spec, lam, args):
     }
 
 
-def _cmd_ppdiag(spec, lam, args):
-    from .genmatrix import pp_diagnostic
-    report = pp_diagnostic(spec, lam, K=args.K)
-    return {
-        "K": args.K,
-        "name": report.name,
-        "residuals": [_s(x) for x in report.residuals],
-        "exact": report.exact,
-    }
-
-
 def _cmd_oracle(spec, args):
     from .oracle import build_catalog_rep, build_irrep_gl, oracle_minpoly
     if args.rep in ("trivial", "defining"):
@@ -258,8 +247,6 @@ _COMMANDS = (
     ("resolvent", "projected resolvent diagonal", _WEIGHT, _cmd_resolvent),
     ("relcheck", "corank one restriction identities", _WEIGHT + _K(6),
      _cmd_relcheck),
-    ("ppdiag", "trace series diagnostic (o and sp)", _WEIGHT + _K(6),
-     _cmd_ppdiag),
     ("oracle", "matrix-model minimal polynomial",
      _ALGEBRA + (("rep", {"help": "'trivial', 'defining', or a gl weight"}),),
      _cmd_oracle),

@@ -10,13 +10,10 @@ resolvent (u - M)^{-1} = sum_k M^k u^{-k-1}; after Harish-Chandra
 projection and evaluation the diagonal of those powers carries all
 minimal polynomial data.  The certifier reads those values off the
 rank recursion or a Verma module recurrence instead; the PBW powers
-here serve the corank one identities and the trace diagnostic, whose
-entries keep Cartan or Levi coordinates symbolic, and stand as an
-independent check of that recurrence.  check_relative_formulas checks
-the corank one restriction formulas for the resolvent, and
-pp_diagnostic reports the Perelomov Popov style trace generating
-function (never asserted, since it disagrees with the exact trace
-facts beyond first order).
+here serve the corank one identities, whose entries keep Cartan or
+Levi coordinates symbolic, and stand as an independent check of that
+recurrence.  check_relative_formulas checks the corank one restriction
+formulas for the resolvent.
 
 Rows and columns are addressed by labels, not by positions (for M the
 spec's matrix index labels, 1..n for gl, otherwise -n..n without or
@@ -35,11 +32,9 @@ from math import comb
 from typing import NamedTuple
 
 from .algebra import AlgebraSpec, Family, as_weight, inner_spec, parabolic
-from .enveloping import (UElement, evaluate_at_weight, project_hc,
-                         project_relative, restrict_corank_one)
+from .enveloping import (UElement, project_hc, project_relative,
+                         restrict_corank_one)
 from .linalg import ONE, ZERO
-from .polyrat import UniPoly, series_of_rational
-from .shuffle import shifted_weight
 
 
 class MatrixU:
@@ -268,51 +263,3 @@ def check_relative_formulas(spec: AlgebraSpec, lam, K: int = 6):
             opp.append(_magnitude(lhs - rhs))
         reports.append(DiagnosticReport("opposite-corner", tuple(opp)))
     return reports
-
-
-def pp_diagnostic(spec: AlgebraSpec, lam, K: int = 6) -> DiagnosticReport:
-    """Residuals of the closed trace generating function against the engine.
-
-    The closed form is the Perelomov Popov style expression in the
-    shifted weight; it reproduces neither of the exact low order trace
-    facts beyond u^-1 in general, which is why this is a report rather
-    than a certification step.  residuals[0] is the magnitude of the
-    closed form's polynomial part (the engine series has none) and
-    residuals[m] compares the u^-m coefficients for m = 1..K.
-    """
-    lam = as_weight(spec, lam)
-    if spec.family is Family.GL:
-        raise ValueError("trace diagnostic applies to o and sp only")
-    if spec.n < 1:
-        raise ValueError("rank must be at least 1")
-    engine = []
-    for m in range(1, K + 1):
-        total = ZERO
-        for pos in range(len(spec.matrix_indices)):
-            total += evaluate_at_weight(
-                projected_diagonal(spec, m - 1)[pos], lam)
-        engine.append(total)
-
-    rho1 = spec.rho[0]
-    shifted = shifted_weight(spec, lam)
-    p2 = UniPoly.one()
-    p1 = UniPoly.one()
-    vsq = UniPoly.x() * UniPoly.x()
-    vshift = UniPoly.x().shift(-1)
-    for li in shifted:
-        p2 = p2 * (vsq - UniPoly((li * li,)))
-        p1 = p1 * (vshift * vshift - UniPoly((li * li,)))
-    v = UniPoly.x()
-    half = UniPoly((Fraction(-1, 2), ONE))
-    if spec.family is Family.O_ODD:
-        num = v * p2 - vshift * (p2 - p1)
-    else:
-        eps2 = UniPoly((-2 * spec.epsilon, ONE))
-        num = eps2 * (p2 - p1)
-    den = half * p2
-    poly, closed = series_of_rational(num.shift(-rho1), den.shift(-rho1), K)
-    # residual 0 is the polynomial part, which the engine series lacks
-    head = sum((abs(c) for c in poly.coeffs), ZERO)
-    return DiagnosticReport(
-        "trace-generating-function",
-        (head,) + tuple(e - f for e, f in zip(engine, closed)))

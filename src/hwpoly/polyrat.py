@@ -14,12 +14,11 @@ once per polynomial, which keeps what it found.  Roots are multiplied
 out in ints over their common denominator (scaled_product); Fractions
 are made only for the coefficients and roots kept.
 
-series_of_rational expands a rational function in powers of 1/u around
-u = infinity: a polynomial part plus the tail of coefficients of
-u^-1 .. u^-K.  Orders beyond u^-K are unknown.  pade_reconstruct
-recovers a strictly proper rational function from such a tail by
-trying denominator degrees in ascending order and solving the linear
-system given by the whole available tail, so a successful fit is
+A series in powers of 1/u around u = infinity is known through its
+tail of coefficients of u^-1 .. u^-K; orders beyond u^-K are unknown.
+pade_reconstruct recovers a strictly proper rational function from such
+a tail by trying denominator degrees in ascending order and solving the
+linear system given by the whole available tail, so a successful fit is
 automatically the reduced form and a short or corrupted tail is
 detected instead of silently misread.
 
@@ -365,27 +364,6 @@ def _divisors(n):
                 out.append(n // d)
         d += 1
     return sorted(out)
-
-
-def series_of_rational(num: UniPoly, den: UniPoly,
-                       order: int) -> "tuple[UniPoly, tuple]":
-    """Expand num/den at u = infinity to the given truncation order.
-
-    Returns (poly, tail): the polynomial part and the coefficients of
-    u^-1 .. u^-order.
-    """
-    if den.is_zero():
-        raise ZeroDivisionError("zero denominator")
-    q, r = divmod(num, den)
-    d = den.degree
-    lead = den.coeffs[-1]
-    tail = []
-    for m in range(1, order + 1):
-        acc = r.coeff(d - m)
-        for t in range(1, m):
-            acc -= tail[t - 1] * den.coeff(d - m + t)
-        tail.append(acc / lead)
-    return q, tuple(tail)
 
 
 def pade_reconstruct(tail: Sequence, dmax: int) -> "tuple[UniPoly, UniPoly]":

@@ -2,7 +2,9 @@
 
 The package itself reads no ad-weight: the weight bookkeeping below,
 like the plain trace of a matrix, exists only to state properties of
-the package's objects.
+the package's objects.  Nor does it expand a rational function at
+infinity: series_of_rational is the reference expansion that the Pade
+fits are checked against.
 """
 
 import os
@@ -93,6 +95,27 @@ def weight(a):
 def trace(m):
     """Sum of the diagonal entries of a MatrixU."""
     return sum((e for _, e in m.diagonal()), m.elem.zero(m.spec))
+
+
+def series_of_rational(num, den, order):
+    """Expand the UniPoly quotient num/den at u = infinity to the given
+    truncation order.
+
+    Returns (poly, tail): the polynomial part and the coefficients of
+    u^-1 .. u^-order.
+    """
+    if den.is_zero():
+        raise ZeroDivisionError("zero denominator")
+    q, r = divmod(num, den)
+    d = den.degree
+    lead = den.coeffs[-1]
+    tail = []
+    for m in range(1, order + 1):
+        acc = r.coeff(d - m)
+        for t in range(1, m):
+            acc -= tail[t - 1] * den.coeff(d - m + t)
+        tail.append(acc / lead)
+    return q, tuple(tail)
 
 
 def verma_act(module, g, nu):

@@ -2,9 +2,7 @@
 
 Each test covers one release criterion and prints a single PASS/FAIL
 line (run with -rP or -s to see the lines for passing tests).  Every
-comparison is exact; there are no tolerances anywhere.  Criterion 10
-additionally prints a residual report table that is informational by
-design.
+comparison is exact; there are no tolerances anywhere.
 """
 
 import random
@@ -15,8 +13,7 @@ from helpers import hw_coefficient
 from hwpoly.algebra import CARTAN, NEG, POS, make_spec, parabolic
 from hwpoly.enveloping import (UElement, evaluate_at_weight, pbw_normalize,
                                project_hc, project_relative)
-from hwpoly.genmatrix import (check_relative_formulas, pp_diagnostic,
-                              projected_diagonal)
+from hwpoly.genmatrix import check_relative_formulas, projected_diagonal
 from hwpoly.howe import (check_conv_powers, check_divisibility_instance,
                          check_resolvent_transfer)
 from hwpoly.oracle import build_catalog_rep, build_irrep_gl, oracle_minpoly
@@ -259,14 +256,4 @@ def test_10_trace_series_diagnostics():
                 failures.append(("u^-1", spec.label, lam, str(c1)))
             if c2 != 0:
                 failures.append(("u^-2", spec.label, lam, str(c2)))
-    # informational residual tables against the closed trace formula
-    for family, n in (("sp", 1), ("o_odd", 1), ("o_even", 2)):
-        spec = make_spec(family, n)
-        rng = random.Random(f"acceptance-pp-report-{spec.label}")
-        for _ in range(3):
-            lam = tuple(F(rng.randint(-3, 3), rng.choice([1, 2]))
-                        for _ in range(n))
-            rep = pp_diagnostic(spec, lam, K=6)
-            cells = ", ".join(str(r) for r in rep.residuals)
-            print(f"  report {spec.label} weight={lam}: [{cells}]")
     _conclude(10, "trace-series-diagnostics", failures)

@@ -253,12 +253,18 @@ class TestExitCodes:
         assert (rc, out) == (1, "")
         assert "--mode" in err
 
+    def test_ppdiag_command_is_gone(self, capsys):
+        # ppdiag once reported a closed trace formula that no answer read
+        rc, out, err = run(capsys, "ppdiag", "sp", "2", "1,0")
+        assert (rc, out) == (1, "")
+        assert "invalid choice" in err
+
     @pytest.mark.parametrize("argv,reads_K", [
         (("certify", "o", "3", "1"), False),
         (("certify", "gl", "1", "0"), False),
         (("relcheck", "gl", "1", "0"), True),
         (("relcheck", "sp", "1", "0"), True),
-        (("ppdiag", "sp", "1", "0"), True),
+        (("relcheck", "o", "2", "0"), True),
         (("resolvent", "gl", "1", "0"), False),
         (("howe", "1", "1", "--rmax", "0", "--dmax", "0"), True),
         (("shuffle", "gl", "3,2"), False),
@@ -294,10 +300,6 @@ class TestExitCodes:
         fast = run_doc(capsys, command, "sp", "2", "1,0")
         certified = run_doc(capsys, "certify", "sp", "2", "1,0")
         assert fast["polynomial"] == certified["polynomial"]
-
-    def test_ppdiag_rejects_gl(self, capsys):
-        rc, _, err = run(capsys, "ppdiag", "gl", "2", "1,0")
-        assert rc == 1
 
     @pytest.mark.parametrize("order", ["0", "-3", "x"])
     def test_truncation_order_below_one_is_usage_error(self, capsys, order):

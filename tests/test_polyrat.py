@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import series_of_rational
 from hwpoly.polyrat import (
     ReconstructionError,
     TruncationError,
@@ -13,7 +14,6 @@ from hwpoly.polyrat import (
     monic_lcm,
     pade_reconstruct,
     rat,
-    series_of_rational,
 )
 
 F = Fraction

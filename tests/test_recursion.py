@@ -9,15 +9,14 @@ from math import comb
 
 import pytest
 
-from hwpoly import recursion, verify
+from hwpoly import recursion, verify, verma
 from helpers import verma_act
 from hwpoly.algebra import AlgebraSpec, make_spec
-from hwpoly.recursion import (PROVEN, RecursionSeries, proven_terms,
-                              prove_recursion)
+from hwpoly.recursion import PROVEN, RecursionSeries, proven_terms
 from hwpoly.shuffle import minpoly_from_weight
 from hwpoly.verify import (certified_minimal_polynomial, certify_minimal,
                            projected_resolvent, series_for)
-from hwpoly.verma import DiagonalSeries, VermaModule
+from hwpoly.verma import DiagonalSeries, VermaModule, prove_recursion
 
 F = Fraction
 
@@ -49,7 +48,7 @@ def test_proof_sees_a_wrong_power_of_d(monkeypatch):
         return [[x * d ** (k > 0) for k, x in enumerate(col)]
                 for col in right(spec, L, d, K)]
 
-    monkeypatch.setattr(recursion, "scaled_numerators", wrong)
+    monkeypatch.setattr(verma, "scaled_numerators", wrong)
     _, mismatches = prove_recursion(AlgebraSpec("gl", 2), 3)
     assert mismatches
     assert all(d > 1 for _, d, _, _ in mismatches)

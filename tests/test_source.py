@@ -3,7 +3,8 @@
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hwpoly"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hwpoly"
 
 
 def _raises_assertion_error(node):
@@ -136,3 +137,90 @@ def test_no_unread_instance_attributes():
               for field in node.body if isinstance(field, ast.AnnAssign)
               and field.target.id not in loaded]
     assert found == []
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _loaded(node):
+    """The Name ids and Attribute names that node loads, at any depth."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)}
+
+
+def _extends_its_base(method):
+    """Whether method calls super().<its own name>: an override that its
+    base class calls."""
+    return any(isinstance(n, ast.Attribute) and n.attr == method.name
+               and isinstance(n.value, ast.Call)
+               and isinstance(n.value.func, ast.Name)
+               and n.value.func.id == "super"
+               for n in ast.walk(method))
+
+
+def _definitions(tree, module):
+    """(qualname, name, loads, owner) of each top-level function and
+    class and each method.  A class loads what its statements load
+    outside its methods, and a method its whole subtree.  owner is the
+    method's class when the method extends its base's, which the base
+    calls wherever the class is used, and None otherwise."""
+    for node in tree.body:
+        if isinstance(node, _DEFS):
+            yield f"{module}.{node.name}", node.name, _loaded(node), None
+        elif isinstance(node, ast.ClassDef):
+            cls, own = f"{module}.{node.name}", set()
+            for part in node.bases + node.keywords + node.decorator_list:
+                own |= _loaded(part)
+            for stmt in node.body:
+                if isinstance(stmt, _DEFS):
+                    yield (f"{cls}.{stmt.name}", stmt.name, _loaded(stmt),
+                           cls if _extends_its_base(stmt) else None)
+                else:
+                    own |= _loaded(stmt)
+            yield cls, node.name, own, None
+
+
+def _exported(tree):
+    """The names in the package's _HOMES table."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "_HOMES"
+                        for t in node.targets)):
+            return {c.value for names in node.value.values
+                    for c in ast.walk(names) if isinstance(c, ast.Constant)}
+    raise LookupError("no _HOMES table")
+
+
+def test_every_definition_in_the_package_is_reached():
+    # a definition is reached from the package's exports, from what its
+    # modules run at import (the CLI's command table and entry point
+    # among it), or from the tools and demos.  It reaches every name it
+    # loads, and a name reaches every definition so called.  A dunder
+    # method is reached by the protocol that calls it, and an override
+    # that extends its base's method by that base, with its class.
+    # What is left unreached only the tests could call.
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    defs = [d for mod, tree in trees.items() for d in _definitions(tree, mod)]
+    assert defs
+    names = _exported(trees["__init__"])
+    for tree in trees.values():
+        names |= {name for node in tree.body
+                  if not isinstance(node, _DEFS + (ast.ClassDef,))
+                  for name in _loaded(node)}
+    for script in sorted(ROOT.glob("tools/*.py")) + sorted(
+            ROOT.glob("demos/*.py")):
+        names |= _loaded(ast.parse(script.read_text(), filename=str(script)))
+    reached, grew = set(), True
+    while grew:
+        grew = False
+        for qualname, name, loads, owner in defs:
+            if qualname not in reached and (
+                    name in names or owner in reached
+                    or (name.startswith("__") and name.endswith("__"))):
+                reached.add(qualname)
+                names |= loads
+                grew = True
+    assert sorted(q for q, _, _, _ in defs if q not in reached) == []

@@ -14,8 +14,7 @@ from helpers import BOXES, ReferenceVerma, verma_act
 from hwpoly import verify
 from hwpoly.algebra import AlgebraSpec, make_spec
 from hwpoly.enveloping import evaluate_at_weight
-from hwpoly.genmatrix import (check_relative_formulas, pp_diagnostic,
-                              projected_diagonal)
+from hwpoly.genmatrix import check_relative_formulas, projected_diagonal
 from hwpoly.oracle import build_catalog_rep, oracle_minpoly
 from hwpoly.polyrat import UniPoly, monic_lcm, pade_reconstruct
 from hwpoly.shuffle import minpoly_from_weight
@@ -516,12 +515,6 @@ class TestRelativeFormulas:
 
 
 class TestTraceDiagnostic:
-    def test_sp1_frozen_residuals(self):
-        rep = pp_diagnostic(make_spec("sp", 1), (1,), K=3)
-        assert rep.name == "trace-generating-function"
-        assert rep.residuals == (0, 0, 2, 4)
-        assert not rep.exact
-
     def test_exact_low_order_trace_facts(self):
         for family, n in [("sp", 1), ("sp", 2), ("o_odd", 1), ("o_even", 2)]:
             spec = make_spec(family, n)
@@ -534,16 +527,6 @@ class TestTraceDiagnostic:
                          for p in range(spec.N))
                 assert t1 == spec.N
                 assert t2 == 0
-
-    def test_gl_rejected(self):
-        with pytest.raises(ValueError):
-            pp_diagnostic(make_spec("gl", 2), (0, 0))
-
-    @pytest.mark.parametrize("family", ["sp", "o_odd"])
-    def test_rank_zero_rejected(self, family):
-        # rank zero once ended in an IndexError from spec.rho[0]
-        with pytest.raises(ValueError, match="rank must be at least 1"):
-            pp_diagnostic(make_spec(family, 0), ())
 
 
 class TestPoset:

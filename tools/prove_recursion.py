@@ -3,7 +3,7 @@
     python3 tools/prove_recursion.py FAMILY RANK D
 
 FAMILY is gl, sp, o_even or o_odd and RANK the rank.  The script runs
-recursion.prove_recursion: at every pair (L, d) with L >= 0 in Z^RANK,
+verma.prove_recursion: at every pair (L, d) with L >= 0 in Z^RANK,
 d >= 1 and |L| + d - 1 <= D it compares the recursion's ints with the
 Verma series at the weight L/d, scaled by d^k, for every order k <= D.
 It prints the number of points, the number of mismatches and the
@@ -28,7 +28,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hwpoly import AlgebraSpec
 from hwpoly.cli import write_stdout
-from hwpoly.recursion import prove_recursion
+from hwpoly.verma import prove_recursion
 
 
 def main(argv=None) -> int:
