@@ -28,11 +28,10 @@ from fractions import Fraction
 
 from .algebra import EPSILON, Family, make_spec
 from .polyrat import CertificationError, UniPoly, monic_lcm
-from .shuffle import (minpoly_from_weight, shifted_weight, shuffle_gl,
-                      shuffle_mirror)
 
-# The certifier, the oracle and the Howe checks are imported by the
-# handlers that run them, so a fast command never loads them.
+# The shuffle formulas, the certifier, the oracle and the Howe checks
+# are imported by the handlers that run them, so a command loads only
+# what it runs.
 
 
 class _Usage(Exception):
@@ -106,6 +105,7 @@ def _roots(q: UniPoly):
 
 
 def _cmd_minpoly(spec, lam, args):
+    from .shuffle import minpoly_from_weight, shifted_weight
     q = minpoly_from_weight(spec, lam)
     return {
         "l": [_s(x) for x in shifted_weight(spec, lam)],
@@ -115,6 +115,7 @@ def _cmd_minpoly(spec, lam, args):
 
 
 def _cmd_shuffle(args):
+    from .shuffle import shuffle_gl, shuffle_mirror
     seq = _parse_weight(args.sequence)
     if args.family == "gl":
         dec = shuffle_gl(seq)
@@ -294,10 +295,14 @@ def _document(args):
     return {"algebra": spec.label, **args.handler(spec, args)}
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv) -> _Parser:
+    """The parser of the command that argv[0] names, or of every command
+    when it names none (no arguments, --help or an unknown command), so
+    that the usage and its errors list them all."""
     p = _Parser(prog="hwpoly", description=__doc__.splitlines()[0])
     subs = p.add_subparsers(dest="command", required=True)
-    for name, help_text, arguments, handler in _COMMANDS:
+    named = [c for c in _COMMANDS if argv and c[0] == argv[0]]
+    for name, help_text, arguments, handler in named or _COMMANDS:
         s = subs.add_parser(name, help=help_text)
         for flag, keywords in arguments:
             s.add_argument(flag, **keywords)
@@ -327,8 +332,10 @@ def write_stdout(text: str) -> int:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         doc = _document(args)
     except (_Usage, ValueError) as exc:
         print(f"hwpoly: {exc}", file=sys.stderr)

@@ -1,8 +1,8 @@
 """Dense exact linear algebra over the rationals.
 
-Small kit shared by the series reconstruction and the matrix oracles:
-fraction-valued row reduction with optional augmentation, and an exact
-solver that runs it with one augmented column.  Everything copies its
+Small kit for the series reconstruction: fraction-valued row reduction
+with optional augmentation, and an exact solver that runs it with one
+augmented column.  Everything copies its
 input rows, nothing here mutates caller data.
 """
 
@@ -21,8 +21,7 @@ class Echelon:
     of an inserted row are carried along and never pivoted on.  Inserted
     rows may hold ints or Fractions; each is scaled by the Fraction
     reciprocal of its pivot, so the stored rows are Fractions.  The
-    carried columns let callers track how inserted rows combine, which
-    is what the Krylov annihilator extraction needs.
+    carried columns let callers track how inserted rows combine.
     """
 
     def __init__(self, width):

@@ -15,6 +15,8 @@ from pathlib import Path
 
 from hwpoly.algebra import CARTAN, NEG, Family, as_weight
 from hwpoly.enveloping import UElement
+from hwpoly.linalg import ONE, ZERO, Echelon
+from hwpoly.polyrat import InvariantError, UniPoly, monic_lcm
 from hwpoly.verma import VermaModule
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -117,6 +119,72 @@ def series_of_rational(num, den, order):
         tail.append(acc / lead)
     return q, tuple(tail)
 
+
+def dense_matrices(rep):
+    """The generators of an oracle module as dense matrices: one tuple
+    of row tuples of Fractions per generator."""
+    return tuple(tuple(tuple(Fraction(cols.get(b, {}).get(a, 0))
+                             for b in range(rep.dim))
+                       for a in range(rep.dim))
+                 for cols in rep.columns)
+
+
+def _row_apply(rows, v):
+    """The sparse operator rows applied to the dense vector v."""
+    live = {j for j, x in enumerate(v) if x}
+    return [sum((c * v[j] for j, c in row if j in live), ZERO) for row in rows]
+
+
+def _reference_krylov(op, start, maxdeg):
+    ech = Echelon(len(start))
+    w = list(start)
+    for k in range(maxdeg + 1):
+        augv = [ZERO] * (maxdeg + 1)
+        augv[k] = ONE
+        if ech.insert(w + augv) is None:
+            res = ech.last_residual
+            return UniPoly(res[len(start):len(start) + k + 1])
+        w = _row_apply(op, w)
+    raise InvariantError("no dependence within the space dimension")
+
+
+def reference_oracle_minpoly(rep):
+    """Minimal polynomial of the generator matrix on C^N tensor V, from
+    every coordinate vector: the reference for oracle_minpoly.
+
+    The operator is held as sparse Fraction rows and each vector as a
+    dense list.  Each coordinate vector not yet killed by the lcm found so far (a
+    Horner test) adds its Krylov annihilator, so no generating set is
+    assumed.
+    """
+    spec = rep.spec
+    mi = spec.matrix_indices
+    dim = rep.dim
+    mats = dense_matrices(rep)
+    size = len(mi) * dim
+    op = [[] for _ in range(size)]
+    for ii, i in enumerate(mi):
+        for jj, j in enumerate(mi):
+            c, idx = spec.resolve(i, j)
+            if idx is None or not c:
+                continue
+            for a, brow in enumerate(mats[idx]):
+                op[ii * dim + a] += ((jj * dim + b, c * x)
+                                     for b, x in enumerate(brow) if x)
+    q = UniPoly.one()
+    for s in range(size):
+        # q(op) e_s by Horner's rule; e_s is the s-th coordinate vector
+        w = [ZERO] * size
+        w[s] = q.coeffs[-1]
+        for c in reversed(q.coeffs[:-1]):
+            w = _row_apply(op, w)
+            w[s] += c
+        if not any(w):
+            continue
+        start = [ZERO] * size
+        start[s] = ONE
+        q = monic_lcm([q, _reference_krylov(op, start, size)])
+    return q
 
 def verma_act(module, g, nu):
     """x'_g applied to nu v_lambda in a VermaModule, for a packed

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -196,6 +197,43 @@ class TestNegativeWeights:
         assert "cannot parse weight" in err
 
 
+def outcome(capsys, argv):
+    """(exit status, stdout, stderr) of main(argv), --help included."""
+    try:
+        rc = cli.main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["minpoly", "--help"], ["frobnicate"],
+        ["minpoly", "gl", "2"], ["oracle", "gl", "2"], ["howe", "1"]],
+        ids=" ".join)
+    def test_one_command_reads_as_every_command(self, capsys, monkeypatch,
+                                                argv):
+        # main builds the subparser of the command argv[0] names only;
+        # every help text, usage and error must read as with all eight
+        got = outcome(capsys, argv)
+        every = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda argv: every([]))
+        assert outcome(capsys, argv) == got
+
+    @pytest.mark.parametrize("argv,commands", [
+        (["oracle", "gl", "2", "1,0"], ["oracle"]),
+        (["minpoly", "--help"], ["minpoly"]),
+        (["frobnicate"], [c[0] for c in cli._COMMANDS]),
+        (["--help"], [c[0] for c in cli._COMMANDS]),
+        ([], [c[0] for c in cli._COMMANDS])])
+    def test_subparsers_built(self, argv, commands):
+        parser = cli._build_parser(argv)
+        subs, = (a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction))
+        assert list(subs.choices) == commands
+
+
 class TestExitCodes:
     def test_bad_weight_is_usage_error(self, capsys):
         rc, _, err = run(capsys, "minpoly", "gl", "2", "1,banana")
@@ -373,6 +411,18 @@ class TestOtherCommands:
         doc = run_doc(capsys, "oracle", "gl", "0", "")
         assert doc["polynomial"] == ["1"]
         assert doc == run_doc(capsys, "oracle", "gl", "0", "trivial")
+
+    def test_oversized_oracle_module_is_rejected_first(self, capsys,
+                                                       monkeypatch):
+        # the Weyl dimension is checked before any pattern is enumerated
+        def boom(*args):
+            raise AssertionError("enumerated patterns")
+        monkeypatch.setattr("hwpoly.oracle._rows_below", boom)
+        weight = ",".join(["2", "1"] + ["0"] * 18)
+        rc, out, err = run(capsys, "oracle", "gl", "20", "--", weight)
+        assert (rc, out) == (1, "")
+        assert err == ("hwpoly: N^2 dim(V) = 20^2 * 2660 exceeds the oracle "
+                       "bound 1000000\n")
 
     def test_howe_divisibility_family(self, capsys):
         doc = run_doc(capsys, "howe", "1", "2", "--rmax", "2", "--dmax", "2")

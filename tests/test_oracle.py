@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ReferenceVerma, hw_coefficient, verma_act
+from helpers import (ReferenceVerma, dense_matrices, hw_coefficient,
+                     reference_oracle_minpoly, verma_act)
 from hwpoly.algebra import NEG, AlgebraSpec, make_spec
 from hwpoly.enveloping import evaluate_at_weight, pbw_normalize, project_hc
+from hwpoly import oracle
 from hwpoly.oracle import (
     build_catalog_rep,
     build_irrep_gl,
@@ -33,20 +35,21 @@ def mat_sub(a, b):
 def entry_matrix(rep, i, j):
     """The matrix of F[i,j] (gl E[i,j]) on rep, sign folded in."""
     c, idx = rep.spec.resolve(i, j)
-    return [[c * x for x in row] for row in rep.mats[idx]]
+    return [[c * x for x in row] for row in dense_matrices(rep)[idx]]
 
 
 def assert_bracket_fidelity(rep):
     spec = rep.spec
+    mats = dense_matrices(rep)
     for a, (i, j) in enumerate(spec.gens):
         for b, (k, l) in enumerate(spec.gens):
-            lhs = mat_sub(mat_mul(rep.mats[a], rep.mats[b]),
-                          mat_mul(rep.mats[b], rep.mats[a]))
+            lhs = mat_sub(mat_mul(mats[a], mats[b]),
+                          mat_mul(mats[b], mats[a]))
             rhs = [[Fraction(0)] * rep.dim for _ in range(rep.dim)]
             for h, c in spec.bracket(a, b):
                 for r in range(rep.dim):
                     for s in range(rep.dim):
-                        rhs[r][s] += c * rep.mats[h][r][s]
+                        rhs[r][s] += c * mats[h][r][s]
             assert lhs == [list(r) for r in rhs], (spec.label, (i, j), (k, l))
 
 
@@ -144,6 +147,20 @@ class TestIrrepGL:
         assert rep.dim == 1
         assert oracle_minpoly(rep) == UniPoly.one()
 
+    def test_work_bound(self, monkeypatch):
+        # N^2 dim(V) is checked against the bound before the patterns
+        # are enumerated, for catalog modules too
+        def boom(*args):
+            raise AssertionError("enumerated patterns")
+        monkeypatch.setattr(oracle, "_rows_below", boom)
+        lam = (2, 1) + (0,) * 18
+        assert 20 ** 2 * weyl_dimension_gl(lam) > oracle._WORK_BOUND
+        with pytest.raises(ValueError, match="exceeds the oracle bound"):
+            build_irrep_gl(lam, 20)
+        assert build_catalog_rep(make_spec("gl", 100), "defining").dim == 100
+        with pytest.raises(ValueError, match="101\\^2 \\* 101"):
+            build_catalog_rep(make_spec("gl", 101), "defining")
+
     def test_contract_errors(self):
         with pytest.raises(ValueError):
             build_irrep_gl((0, 1), 2)
@@ -153,6 +170,88 @@ class TestIrrepGL:
             build_irrep_gl((5, 0), 2)
         with pytest.raises(ValueError):
             build_irrep_gl((1, 0), 3)
+
+
+def _partitions(n, most):
+    """Every partition of size at most `most` as a weight of gl_n."""
+    out = [()]
+    for _ in range(n):
+        out = [p + (x,) for p in out for x in range(most + 1)
+               if (not p or x <= p[-1]) and sum(p) + x <= most]
+    return out
+
+
+def _reference_modules():
+    # every gl irreducible with |lambda| <= 4 and n <= 4, gl_0 among
+    # them; the trivial and defining modules of gl_1, gl_3 and every o
+    # and sp family at ranks 1-3, the reducible defining module of o_2
+    # (o_even, rank 1) among them
+    mods = [(f"gl{n}-{','.join(map(str, lam))}", lambda n=n, lam=lam:
+             build_irrep_gl(lam, n))
+            for n in range(5) for lam in _partitions(n, 4)]
+    specs = [("gl", 1), ("gl", 3)] + [(family, n)
+                                      for family in ("sp", "o_even", "o_odd")
+                                      for n in (1, 2, 3)]
+    mods += [(f"{family}{n}-{name}", lambda family=family, n=n, name=name:
+              build_catalog_rep(make_spec(family, n), name))
+             for family, n in specs for name in ("trivial", "defining")]
+    return mods
+
+
+def direct_sum(a, b):
+    """The direct sum of two oracle modules of one algebra."""
+    shift = a.dim
+    columns = tuple(
+        {**ca, **{k + shift: {r + shift: x for r, x in col.items()}
+                  for k, col in cb.items()}}
+        for ca, cb in zip(a.columns, b.columns))
+    return a._replace(name=f"{a.name}+{b.name}", dim=a.dim + b.dim,
+                      columns=columns, generating=a.generating
+                      + tuple(s + shift for s in b.generating))
+
+
+class TestReference:
+    """oracle_minpoly, from the N |S| cyclic starts, against the
+    reference that runs Krylov from every coordinate vector."""
+
+    @pytest.mark.parametrize("build", [pytest.param(b, id=name)
+                                       for name, b in _reference_modules()])
+    def test_matches_every_coordinate_start(self, build):
+        rep = build()
+        assert oracle_minpoly(rep) == reference_oracle_minpoly(rep)
+
+    def test_one_vector_of_the_o2_defining_module(self):
+        # o_2 is abelian, spanned by F_(-1,-1), which acts on the
+        # defining module by diag(1, -1) on (v_-1, v_1): two lines, so
+        # one vector does not generate it
+        rep = build_catalog_rep(make_spec("o_even", 1), "defining")
+        assert rep.spec.matrix_indices == (-1, 1)
+        assert dense_matrices(rep) == (((1, 0), (0, -1)),)
+        assert rep.generating == (0, 1)
+        full = oracle_minpoly(rep)
+        assert full == reference_oracle_minpoly(rep) \
+            == UniPoly.from_roots([1, -1])
+        # the lcm does not change with S = {v_-1}: M = sum e_ij (x) F_ij
+        # is diagonal, with F_(1,1) = -F_(-1,-1), so it acts on
+        # e_i (x) v_a by sign(i) sign(a).  The starts e_(-1) (x) v_-1 and
+        # e_1 (x) v_-1 span only half of C^2 (x) V, yet they already
+        # carry both eigenvalues 1 and -1
+        assert oracle._scaled_columns(rep) == (1, [{0: 1}, {1: -1}, {2: -1},
+                                                   {3: 1}])
+        for s in (0, 1):
+            assert oracle_minpoly(rep._replace(generating=(s,))) == full
+
+    def test_a_generating_set_that_misses_a_summand(self):
+        # on the reducible trivial + defining module of gl_2, the vector
+        # of the trivial summand alone generates only that summand, and
+        # the lcm loses the defining module's root 2
+        spec = make_spec("gl", 2)
+        rep = direct_sum(build_catalog_rep(spec, "trivial"),
+                         build_catalog_rep(spec, "defining"))
+        assert rep.generating == (0, 1, 2)
+        assert oracle_minpoly(rep) == reference_oracle_minpoly(rep) \
+            == UniPoly.from_roots([0, 2])
+        assert oracle_minpoly(rep._replace(generating=(0,))) == UniPoly.x()
 
 
 class TestVerma:

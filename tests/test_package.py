@@ -80,6 +80,15 @@ def test_oracle_loads_no_other_slow_module():
     assert loaded & set(SLOW) == {"hwpoly.oracle"}
 
 
+@pytest.mark.parametrize("argv", [
+    ("oracle", "gl", "2", "1,0"),
+    ("relcheck", "gl", "2", "1,0"),
+])
+def test_commands_without_the_shuffle_formulas_load_no_shuffle(argv):
+    # the CLI imports shuffle in the two handlers that read it
+    assert "hwpoly.shuffle" not in loaded_by_command(*argv)
+
+
 def test_bare_import_loads_no_submodule():
     loaded = loaded_after("import hwpoly")
     assert "hwpoly" in loaded
