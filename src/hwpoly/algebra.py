@@ -36,6 +36,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 from .polyrat import rat
@@ -78,14 +79,13 @@ class AlgebraSpec:
             raise ValueError("rank must be nonnegative")
         self.family = family
         self.n = n
+        self.N = matrix_size(family, n)
         if family is Family.GL:
-            self.N = n
             self.epsilon = None
             self.matrix_indices = tuple(range(1, n + 1))
             self.rho = tuple(Fraction(n - k) for k in range(1, n + 1))
         else:
             odd = family is Family.O_ODD
-            self.N = 2 * n + (1 if odd else 0)
             self.epsilon = EPSILON[family]
             self.matrix_indices = tuple(i for i in range(-n, n + 1) if i != 0 or odd)
             self.rho = tuple(self.epsilon + n - k for k in range(1, n + 1))
@@ -113,9 +113,10 @@ class AlgebraSpec:
 
     def _build_order(self):
         # level m wraps the order of level m - 1 in its lowering
-        # generators, its Cartan generator and its raising generators
+        # generators, its Cartan generator and its raising generators:
+        # lowering blocks from level n down, then the others from 1 up
         odd = self.family is Family.O_ODD
-        order = []
+        lowered, raised = [], []
         for m in range(1, self.n + 1):
             if self.family is Family.GL:
                 lowering = [(m, j) for j in range(1, m)]
@@ -128,8 +129,9 @@ class AlgebraSpec:
                 raising = [(-m, j) for j in rng
                            if not self._is_zero_pair(-m, j)]
                 cartan = (-m, -m)
-            order = lowering + order + [cartan] + raising
-        return order
+            lowered.append(lowering)
+            raised.append([cartan] + raising)
+        return list(chain(*reversed(lowered), *raised))
 
     def _is_zero_pair(self, i, j):
         return self.family in (Family.O_EVEN, Family.O_ODD) and j == -i
@@ -205,6 +207,12 @@ class AlgebraSpec:
 
     def __repr__(self):
         return f"AlgebraSpec({self.family.value!r}, {self.n})"
+
+
+def matrix_size(family, n: int) -> int:
+    """N, the matrix size of the rank n algebra of the family."""
+    family = Family.parse(family)
+    return n if family is Family.GL else 2 * n + (family is Family.O_ODD)
 
 
 @lru_cache(maxsize=None)

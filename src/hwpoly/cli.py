@@ -167,19 +167,18 @@ def _cmd_relcheck(spec, lam, args):
     }
 
 
-def _cmd_oracle(spec, args):
+def _cmd_oracle(args):
     from .oracle import build_catalog_rep, build_irrep_gl, oracle_minpoly
+    family, n = _family_rank(args.family, args.num)
     if args.rep in ("trivial", "defining"):
-        rep = build_catalog_rep(spec, args.rep)
-    elif args.family == "gl":
-        lam = _parse_weight(args.rep)
-        if any(x.denominator != 1 for x in lam):
-            raise _Usage("gl oracle weights must be integers")
-        rep = build_irrep_gl(tuple(int(x) for x in lam), args.num)
+        rep = build_catalog_rep(family, n, args.rep)
+    elif family == "gl":
+        rep = build_irrep_gl(_parse_weight(args.rep), n)
     else:
         raise _Usage("weight-built oracle modules exist for gl only")
     q = oracle_minpoly(rep)
     return {
+        "algebra": rep.spec.label,
         "rep": rep.name,
         "dim": rep.dim,
         "polynomial": _poly(q),
@@ -265,22 +264,23 @@ _COMMANDS = (
 def _document(args):
     """The document of the parsed command.
 
-    A command on an algebra gets its spec, and its weights when it takes
-    any, each parsed and checked against the rank before the spec's
-    tables (quadratic in it) are built and before any is certified:
-    handler(spec, lam, args) for one weight, handler(spec, weights,
-    args) for poset's list, handler(spec, args) for none.  The others
-    (shuffle, howe) get handler(args).
+    A command on weights gets its spec and its weights, each parsed and
+    checked against the rank before the spec's tables (quadratic in it)
+    are built and before any is certified: handler(spec, lam, args) for
+    one weight, handler(spec, weights, args) for poset's list, which
+    must name at least one.  The others (shuffle, oracle, howe) get
+    handler(args); the oracle builds its spec only for a module within
+    its bound.
     """
-    if "num" not in args:
+    if "weight" not in args and "weights" not in args:
         return args.handler(args)
     family, n = _family_rank(args.family, args.num)
     if "weight" in args:
         texts = [args.weight]
-    elif "weights" in args:
-        texts = [w for w in args.weights.split(";") if w != ""]
     else:
-        texts = []
+        texts = [w for w in args.weights.split(";") if w != ""]
+        if not texts:
+            raise _Usage("poset needs at least one weight")
     weights = [_parse_weight(w) for w in texts]
     for lam in weights:
         if n >= 0 and len(lam) != n:
@@ -290,9 +290,7 @@ def _document(args):
         lam, = weights
         return {"algebra": spec.label, "weight": [_s(x) for x in lam],
                 **args.handler(spec, lam, args)}
-    if "weights" in args:
-        return {"algebra": spec.label, **args.handler(spec, weights, args)}
-    return {"algebra": spec.label, **args.handler(spec, args)}
+    return {"algebra": spec.label, **args.handler(spec, weights, args)}
 
 
 def _build_parser(argv) -> _Parser:

@@ -55,7 +55,6 @@ _add_product, rather than a new element per product and per addition.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from math import comb, factorial
 from operator import or_
@@ -329,9 +328,12 @@ def check_divisibility_instance(n: int, k: int, d: int) -> DivisibilityReport:
         raise ValueError("only the rank-one Euler family is constructible")
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    q = UniPoly.from_roots([Fraction(d)])
+    q = UniPoly.from_roots([d])
     spec = make_spec("gl", k)
     q_prime = minpoly_from_weight(spec, (d,) + (0,) * (k - 1))
-    product = UniPoly.x() * q_prime.shift(Fraction(k - n))
+    # u q'(u + k - n): the root 0 and each root of q' less k - n
+    product = UniPoly.from_roots([0] + [r - k + n for r, m in
+                                        q_prime.rational_roots()
+                                        for _ in range(m)])
     return DivisibilityReport(n, k, d, q, q_prime, product,
                               q.divides(product))

@@ -20,6 +20,9 @@ coordinates and s in S, generate (C^N)* (x) V, because
 x (e_i (x) s) - (x e_i) (x) s = e_i (x) x s.  So q(M) = 0 exactly when
 q(M) kills those N |S| vectors, and the minimal polynomial is the least
 common multiple of their Krylov annihilators.
+
+One bound guards every module, N^2 dim(V) <= 10^6, checked before its
+spec is built or any pattern is enumerated (ValueError past it).
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import NamedTuple
 
-from .algebra import AlgebraSpec, Family, make_spec
-from .polyrat import UniPoly, monic_lcm
+from .algebra import AlgebraSpec, Family, make_spec, matrix_size
+from .polyrat import UniPoly, monic_lcm, rat
 
 __all__ = [
     "RepMatrices",
@@ -55,12 +58,13 @@ class RepMatrices(NamedTuple):
     generating: tuple
 
 
-def build_catalog_rep(spec: AlgebraSpec, name: str) -> RepMatrices:
-    """The trivial or defining module of any family."""
+def build_catalog_rep(family, n: int, name: str) -> RepMatrices:
+    """The trivial or defining module of a family's rank n algebra."""
     if name not in ("trivial", "defining"):
         raise ValueError(f"unknown catalog module {name!r}")
-    dim = 1 if name == "trivial" else spec.N
-    _check_work(spec.N, dim)
+    N = matrix_size(family, n)
+    _check_work(N, 1 if name == "trivial" else N)
+    spec = make_spec(family, n)
     if name == "trivial":
         return RepMatrices(spec, name, 1, ({},) * len(spec.gens), (0,))
     pos = {v: k for k, v in enumerate(spec.matrix_indices)}
@@ -71,7 +75,7 @@ def build_catalog_rep(spec: AlgebraSpec, name: str) -> RepMatrices:
             col = cols.setdefault(pos[-i], {})
             col[pos[-j]] = col.get(pos[-j], 0) - spec.theta(i, j)
         columns.append(cols)
-    return RepMatrices(spec, name, dim, tuple(columns), tuple(range(dim)))
+    return RepMatrices(spec, name, N, tuple(columns), tuple(range(N)))
 
 
 def weyl_dimension_gl(lam):
@@ -88,8 +92,6 @@ def weyl_dimension_gl(lam):
     return d
 
 
-# Largest |lambda| that build_irrep_gl accepts.
-_BOUND = 4
 # Largest N^2 dim(V) that the oracle accepts.  M is an N x N array of
 # dim x dim blocks, and building the module and M touches every column
 # of every block, so the time grows with N^2 dim.  Within the bound the
@@ -156,21 +158,22 @@ def build_irrep_gl(lam, n) -> RepMatrices:
     bases for classical Lie algebras", math/0211289, section 2) in
     l_ki = lam_ki - i + 1; the other E_ij are iterated commutators of
     these.  The number of patterns is checked against the
-    Weyl dimension formula before any matrix is built.
+    Weyl dimension formula before any matrix is built.  A float
+    coordinate raises TypeError and a non-integral one ValueError.
     """
-    lam = tuple(int(x) for x in lam)
+    lam = tuple(map(rat, lam))
+    if any(x.denominator != 1 for x in lam):
+        raise ValueError("gl oracle weights must be integers")
+    lam = tuple(x.numerator for x in lam)
     if len(lam) != n:
         raise ValueError("weight length must equal the rank")
     if list(lam) != sorted(lam, reverse=True) or min(lam, default=0) < 0:
         raise ValueError("weight must be dominant with nonnegative entries")
-    d = sum(lam)
-    if d > _BOUND:
-        raise ValueError(f"|lambda| = {d} exceeds the oracle bound {_BOUND}")
+    if not any(lam):
+        return build_catalog_rep("gl", n, "trivial")
     dim = weyl_dimension_gl(lam)
     _check_work(n, dim)
     spec = make_spec("gl", n)
-    if d == 0:
-        return build_catalog_rep(spec, "trivial")
 
     # pat[k - 1] is row k, of length k; the top row n is lam
     pats = [(lam,)]

@@ -103,8 +103,8 @@ class UniPoly:
 
     A polynomial built by from_roots also keeps its root multiset, and
     any other keeps the roots its first search found, so rational_roots
-    and linear_factorization search at most once.  Equality and hashing
-    look at the coefficients only.
+    searches at most once.  Equality and hashing look at the
+    coefficients only.
     """
 
     __slots__ = ("coeffs", "_roots")
@@ -259,15 +259,6 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
-    def shift(self, c) -> "UniPoly":
-        """Return p(u + c)."""
-        c = rat(c)
-        acc = UniPoly.zero()
-        lin = UniPoly((c, 1))
-        for a in reversed(self.coeffs):
-            acc = acc * lin + UniPoly((a,))
-        return acc
-
     def gcd(self, other: "UniPoly") -> "UniPoly":
         a, b = self, other
         while not b.is_zero():
@@ -314,19 +305,6 @@ class UniPoly:
                 if mult:
                     found.append((r, mult))
         return sorted(found)
-
-    def linear_factorization(self) -> "list[tuple[Fraction, int]]":
-        """Roots with multiplicities when the polynomial splits over Q.
-
-        Raises ValueError when an irreducible factor of degree >= 2
-        remains, since the callers (certification, root reporting) have
-        nothing sensible to do with such a factor.  A polynomial built
-        by from_roots splits by construction and is not searched.
-        """
-        roots = self.rational_roots()
-        if sum(m for _, m in roots) != self.degree:
-            raise ValueError("polynomial does not split over the rationals")
-        return roots
 
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)!r})"

@@ -35,10 +35,11 @@ annihilate.  Otherwise it drops, in place, every root whose removal
 still annihilates, and returns the certificate of the minimal
 polynomial, a divisor of q: the zero residuals and, per distinct root,
 a witness entry where dropping that root breaks annihilation.
-certified_minimal_polynomial hands it the shuffle candidate, on a
-series of deg q + 1 terms, and only when that fails, the lcm of the
-projected resolvent denominators, recovered by rational function
-reconstruction from 2N + 2 terms.
+certified_minimal_polynomial hands it the fast answer itself
+(minpoly_from_weight), on a series of deg q + 1 terms, so a trimmed
+certificate means the fast answer was wrong; only when that fails,
+the lcm of the projected resolvent denominators, recovered by rational
+function reconstruction from 2N + 2 terms.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .polyrat import (CertificationError, ScaledSeries, UniPoly,
                       clear_denominators, monic_lcm, pade_reconstruct,
                       scaled_product)
 from .recursion import RecursionSeries, proven_terms
-from .shuffle import decompose
+from .shuffle import minpoly_from_weight
 
 
 class Certificate(NamedTuple):
@@ -114,9 +115,9 @@ def certify_minimal(series: ScaledSeries, q: UniPoly) -> Certificate:
 
     lambda is series.lam.  Raises CertificationError when q fails to
     annihilate, and ValueError when q is not monic or does not split
-    over the rationals.  The roots of q are found once (read back, when
-    q was built by UniPoly.from_roots) and q is evaluated once.  The
-    roots are then held as ints a over their common denominator D, and
+    over the rationals.  q.rational_roots() is read once (carried when
+    q was built from its roots) and q is evaluated once.  The roots are
+    then held as ints a over their common denominator D, and
     each distinct root, in ascending order, is dropped from that
     multiset for as long as the product of what is left still
     annihilates; once it does not, the first entry it leaves nonzero is
@@ -129,7 +130,9 @@ def certify_minimal(series: ScaledSeries, q: UniPoly) -> Certificate:
     """
     if not q.is_monic():
         raise ValueError("candidate polynomial must be monic")
-    roots = q.linear_factorization()
+    roots = q.rational_roots()
+    if sum(m for _, m in roots) != q.degree:
+        raise ValueError("candidate polynomial does not split over Q")
     residuals = annihilation_residuals(series, q)
     if any(r for _, r in residuals):
         raise CertificationError(
@@ -191,15 +194,15 @@ def series_for(spec: AlgebraSpec, lam, K: int):
 def certified_minimal_polynomial(spec: AlgebraSpec, lam):
     """Minimal polynomial with its certificate.
 
-    The shuffle candidate q is certified directly when it annihilates,
-    with any droppable roots trimmed in the same pass, on the series
-    series_for picks for deg q + 1 terms.  Otherwise the least common
-    multiple of the projected resolvent denominators is certified
-    instead, on the series it picks for resolvent_order terms.  Returns
-    (polynomial, Certificate).
+    The fast answer q = minpoly_from_weight(spec, lam) is certified
+    directly when it annihilates, with any droppable roots trimmed in
+    the same pass, on the series series_for picks for deg q + 1 terms.
+    Otherwise the least common multiple of the projected resolvent
+    denominators is certified instead, on the series it picks for
+    resolvent_order terms.  Returns (polynomial, Certificate).
     """
     lam = as_weight(spec, lam)
-    q = UniPoly.from_roots(decompose(spec, lam).roots())
+    q = minpoly_from_weight(spec, lam)
     try:
         cert = certify_minimal(series_for(spec, lam, q.degree + 1), q)
     except CertificationError:

@@ -62,7 +62,7 @@ def test_02_trivial_modules():
         q, _ = certified_minimal_polynomial(spec, lam)
         if q != u:
             failures.append(("certified", spec.label, str(q)))
-        qo = oracle_minpoly(build_catalog_rep(spec, "trivial"))
+        qo = oracle_minpoly(build_catalog_rep(family, n, "trivial"))
         if qo != u:
             failures.append(("oracle", spec.label, str(qo)))
     _conclude(2, "trivial-modules", failures)
@@ -139,7 +139,7 @@ def test_06_defining_modules():
         qc, _ = certified_minimal_polynomial(spec, lam)
         if qc != want:
             failures.append(("certified", spec.label, str(qc)))
-        qo = oracle_minpoly(build_catalog_rep(spec, "defining"))
+        qo = oracle_minpoly(build_catalog_rep(family, n, "defining"))
         if qo != want:
             failures.append(("oracle", spec.label, str(qo)))
     _conclude(6, "defining-modules", failures)

@@ -279,6 +279,21 @@ class TestExitCodes:
         assert done.stderr == (
             f"hwpoly: weight must have {rank} coordinates, got 1\n")
 
+    @pytest.mark.parametrize("argv,message", [
+        (("oracle", "gl", "3000", "trivial"),
+         "N^2 dim(V) = 3000^2 * 1 exceeds the oracle bound 1000000"),
+        (("poset", "gl", "3000", ""), "poset needs at least one weight")])
+    def test_no_spec_for_a_request_that_cannot_use_it(self, argv, message):
+        # make_spec("gl", 3000) runs for over a minute; these requests
+        # once built it before the oracle's bound refused the module, or
+        # only to print an empty poset
+        done = subprocess.run(
+            [sys.executable, "-m", "hwpoly.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=str(SRC_PATH)),
+            capture_output=True, text=True, timeout=10)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == f"hwpoly: {message}\n"
+
     def test_seed_flag_is_gone(self, capsys):
         rc, _, err = run(capsys, "minpoly", "gl", "2", "1,0", "--seed", "3")
         assert rc == 1

@@ -56,27 +56,26 @@ def assert_bracket_fidelity(rep):
 class TestCatalogReps:
     def test_trivial_minpoly(self):
         for family, n in [("gl", 3), ("sp", 2), ("o_odd", 1), ("o_even", 2)]:
-            rep = build_catalog_rep(make_spec(family, n), "trivial")
+            rep = build_catalog_rep(family, n, "trivial")
             assert oracle_minpoly(rep) == UniPoly.x()
 
     def test_defining_fidelity(self):
         for family, n in [("gl", 2), ("sp", 1), ("sp", 2),
                           ("o_odd", 1), ("o_even", 2)]:
-            assert_bracket_fidelity(build_catalog_rep(make_spec(family, n),
-                                                      "defining"))
+            assert_bracket_fidelity(build_catalog_rep(family, n, "defining"))
 
     def test_defining_gl_minpoly(self):
         for n in (2, 3):
-            rep = build_catalog_rep(make_spec("gl", n), "defining")
+            rep = build_catalog_rep("gl", n, "defining")
             assert oracle_minpoly(rep) == UniPoly.from_roots([0, n])
 
     def test_defining_sp1_minpoly(self):
-        rep = build_catalog_rep(make_spec("sp", 1), "defining")
+        rep = build_catalog_rep("sp", 1, "defining")
         assert oracle_minpoly(rep) == UniPoly.from_roots([-1, 3])
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
-            build_catalog_rep(make_spec("gl", 2), "adjoint")
+            build_catalog_rep("gl", 2, "adjoint")
 
 
 class TestIrrepGL:
@@ -121,12 +120,13 @@ class TestIrrepGL:
     def test_minpoly_matches_shuffle(self):
         assert oracle_minpoly(build_irrep_gl((3,), 1)) == \
             minpoly_from_weight(make_spec("gl", 1), (3,))
-        grid2 = [(0, 0), (1, 0), (2, 0), (3, 0), (1, 1), (2, 1)]
+        # N^2 dim(V) is the one bound: |lambda| may be far past 4
+        grid2 = [(0, 0), (1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (100, 0)]
         for lam in grid2:
             spec = make_spec("gl", 2)
             assert oracle_minpoly(build_irrep_gl(lam, 2)) == \
                 minpoly_from_weight(spec, lam)
-        for lam in [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 0, 0)]:
+        for lam in [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 0, 0), (120, 0, 0)]:
             spec = make_spec("gl", 3)
             assert oracle_minpoly(build_irrep_gl(lam, 3)) == \
                 minpoly_from_weight(spec, lam)
@@ -137,7 +137,7 @@ class TestIrrepGL:
         (3, 1, 0, 0), (2, 2, 0, 0), (2, 1, 1, 0), (1, 1, 1, 1)],
         ids=lambda lam: ",".join(map(str, lam)))
     def test_gl4_minpoly_matches_shuffle(self, lam):
-        # every gl_4 partition of size at most 4, the oracle's bound
+        # every gl_4 partition of size at most 4
         assert oracle_minpoly(build_irrep_gl(lam, 4)) == \
             minpoly_from_weight(make_spec("gl", 4), lam)
 
@@ -157,19 +157,29 @@ class TestIrrepGL:
         assert 20 ** 2 * weyl_dimension_gl(lam) > oracle._WORK_BOUND
         with pytest.raises(ValueError, match="exceeds the oracle bound"):
             build_irrep_gl(lam, 20)
-        assert build_catalog_rep(make_spec("gl", 100), "defining").dim == 100
+        assert build_catalog_rep("gl", 100, "defining").dim == 100
         with pytest.raises(ValueError, match="101\\^2 \\* 101"):
-            build_catalog_rep(make_spec("gl", 101), "defining")
+            build_catalog_rep("gl", 101, "defining")
 
     def test_contract_errors(self):
         with pytest.raises(ValueError):
             build_irrep_gl((0, 1), 2)
         with pytest.raises(ValueError):
             build_irrep_gl((2, -1), 2)
-        with pytest.raises(ValueError):
-            build_irrep_gl((5, 0), 2)
+        # |lambda| = 5 was refused by a former bound, |lambda| <= 4
+        assert oracle_minpoly(build_irrep_gl((5, 0), 2)) == \
+            minpoly_from_weight(make_spec("gl", 2), (5, 0))
         with pytest.raises(ValueError):
             build_irrep_gl((1, 0), 3)
+
+    def test_weight_must_be_integral(self):
+        # a half-integral or float coordinate was once truncated to an
+        # int, building irrep(1, 0) or irrep(2, 0) silently
+        with pytest.raises(ValueError, match="must be integers"):
+            build_irrep_gl((Fraction(3, 2), 0), 2)
+        with pytest.raises(TypeError, match="floating point"):
+            build_irrep_gl((2.7, 0), 2)
+        assert build_irrep_gl((Fraction(2), 0), 2) == build_irrep_gl((2, 0), 2)
 
 
 def _partitions(n, most):
@@ -193,7 +203,7 @@ def _reference_modules():
                                       for family in ("sp", "o_even", "o_odd")
                                       for n in (1, 2, 3)]
     mods += [(f"{family}{n}-{name}", lambda family=family, n=n, name=name:
-              build_catalog_rep(make_spec(family, n), name))
+              build_catalog_rep(family, n, name))
              for family, n in specs for name in ("trivial", "defining")]
     return mods
 
@@ -224,7 +234,7 @@ class TestReference:
         # o_2 is abelian, spanned by F_(-1,-1), which acts on the
         # defining module by diag(1, -1) on (v_-1, v_1): two lines, so
         # one vector does not generate it
-        rep = build_catalog_rep(make_spec("o_even", 1), "defining")
+        rep = build_catalog_rep("o_even", 1, "defining")
         assert rep.spec.matrix_indices == (-1, 1)
         assert dense_matrices(rep) == (((1, 0), (0, -1)),)
         assert rep.generating == (0, 1)
@@ -245,9 +255,8 @@ class TestReference:
         # on the reducible trivial + defining module of gl_2, the vector
         # of the trivial summand alone generates only that summand, and
         # the lcm loses the defining module's root 2
-        spec = make_spec("gl", 2)
-        rep = direct_sum(build_catalog_rep(spec, "trivial"),
-                         build_catalog_rep(spec, "defining"))
+        rep = direct_sum(build_catalog_rep("gl", 2, "trivial"),
+                         build_catalog_rep("gl", 2, "defining"))
         assert rep.generating == (0, 1, 2)
         assert oracle_minpoly(rep) == reference_oracle_minpoly(rep) \
             == UniPoly.from_roots([0, 2])

@@ -39,14 +39,6 @@ def test_unipoly_arithmetic():
     assert p.evaluate(Fraction(1, 2)) == Fraction(3, 4)
 
 
-def test_unipoly_shift():
-    p = U * U
-    assert p.shift(1) == U * U + 2 * U + 1
-    # p(u - c) then p(u + c) round trips
-    q = (3 * U * U - U + 5).shift(Fraction(-7, 3))
-    assert q.shift(Fraction(7, 3)) == 3 * U * U - U + 5
-
-
 def test_unipoly_gcd_and_monic_lcm():
     a = (U - 1) ** 2
     b = (U - 1) * (U - 2)
@@ -59,20 +51,18 @@ def test_unipoly_gcd_and_monic_lcm():
         monic_lcm([UniPoly.zero()])
 
 
-def test_linear_factorization():
+def test_rational_roots():
     p = (U - 1) ** 2 * (U - 2)
-    assert p.linear_factorization() == [(Fraction(1), 2), (Fraction(2), 1)]
+    assert p.rational_roots() == [(Fraction(1), 2), (Fraction(2), 1)]
     q = (U - Fraction(1, 2)) * (U - 3) * U
-    assert q.linear_factorization() == [
+    assert q.rational_roots() == [
         (Fraction(0), 1), (Fraction(1, 2), 1), (Fraction(3), 1)]
-    with pytest.raises(ValueError):
-        (U * U - 2).linear_factorization()
 
 
 def test_from_roots_hands_out_copies_of_its_roots():
     p = UniPoly.from_roots([2, Fraction(-1, 3), 2, 0])
     p.rational_roots().clear()
-    assert p.linear_factorization() == [
+    assert p.rational_roots() == [
         (Fraction(-1, 3), 1), (Fraction(0), 1), (Fraction(2), 2)]
 
 
@@ -111,7 +101,6 @@ def test_search_agrees_with_carried_roots(roots):
     assert built == _product_of_factors(roots)
     # coefficients alone carry no roots, so this runs the divisor search
     assert UniPoly(built.coeffs).rational_roots() == carried
-    assert UniPoly(built.coeffs).linear_factorization() == carried
 
 
 def test_series_of_geometric():

@@ -2,7 +2,6 @@
 
 import hashlib
 import random
-import types
 from fractions import Fraction
 from itertools import product
 
@@ -328,6 +327,34 @@ class TestCertifyMinimal:
             certify_minimal(trivial, UniPoly((1, 0, 1)))
         with pytest.raises(ValueError):
             certify_minimal(trivial, UniPoly((0, 2)))
+        # the roots found by the search fall short of the degree
+        U = UniPoly.x()
+        for q in (U * U - 2, U * (U * U - 2)):
+            with pytest.raises(ValueError, match="does not split"):
+                certify_minimal(trivial, q)
+        with pytest.raises(ValueError, match="monic"):
+            certify_minimal(trivial, 2 * U - 2)
+
+    def test_certifies_the_fast_answer_itself(self, monkeypatch):
+        # one certification reads the fast answer once and never
+        # decomposes the weight a second way
+        spec, lam = make_spec("o_odd", 3), (-2, -2, 0)
+        fast = []
+
+        def counted(spec, lam):
+            fast.append(minpoly_from_weight(spec, lam))
+            return fast[-1]
+
+        def unreachable(spec, lam):
+            raise AssertionError("decompose ran")
+
+        monkeypatch.setattr(verify, "minpoly_from_weight", counted)
+        monkeypatch.setattr("hwpoly.shuffle.decompose", unreachable)
+        q, cert = certified_minimal_polynomial(spec, lam)
+        assert len(fast) == 1
+        # the fast answer (u-2)^3 (u-3)^2 is trimmed to (u-2)^3
+        assert fast[0] == UniPoly.from_roots([2, 2, 2, 3, 3])
+        assert q == cert.polynomial == UniPoly.from_roots([2, 2, 2])
 
 
 class TestTrimInPlace:
@@ -440,12 +467,12 @@ class TestCertifiedMinimal:
         assert certified_minimal_polynomial(spec, ())[0] == UniPoly.x()
 
     def test_fallback_certifies_the_resolvent_lcm(self, monkeypatch):
-        # A shuffle candidate short of the root 0 cannot annihilate, so
-        # the lcm of the resolvent denominators is certified instead.
+        # A fast answer short of the root 0 cannot annihilate, so the
+        # lcm of the resolvent denominators is certified instead.
         spec, lam = make_spec("gl", 3), (2, 1, 0)
         direct = certified_minimal_polynomial(spec, lam)[1]
-        short = types.SimpleNamespace(roots=lambda: [2, 4])
-        monkeypatch.setattr(verify, "decompose", lambda spec, lam: short)
+        monkeypatch.setattr(verify, "minpoly_from_weight",
+                            lambda spec, lam: UniPoly.from_roots([2, 4]))
         resolvents = []
         original = verify.projected_resolvent
 
@@ -475,12 +502,12 @@ class TestCertifiedMinimal:
     def test_agrees_with_matrix_oracle(self):
         for family, n in [("gl", 3), ("sp", 1), ("sp", 2), ("o_even", 2)]:
             spec = make_spec(family, n)
-            rep = build_catalog_rep(spec, "trivial")
+            rep = build_catalog_rep(family, n, "trivial")
             assert certified_minimal_polynomial(spec, (0,) * n)[0] \
                 == oracle_minpoly(rep)
         spec = make_spec("sp", 1)
         assert certified_minimal_polynomial(spec, (1,))[0] \
-            == oracle_minpoly(build_catalog_rep(spec, "defining"))
+            == oracle_minpoly(build_catalog_rep("sp", 1, "defining"))
 
 
 class TestRelativeFormulas:
