@@ -268,7 +268,8 @@ def _document(args):
     checked against the rank before the spec's tables (quadratic in it)
     are built and before any is certified: handler(spec, lam, args) for
     one weight, handler(spec, weights, args) for poset's list, which
-    must name at least one.  The others (shuffle, oracle, howe) get
+    must name at least one; at rank 0 the empty text is that one.  The
+    others (shuffle, oracle, howe) get
     handler(args); the oracle builds its spec only for a module within
     its bound.
     """
@@ -278,7 +279,7 @@ def _document(args):
     if "weight" in args:
         texts = [args.weight]
     else:
-        texts = [w for w in args.weights.split(";") if w != ""]
+        texts = [w for w in args.weights.split(";") if w != "" or n == 0]
         if not texts:
             raise _Usage("poset needs at least one weight")
     weights = [_parse_weight(w) for w in texts]

@@ -34,7 +34,7 @@ from typing import NamedTuple
 from .algebra import AlgebraSpec, Family, as_weight, inner_spec, parabolic
 from .enveloping import (UElement, project_hc, project_relative,
                          restrict_corank_one)
-from .linalg import ONE, ZERO
+from .polyrat import ONE, ZERO
 
 
 class MatrixU:

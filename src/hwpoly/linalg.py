@@ -8,10 +8,7 @@ input rows, nothing here mutates caller data.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .polyrat import ONE, ZERO
 
 
 class Echelon:

@@ -5,14 +5,14 @@ floating point: certification of minimal polynomials rests on exact
 zero tests, so approximate arithmetic would prove nothing.
 
 UniPoly stores coefficients in ascending degree order with trailing
-zeros stripped, hence equal values have equal representations.  A
-UniPoly built from its roots keeps its root multiset, so reporting or
-certifying it never searches for rational roots; the divisor search
-serves polynomials known only by their coefficients, such as Pade
-denominators and the oracle's Krylov annihilators, and runs at most
-once per polynomial, which keeps what it found.  Roots are multiplied
-out in ints over their common denominator (scaled_product); Fractions
-are made only for the coefficients and roots kept.
+zeros stripped, hence equal values have equal representations.  Its
+root form is its rational root multiset as ints a over one denominator
+D (scaled_roots).  A UniPoly built from its roots keeps that form, so
+reporting or certifying it never searches for roots; the divisor
+search serves polynomials known only by their coefficients, such as
+Pade denominators and the oracle's Krylov annihilators, and runs at
+most once per polynomial.  Roots are multiplied out (scaled_product)
+and divided out (scaled_quotient) in ints.
 
 A series in powers of 1/u around u = infinity is known through its
 tail of coefficients of u^-1 .. u^-K; orders beyond u^-K are unknown.
@@ -34,7 +34,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .linalg import ONE, ZERO, solve_with_rank
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def rat(x) -> Fraction:
@@ -64,17 +65,25 @@ def scaled_product(roots: Iterable[int]) -> "list[int]":
     return cs
 
 
+def scaled_quotient(cs: Sequence[int], a: int) -> "list[int]":
+    """Ascending ints of cs(v) / (v - a) by synthetic division, for a root a."""
+    out, acc = [0] * (len(cs) - 1), 0
+    for k in range(len(cs) - 1, 0, -1):
+        acc = out[k - 1] = cs[k] + a * acc
+    return out
+
+
 class ScaledSeries:
     """A family of series held as ints n(k) over powers of one int d.
 
     A subclass provides ``numerators(K)``: d with, per series, the ints
-    n(0), ..., n(K-1) of the terms s(k) = n(k) / d^k.
+    n(0), n(1), ... of the terms s(k) = n(k) / d^k, at least K of them.
     """
 
     def values(self, K: int):
         """Per series s(0), ..., s(K-1) as Fractions."""
         d, cols = self.numerators(K)
-        return [[Fraction(n, d ** k) for k, n in enumerate(col)]
+        return [[Fraction(n, d ** k) for k, n in zip(range(K), col)]
                 for col in cols]
 
 
@@ -102,19 +111,19 @@ class UniPoly:
     """Univariate polynomial over Q, coefficients ascending in degree.
 
     A polynomial built by from_roots also keeps its root multiset, and
-    any other keeps the roots its first search found, so rational_roots
-    searches at most once.  Equality and hashing look at the
-    coefficients only.
+    any other keeps the roots its first search found, so scaled_roots
+    and rational_roots search at most once.  Equality and hashing look
+    at the coefficients only.
     """
 
-    __slots__ = ("coeffs", "_roots")
+    __slots__ = ("coeffs", "_scaled")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [rat(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
-        self._roots = None
+        self._scaled = None
 
     @classmethod
     def zero(cls):
@@ -136,19 +145,21 @@ class UniPoly:
             *clear_denominators([rat(r) for r in roots]))
 
     @classmethod
-    def from_scaled_roots(cls, D: int, scaled: Iterable[int]) -> "UniPoly":
+    def from_scaled_roots(cls, D: int, scaled: Iterable[int],
+                          product=None) -> "UniPoly":
         """from_roots of the roots a / D, multiplied out in ints.
 
-        With Q_k the coefficients of scaled_product, v = D u makes
-        coefficient k equal Q_k / D^(m-k).  The result remembers its
-        roots as the sorted (root, multiplicity) list of rational_roots.
+        With Q_k the coefficients of scaled_product (or product, when
+        the caller holds it), v = D u makes coefficient k equal
+        Q_k / D^(m-k), made without __init__'s coercion.  The result
+        keeps (D, the sorted ints) as scaled_roots.
         """
-        scaled = sorted(scaled)
+        scaled = tuple(sorted(scaled))
         m = len(scaled)
-        p = cls(Fraction(c, D ** (m - k))
-                for k, c in enumerate(scaled_product(scaled)))
-        p._roots = tuple((Fraction(a, D), k)
-                         for a, k in Counter(scaled).items())
+        p = cls.__new__(cls)
+        p.coeffs = tuple(Fraction(c, D ** (m - k)) for k, c in enumerate(
+            scaled_product(scaled) if product is None else product))
+        p._scaled = (D, scaled)
         return p
 
     @property
@@ -265,30 +276,34 @@ class UniPoly:
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a
 
-    def rational_roots(self) -> "list[tuple[Fraction, int]]":
-        """All rational roots with multiplicities, ascending.
+    def scaled_roots(self) -> "tuple[int, tuple[int, ...]]":
+        """(D, ascending ints a): the rational roots a / D, with repetition.
 
         A polynomial built by from_roots returns the roots it was built
         from.  Any other polynomial is searched once, and keeps what was
         found: every divisor of the constant term over every divisor of
         the leading one, after clearing denominators, which grows
-        quickly with both.
+        quickly with both.  The roots fall short of the degree exactly
+        when the polynomial does not split over Q.
         """
-        if self._roots is None:
-            self._roots = tuple(self._search_roots())
-        return list(self._roots)
+        if self._scaled is None:
+            D, ints = clear_denominators(self._search_roots())
+            self._scaled = (D, tuple(ints))
+        return self._scaled
 
-    def _search_roots(self) -> "list[tuple[Fraction, int]]":
+    def rational_roots(self) -> "list[tuple[Fraction, int]]":
+        """All rational roots with multiplicities, ascending, as Fractions."""
+        D, ints = self.scaled_roots()
+        return [(Fraction(a, D), m) for a, m in Counter(ints).items()]
+
+    def _search_roots(self) -> "list[Fraction]":
         if self.is_zero():
             raise ValueError("zero polynomial")
-        found = []
         p = self
-        val = 0
+        found = []
         while p.coeff(0) == 0 and p.degree >= 1:
             p = p // UniPoly.x()
-            val += 1
-        if val:
-            found.append((ZERO, val))
+            found.append(ZERO)
         if p.degree >= 1:
             _, ints = clear_denominators(p.coeffs)
             a0, an = abs(ints[0]), abs(ints[-1])
@@ -298,12 +313,9 @@ class UniPoly:
                     cands.add(Fraction(pn, qn))
                     cands.add(Fraction(-pn, qn))
             for r in sorted(cands):
-                mult = 0
                 while p.degree >= 1 and p.evaluate(r) == 0:
                     p = p // UniPoly((-r, 1))
-                    mult += 1
-                if mult:
-                    found.append((r, mult))
+                    found.append(r)
         return sorted(found)
 
     def __repr__(self):
@@ -354,6 +366,8 @@ def pade_reconstruct(tail: Sequence, dmax: int) -> "tuple[UniPoly, UniPoly]":
     degree down and ReconstructionError when nothing fits within dmax
     or a fit is not unique.
     """
+    from .linalg import solve_with_rank
+
     c = tuple(rat(x) for x in tail)
     k = len(c)
     for d in range(dmax + 1):

@@ -124,8 +124,9 @@ class RecursionSeries(ScaledSeries):
     It provides what the certifier reads of a series, ``spec``, ``lam``,
     ``values(K)`` and ``numerators(K)``, with d the least common
     denominator of lambda, and names its engine.  It keeps only the
-    columns of its longest request, and asking for more terms than
-    proven_terms(spec) raises ValueError.
+    columns of its longest request, as tuples, and hands those out
+    uncopied, so a shorter request reads a prefix; asking for more
+    terms than proven_terms(spec) raises ValueError.
     """
 
     engine = "recursion"
@@ -134,10 +135,10 @@ class RecursionSeries(ScaledSeries):
         self.spec = spec
         self.lam = as_weight(spec, lam)
         self._d, self._L = clear_denominators(self.lam)
-        self._K, self._columns = 0, [[] for _ in spec.matrix_indices]
+        self._K, self._columns = 0, ((),) * len(spec.matrix_indices)
 
     def numerators(self, K: int):
-        """(d, per diagonal position the ints n(0), ..., n(K-1))."""
+        """(d, per diagonal position the ints n(0), n(1), ..., K at least)."""
         K = max(K, 0)
         if K > proven_terms(self.spec):
             raise ValueError(
@@ -145,5 +146,6 @@ class RecursionSeries(ScaledSeries):
                 f"terms of {self.spec.label}, not {K}")
         if K > self._K:
             self._K = K
-            self._columns = scaled_numerators(self.spec, self._L, self._d, K)
-        return self._d, [col[:K] for col in self._columns]
+            self._columns = tuple(map(tuple, scaled_numerators(
+                self.spec, self._L, self._d, K)))
+        return self._d, self._columns

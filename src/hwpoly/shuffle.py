@@ -40,8 +40,9 @@ two-component tensor square constituent).
 
 Both decompositions and the root formula run on ints scaled by the
 least common denominator d of the sequence and epsilon, so a step of one
-is a step of d.  minpoly_from_weight multiplies the int roots out
-directly; Fractions are made only for a ShuffleDecomposition record.
+is a step of d.  minpoly_from_weight hands the int roots to the UniPoly
+as its root form (d, ascending ints); Fractions are made only for its
+coefficients and for a ShuffleDecomposition record.
 """
 
 from __future__ import annotations
@@ -128,21 +129,28 @@ def _mirror_roots(parts, n, d, e):
     return odd, sorted((n - 1) * d + e - a for a in first)
 
 
-def _shuffle(seq, epsilon):
-    """(d, parts, mirror, parity, roots) on ints; epsilon None selects gl."""
-    d, scaled = clear_denominators(seq + (0 if epsilon is None else epsilon,))
+def _cleared(values, epsilon):
+    """(d, the ints d x of values, d epsilon or None for gl), d the least
+    common denominator of values and epsilon."""
+    d, scaled = clear_denominators(values + (epsilon or 0,))
     e = scaled.pop()
-    if epsilon is None:
-        parts = _gl_parts(scaled, d)
-        return d, parts, None, None, sorted(t[-1][0] for t in parts)
-    parts, mirror = _mirror_parts(scaled, d)
+    return d, scaled, None if epsilon is None else e
+
+
+def _shuffle(d, seq, e):
+    """(parts, mirror, parity, roots) of ints seq scaled by d; e None selects gl."""
+    if e is None:
+        parts = _gl_parts(seq, d)
+        return parts, None, None, sorted(t[-1][0] for t in parts)
+    parts, mirror = _mirror_parts(seq, d)
     odd, roots = _mirror_roots(parts, len(seq), d, e)
-    return d, parts, mirror, "odd" if odd else "even", roots
+    return parts, mirror, "odd" if odd else "even", roots
 
 
 def _decomposition(seq, epsilon) -> ShuffleDecomposition:
     seq = tuple(rat(x) for x in seq)
-    d, parts, mirror, parity, roots = _shuffle(seq, epsilon)
+    d, scaled, e = _cleared(seq, epsilon)
+    parts, mirror, parity, roots = _shuffle(d, scaled, e)
     return ShuffleDecomposition(
         "gl" if mirror is None else "mirror", seq,
         tuple(Part(tuple(Fraction(v, d) for v, _ in t),
@@ -176,9 +184,13 @@ def minpoly_from_weight(spec: AlgebraSpec, lam) -> UniPoly:
     """Minimal polynomial of the generator matrix on L(lambda).
 
     Read off the shuffle decomposition: a monic UniPoly that carries
-    its root multiset and so splits over Q.  The verify module's
-    certified_minimal_polynomial derives it independently through the
-    projection criteria.
+    its root multiset and so splits over Q.  d l is formed in ints as
+    d lambda + d rho, d the least common denominator of lambda and
+    epsilon, which clears rho too, as rho - epsilon is integral.
+    certified_minimal_polynomial certifies it.
     """
-    d, *_, roots = _shuffle(shifted_weight(spec, lam), spec.epsilon)
+    d, L, e = _cleared(as_weight(spec, lam), spec.epsilon)
+    seq = [x + r.numerator * (d // r.denominator)
+           for x, r in zip(L, spec.rho)]
+    *_, roots = _shuffle(d, seq, e)
     return UniPoly.from_scaled_roots(d, roots)

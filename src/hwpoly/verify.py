@@ -21,13 +21,15 @@ command go through it.
 
 The certifier's hot path is integer end to end.  A residual is one int
 dot product per diagonal entry of q's cleared coefficients with the
-series numerators.  certify_minimal holds the candidate's roots as ints
-a over their common denominator D: dropping a root drops one int from
-that multiset, and each divisor it tries is that multiset multiplied
-out in ints (scaled_product).  Fractions are made only for the nonzero
-residuals reported, as witnesses or with CertificationError, and for
-the certified polynomial; each equals its Fraction-arithmetic
-definition exactly.
+series numerators.  certify_minimal reads the candidate's root
+multiset, ints a over one denominator D (q.scaled_roots), and
+multiplies it out once in ints (scaled_product), P in v = D u.  Each
+divisor tried is P with one root divided out by synthetic division
+(scaled_quotient), and a dropped root is divided out of P in place.
+Fractions are made only for the nonzero residuals reported, as
+witnesses or with CertificationError, for the witness roots and for a
+trimmed polynomial; each equals its Fraction-arithmetic definition
+exactly.
 
 certify_minimal takes one pass over a monic candidate q: it evaluates
 q once, and its single verdict, CertificationError, means q does not
@@ -49,10 +51,9 @@ from operator import mul
 from typing import NamedTuple
 
 from .algebra import AlgebraSpec, as_weight
-from .linalg import ZERO
-from .polyrat import (CertificationError, ScaledSeries, UniPoly,
+from .polyrat import (ZERO, CertificationError, ScaledSeries, UniPoly,
                       clear_denominators, monic_lcm, pade_reconstruct,
-                      scaled_product)
+                      scaled_product, scaled_quotient)
 from .recursion import RecursionSeries, proven_terms
 from .shuffle import minpoly_from_weight
 
@@ -96,18 +97,18 @@ def _residuals(series: ScaledSeries, den: int, coeffs):
         yield label, Fraction(total, den) if total else ZERO
 
 
-def _witness(series: ScaledSeries, D: int, roots, a):
-    """First (label, residual) left nonzero without one root a / D, or None.
+def _witness(series: ScaledSeries, D: int, P, a: int):
+    """(P / (v - a), the first (label, residual) it leaves nonzero or None).
 
-    roots holds the scaled roots of q, with repetition, and the divisor
-    q / (u - a/D) is the product over the others: with the ints Q_k of
-    that product in v = D u, its coefficient k is Q_k D^k / D^(m-1).
+    P holds the ints of a candidate in v = D u and a / D is one of its
+    roots.  The quotient R, found by synthetic division, has coefficient
+    k equal to R_k D^k / D^(m-1) in u, m - 1 its degree.
     """
-    rest = list(roots)
-    rest.remove(a)
-    coeffs = [c * D ** k for k, c in enumerate(scaled_product(rest))]
-    return next(((lab, r) for lab, r
-                 in _residuals(series, D ** len(rest), coeffs) if r), None)
+    rest = scaled_quotient(P, a)
+    coeffs = [c * D ** k for k, c in enumerate(rest)]
+    return rest, next(((lab, r) for lab, r
+                       in _residuals(series, D ** (len(rest) - 1), coeffs)
+                       if r), None)
 
 
 def certify_minimal(series: ScaledSeries, q: UniPoly) -> Certificate:
@@ -115,42 +116,42 @@ def certify_minimal(series: ScaledSeries, q: UniPoly) -> Certificate:
 
     lambda is series.lam.  Raises CertificationError when q fails to
     annihilate, and ValueError when q is not monic or does not split
-    over the rationals.  q.rational_roots() is read once (carried when
-    q was built from its roots) and q is evaluated once.  The roots are
-    then held as ints a over their common denominator D, and
-    each distinct root, in ascending order, is dropped from that
-    multiset for as long as the product of what is left still
-    annihilates; once it does not, the first entry it leaves nonzero is
-    that root's witness.  A root that is not dropped stays so in every
-    divisor of q, so the roots left are exactly those of the minimal
-    polynomial.  After a drop the polynomial is built from the root
-    multiset left, and the witnesses taken before the last drop are
-    taken again against it.  Either way the certified polynomial
-    carries its roots.
+    over the rationals.  q is evaluated once, and its root multiset,
+    ints a over one denominator D, is read once (carried when q was
+    built from its roots) and multiplied out once in ints, P in v = D u.
+    Each distinct root, in ascending order, is divided out of P in
+    place for as long as what is left still annihilates; once it does
+    not, the first entry it leaves nonzero is that root's witness.  A
+    root that is not dropped stays so in every divisor of q, so the
+    roots left are exactly those of the minimal polynomial.  After a
+    drop the polynomial is built from P and the roots left, and the
+    witnesses taken before the last drop are taken again against it.
+    Either way the certified polynomial carries its roots.
     """
     if not q.is_monic():
         raise ValueError("candidate polynomial must be monic")
-    roots = q.rational_roots()
-    if sum(m for _, m in roots) != q.degree:
+    D, multiset = q.scaled_roots()
+    if len(multiset) != q.degree:
         raise ValueError("candidate polynomial does not split over Q")
     residuals = annihilation_residuals(series, q)
     if any(r for _, r in residuals):
         raise CertificationError(
             f"{q} does not annihilate at weight {series.lam}", residuals)
-    D, scaled = clear_denominators([root for root, _ in roots])
-    multiset = [a for a, (_, m) in zip(scaled, roots) for _ in range(m)]
-    found, stale = [], None
-    for a, (root, m) in zip(scaled, roots):
-        while m and (hit := _witness(series, D, multiset, a)) is None:
-            multiset.remove(a)
-            m, stale = m - 1, len(found)
+    P, found, stale = scaled_product(multiset), [], None
+    for a, (root, m) in zip(dict.fromkeys(multiset), q.rational_roots()):
+        while m:
+            rest, hit = _witness(series, D, P, a)
+            if hit:
+                break
+            P, m, stale = rest, m - 1, len(found)
         if m:
-            found.append((a, root, hit))
+            found.append((a, root, m, hit))
     if stale is not None:
-        q = UniPoly.from_scaled_roots(D, multiset)
-        found[:stale] = [(a, root, _witness(series, D, multiset, a))
-                         for a, root, _ in found[:stale]]
-    witnesses = tuple((root, *hit) for _, root, hit in found)
+        q = UniPoly.from_scaled_roots(
+            D, [a for a, _, m, _ in found for _ in range(m)], P)
+        found[:stale] = [(a, root, m, _witness(series, D, P, a)[1])
+                         for a, root, m, _ in found[:stale]]
+    witnesses = tuple((root, *hit) for _, root, _, hit in found)
     return Certificate(series.lam, q, residuals, witnesses, series.engine)
 
 

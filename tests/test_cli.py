@@ -448,6 +448,15 @@ class TestOtherCommands:
         doc = run_doc(capsys, "poset", "gl", "1", "2;2")
         assert len(doc["entries"]) == 1
 
+    @pytest.mark.parametrize("family", ["gl", "sp"])
+    def test_rank_zero_poset_certifies_one(self, capsys, family):
+        # at rank 0 the empty text is the one weight, as it is for certify
+        doc = run_doc(capsys, "poset", family, "0", "")
+        assert doc["entries"] == [{"weight": [], "polynomial": ["1"]}]
+        assert doc["edges"] == []
+        cert = run_doc(capsys, "certify", family, "0", "")
+        assert cert["polynomial"] == ["1"]
+
 
 class TestCarriedRoots:
     """The shuffle answer reaches the output without a rational root search."""

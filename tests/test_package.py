@@ -63,6 +63,19 @@ def test_proven_ranks_load_only_the_recursion(argv):
     assert loaded.isdisjoint(ENGINES)
 
 
+@pytest.mark.parametrize("argv", [
+    ("minpoly", "gl", "3", "--", "2,1,0"),
+    ("shuffle", "gl", "3,3,2,4,1,3,2,2,1"),
+    ("oracle", "gl", "2", "1,0"),
+    ("howe", "1", "3", "--dmax", "4"),
+    ("certify", "gl", "2", "1,0"),
+])
+def test_commands_without_pade_load_no_linalg(argv):
+    # only pade_reconstruct solves a linear system, and it imports
+    # linalg when it runs
+    assert "hwpoly.linalg" not in loaded_by_command(*argv)
+
+
 def test_certify_past_the_table_loads_the_verma_engine_alone():
     loaded = loaded_by_command("certify", "sp", "4", "1,0,0,0")
     assert "hwpoly.verma" in loaded

@@ -14,6 +14,8 @@ from hwpoly.polyrat import (
     monic_lcm,
     pade_reconstruct,
     rat,
+    scaled_product,
+    scaled_quotient,
 )
 
 F = Fraction
@@ -101,6 +103,31 @@ def test_search_agrees_with_carried_roots(roots):
     assert built == _product_of_factors(roots)
     # coefficients alone carry no roots, so this runs the divisor search
     assert UniPoly(built.coeffs).rational_roots() == carried
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_ROOTS, st.integers(0, 4))
+def test_synthetic_division_matches_polynomial_division(roots, pick):
+    q = UniPoly.from_roots(roots + [Fraction(1, 2)])
+    D, ints = q.scaled_roots()
+    a = ints[pick % len(ints)]
+    rest = scaled_quotient(scaled_product(ints), a)
+    # the quotient's ints are in v = D u, as scaled_product's are
+    m = len(rest) - 1
+    quotient = UniPoly(Fraction(c, D ** (m - k)) for k, c in enumerate(rest))
+    assert quotient == q // UniPoly((-Fraction(a, D), 1))
+    left = list(ints)
+    left.remove(a)
+    assert rest == scaled_product(left)
+
+
+def test_scaled_roots_of_coefficients_alone():
+    # searched once, then kept: (D, the ascending ints) with repetition
+    q = (U + F(1, 2)) * (U + F(1, 2)) * (U - F(1, 4)) * (U - 2)
+    assert q.scaled_roots() == (4, (-2, -2, 1, 8))
+    assert q.rational_roots() == [(F(-1, 2), 2), (F(1, 4), 1), (2, 1)]
+    # a polynomial that does not split keeps the roots found
+    assert (U * (U * U - 2)).scaled_roots() == (1, (0,))
 
 
 def test_series_of_geometric():

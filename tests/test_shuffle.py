@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import BOXES
 from hwpoly.algebra import make_spec
@@ -292,3 +294,19 @@ def test_fast_engine_on_whole_boxes():
                 assert [r for r, m in fast for _ in range(m)] == roots
     assert count == 1852
     assert digest.hexdigest() == BOX_DIGEST
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["gl", "sp", "o_even", "o_odd"]), st.integers(0, 4),
+       st.sampled_from([1, 2, 3, 6]), st.data())
+def test_int_shifted_weight_gives_the_decompose_roots(family, rank, den,
+                                                      data):
+    # minpoly_from_weight forms d (lambda + rho) in ints; decompose sums
+    # lambda + rho in Fractions first
+    spec = make_spec(family, rank)
+    lam = tuple(Fraction(data.draw(st.integers(-12, 12)), den)
+                for _ in range(rank))
+    q = minpoly_from_weight(spec, lam)
+    roots = decompose(spec, lam).roots()
+    assert [r for r, m in q.rational_roots() for _ in range(m)] == roots
+    assert q == UniPoly.from_roots(roots)

@@ -25,6 +25,7 @@ from hwpoly.verify import (
     certify_minimal,
     divisibility_poset,
     projected_resolvent,
+    series_for,
 )
 from hwpoly.verma import DiagonalSeries, VermaModule
 
@@ -212,6 +213,16 @@ class TestAnnihilation:
         assert _annihilates(spec, UniPoly.from_roots([0, 2]), (1, 0))
         assert not _annihilates(spec, UniPoly.from_roots([0, 1]), (1, 0))
 
+    def test_coefficients_alone_are_not_searched(self):
+        # (u-1)...(u-30) from its coefficients: constant term 30!, whose
+        # divisor search would not finish; the residuals read only the
+        # coefficients
+        spec = make_spec("gl", 1)
+        q = UniPoly(UniPoly.from_roots(range(1, 31)).coeffs)
+        res = annihilation_residuals(DiagonalSeries(spec, (3,)), q)
+        assert res == ((1, F(0)),)
+        assert q._scaled is None
+
 
 # every family, with weights of scale 1, 2, 3 and 6
 _RESIDUAL_SPECS = [("gl", 2), ("gl", 3), ("sp", 1), ("sp", 2),
@@ -302,6 +313,33 @@ def test_certify_minimal_matches_the_fraction_reference(data):
     assert cert.witnesses == tuple(witnesses)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_coefficients_alone_certify_to_the_same_certificate(data):
+    # UniPoly(q.coeffs) carries no roots, so certify_minimal finds them
+    # by the divisor search; the certificate is the one q's carried
+    # roots give, directly and after a trim
+    family, n = data.draw(st.sampled_from(_RESIDUAL_SPECS))
+    spec = make_spec(family, n)
+    lam = tuple(F(data.draw(st.integers(-9, 9)), data.draw(
+        st.sampled_from([1, 2, 3, 6]))) for _ in range(n))
+    q = minpoly_from_weight(spec, lam)
+    extra = data.draw(st.lists(_ROOT, max_size=2))
+    q = UniPoly.from_roots(
+        [r for r, m in q.rational_roots() for _ in range(m)] + extra)
+    series = series_for(spec, lam, q.degree + 1)
+    alone = UniPoly(q.coeffs)
+    assert alone._scaled is None
+    try:
+        cert = certify_minimal(series, q)
+    except CertificationError as exc:
+        with pytest.raises(CertificationError) as again:
+            certify_minimal(series, alone)
+        assert again.value.residuals == exc.residuals
+        return
+    assert certify_minimal(series, alone) == cert
+
+
 class TestCertifyMinimal:
     def test_certificate_contents(self):
         spec = make_spec("gl", 2)
@@ -381,7 +419,7 @@ class TestTrimInPlace:
             assert trimmed.witnesses == cert.witnesses, (spec.label, extra)
             assert trimmed.residuals == cert.residuals
             # the trimmed polynomial carries its roots
-            assert trimmed.polynomial._roots is not None
+            assert trimmed.polynomial._scaled is not None
 
     def test_direct_path_evaluates_the_candidate_once(self, monkeypatch):
         calls = []
