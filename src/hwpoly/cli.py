@@ -3,13 +3,13 @@
 Algebras are named by family and a single number: ``gl 3`` and ``sp 2``
 take the rank, while ``o 5`` takes the matrix size so that its parity
 can select the even or odd orthogonal family.  Weights are comma
-separated rationals such as ``1,-1/2,0``.  Every command prints one
-JSON object to stdout (or writes it with --json) with all rationals
-rendered as exact fraction strings.  A command on an algebra puts
-``"algebra"`` first in its document, followed by ``"weight"`` when it
-takes one.  An argument that starts with a minus sign followed by a
-digit, such as the weight ``-1,0``, is a positional value, never an
-option.
+separated rationals, each an integer, p/q or a decimal, such as
+``1,-1/2,0.5``.  Every command prints one JSON object to stdout (or
+writes it with --json) with all rationals rendered as exact fraction
+strings.  A command on an algebra puts ``"algebra"`` first in its
+document, followed by ``"weight"`` when it takes one.  An argument that
+starts with a minus sign followed by a digit, such as the weight
+``-1,0``, is a positional value, never an option.
 
 Exit status is 0 on success, 2 when certification fails, and 1 on a
 usage error or when the document cannot be written: to the --json
@@ -42,6 +42,8 @@ class _Usage(Exception):
 # weight (-1,0), a sequence or a number.  argparse reads a token as a
 # positional when _parse_optional returns None.
 _NEGATIVE = re.compile(r"-\.?\d")
+# a coordinate: an integer, p/q or a decimal (Fraction expands 1e9999999)
+_RATIONAL = re.compile(r"\s*[+-]?(\d+(/0*[1-9]\d*|\.\d*)?|\.\d+)\s*")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,12 +57,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_weight(text: str):
-    if text == "":
-        return ()
-    try:
-        return tuple(Fraction(t) for t in text.split(","))
-    except (ValueError, ZeroDivisionError):
+    coords = text.split(",") if text else []
+    if not all(map(_RATIONAL.fullmatch, coords)):
         raise _Usage(f"cannot parse weight {text!r}")
+    return tuple(map(Fraction, coords))
 
 
 def _family_rank(family: str, num: int):

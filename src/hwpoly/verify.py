@@ -11,11 +11,11 @@ denominator d.  It is the handle of the certifier:
 annihilation_residuals(series, q), certify_minimal(series, q) and
 projected_resolvent(series) all read its spec and weight, and share
 its terms.  Two engines provide one: RecursionSeries runs the paper's
-corank-one recursion in ints (the recursion module, whose PROVEN table
-lists the ranks and degrees proven equal to the Verma walk), and
-DiagonalSeries walks the Verma module (the verma module).  series_for
-picks the engine by the number of terms asked for: the recursion where
-PROVEN covers them, the Verma walk otherwise, imported only then.
+corank-one recursion in ints (the recursion module, proven for gl and
+where PROVEN says for o and sp), and DiagonalSeries walks the Verma
+module (the verma module).  series_for picks the recursion wherever it
+is proven for the number of terms asked for, so always for gl, and the
+Verma walk otherwise, imported only then.
 certified_minimal_polynomial, divisibility_poset and the resolvent
 command go through it.
 
@@ -183,8 +183,8 @@ def projected_resolvent(series: ScaledSeries):
 def series_for(spec: AlgebraSpec, lam, K: int):
     """The series that certifies K terms at lam.
 
-    A RecursionSeries where PROVEN covers K terms of the spec, and a
-    DiagonalSeries otherwise: for more terms, or past the table.
+    A RecursionSeries where the recursion is proven for K terms, so for
+    gl always, and a DiagonalSeries for more terms of o or sp.
     """
     if K <= proven_terms(spec):
         return RecursionSeries(spec, lam)

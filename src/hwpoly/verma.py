@@ -16,20 +16,20 @@ weight spaces, so its state does not grow with k.  Every Verma image
 and row is affine in lambda and held once per (spec, d), so all series
 of one algebra and scale share them.  It is the reference that
 prove_recursion compares the rank recursion against, on a lattice
-simplex, and the series verify.series_for certifies on past the table
-of proven ranks.  Nothing here builds a PBW normal form.
+simplex, and the series verify.series_for certifies o and sp on past
+the table of proven ranks; for gl, whose recursion is proven at every
+rank, it only cross-checks.  Nothing here builds a PBW normal form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
 from operator import mul
 from weakref import proxy
 
 from .algebra import CARTAN, NEG, POS, AlgebraSpec, as_weight
-from .polyrat import ScaledSeries
+from .polyrat import ScaledSeries, clear_denominators
 from .recursion import scaled_numerators
 
 # bits per exponent field of a packed Verma monomial
@@ -210,14 +210,12 @@ class VermaModule:
     """
 
     def __init__(self, spec: AlgebraSpec, lam):
-        lam = as_weight(spec, lam)
+        d, cartan = clear_denominators(as_weight(spec, lam))
         # the table holds its spec weakly; the module keeps it alive
-        self.spec = spec
-        self.scale = d = lcm(*(x.denominator for x in lam))
+        self.spec, self.scale = spec, d
         self.table = spec._cache_misc.get(("verma", d))
         if self.table is None:
             self.table = spec._cache_misc["verma", d] = VermaTable(spec, d)
-        cartan = [x.numerator * (d // x.denominator) for x in lam]
         self.slots = (1, *cartan, *(sum(map(mul, f, cartan))
                                     for f in self.table.coroots))
 
@@ -268,9 +266,9 @@ class DiagonalSeries(ScaledSeries):
     ``lam``, ``values(K)`` (the s_i(k) as Fractions) and
     ``numerators(K)`` (d with the ints n_i(k)); a certificate also
     records its ``engine``.  RecursionSeries provides the same, and
-    series_for certifies on it wherever PROVEN covers the order.  This
+    series_for certifies on it wherever the recursion is proven.  This
     walk is the reference that prove_recursion compares the recursion
-    against, and the engine past the table.
+    against, and the engine of o and sp past the table.
     """
 
     engine = "verma"
@@ -409,7 +407,7 @@ def prove_recursion(spec: AlgebraSpec, D: int):
       most D that agree on T(n, D) agree everywhere.
 
     The proof shows that the engines agree, not that either is right;
-    the Verma engine stays the reference.
+    for gl, proven in the recursion module, it cross-checks the code.
     """
     points, mismatches = 0, []
     for L, d in _simplex(spec.n, D):

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -239,6 +240,28 @@ class TestExitCodes:
         rc, _, err = run(capsys, "minpoly", "gl", "2", "1,banana")
         assert rc == 1
         assert "cannot parse weight" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("certify", "gl", "2", "1e5000000,0"),
+        ("shuffle", "gl", "0,1E5000000"),
+        ("poset", "gl", "2", "2e9,0;1,0"),
+        ("minpoly", "gl", "1", "1_000"),
+        ("minpoly", "gl", "1", "1/0")], ids=" ".join)
+    def test_exponent_notation_is_refused_before_any_expansion(
+            self, capsys, monkeypatch, argv):
+        # Fraction("1e5000000") once built a 5-million-digit int, and
+        # the command failed seconds later on printing it
+        def boom(*args):
+            raise AssertionError("a coordinate reached Fraction")
+        monkeypatch.setattr(cli, "Fraction", boom)
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert "cannot parse weight" in err
+
+    def test_documented_number_forms_parse(self):
+        assert cli._parse_weight(" -1/2,.5,3.,+2,-0.25,4/06") == (
+            Fraction(-1, 2), Fraction(1, 2), 3, 2, Fraction(-1, 4),
+            Fraction(2, 3))
 
     def test_unknown_command(self, capsys):
         # parity once classified a residual that is zero by definition

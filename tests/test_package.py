@@ -56,6 +56,8 @@ def test_certify_loads_neither_oracle_nor_howe():
     ("certify", "gl", "2", "1,0"),
     ("resolvent", "gl", "3", "--", "5,2,1"),
     ("poset", "gl", "2", "1,0;3,0"),
+    # past every rank the simplex check reaches for gl
+    ("certify", "gl", "8", "3,1/2,2,-1,0,4,-3,1"),
 ])
 def test_proven_ranks_load_only_the_recursion(argv):
     loaded = loaded_by_command(*argv)
