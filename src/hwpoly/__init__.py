@@ -5,9 +5,9 @@ minimal polynomial of the generator matrix acting through a simple
 highest weight module.  A combinatorial shuffle decomposition of the
 shifted weight predicts the polynomial instantly; the certifier proves
 it from the projected diagonal of the powers of that matrix, read off
-the rank recursion at the ranks where it is proven and off a walk
-through the Verma module past them, with no product in the enveloping
-algebra.  All arithmetic is exact rational.
+the rank recursion, which is proven at every rank and order, with no
+product in the enveloping algebra; a walk through the Verma module
+cross-checks the recursion.  All arithmetic is exact rational.
 
 The exports load on first use: ``import hwpoly`` imports no submodule,
 and ``hwpoly.make_spec`` imports ``hwpoly.algebra`` only when it is

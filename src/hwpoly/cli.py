@@ -146,11 +146,11 @@ def _cmd_certify(spec, lam, args):
 
 
 def _cmd_resolvent(spec, lam, args):
-    from .verify import projected_resolvent, resolvent_order, series_for
-    K = resolvent_order(spec)
-    entries = projected_resolvent(series_for(spec, lam, K))
+    from .recursion import RecursionSeries
+    from .verify import projected_resolvent, resolvent_order
+    entries = projected_resolvent(RecursionSeries(spec, lam))
     return {
-        "K": K,
+        "K": resolvent_order(spec),
         "entries": [{"entry": _s(lab), "num": _poly(num), "den": _poly(den)}
                     for lab, num, den in entries],
         "lcm": _poly(monic_lcm(den for _, _, den in entries)),

@@ -58,44 +58,77 @@ the Levi subalgebra of the split, and W = U(l) v_lambda.
 8. The corner: B v_lambda = 0 by 2, so T v_lambda = (u - a) v_lambda,
    T^-1 v_lambda = v_lambda / (u - a) and R_n = 1/(u - a).
 
-For o and sp the step to R_(-n) is not derived: there PROVEN lists per
-(family, rank) the degree D through which tier-1 finds the recursion
-equal to the Verma engine on a lattice simplex (verma.prove_recursion).
-scaled_numerators runs the recursion in ints at an explicit pair (L, d),
-the weight L/d: in v = d u the series d^-1 R_i(v/d) has the ints
-d^k s_i(k) as its coefficients, and every pole is an int, d times the
-pole in u.  Each term costs a few int operations per order.  The code
-is straight-line ring arithmetic with no branch on L or d, so each int
-it returns is one polynomial in (L, d), homogeneous of degree k, as the
-simplex check needs.  RecursionSeries serves every term for gl and up
-to D + 1 terms of a PROVEN entry, and refuses more.  Nothing here
-imports the Verma engine.
+The o and sp recursion holds at every rank and every order as well,
+by the same split.  Proof.  Now M_pq = F[p,q], the F[p,q] with p < q
+raise or vanish, and a = lambda_1 is the eigenvalue of
+H_1 = F[-n,-n] = -F[n,n] on v_lambda.  Order the labels -n, the N - 2
+inner ones (-(n-1)..(n-1), with 0 for o_odd), n, and split off n:
+M = [[M'', B], [C, m]] with B_q = F[q,n] and C_r = F[n,r] for q, r
+not n, and m = F[n,n]; M' is the inner block of M''.  Let l = g' + C m
+with g' the rank n - 1 algebra on the inner labels, W = U(l) v_lambda,
+and u+ = span{F[-n,j] : j > -n}.  Step 1 holds with M'' for M'.
+
+9.  u+ raises, and it is l-stable: [m, F[-n,j]] = -F[-n,j] -
+    delta_jn F[-n,n], and for inner p, r, [F[p,r], F[-n,j]] =
+    -delta_pj F[-n,r] + theta(p,r) delta_(r,-j) F[-n,-p].  So it kills
+    W as in step 2.  F[q,n] = -theta(q,n) F[-n,-q] for inner q, and
+    B_(-n) = F[-n,n], so B w = 0 for w in W.
+10. m is central in l, so it acts on W as -a, and [m, F[n,r]] = F[n,r]
+    for inner r: (u - m)^-1 C_r w = C_r w / (u + a - 1).
+11. [F[q,n], F[n,r]] = F[q,r] - delta_qr m for inner q, r, and
+    [F[-n,n], F[n,r]] is 0 in o, where F[-n,n] = 0, and 2 F[-n,r] in
+    sp: in u+ either way.
+12. Take y with y_(-n) = 0 and its inner entries in W.  By 9-11
+    row q of S y = (u - M'' - B (u - m)^-1 C) y is, for inner q,
+    ((u - M') y - (M' + a) y / (u + a - 1))_q, and row -n is
+    -sum_r F[-n,r] y_r - sum_r [F[-n,n], F[n,r]] y_r / (u + a - 1) = 0,
+    summed over inner r, as F[-n,r] and [F[-n,n], F[n,r]] lie in u+.
+13. u - M' - (M' + a)/(u + a - 1) = (u + a)(u - 1 - M')/(u + a - 1):
+    times u + a - 1, both sides are (u + a)(u - 1) - (u + a) M'.
+14. M' has its entries in l, so y = (u + a - 1)/(u + a)
+    (u - 1 - M')^-1 e_i v_lambda, with y_(-n) = 0, is such a y, and
+    S y = e_i v_lambda for inner i by 12 and 13.  As in step 7
+    R_i(u) = R'_i(u - 1) (u + a - 1)/(u + a): the inner Cartan basis
+    is H_2..H_n, so v_lambda has weight (lambda_2..lambda_n) for g'.
+15. The corner: B v_lambda = 0 by 9, so R_n = 1/(u + a) as in step 8.
+16. For every p, [F_ab, M^p] = A M^p - M^p A with the scalar matrix
+    A = e_ba - theta(a,b) e_(-a,-b): at p = 1 this is the bracket, and
+    [F_ab, .] is a derivation.  In entries, [F_ab, (M^p)_cd] =
+    delta_bc (M^p)_ad - delta_ad (M^p)_cb
+    - theta(a,b) delta_(a,-c) (M^p)_(-b,d)
+    + theta(a,b) delta_(b,-d) (M^p)_(c,-a).
+17. The opposite corner: (M^k)_(-n,-n) = sum_j F[-n,j] P_(j,-n), with
+    P = M^(k-1) and j over every label.  F[-n,-n] commutes with the
+    weight zero P_(-n,-n) and acts as a.  Each F[-n,j] with j > -n
+    raises or vanishes, so F[-n,j] P_(j,-n) v_lambda =
+    [F[-n,j], P_(j,-n)] v_lambda, which by 16 is
+    (P_(-n,-n) - P_jj) v_lambda for inner j, and for j = n is 0 in o
+    and 2 (P_(-n,-n) - P_nn) v_lambda in sp, where theta(-n,n) = -1.
+18. Taking v_lambda coefficients, s_(-n)(k) = c s_(-n)(k - 1) -
+    sum_(i inner) s_i(k - 1) - [sp] 2 s_n(k - 1), with c = a + N - 2
+    for o and a + N for sp, which is a + 2 rho_1 (2 rho_1 =
+    2 epsilon + 2n - 2).  With s_(-n)(0) = 1 this says
+    (u - c) R_(-n) = 1 - T - [sp] 2 R_n, the recursion above.
+19. Rank 0: o_odd has M = [F[0,0]] = [0], so R_0 = 1/u.
+
+scaled_numerators runs the recursion in ints at an explicit pair
+(L, d), the weight L/d: in v = d u the series d^-1 R_i(v/d) has the
+ints d^k s_i(k) as its coefficients, and every pole is an int, d times
+the pole in u.  Each term costs a few int operations per order.  The
+code is straight-line ring arithmetic with no branch on L or d, so
+each int it returns is one polynomial in (L, d), homogeneous of degree
+k, which is what lets verma.prove_recursion check the code against the
+Verma walk on a lattice simplex.  RecursionSeries serves every term of
+every family.  Nothing here imports the Verma engine.
 """
 
 from __future__ import annotations
-
-from math import inf
 
 from .algebra import AlgebraSpec, Family, as_weight
 from .polyrat import ScaledSeries, clear_denominators
 
 # the numerator of sp's term 2/(u + a) in R_(-n)
 SP_CORNER = 2
-
-# o and sp (family, rank): D, the largest degree at which tier-1 proves
-# the recursion equal to the Verma engine; D = 2N + 1 covers the 2N + 2
-# terms of the resolvent, D = N the deg q + 1 <= N + 1 that certify reads
-PROVEN = {
-    ("sp", 0): 1, ("sp", 1): 5, ("sp", 2): 9, ("sp", 3): 6,
-    ("o_even", 0): 1, ("o_even", 1): 5, ("o_even", 2): 9, ("o_even", 3): 6,
-    ("o_odd", 0): 3, ("o_odd", 1): 7, ("o_odd", 2): 11, ("o_odd", 3): 7,
-}
-
-
-def proven_terms(spec: AlgebraSpec):
-    """How many terms are proven: inf for gl, D + 1 in PROVEN, else 0."""
-    return (inf if spec.family is Family.GL
-            else PROVEN.get((spec.family.value, spec.n), -1) + 1)
 
 
 def _powers(e, K):
@@ -160,14 +193,13 @@ def scaled_numerators(spec: AlgebraSpec, L, d: int, K: int):
 
 
 class RecursionSeries(ScaledSeries):
-    """s_i(k) at one weight from the rank recursion, where it is proven.
+    """s_i(k) at one weight from the rank recursion.
 
     It provides what the certifier reads of a series, ``spec``, ``lam``,
     ``values(K)`` and ``numerators(K)``, with d the least common
     denominator of lambda, and names its engine.  It keeps only the
     columns of its longest request, as tuples, and hands those out
-    uncopied, so a shorter request reads a prefix; asking for more
-    terms than proven_terms(spec) raises ValueError.
+    uncopied, so a shorter request reads a prefix.
     """
 
     engine = "recursion"
@@ -181,10 +213,6 @@ class RecursionSeries(ScaledSeries):
     def numerators(self, K: int):
         """(d, per diagonal position the ints n(0), n(1), ..., K at least)."""
         K = max(K, 0)
-        if K > proven_terms(self.spec):
-            raise ValueError(
-                f"the recursion is proven for {proven_terms(self.spec)} "
-                f"terms of {self.spec.label}, not {K}")
         if K > self._K:
             self._K = K
             self._columns = tuple(map(tuple, scaled_numerators(

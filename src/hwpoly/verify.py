@@ -11,13 +11,12 @@ denominator d.  It is the handle of the certifier:
 annihilation_residuals(series, q), certify_minimal(series, q) and
 projected_resolvent(series) all read its spec and weight, and share
 its terms.  Two engines provide one: RecursionSeries runs the paper's
-corank-one recursion in ints (the recursion module, proven for gl and
-where PROVEN says for o and sp), and DiagonalSeries walks the Verma
-module (the verma module).  series_for picks the recursion wherever it
-is proven for the number of terms asked for, so always for gl, and the
-Verma walk otherwise, imported only then.
+corank-one recursion in ints (the recursion module, which proves it
+for every family at every rank and order), and DiagonalSeries walks
+the Verma module (the verma module), which cross-checks it.
 certified_minimal_polynomial, divisibility_poset and the resolvent
-command go through it.
+command certify on a RecursionSeries; nothing here imports the Verma
+engine.
 
 The certifier's hot path is integer end to end.  A residual is one int
 dot product per diagonal entry of q's cleared coefficients with the
@@ -54,7 +53,7 @@ from .algebra import AlgebraSpec, as_weight
 from .polyrat import (ZERO, CertificationError, ScaledSeries, UniPoly,
                       clear_denominators, monic_lcm, pade_reconstruct,
                       scaled_product, scaled_quotient)
-from .recursion import RecursionSeries, proven_terms
+from .recursion import RecursionSeries
 from .shuffle import minpoly_from_weight
 
 
@@ -180,34 +179,22 @@ def projected_resolvent(series: ScaledSeries):
     return tuple(out)
 
 
-def series_for(spec: AlgebraSpec, lam, K: int):
-    """The series that certifies K terms at lam.
-
-    A RecursionSeries where the recursion is proven for K terms, so for
-    gl always, and a DiagonalSeries for more terms of o or sp.
-    """
-    if K <= proven_terms(spec):
-        return RecursionSeries(spec, lam)
-    from .verma import DiagonalSeries
-    return DiagonalSeries(spec, lam)
-
-
 def certified_minimal_polynomial(spec: AlgebraSpec, lam):
     """Minimal polynomial with its certificate.
 
-    The fast answer q = minpoly_from_weight(spec, lam) is certified
-    directly when it annihilates, with any droppable roots trimmed in
-    the same pass, on the series series_for picks for deg q + 1 terms.
-    Otherwise the least common multiple of the projected resolvent
-    denominators is certified instead, on the series it picks for
-    resolvent_order terms.  Returns (polynomial, Certificate).
+    One RecursionSeries at lam serves both steps.  The fast answer
+    q = minpoly_from_weight(spec, lam) is certified directly when it
+    annihilates, with any droppable roots trimmed in the same pass, on
+    deg q + 1 terms.  Otherwise the least common multiple of the
+    projected resolvent denominators is certified instead, on the same
+    series extended to resolvent_order terms.  Returns
+    (polynomial, Certificate).
     """
-    lam = as_weight(spec, lam)
-    q = minpoly_from_weight(spec, lam)
+    series = RecursionSeries(spec, lam)
+    q = minpoly_from_weight(spec, series.lam)
     try:
-        cert = certify_minimal(series_for(spec, lam, q.degree + 1), q)
+        cert = certify_minimal(series, q)
     except CertificationError:
-        series = series_for(spec, lam, resolvent_order(spec))
         entries = projected_resolvent(series)
         cert = certify_minimal(series, monic_lcm(den for _, _, den in entries))
     return cert.polynomial, cert

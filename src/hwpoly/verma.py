@@ -14,11 +14,11 @@ a time; the image of a weight zero element at lambda is the coefficient
 of v_lambda when it acts on v_lambda.  Each column stays inside fixed
 weight spaces, so its state does not grow with k.  Every Verma image
 and row is affine in lambda and held once per (spec, d), so all series
-of one algebra and scale share them.  It is the reference that
-prove_recursion compares the rank recursion against, on a lattice
-simplex, and the series verify.series_for certifies o and sp on past
-the table of proven ranks; for gl, whose recursion is proven at every
-rank, it only cross-checks.  Nothing here builds a PBW normal form.
+of one algebra and scale share them.  It is the independent engine
+that prove_recursion compares the rank recursion against, on a lattice
+simplex; the recursion, proven at every rank for every family in its
+module, certifies, and this walk only cross-checks it.  Nothing here
+builds a PBW normal form.
 """
 
 from __future__ import annotations
@@ -266,9 +266,8 @@ class DiagonalSeries(ScaledSeries):
     ``lam``, ``values(K)`` (the s_i(k) as Fractions) and
     ``numerators(K)`` (d with the ints n_i(k)); a certificate also
     records its ``engine``.  RecursionSeries provides the same, and
-    series_for certifies on it wherever the recursion is proven.  This
-    walk is the reference that prove_recursion compares the recursion
-    against, and the engine of o and sp past the table.
+    the certifier runs on it.  This walk is the reference that
+    prove_recursion compares the recursion against.
     """
 
     engine = "verma"
@@ -407,7 +406,8 @@ def prove_recursion(spec: AlgebraSpec, D: int):
       most D that agree on T(n, D) agree everywhere.
 
     The proof shows that the engines agree, not that either is right;
-    for gl, proven in the recursion module, it cross-checks the code.
+    the recursion module proves the recursion itself, so this check
+    guards the code that runs it.
     """
     points, mismatches = 0, []
     for L, d in _simplex(spec.n, D):

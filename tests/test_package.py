@@ -16,7 +16,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 # the modules only the certifier, the oracle and the Howe checks need
 SLOW = ("hwpoly.verify", "hwpoly.verma", "hwpoly.enveloping",
         "hwpoly.genmatrix", "hwpoly.howe", "hwpoly.oracle")
-# the PBW algebra and the Verma engine, which the recursion leaves idle
+# the PBW algebra and the Verma engine, which the certifier leaves idle
 ENGINES = ("hwpoly.enveloping", "hwpoly.genmatrix", "hwpoly.verma")
 
 
@@ -78,10 +78,13 @@ def test_commands_without_pade_load_no_linalg(argv):
     assert "hwpoly.linalg" not in loaded_by_command(*argv)
 
 
-def test_certify_past_the_table_loads_the_verma_engine_alone():
-    loaded = loaded_by_command("certify", "sp", "4", "1,0,0,0")
-    assert "hwpoly.verma" in loaded
-    assert loaded.isdisjoint(("hwpoly.enveloping", "hwpoly.genmatrix"))
+def test_o_and_sp_past_the_old_table_load_only_the_recursion():
+    # rank 4 of sp and of o_odd, past the ranks the simplex checks reach
+    for argv in (("certify", "sp", "4", "1,0,0,0"),
+                 ("resolvent", "o", "9", "--", "3,1/2,-1,0")):
+        loaded = loaded_by_command(*argv)
+        assert {"hwpoly.verify", "hwpoly.recursion"} <= loaded
+        assert loaded.isdisjoint(ENGINES)
 
 
 def test_relcheck_loads_the_pbw_algebra():

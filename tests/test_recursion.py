@@ -1,5 +1,5 @@
-"""The rank recursion, its proof against the Verma engine, and the
-engine the certifier picks."""
+"""The rank recursion, the lemmas of its proof, and its cross-check
+against the Verma engine."""
 
 import gc
 import random
@@ -9,31 +9,38 @@ from math import comb
 
 import pytest
 
-from hwpoly import recursion, verify, verma
+from hwpoly import recursion, verma
 from helpers import series_of_rational, verma_act, verma_apply
-from hwpoly.algebra import NEG, POS, AlgebraSpec, make_spec
-from hwpoly.enveloping import UElement
-from hwpoly.genmatrix import MatrixU, generator_matrix
+from hwpoly.algebra import NEG, POS, AlgebraSpec, Family, make_spec
+from hwpoly.enveloping import UElement, project_hc
+from hwpoly.genmatrix import (MatrixU, generator_matrix, generator_power,
+                              projected_diagonal)
 from hwpoly.polyrat import UniPoly, clear_denominators
-from hwpoly.recursion import (PROVEN, RecursionSeries, proven_terms,
-                              scaled_numerators)
+from hwpoly.recursion import RecursionSeries, scaled_numerators
 from hwpoly.shuffle import minpoly_from_weight
 from hwpoly.verify import (certified_minimal_polynomial, certify_minimal,
-                           projected_resolvent, series_for)
+                           projected_resolvent)
 from hwpoly.verma import DiagonalSeries, VermaModule, prove_recursion
 
 F = Fraction
 
 
-# gl's simplex checks: the recursion module proves gl at every rank, and
-# these cross-check the code against the Verma walk
+# the simplex checks, (family, rank): D.  The recursion module proves
+# the recursion at every rank; these cross-check the code against the
+# Verma walk through degree D.  D = 2N + 1 covers the 2N + 2 terms of
+# the resolvent, D = N the deg q + 1 <= N + 1 that certify reads
 GL_SIMPLEX = {("gl", 0): 1, ("gl", 1): 3, ("gl", 2): 5, ("gl", 3): 7,
               ("gl", 4): 4, ("gl", 5): 5}
+SIMPLEX = {
+    **GL_SIMPLEX,
+    ("sp", 0): 1, ("sp", 1): 5, ("sp", 2): 9, ("sp", 3): 6,
+    ("o_even", 0): 1, ("o_even", 1): 5, ("o_even", 2): 9, ("o_even", 3): 6,
+    ("o_odd", 0): 3, ("o_odd", 1): 7, ("o_odd", 2): 11, ("o_odd", 3): 7,
+}
 
 
 @pytest.mark.parametrize("family,n,D", [
-    (family, n, D) for (family, n), D
-    in sorted({**GL_SIMPLEX, **PROVEN}.items())])
+    (family, n, D) for (family, n), D in sorted(SIMPLEX.items())])
 def test_proof_covers_every_proven_entry(family, n, D):
     # a fresh spec, so the Verma tables of the D + 1 scales go with it
     points, mismatches = prove_recursion(AlgebraSpec(family, n), D)
@@ -71,8 +78,8 @@ def test_series_match_the_verma_series(family):
     rng = random.Random(f"recursion-{family}")
     for n in (1, 2, 3):
         spec = make_spec(family, n)
-        # gl is proven at every order: read as many terms as resolvent
-        K = 2 * spec.N + 2 if family == "gl" else proven_terms(spec)
+        # as many terms as resolvent reads
+        K = 2 * spec.N + 2
         for _ in range(8):
             lam = tuple(F(rng.randint(-9, 9), rng.choice([1, 2, 3]))
                         for _ in range(n))
@@ -90,34 +97,35 @@ def test_series_match_the_verma_series(family):
             assert mine.values(2) == [col[:2] for col in mine.values(K)]
 
 
-def test_refuses_terms_past_its_table_entry():
-    spec = make_spec("sp", 3)
-    series = RecursionSeries(spec, (3, 1, -2))
-    assert len(series.numerators(PROVEN["sp", 3] + 1)[1][0]) == 7
-    with pytest.raises(ValueError, match="proven for 7 terms of sp_6"):
-        series.numerators(8)
-    # past the table not even one term is proven
-    past = RecursionSeries(make_spec("sp", 4), (0,) * 4)
-    assert past.numerators(0) == (1, ((),) * 8)
-    with pytest.raises(ValueError):
-        past.values(1)
-
-
-def test_series_for_picks_the_engine_by_the_order():
-    sp3, sp4 = make_spec("sp", 3), make_spec("sp", 4)
-    assert type(series_for(sp3, (2, 1, 0), 7)) is RecursionSeries
-    assert type(series_for(sp3, (2, 1, 0), 8)) is DiagonalSeries
-    assert type(series_for(sp4, (0,) * 4, 1)) is DiagonalSeries
+@pytest.mark.parametrize("family", ["sp", "o_even", "o_odd"])
+def test_serves_every_order_past_the_old_table(family):
+    # every order at every rank, past the ranks and orders the simplex
+    # checks reach
+    for n in (0, 3, 4, 10):
+        spec = make_spec(family, n)
+        lam = tuple(range(n, 0, -1))
+        series = RecursionSeries(spec, lam)
+        for K in (0, 1, 8, spec.N + 1, 2 * spec.N + 2, 4 * spec.N):
+            d, cols = series.numerators(K)
+            assert d == 1 and len(cols) == spec.N
+            assert all(len(col) >= K for col in cols)
+        # the fast answer certifies on it directly, with no fallback
+        q = minpoly_from_weight(spec, lam)
+        assert certify_minimal(series, q).polynomial == q
 
 
 def test_gl_is_proven_at_every_rank_and_order():
-    assert not [key for key in PROVEN if key[0] == "gl"]
     for n in (0, 1, 5, 6, 16, 40):
         spec = make_spec("gl", n)
-        for K in (0, 1, spec.N + 1, 2 * spec.N + 2, 10 ** 6):
-            assert type(series_for(spec, (0,) * n, K)) is RecursionSeries
         series = RecursionSeries(spec, tuple(range(n)))
+        for K in (0, 1, spec.N + 1, 2 * spec.N + 2, 4 * spec.N):
+            assert all(len(col) >= K for col in series.numerators(K)[1])
         assert len(series.values(2 * spec.N + 2)) == n
+
+
+# the certifier runs on the recursion; either engine's series certifies
+# to the one certificate, which names the engine it was read from
+ENGINES = {"recursion": RecursionSeries, "verma": DiagonalSeries}
 
 
 @pytest.mark.parametrize("family,n,lam,engine", [
@@ -130,11 +138,11 @@ def test_gl_is_proven_at_every_rank_and_order():
 def test_certificate_names_its_engine(family, n, lam, engine):
     spec = make_spec(family, n)
     _, cert = certified_minimal_polynomial(spec, lam)
-    assert cert.engine == engine
-    reference = certify_minimal(DiagonalSeries(spec, lam),
-                                minpoly_from_weight(spec, lam))
-    assert reference.engine == "verma"
-    assert cert._replace(engine="verma") == reference
+    assert cert.engine == "recursion"
+    mine = certify_minimal(ENGINES[engine](spec, lam),
+                           minpoly_from_weight(spec, lam))
+    assert mine.engine == engine
+    assert cert._replace(engine=engine) == mine
 
 
 @pytest.mark.parametrize("family,n,lam", [
@@ -143,9 +151,7 @@ def test_certificate_names_its_engine(family, n, lam, engine):
     ("gl", 6, (3, F(1, 2), 2, -1, 0, 4))])
 def test_resolvents_of_both_engines_agree(family, n, lam):
     spec = make_spec(family, n)
-    series = series_for(spec, lam, verify.resolvent_order(spec))
-    assert type(series) is RecursionSeries
-    assert projected_resolvent(series) \
+    assert projected_resolvent(RecursionSeries(spec, lam)) \
         == projected_resolvent(DiagonalSeries(spec, lam))
 
 
@@ -258,12 +264,14 @@ def test_gl_numerators_match_the_closed_form(n):
             assert col == [s * d ** k for k, s in enumerate(tail)], (lam, i)
 
 
-def seeded_gl_weights(n):
+def seeded_weights(spec):
     """Integral dominant, tie-heavy, half-integral and negative weights."""
-    rng = random.Random(f"past-the-table-{n}")
+    n = spec.n
+    rng = random.Random(f"past-the-table-{n}" if spec.family is Family.GL
+                        else f"past-the-table-{spec.label}")
     dominant = sorted((rng.randint(-3, 5) for _ in range(n)), reverse=True)
-    # shifted weights l_j = lambda_j + n - j drawn from three values
-    ties = [rng.choice([0, 1, 2]) - (n - j) for j in range(1, n + 1)]
+    # shifted weights lambda + rho drawn from three values
+    ties = [rng.choice([0, 1, 2]) - r for r in spec.rho]
     half = [F(rng.randrange(-7, 8, 2), 2) for _ in range(n)]
     negative = [rng.randint(-6, -1) for _ in range(n)]
     return [tuple(dominant), tuple(ties), tuple(half), tuple(negative)]
@@ -273,12 +281,251 @@ def seeded_gl_weights(n):
 def test_gl_certificates_past_the_old_table_match_the_verma_walk(n):
     # a fresh spec, so the Verma tables go with it
     spec = AlgebraSpec("gl", n)
-    for lam in seeded_gl_weights(n):
+    for lam in seeded_weights(spec):
         _, cert = certified_minimal_polynomial(spec, lam)
         assert cert.engine == "recursion"
         reference = certify_minimal(DiagonalSeries(spec, lam),
                                     minpoly_from_weight(spec, lam))
         assert cert._replace(engine="verma") == reference, lam
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("family", ["sp", "o_even", "o_odd"])
+def test_certificates_past_the_old_table_match_the_verma_walk(family, n):
+    # o and sp past the ranks the simplex checks reach: first the series,
+    # through the terms the certificate reads, then the certificates
+    spec = AlgebraSpec(family, n)
+    for lam in seeded_weights(spec):
+        q = minpoly_from_weight(spec, lam)
+        walk = DiagonalSeries(spec, lam)
+        K = q.degree + 1
+        assert RecursionSeries(spec, lam).values(K) == walk.values(K), lam
+        _, cert = certified_minimal_polynomial(spec, lam)
+        assert cert.engine == "recursion"
+        assert cert._replace(engine="verma") == certify_minimal(walk, q), lam
+
+
+# the o and sp proof in the recursion docstring, step by step.  F[i,j]
+# for any index pair is a dict {generator: coefficient}, and brackets
+# of such dicts are read off spec.bracket
+
+
+def span(spec, i, j):
+    c, g = spec.resolve(i, j)
+    return {g: c} if c else {}
+
+
+def bracket(spec, x, y):
+    out = {}
+    for g, a in x.items():
+        for h, b in y.items():
+            for k, c in spec.bracket(g, h):
+                out[k] = out.get(k, 0) + a * b * c
+    return {k: c for k, c in out.items() if c}
+
+
+def combination(*terms):
+    """sum c x over the pairs (c, x) of dicts x."""
+    out = {}
+    for c, x in terms:
+        for g, v in x.items():
+            out[g] = out.get(g, 0) + c * v
+    return {g: v for g, v in out.items() if v}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("family", ["sp", "o_even", "o_odd"])
+def test_o_sp_proof_steps_9_to_11_on_the_brackets(family, n):
+    spec = make_spec(family, n)
+    sp = spec.family is Family.SP
+    labels = spec.matrix_indices
+    inner = [i for i in labels if abs(i) < n]
+    assert len(inner) == spec.N - 2
+    m = span(spec, n, n)
+    # H_1 = F[-n,-n] = -F[n,n]
+    assert m == {spec.cartan_by_coord[0]: -1}
+    upper = set()
+    for j in labels:
+        if j > -n:
+            upper |= span(spec, -n, j).keys()
+    levi = {g for g, (i, j) in enumerate(spec.gens)
+            if abs(i) < n and abs(j) < n} | m.keys()
+    # step 9: u+ raises and is l-stable, by the two brackets named
+    assert all(spec.triangular[g] == POS for g in upper)
+    for x in levi:
+        for g in upper:
+            assert {h for h, _ in spec.bracket(x, g)} <= upper
+    for j in (j for j in labels if j > -n):
+        assert bracket(spec, m, span(spec, -n, j)) == combination(
+            (-1, span(spec, -n, j)), (-(j == n), span(spec, -n, n)))
+        for p in inner:
+            for r in inner:
+                assert bracket(spec, span(spec, p, r), span(spec, -n, j)) \
+                    == combination((-(p == j), span(spec, -n, r)),
+                                   (spec.theta(p, r) * (r == -j),
+                                    span(spec, -n, -p)))
+    # ... and B lies in u+: F[q,n] = -theta(q,n) F[-n,-q], B_(-n) = F[-n,n]
+    for q in inner:
+        assert span(spec, q, n) == combination(
+            (-spec.theta(q, n), span(spec, -n, -q)))
+    assert span(spec, -n, n).keys() <= upper
+    assert bool(span(spec, -n, n)) == sp
+    # step 10: m is central in l and F[n,r] raises its eigenvalue by one
+    assert all(bracket(spec, m, {x: 1}) == {} for x in levi)
+    for r in inner:
+        C = span(spec, n, r)
+        assert {spec.triangular[g] for g in C} == {NEG}
+        assert bracket(spec, m, C) == C
+    # step 11
+    for q in inner:
+        for r in inner:
+            assert bracket(spec, span(spec, q, n), span(spec, n, r)) \
+                == combination((1, span(spec, q, r)), (-(q == r), m))
+        assert bracket(spec, span(spec, -n, n), span(spec, n, q)) \
+            == combination((2 * sp, span(spec, -n, q)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("family", ["sp", "o_even", "o_odd"])
+def test_o_sp_proof_step_13_block_identity(family, n):
+    # (u - M')(u + a - 1) - (M' + a) = (u + a)(u - 1 - M') over the
+    # inner algebra, at the points u in {0, 1, 2}, a in {0, 1}
+    inner = make_spec(family, n - 1)
+    M = generator_matrix(inner)
+
+    def scalar(c):
+        return MatrixU.scalar(UElement, inner, inner.matrix_indices, c)
+
+    minus_M = scalar(-1) * M
+    for u in range(3):
+        for a in range(2):
+            lhs = (minus_M + u) * scalar(u + a - 1) + (minus_M + (-a))
+            rhs = scalar(u + a) * (minus_M + (u - 1))
+            assert lhs.rows == rhs.rows
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("family", ["sp", "o_even", "o_odd"])
+def test_o_sp_proof_steps_9_to_12_on_verma_modules(family, n):
+    # on W = U(l) v_lambda, spanned by words in the inner lowering
+    # generators: u+ and B kill W, m acts as -a, F[q,n] F[n,r] acts as
+    # F[q,r] + delta_qr a, and F[-n,n] F[n,r] as 0; integral weights, so
+    # the module's scaled generators are the generators themselves
+    rng = random.Random(f"o-sp-steps-{family}-{n}")
+    spec = make_spec(family, n)
+    labels = spec.matrix_indices
+    inner = [i for i in labels if abs(i) < n]
+    lowering = [g for g, (i, j) in enumerate(spec.gens)
+                if abs(i) < n and abs(j) < n and spec.triangular[g] == NEG]
+    words = [[]] + [[x] for x in lowering] \
+        + [[x, y] for x in lowering for y in lowering]
+    for _ in range(2):
+        lam = tuple(rng.randint(-4, 4) for _ in range(n))
+        module, a = VermaModule(spec, lam), lam[0]
+
+        def act(pairs, vec):
+            for i, j in reversed(pairs):
+                out = {}
+                for g, c in span(spec, i, j).items():
+                    verma_apply(module, g, vec, c, out)
+                vec = out
+            return vec
+
+        for word in words:
+            w = {0: 1}
+            for g in reversed(word):
+                w = verma_apply(module, g, w)
+            assert act([(n, n)], w) == {k: -a * c for k, c in w.items() if a}
+            for j in labels:
+                if j > -n:
+                    assert act([(-n, j)], w) == {}
+                if j != n:
+                    assert act([(j, n)], w) == {}
+            for q in inner:
+                assert act([(-n, n), (n, q)], w) == {}
+                for r in inner:
+                    want = act([(q, r)], w)
+                    if q == r:
+                        for k, c in w.items():
+                            want[k] = want.get(k, 0) + a * c
+                    want = {k: c for k, c in want.items() if c}
+                    assert act([(q, n), (n, r)], w) == want, (lam, word)
+
+
+def entry(spec, P, i, j):
+    """(P)_ij, or 0 when a label is outside the algebra."""
+    if {i, j} <= set(spec.matrix_indices):
+        return P[i, j]
+    return UElement.zero(spec)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("family", ["sp", "o_even", "o_odd"])
+def test_o_sp_proof_step_16_vector_operator_identity(family, n):
+    # [F_ab, (M^p)_cd] in PBW form for every index pair (a, b), p <= 3
+    spec = make_spec(family, n)
+    labels = spec.matrix_indices
+    for p in range(4):
+        P = generator_power(spec, p)
+        for a in labels:
+            for b in labels:
+                x, t = UElement.generator(spec, a, b), spec.theta(a, b)
+                for c in labels:
+                    for d in labels:
+                        want = UElement.zero(spec)
+                        if b == c:
+                            want = want + P[a, d]
+                        if a == d:
+                            want = want - P[c, b]
+                        if a == -c:
+                            want = want - t * entry(spec, P, -b, d)
+                        if b == -d:
+                            want = want + t * entry(spec, P, c, -a)
+                        assert x.commutator(P[c, d]) == want, (p, a, b, c, d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("family", ["sp", "o_even", "o_odd"])
+def test_o_sp_proof_steps_17_and_18_the_opposite_corner(family, n):
+    # step 17 in PBW form: moving each F[-n,j], j > -n, to the right
+    # leaves (N - 2 + [sp] 2) P_(-n,-n) - sum_inner P_jj - [sp] 2 P_nn;
+    # step 18 in U(h): pi((M^k)_(-n,-n)) = (H_1 + 2 rho_1) pi(P_(-n,-n))
+    # - sum_inner pi(P_jj) - [sp] 2 pi(P_nn), with P = M^(k-1)
+    spec = make_spec(family, n)
+    sp = spec.family is Family.SP
+    labels = spec.matrix_indices
+    inner = [i for i in labels if abs(i) < n]
+    two_rho_1 = spec.N - 2 + 2 * sp
+    assert 2 * spec.rho[0] == two_rho_1
+    H_1 = UElement.generator(spec, -n, -n)
+    for k in range(1, 5):
+        P = generator_power(spec, k - 1)
+        moved = H_1 * P[-n, -n] + (two_rho_1 * P[-n, -n]
+                                   - 2 * sp * P[n, n])
+        for j in labels:
+            if j > -n:
+                F_j = UElement.generator(spec, -n, j)
+                moved = moved + P[j, -n] * F_j
+                # pi kills U(g) n+
+                assert project_hc(P[j, -n] * F_j).is_zero()
+        for j in inner:
+            moved = moved - P[j, j]
+        assert generator_power(spec, k)[-n, -n] == moved
+        pi, before = projected_diagonal(spec, k), projected_diagonal(spec, k - 1)
+        at = dict(zip(labels, before))
+        want = (H_1 + two_rho_1) * at[-n] - 2 * sp * at[n]
+        for j in inner:
+            want = want - at[j]
+        assert pi[labels.index(-n)] == want
+
+
+def test_o_sp_proof_step_19_rank_zero():
+    # o_odd's rank 0 matrix is [F[0,0]] = [0], so R_0 = 1/u
+    spec = make_spec("o_odd", 0)
+    assert generator_matrix(spec).rows == [[UElement.zero(spec)]]
+    assert scaled_numerators(spec, (), 1, 5) == [[1, 0, 0, 0, 0]]
+    for family in ("sp", "o_even"):
+        assert scaled_numerators(make_spec(family, 0), (), 1, 5) == []
 
 
 # ROADMAP item 3: the fast (shuffle) answer is a proper multiple of the
@@ -303,7 +550,7 @@ def test_fast_equals_certified_at_item_2_weights(family, n, lam):
 @pytest.mark.parametrize("family,n,lam", [("o_odd", 3, (-2, -2, 0)),
                                           ("sp", 3, (-3, -3, 0))])
 def test_both_engines_trim_item_2_candidates_alike(family, n, lam):
-    # proven ranks: the recursion and the Verma walk give one certificate
+    # the recursion and the Verma walk give one certificate
     spec = make_spec(family, n)
     q = minpoly_from_weight(spec, lam)
     mine = certify_minimal(RecursionSeries(spec, lam), q)

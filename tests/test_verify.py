@@ -16,6 +16,7 @@ from hwpoly.enveloping import evaluate_at_weight
 from hwpoly.genmatrix import check_relative_formulas, projected_diagonal
 from hwpoly.oracle import build_catalog_rep, oracle_minpoly
 from hwpoly.polyrat import UniPoly, monic_lcm, pade_reconstruct
+from hwpoly.recursion import RecursionSeries
 from hwpoly.shuffle import minpoly_from_weight
 from hwpoly.verify import (
     Certificate,
@@ -25,7 +26,6 @@ from hwpoly.verify import (
     certify_minimal,
     divisibility_poset,
     projected_resolvent,
-    series_for,
 )
 from hwpoly.verma import DiagonalSeries, VermaModule
 
@@ -327,7 +327,7 @@ def test_coefficients_alone_certify_to_the_same_certificate(data):
     extra = data.draw(st.lists(_ROOT, max_size=2))
     q = UniPoly.from_roots(
         [r for r, m in q.rational_roots() for _ in range(m)] + extra)
-    series = series_for(spec, lam, q.degree + 1)
+    series = RecursionSeries(spec, lam)
     alone = UniPoly(q.coeffs)
     assert alone._scaled is None
     try:

@@ -13,9 +13,9 @@ order, and exits 1 when there is any, or when stdout cannot be written
 proves the two engines equal through order D at every weight of the
 rank (see the docstring of prove_recursion).  D = N covers what
 certify reads, and D = 2N + 1 what resolvent reads, N the matrix size.
-For o and sp such a run is what recursion.PROVEN rests on; gl needs
-none, as the recursion module proves its recursion at every rank, so
-there it cross-checks the code against the Verma walk.
+The recursion module proves the recursion at every rank of every
+family, so a run cross-checks the code that runs it against the
+independent Verma walk.
 It runs from a checkout without installing the package and uses the
 standard library only.
 """
