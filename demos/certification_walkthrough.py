@@ -6,13 +6,15 @@ the diagonal of q(M) onto the Cartan part, evaluate at the weight, and
 demand zeros; then remove each root in turn and exhibit a nonzero
 residual, which proves minimality.  Independently, a projected
 resolvent reconstructed by Pade approximation recovers the polynomial
-from its power series alone.  This script prints every ingredient for
-one singular weight; all three steps read one DiagonalSeries, the
+from its power series alone.  When the fast answer fails, the
+certifier starts from the characteristic identity chi instead, which
+always annihilates, and trims it.  This script prints every ingredient
+for one singular weight; all four steps read one DiagonalSeries, the
 evaluated diagonal of the powers of M at that weight.
 """
 
-from hwpoly import (DiagonalSeries, make_spec, minpoly_from_weight,
-                    monic_lcm, projected_resolvent)
+from hwpoly import (DiagonalSeries, RecursionSeries, make_spec,
+                    minpoly_from_weight, monic_lcm, projected_resolvent)
 from hwpoly.verify import annihilation_residuals, certify_minimal
 
 
@@ -54,7 +56,19 @@ def main():
     print(f"\nleast common denominator: {lcm}")
     assert lcm == q
 
-    # The three routes agree, which is exactly what the certificate
+    # Step 4: the certifier's fallback.  The recursion divides by N
+    # poles, and their product chi (the characteristic identity of
+    # Bracken-Green and Gould) annihilates at every weight.  Certified
+    # on the Verma walk, it trims to the minimal polynomial.
+    chi = RecursionSeries(spec, lam).characteristic()
+    print(f"\ncharacteristic identity: {chi}")
+    trimmed = certify_minimal(series, chi)
+    dropped = [str(r) for r, _ in chi.rational_roots() if q.evaluate(r)]
+    print(f"trimmed to {trimmed.polynomial}, dropping the roots "
+          f"{', '.join(dropped)}")
+    assert trimmed.polynomial == q
+
+    # The four routes agree, which is exactly what the certificate
     # records.
     print(f"\ncertified: {q}")
 

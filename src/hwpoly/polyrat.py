@@ -8,10 +8,10 @@ UniPoly stores coefficients in ascending degree order with trailing
 zeros stripped, hence equal values have equal representations.  Its
 root form is its rational root multiset as ints a over one denominator
 D (scaled_roots).  A UniPoly built from its roots keeps that form, so
-reporting or certifying it never searches for roots; the divisor
-search serves polynomials known only by their coefficients, such as
-Pade denominators and the oracle's Krylov annihilators, and runs at
-most once per polynomial.  Roots are multiplied out (scaled_product)
+reporting or certifying it never searches for roots.  The divisor
+search serves polynomials known only by their coefficients, and runs
+at most once per polynomial; only the oracle's Krylov lcm still
+searches for roots.  Roots are multiplied out (scaled_product)
 and divided out (scaled_quotient) in ints.
 
 A series in powers of 1/u around u = infinity is known through its

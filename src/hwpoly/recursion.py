@@ -111,6 +111,17 @@ and u+ = span{F[-n,j] : j > -n}.  Step 1 holds with M'' for M'.
     (u - c) R_(-n) = 1 - T - [sp] 2 R_n, the recursion above.
 19. Rank 0: o_odd has M = [F[0,0]] = [0], so R_0 = 1/u.
 
+Each R_i divides by a sub-multiset of the N poles the unrolled
+recursion meets: one per step m for gl, at u = l_m, two for o and sp,
+the poles of 1/(u + a) and 1/(u - c) read at u - (n - m), and o_odd's
+rank 0 pole u = n.  With l = lambda + rho and c = n - 1 + epsilon,
+their product is the characteristic identity of Bracken and Green and
+of Gould, chi(u) = prod_k (u - l_k) for gl and
+prod_k (u - c + l_k)(u - c - l_k) for o and sp, times u - n for o_odd.
+So chi(u) R_i(u) is a polynomial, its u^-1 coefficient
+pi(chi(M)_ii)(lambda) vanishes, and chi(M) annihilates L(lambda):
+RecursionSeries.characteristic is a candidate that always certifies.
+
 scaled_numerators runs the recursion in ints at an explicit pair
 (L, d), the weight L/d: in v = d u the series d^-1 R_i(v/d) has the
 ints d^k s_i(k) as its coefficients, and every pole is an int, d times
@@ -125,7 +136,7 @@ every family.  Nothing here imports the Verma engine.
 from __future__ import annotations
 
 from .algebra import AlgebraSpec, Family, as_weight
-from .polyrat import ScaledSeries, clear_denominators
+from .polyrat import ScaledSeries, UniPoly, clear_denominators
 
 # the numerator of sp's term 2/(u + a) in R_(-n)
 SP_CORNER = 2
@@ -159,6 +170,28 @@ def _one_minus_over(X, C):
     return out
 
 
+def scaled_poles(spec: AlgebraSpec, L, d: int):
+    """The N int poles of the recursion at the weight L/d, d times the
+    poles in u, in the order scaled_numerators divides by them.
+
+    o_odd's rank 0 pole d n comes first; then step m gives E =
+    d (n - m) - A (gl: + A), A the scaled coordinate, and for o and sp
+    E' = d (n - m) + d c, the pole of R_(-m).
+    """
+    n, gl = spec.n, spec.family is Family.GL
+    # rank 0 reads u - n: o_odd's R_0 = 1/u has its pole at v = d n
+    poles = [d * n] if spec.family is Family.O_ODD else []
+    for m in range(1, n + 1):
+        s = d * (n - m)
+        if gl:
+            poles.append(s + L[m - 1])
+        else:
+            # c = a + 2 rho_1, and 2 rho_1 = 2 epsilon + 2m - 2
+            poles += (s - L[n - m],
+                      s + L[n - m] + d * int(2 * spec.epsilon + 2 * m - 2))
+    return poles
+
+
 def scaled_numerators(spec: AlgebraSpec, L, d: int, K: int):
     """Per diagonal position, in matrix index order, the ints d^k s_i(k)
     for k < K at the weight L/d, for ints L (one per coordinate) and d.
@@ -166,29 +199,26 @@ def scaled_numerators(spec: AlgebraSpec, L, d: int, K: int):
     The series are held in the variable v = d u of the whole algebra.
     Step m reads the rank m algebra's u - (n - m), so its R'(u - 1) is
     the step before as held.  Its factors 1/(u + a), (u + a - 1)/(u + a)
-    (gl: u - a) are 1/(v - E) and 1 - d/(v - E) for the int pole
-    E = d (n - m) - A (gl: + A), A the scaled coordinate, and R_(-m)
-    divides by v - E' for the pole E' = d (n - m) + d c.
+    (gl: u - a) are 1/(v - E) and 1 - d/(v - E), and R_(-m) divides by
+    v - E', for the int poles E and E' of scaled_poles.
     """
     n, gl = spec.n, spec.family is Family.GL
-    # rank 0 reads u - n: o_odd's R_0 = 1/u has its pole at v = d n
-    series = {0: _powers(d * n, K)} if spec.family is Family.O_ODD else {}
+    poles = iter(scaled_poles(spec, L, d))
+    series = {0: _powers(next(poles), K)} \
+        if spec.family is Family.O_ODD else {}
     for m in range(1, n + 1):
-        s = d * (n - m)
-        E = s + L[m - 1] if gl else s - L[n - m]
+        E = next(poles)
         for label, p in series.items():
             series[label] = _times(p, E, d)
         inner = list(series.values())
         series[m] = corner = _powers(E, K)
         if gl:
             continue
-        # the inner sum times d, with sp's SP_CORNER d/(v - E); the
-        # pole is c = a + 2 rho_1, and 2 rho_1 = 2 epsilon + 2m - 2
+        # the inner sum times d, with sp's SP_CORNER d/(v - E)
         X = [d * sum(col) for col in zip(*inner)] or [0] * K
         if spec.family is Family.SP:
             X = [x + SP_CORNER * d * y for x, y in zip(X, corner)]
-        series[-m] = _one_minus_over(
-            X, s + L[n - m] + d * int(2 * spec.epsilon + 2 * m - 2))
+        series[-m] = _one_minus_over(X, next(poles))
     return [series[label] for label in spec.matrix_indices]
 
 
@@ -218,3 +248,11 @@ class RecursionSeries(ScaledSeries):
             self._columns = tuple(map(tuple, scaled_numerators(
                 self.spec, self._L, self._d, K)))
         return self._d, self._columns
+
+    def characteristic(self) -> UniPoly:
+        """The characteristic identity chi(u), the monic polynomial whose
+        roots are the N poles of scaled_poles over d.  Every R_i divides
+        by a sub-multiset of them, so chi annihilates; it carries its
+        roots."""
+        return UniPoly.from_scaled_roots(
+            self._d, scaled_poles(self.spec, self._L, self._d))

@@ -39,8 +39,11 @@ a witness entry where dropping that root breaks annihilation.
 certified_minimal_polynomial hands it the fast answer itself
 (minpoly_from_weight), on a series of deg q + 1 terms, so a trimmed
 certificate means the fast answer was wrong; only when that fails,
-the lcm of the projected resolvent denominators, recovered by rational
-function reconstruction from 2N + 2 terms.
+the characteristic identity chi of the series
+(RecursionSeries.characteristic), which annihilates by the recursion
+module's proof and carries its N roots, on N + 1 terms.  Neither path
+reconstructs a rational function or searches for roots;
+projected_resolvent serves the resolvent command alone.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ from typing import NamedTuple
 
 from .algebra import AlgebraSpec, as_weight
 from .polyrat import (ZERO, CertificationError, ScaledSeries, UniPoly,
-                      clear_denominators, monic_lcm, pade_reconstruct,
-                      scaled_product, scaled_quotient)
+                      clear_denominators, pade_reconstruct, scaled_product,
+                      scaled_quotient)
 from .recursion import RecursionSeries
 from .shuffle import minpoly_from_weight
 
@@ -185,9 +188,9 @@ def certified_minimal_polynomial(spec: AlgebraSpec, lam):
     One RecursionSeries at lam serves both steps.  The fast answer
     q = minpoly_from_weight(spec, lam) is certified directly when it
     annihilates, with any droppable roots trimmed in the same pass, on
-    deg q + 1 terms.  Otherwise the least common multiple of the
-    projected resolvent denominators is certified instead, on the same
-    series extended to resolvent_order terms.  Returns
+    deg q + 1 terms.  Otherwise the series' characteristic identity,
+    which always annihilates, is certified and trimmed instead, on the
+    same series extended to N + 1 terms.  Returns
     (polynomial, Certificate).
     """
     series = RecursionSeries(spec, lam)
@@ -195,8 +198,7 @@ def certified_minimal_polynomial(spec: AlgebraSpec, lam):
     try:
         cert = certify_minimal(series, q)
     except CertificationError:
-        entries = projected_resolvent(series)
-        cert = certify_minimal(series, monic_lcm(den for _, _, den in entries))
+        cert = certify_minimal(series, series.characteristic())
     return cert.polynomial, cert
 
 

@@ -64,7 +64,7 @@ class VermaTable:
     (tau << slot_bits) | s per monomial tau of V_s, Cartan images
     included.  The table of (spec, d) is ``spec._cache_misc["verma",
     d]``; every module and DiagonalSeries of that scale shares it and
-    the certifier's ``rows``, for as long as the spec lives.  The table
+    the walk's ``rows``, for as long as the spec lives.  The table
     refers to its spec through a weak proxy, so the two form no
     reference cycle and a spec no one holds is freed with its tables
     at once.
@@ -244,9 +244,9 @@ class DiagonalSeries(ScaledSeries):
     obeys u_p^(k) = sum_q M_pq u_q^(k-1) from u_p^(0) = delta_pi v_lambda,
     and s_i(k) is the coefficient of v_lambda in u_i^(k).  Each u_p stays
     in the weight space lambda + wt(p) - wt(i), so the state never grows
-    with k and needs no truncation.  One instance serves every
-    certifier call at one weight and holds the only state that depends
-    on lambda, validated once.
+    with k and needs no truncation.  One instance serves every request
+    at one weight and holds the only state that depends on lambda,
+    validated once.
 
     The columns are int vectors in the rescaled basis of the
     VermaModule: with d its scale, M_pq = c x_g = (c/d) x'_g for the
@@ -257,10 +257,8 @@ class DiagonalSeries(ScaledSeries):
     and a position p, so v_lambda in u_i is the key i.  A step reads
     one row per key (nu, q), sum_p M_pq x nu over M's column q, from the
     VermaTable's ``rows``: it is affine in lambda, and the step weighs
-    each term by the value of its slot at lambda.  The last term a
-    request needs is read off the columns one power below it, through
-    the one row sum_q M_iq u_q of each column, so no column is stepped
-    to a power no request has reached; a later request steps on.
+    each term by the value of its slot at lambda.  The columns are
+    stepped to the last power a request needs; a later request steps on.
 
     The certifier reads exactly four things of a series: ``spec``,
     ``lam``, ``values(K)`` (the s_i(k) as Fractions) and
@@ -278,10 +276,10 @@ class DiagonalSeries(ScaledSeries):
         self._module = VermaModule(spec, self.lam)
         self._entries = _entry_table(spec)
         self._shift = len(self._entries).bit_length()
-        # the columns hold u^(depth); n(0) .. n(order - 1) are known
+        # the columns hold u^(K - 1); n(0) .. n(K - 1) are known
         self._columns = [{p: 1} for p in range(len(self._entries))]
         self._numerators = [[1] for _ in self._entries]
-        self._depth, self._order = 0, 1
+        self._K = 1
 
     def numerators(self, K: int):
         """(d, per diagonal position the ints n(0), ..., n(K-1)).
@@ -289,16 +287,12 @@ class DiagonalSeries(ScaledSeries):
         Positions are in matrix index order and s(k) = n(k) / d^k.
         """
         K = max(K, 0)
-        while self._order < K:
-            # only the last requested term, with the columns just below it
-            if self._order == K - 1 == self._depth + 1:
-                self._last_term()
-            else:
-                self._step()
+        while self._K < K:
+            self._step()
         return self._module.scale, [n[:K] for n in self._numerators]
 
     def _step(self):
-        """Columns u^(depth) -> u^(depth + 1), recording n(depth + 1) once."""
+        """Columns u^(K - 1) -> u^(K), recording n(K)."""
         rows, slots = self._module.table.rows, self._module.slots
         for i, column in enumerate(self._columns):
             new = {}
@@ -314,10 +308,8 @@ class DiagonalSeries(ScaledSeries):
                 for out, s, c in zip(triples, triples, triples):
                     new[out] = get(out, 0) + cv * c * slots[s]
             self._columns[i] = {key: c for key, c in new.items() if c}
-        self._depth += 1
-        if self._depth == self._order:
-            self._record(column.get(i, 0)
-                         for i, column in enumerate(self._columns))
+            self._numerators[i].append(new.get(i, 0))
+        self._K += 1
 
     def _row(self, key):
         """The row of key = (nu, q): M_pq nu over M's column q.
@@ -339,30 +331,6 @@ class DiagonalSeries(ScaledSeries):
                 else:
                     const += ((tau >> sb << shift) | p, c * ct)
         return tuple(const), tuple(linear)
-
-    def _last_term(self):
-        """n(depth + 1) from the columns u^(depth), leaving them there."""
-        image, slots = self._module.table.image, self._module.slots
-        shift, entries = self._shift, self._entries
-        mask = (1 << shift) - 1
-        terms = []
-        for i, column in enumerate(self._columns):
-            total = 0
-            for key, cv in column.items():
-                entry = entries[key & mask].get(i)
-                if entry is not None:
-                    c, g = entry
-                    # x'_g takes u_q into the weight space of v_lambda,
-                    # which holds v_lambda alone: every key is a slot
-                    for s, ct in image(g, key >> shift).items():
-                        total += c * cv * ct * slots[s]
-            terms.append(total)
-        self._record(terms)
-
-    def _record(self, terms):
-        for col, n in zip(self._numerators, terms):
-            col.append(n)
-        self._order += 1
 
 
 def _simplex(n: int, D: int):

@@ -5,6 +5,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -153,6 +154,47 @@ def test_resolvents_of_both_engines_agree(family, n, lam):
     spec = make_spec(family, n)
     assert projected_resolvent(RecursionSeries(spec, lam)) \
         == projected_resolvent(DiagonalSeries(spec, lam))
+
+
+@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("family", ["gl", "sp", "o_even", "o_odd"])
+def test_poles_are_the_characteristic_identity(family, n):
+    # chi(u) = prod (u - l_k) for gl, prod (u - c + l_k)(u - c - l_k)
+    # for o and sp, times u - n for o_odd, with c = n - 1 + epsilon and
+    # l = lambda + rho: the N poles the recursion divides by
+    rng = random.Random(f"poles-{family}-{n}")
+    spec = make_spec(family, n)
+    for den in (1, 2, 3, 6):
+        lam = tuple(F(rng.randint(-12, 12), den) for _ in range(n))
+        l = [x + r for x, r in zip(lam, spec.rho)]
+        if spec.family is Family.GL:
+            roots = l
+        else:
+            c = n - 1 + spec.epsilon
+            roots = [c + s * x for x in l for s in (-1, 1)]
+            roots += [n] if spec.family is Family.O_ODD else []
+        d, L = clear_denominators(lam)
+        poles = recursion.scaled_poles(spec, L, d)
+        assert len(poles) == spec.N
+        assert all(type(E) is int for E in poles)
+        assert sorted(F(E, d) for E in poles) == sorted(roots), lam
+        assert RecursionSeries(spec, lam).characteristic() \
+            == UniPoly.from_roots(roots)
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("family", ["gl", "sp", "o_even", "o_odd"])
+def test_characteristic_identity_certifies_on_the_verma_walk(family, n):
+    # chi annihilates on the independent engine too, and trims there to
+    # the certifier's own certificate, on the box [-2, 2]^n in halves
+    spec = AlgebraSpec(family, n)
+    box = [F(k, 2) for k in range(-4, 5)]
+    for lam in product(box, repeat=n):
+        chi = RecursionSeries(spec, lam).characteristic()
+        walk = certify_minimal(DiagonalSeries(spec, lam), chi)
+        mine = certify_minimal(RecursionSeries(spec, lam), chi)
+        _, cert = certified_minimal_polynomial(spec, lam)
+        assert walk._replace(engine="recursion") == mine == cert, lam
 
 
 # the gl proof in the recursion docstring, step by step: each finite

@@ -172,8 +172,8 @@ class TestDiagonalSeries:
         ("o_odd", 2, (F(-5, 2), F(2, 3))), ("o_even", 2, (1, F(-1, 2)))])
     def test_one_request_at_a_time_matches_one_long_request(self, family, n,
                                                             lam):
-        # the last term of each request is read off the columns one power
-        # below it; later requests step on from there
+        # each longer request steps the columns on from the power the
+        # last one left them at; a shorter one reads a prefix
         spec = make_spec(family, n)
         K = 2 * spec.N + 2
         grown = DiagonalSeries(spec, lam)
@@ -496,46 +496,68 @@ class TestCertifiedMinimal:
 
     def test_rank_zero_certifies_u_directly(self, monkeypatch):
         # o_1 has only its middle row, which the shuffle answers with u,
-        # so the candidate certifies without the resolvent.
+        # so the candidate certifies without the fallback.
         def unreachable(series):
-            raise AssertionError("resolvent fallback ran")
+            raise AssertionError("characteristic identity fallback ran")
 
-        monkeypatch.setattr(verify, "projected_resolvent", unreachable)
+        monkeypatch.setattr(RecursionSeries, "characteristic", unreachable)
         spec = make_spec("o_odd", 0)
         assert certified_minimal_polynomial(spec, ())[0] == UniPoly.x()
 
-    def test_fallback_certifies_the_resolvent_lcm(self, monkeypatch):
+    @staticmethod
+    def _forbid_pade_and_search(monkeypatch):
+        """Make the fallback fail if it fits a resolvent or searches for
+        roots, and return the list of characteristic identities built."""
+        def unreachable(*args):
+            raise AssertionError("the fallback fitted or searched")
+
+        monkeypatch.setattr(verify, "projected_resolvent", unreachable)
+        monkeypatch.setattr(UniPoly, "_search_roots", unreachable)
+        built = []
+        original = RecursionSeries.characteristic
+
+        def counted(series):
+            built.append(original(series))
+            return built[-1]
+
+        monkeypatch.setattr(RecursionSeries, "characteristic", counted)
+        return built
+
+    def test_fallback_certifies_the_characteristic_identity(self,
+                                                            monkeypatch):
         # A fast answer short of the root 0 cannot annihilate, so the
-        # lcm of the resolvent denominators is certified instead.
+        # characteristic identity u (u - 2) (u - 4) is certified instead.
         spec, lam = make_spec("gl", 3), (2, 1, 0)
         direct = certified_minimal_polynomial(spec, lam)[1]
         monkeypatch.setattr(verify, "minpoly_from_weight",
                             lambda spec, lam: UniPoly.from_roots([2, 4]))
-        resolvents = []
-        original = verify.projected_resolvent
-
-        def counted(series):
-            resolvents.append(series)
-            return original(series)
-
-        monkeypatch.setattr(verify, "projected_resolvent", counted)
-        searches = []
-        search = UniPoly._search_roots
-
-        def counted_search(self):
-            searches.append(self)
-            return search(self)
-
-        monkeypatch.setattr(UniPoly, "_search_roots", counted_search)
+        built = self._forbid_pade_and_search(monkeypatch)
         q, cert = certified_minimal_polynomial(spec, lam)
-        assert len(resolvents) == 1
+        assert built == [UniPoly.from_roots([0, 2, 4])]
         assert q == UniPoly.from_roots([0, 2, 4])
         assert cert.witnesses == direct.witnesses == (
             (0, 1, 3), (2, 1, -1), (4, 1, 3))
         assert all(not r for _, r in cert.residuals)
-        # the lcm is factored once, and the answer keeps those roots
+        # the identity carries its roots, and the answer keeps them
         assert q.rational_roots() == [(0, 1), (2, 1), (4, 1)]
-        assert len(searches) == 1
+
+    @pytest.mark.parametrize("family", ["gl", "sp", "o_even", "o_odd"])
+    def test_fallback_at_rank_ten_gives_the_direct_certificate(
+            self, monkeypatch, family):
+        # the fast answer without its least root fails, and the trimmed
+        # characteristic identity of degree N certifies the same answer
+        spec = make_spec(family, 10)
+        lam = (3, F(1, 2), 2, -1, 0, 4, -3, 1, 1, -2)
+        direct = certified_minimal_polynomial(spec, lam)[1]
+        D, roots = direct.polynomial.scaled_roots()
+        short = UniPoly.from_scaled_roots(D, roots[1:])
+        monkeypatch.setattr(verify, "minpoly_from_weight",
+                            lambda spec, lam: short)
+        built = self._forbid_pade_and_search(monkeypatch)
+        q, cert = certified_minimal_polynomial(spec, lam)
+        assert [chi.degree for chi in built] == [spec.N]
+        assert q == direct.polynomial
+        assert cert == direct
 
     def test_agrees_with_matrix_oracle(self):
         for family, n in [("gl", 3), ("sp", 1), ("sp", 2), ("o_even", 2)]:
