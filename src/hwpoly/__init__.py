@@ -20,11 +20,11 @@ __version__ = "0.1.0"
 
 # each export, by the submodule that defines it
 _HOMES = {
-    "algebra": ("AlgebraSpec", "Family", "make_spec", "parabolic"),
+    "algebra": ("AlgebraSpec", "Family", "make_spec"),
     "enveloping": ("UElement", "evaluate_at_weight", "pbw_normalize",
-                   "project_hc", "project_relative"),
-    "genmatrix": ("check_relative_formulas", "generator_matrix",
-                  "generator_power", "projected_diagonal"),
+                   "project_hc"),
+    "genmatrix": ("generator_matrix", "generator_power",
+                  "projected_diagonal"),
     "howe": ("WeylAlgebra", "WeylElement", "check_conv_powers",
              "check_divisibility_instance", "check_resolvent_transfer",
              "dual_pair", "weyl_normalize"),
@@ -35,7 +35,7 @@ _HOMES = {
                 "shifted_weight", "shuffle_gl", "shuffle_mirror"),
     "verify": ("Certificate", "certified_minimal_polynomial",
                "divisibility_poset", "projected_resolvent"),
-    "verma": ("DiagonalSeries",),
+    "verma": ("DiagonalSeries", "check_relative_formulas"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

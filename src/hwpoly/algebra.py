@@ -3,11 +3,10 @@
 A spec fixes a family (gl, even or odd orthogonal, symplectic) and a
 rank n, and with them the combinatorial skeleton the rest of the
 package works against: the canonical generator list in its global PBW
-order, structure constants, triangular classes, the Cartan coordinates,
-and the parabolic (Levi) data of the nested subalgebra chain.  No
-table of ad-weights is kept here; the weight w of a generator x is the
-one its Cartan brackets give, [H_k, x] = w_k x, and the Verma module
-reads it off the index pair of x.
+order, structure constants, triangular classes and the Cartan
+coordinates.  No table of ad-weights is kept here; the weight w of a
+generator x is the one its Cartan brackets give, [H_k, x] = w_k x, and
+the Verma module reads it off the index pair of x.
 
 Index conventions.  gl_n rows and columns run 1..n.  The orthogonal
 and symplectic algebras of rank n act on C^N with rows indexed by
@@ -27,8 +26,8 @@ The global generator order nests the block chain.  Level m contributes
 
     lowering(m) < whole block (m-1) < Cartan(m) < raising(m),
 
-which is what lets both Harish-Chandra style projections act as plain
-monomial filters; the enveloping module explains why.
+which is what lets the Harish-Chandra projection act as a plain
+monomial filter; the enveloping module explains why.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ import enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import NamedTuple
 
 from .polyrat import rat
 
@@ -69,8 +67,8 @@ class AlgebraSpec:
     """Immutable description of one classical Lie algebra.
 
     Rank 0 is permitted; it describes the degenerate inner algebra that
-    the corank-one projection formulas bottom out in (for the odd
-    orthogonal family it still acts on a one dimensional space).
+    the corank-one recursion bottoms out in (for the odd orthogonal
+    family it still acts on a one dimensional space).
     """
 
     def __init__(self, family, n: int):
@@ -93,7 +91,6 @@ class AlgebraSpec:
         gens = self._build_order()
         self.gens = tuple(gens)
         self.gen_index = {p: k for k, p in enumerate(gens)}
-        self.gen_level = tuple(max(abs(i), abs(j)) for i, j in gens)
         self.triangular = tuple(
             CARTAN if i == j else (POS if i < j else NEG) for i, j in gens)
         if family is Family.GL:
@@ -225,36 +222,9 @@ def make_spec(family, n: int) -> AlgebraSpec:
     return _make_spec_cached(Family.parse(family), n)
 
 
-def inner_spec(spec: AlgebraSpec) -> AlgebraSpec:
-    """The rank n-1 algebra of the same family, for the corank-one step."""
-    if spec.n == 0:
-        raise ValueError("rank 0 has no inner algebra")
-    return make_spec(spec.family, spec.n - 1)
-
-
 def as_weight(spec: AlgebraSpec, coords):
     """Validate and coerce a weight to a tuple of n fractions."""
     out = tuple(rat(c) for c in coords)
     if len(out) != spec.n:
         raise ValueError(f"weight must have {spec.n} coordinates, got {len(out)}")
     return out
-
-
-class ParabolicData(NamedTuple):
-    """Levi generator set at one level of the chain.
-
-    Level t keeps the whole rank t inner block together with every
-    Cartan generator above it; level n is the full algebra.  Every other
-    generator spans the nilradical, upper or lower by spec.triangular.
-    """
-
-    spec: AlgebraSpec
-    levi: frozenset
-
-
-def parabolic(spec: AlgebraSpec, level: int) -> ParabolicData:
-    if not 1 <= level <= spec.n:
-        raise ValueError(f"level must be in 1..{spec.n}")
-    return ParabolicData(spec, frozenset(
-        g for g in range(len(spec.gens))
-        if spec.gen_level[g] <= level or spec.triangular[g] == CARTAN))

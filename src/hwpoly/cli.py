@@ -158,7 +158,7 @@ def _cmd_resolvent(spec, lam, args):
 
 
 def _cmd_relcheck(spec, lam, args):
-    from .genmatrix import check_relative_formulas
+    from .verma import check_relative_formulas
     reports = check_relative_formulas(spec, lam, K=args.K)
     return {
         "K": args.K,
@@ -245,8 +245,8 @@ _COMMANDS = (
       ("sequence", {})), _cmd_shuffle),
     ("certify", "certified minimal polynomial", _WEIGHT, _cmd_certify),
     ("resolvent", "projected resolvent diagonal", _WEIGHT, _cmd_resolvent),
-    ("relcheck", "corank one restriction identities", _WEIGHT + _K(6),
-     _cmd_relcheck),
+    ("relcheck", "corank one identities: the recursion against the Verma walk",
+     _WEIGHT + _K(6), _cmd_relcheck),
     ("oracle", "matrix-model minimal polynomial",
      _ALGEBRA + (("rep", {"help": "'trivial', 'defining', or a gl weight"}),),
      _cmd_oracle),

@@ -19,30 +19,26 @@ is what the recursion below leans on for termination.  The bracket
 constants are ints, so the memoised normal forms, and every product
 of elements with integral coefficients, hold ints only.
 
-Why projections are monomial filters.  In the nested order every
-lowering generator of an outer level precedes the whole inner block,
-and every raising generator follows it.  A sorted monomial containing
-a lowering generator therefore begins with one, so it lies in the left
-ideal picture n^- U(g); a sorted monomial with a raising generator but
-none lowering ends with Cartan and raising factors only, and its
-rightmost raising factor commutes past the higher Cartans to its
-right, so the monomial lies in U(g) n^+.  The same argument applies
-verbatim at every level of the Levi chain, with "lowering/raising"
-read relative to that level.  Hence the projection along
+Why the projection is a monomial filter.  In the nested order every
+lowering generator precedes every Cartan and raising one.  A sorted
+monomial containing a lowering generator therefore begins with one,
+so it lies in the left ideal picture n^- U(g); a sorted monomial with
+a raising generator but none lowering ends with Cartan and raising
+factors only, and its rightmost raising factor commutes past the
+higher Cartans to its right, so the monomial lies in U(g) n^+.  Hence
+the projection along
 
-    U(g) = U(m) (+) (n^- U(g) + U(g) n^+)
+    U(g) = U(h) (+) (n^- U(g) + U(g) n^+)
 
-keeps exactly the monomials all of whose factors lie in the Levi set,
-both for the Cartan subalgebra (project_hc) and for the corank
-parabolics (project_relative).
+keeps exactly the monomials all of whose factors are Cartan
+(project_hc).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import (CARTAN, AlgebraSpec, Family, ParabolicData, as_weight,
-                      inner_spec)
+from .algebra import CARTAN, AlgebraSpec, as_weight
 from .polyrat import rat
 
 
@@ -334,15 +330,6 @@ def project_hc(a: UElement) -> UElement:
     return UElement(a.spec, kept)
 
 
-def project_relative(a: UElement, p: ParabolicData) -> UElement:
-    """Projection onto U(levi) along lower U(g) + U(g) upper."""
-    if p.spec is not a.spec:
-        raise ValueError("parabolic data belongs to a different spec")
-    levi = p.levi
-    kept = {m: c for m, c in a.terms.items() if all(g in levi for g in m)}
-    return UElement(a.spec, kept)
-
-
 def evaluate_at_weight(a: UElement, lam) -> Fraction:
     """Evaluate a Cartan element by H_k -> lam_k.
 
@@ -362,36 +349,3 @@ def evaluate_at_weight(a: UElement, lam) -> Fraction:
             v *= lam[k]
         total += v
     return total
-
-
-def restrict_corank_one(a: UElement, outer_value) -> UElement:
-    """Map a Levi element at level n-1 into the inner spec's U.
-
-    The level n-1 Levi is U(inner algebra) tensor the polynomial ring
-    on the outer Cartan generator; the outer generator is evaluated at
-    outer_value (gl: H_n -> lambda_n, others: H_1 -> lambda_1).  Terms
-    with factors outside that Levi are rejected.
-    """
-    spec = a.spec
-    sub = inner_spec(spec)
-    outer_value = Fraction(outer_value)
-    outer_cartan = spec.cartan_by_coord[spec.n - 1] \
-        if spec.family is Family.GL else spec.cartan_by_coord[0]
-    level = spec.n - 1
-    remap = {}
-    for g, pair in enumerate(spec.gens):
-        if spec.gen_level[g] <= level:
-            remap[g] = sub.gen_index[pair]
-    out = {}
-    for m, c in a.terms.items():
-        coeff = c
-        mono = []
-        for g in m:
-            if g == outer_cartan:
-                coeff *= outer_value
-            elif g in remap:
-                mono.append(remap[g])
-            else:
-                raise ValueError("element is not supported on the corank-one Levi")
-        _acc(out, tuple(mono), coeff)
-    return UElement(sub, out)

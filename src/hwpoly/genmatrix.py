@@ -9,11 +9,10 @@ for gl), viewed as a matrix over U(g).  Its powers expand the
 resolvent (u - M)^{-1} = sum_k M^k u^{-k-1}; after Harish-Chandra
 projection and evaluation the diagonal of those powers carries all
 minimal polynomial data.  The certifier reads those values off the
-rank recursion or a Verma module recurrence instead; the PBW powers
-here serve the corank one identities, whose entries keep Cartan or
-Levi coordinates symbolic, and stand as an independent check of that
-recurrence.  check_relative_formulas checks the corank one restriction
-formulas for the resolvent.
+rank recursion instead, and no command powers M here.  The PBW powers
+stay for the names the benchmark's tracer wraps and for the tests,
+which check the recursion, the Verma walk and the corank one
+identities against them with the Cartan coordinates symbolic.
 
 Rows and columns are addressed by labels, not by positions (for M the
 spec's matrix index labels, 1..n for gl, otherwise -n..n without or
@@ -28,13 +27,9 @@ per spec and cached on it, as are their projected diagonals.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-from typing import NamedTuple
 
-from .algebra import AlgebraSpec, Family, as_weight, inner_spec, parabolic
-from .enveloping import (UElement, project_hc, project_relative,
-                         restrict_corank_one)
-from .polyrat import ONE, ZERO
+from .algebra import AlgebraSpec
+from .enveloping import UElement, project_hc
 
 
 class MatrixU:
@@ -152,114 +147,3 @@ def projected_diagonal(spec: AlgebraSpec, k: int):
         got = tuple(project_hc(e) for _, e in mk.diagonal())
         cache[k] = got
     return got
-
-
-def trace_prime(m: MatrixU) -> UElement:
-    """Trace omitting the outermost rows (labels n and -n).
-
-    Only meaningful for the orthogonal and symplectic families, where
-    the corank-one formulas refer to it; gl input is rejected.
-    """
-    spec = m.spec
-    if spec.family is Family.GL:
-        raise ValueError("trace_prime is defined for the o/sp families only")
-    acc = {}
-    for lbl, e in m.diagonal():
-        if abs(lbl) != spec.n:
-            for mono, c in e.terms.items():
-                acc[mono] = acc.get(mono, 0) + c
-    return UElement._element(spec, acc)
-
-
-class DiagnosticReport(NamedTuple):
-    """Residual magnitudes of one identity, checked order by order."""
-
-    name: str
-    residuals: tuple
-
-    @property
-    def exact(self) -> bool:
-        return all(not r for r in self.residuals)
-
-
-def _magnitude(a) -> Fraction:
-    if isinstance(a, UElement):
-        return sum((abs(c) for c in a.terms.values()), ZERO)
-    return abs(a)
-
-
-def _corank_projection(spec):
-    if spec.n >= 2:
-        par = parabolic(spec, spec.n - 1)
-        return lambda a: project_relative(a, par)
-    return project_hc
-
-
-def check_relative_formulas(spec: AlgebraSpec, lam, K: int = 6):
-    """Corank one restriction formulas for the resolvent, order by order.
-
-    Compares the restricted projection of the resolvent series of M
-    against closed forms in the resolvent of the inner algebra, keeping
-    the inner Cartan coordinates symbolic; only the outermost
-    coordinate of lam enters.  Returns one DiagnosticReport per
-    identity: the removed corner, the inner block, and (orthogonal and
-    symplectic only) the opposite corner.
-    """
-    lam = as_weight(spec, lam)
-    if spec.n < 1:
-        raise ValueError("rank must be at least 1")
-    gl = spec.family is Family.GL
-    proj = _corank_projection(spec)
-    inner = inner_spec(spec)
-    outer = lam[-1] if gl else lam[0]
-    # 1/(u - outer) for gl, 1/(u + outer) otherwise
-    geom = [outer ** t if gl else (-outer) ** t for t in range(K)]
-    corner_label = spec.n
-
-    def restricted(entry_i, entry_j, k):
-        ent = generator_power(spec, k)[entry_i, entry_j]
-        return restrict_corank_one(proj(ent), outer)
-
-    reports = []
-    corner = []
-    for m in range(1, K + 1):
-        lhs = restricted(corner_label, corner_label, m - 1)
-        corner.append(_magnitude(lhs - geom[m - 1]))
-    reports.append(DiagnosticReport("corner", tuple(corner)))
-
-    inner_labels = inner.matrix_indices
-    inner_pow = [generator_power(inner, s) for s in range(K)]
-    block = []
-    for m in range(1, K + 1):
-        worst = ZERO
-        for i in inner_labels:
-            for j in inner_labels:
-                # A_s: coefficient of u^-s in the inner resolvent at u - 1
-                a = [None] + [
-                    sum((Fraction(comb(s - 1, r)) * inner_pow[r][i, j]
-                         for r in range(s)), UElement.zero(inner))
-                    for s in range(1, m + 1)]
-                rhs = a[m]
-                for t in range(1, m):
-                    rhs = rhs - geom[t - 1] * a[m - t]
-                worst = max(worst, _magnitude(restricted(i, j, m - 1) - rhs))
-        block.append(worst)
-    reports.append(DiagnosticReport("inner-block", tuple(block)))
-
-    if not gl:
-        c = lam[0] + 2 * spec.rho[0]
-        s_series = [restricted(-spec.n, -spec.n, k) for k in range(K)]
-        tr_series = [
-            restrict_corank_one(proj(trace_prime(generator_power(spec, k))),
-                                outer)
-            for k in range(K - 1)]
-        opp = [_magnitude(s_series[0] - ONE)]
-        for m in range(1, K):
-            lhs = s_series[m] - c * s_series[m - 1]
-            if spec.family is Family.SP:
-                rhs = -2 * geom[m - 1] - tr_series[m - 1]
-            else:
-                rhs = -tr_series[m - 1]
-            opp.append(_magnitude(lhs - rhs))
-        reports.append(DiagnosticReport("opposite-corner", tuple(opp)))
-    return reports

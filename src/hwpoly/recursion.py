@@ -2,8 +2,9 @@
 
 Write R_i(u) = sum_k s_i(k) u^(-k-1) for the diagonal of the projected
 resolvent of M at lambda, with s_i(k) = pi((M^k)_ii)(lambda).  The
-corank-one identities (genmatrix.check_relative_formulas), projected
-on to U(h), build every R_i from the diagonal R' of the inner algebra:
+corank-one identities, projected on to U(h), build every R_i from the
+diagonal R' of the inner algebra (verma.check_relative_formulas checks
+them at one weight against the Verma walk):
 
 * gl, with a = lambda_n: R_n = 1/(u - a), and for i < n
   R_i(u) = R'_i(u - 1) (u - a - 1)/(u - a), R' at (lambda_1..lambda_(n-1));

@@ -17,8 +17,12 @@ and row is affine in lambda and held once per (spec, d), so all series
 of one algebra and scale share them.  It is the independent engine
 that prove_recursion compares the rank recursion against, on a lattice
 simplex; the recursion, proven at every rank for every family in its
-module, certifies, and this walk only cross-checks it.  Nothing here
-builds a PBW normal form.
+module, certifies, and this walk only cross-checks it.
+check_relative_formulas, the relcheck command, reads the corank-one
+identities off the same comparison at one weight: per identity and
+order, the largest difference between the two engines over the
+diagonal labels that identity builds.  Nothing here builds a PBW
+normal form.
 """
 
 from __future__ import annotations
@@ -26,9 +30,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from operator import mul
+from typing import NamedTuple
 from weakref import proxy
 
-from .algebra import CARTAN, NEG, POS, AlgebraSpec, as_weight
+from .algebra import CARTAN, NEG, POS, AlgebraSpec, Family, as_weight
 from .polyrat import ScaledSeries, clear_denominators
 from .recursion import scaled_numerators
 
@@ -341,6 +346,23 @@ def _simplex(n: int, D: int):
                 yield L, d
 
 
+def _differences(spec: AlgebraSpec, L, d: int, K: int):
+    """Per diagonal position, in matrix index order, the ints
+    d^k (recursion - Verma walk) for k < K at the weight L/d.
+
+    The recursion's scaled_numerators gives d^k s_i(k).  The walk keeps
+    its numerators over e, the least common denominator of L/d, which
+    divides d; so its ints are scaled by (d/e)^k, and each term costs one
+    int difference.
+    """
+    mine = scaled_numerators(spec, L, d, K)
+    e, ref = DiagonalSeries(spec, [Fraction(x, d) for x in L]).numerators(K)
+    r = d // e
+    scale = [r ** k for k in range(K)]
+    return [[n - m * s for n, m, s in zip(col, want, scale)]
+            for col, want in zip(mine, ref)]
+
+
 def prove_recursion(spec: AlgebraSpec, D: int):
     """Compare the recursion with the Verma engine through degree D.
 
@@ -380,9 +402,47 @@ def prove_recursion(spec: AlgebraSpec, D: int):
     points, mismatches = 0, []
     for L, d in _simplex(spec.n, D):
         points += 1
-        mine = scaled_numerators(spec, L, d, D + 1)
-        ref = DiagonalSeries(spec, [Fraction(x, d) for x in L]).values(D + 1)
-        for label, col, want in zip(spec.matrix_indices, mine, ref):
-            mismatches += [(L, d, label, k) for k, (n, s)
-                           in enumerate(zip(col, want)) if n != s * d ** k]
+        for label, col in zip(spec.matrix_indices,
+                              _differences(spec, L, d, D + 1)):
+            mismatches += [(L, d, label, k) for k, x in enumerate(col) if x]
     return points, mismatches
+
+
+class DiagnosticReport(NamedTuple):
+    """Residual magnitudes of one identity, checked order by order."""
+
+    name: str
+    residuals: tuple
+
+    @property
+    def exact(self) -> bool:
+        return all(not r for r in self.residuals)
+
+
+def check_relative_formulas(spec: AlgebraSpec, lam, K: int = 6):
+    """The corank one identities at lambda, order by order.
+
+    Each identity of the recursion module builds the series of some
+    diagonal labels: the corner R_n = 1/(u - a), the inner block
+    R_i = R'_i(u - 1) (u - a - 1)/(u - a) for |i| < n (o and sp: u + a
+    for u - a in both; label 0 of o_odd included), and, for o and sp,
+    the opposite corner (u - c) R_(-n) = 1 - T - [sp] 2 R_n.  The
+    recursion runs them and the Verma walk computes every
+    s_i(k) = pi((M^k)_ii)(lambda) without them, so at each order k < K
+    a report holds the largest |recursion - walk| over its labels, and
+    an exact report says that the identity holds there.  Returns the
+    reports "corner", "inner-block" and (o and sp only)
+    "opposite-corner".
+    """
+    if spec.n < 1:
+        raise ValueError("rank must be at least 1")
+    d, L = clear_denominators(as_weight(spec, lam))
+    n, labels = spec.n, spec.matrix_indices
+    diffs = dict(zip(labels, _differences(spec, L, d, K)))
+    blocks = [("corner", [n]),
+              ("inner-block", [i for i in labels if abs(i) < n])]
+    if spec.family is not Family.GL:
+        blocks.append(("opposite-corner", [-n]))
+    return [DiagnosticReport(name, tuple(
+        Fraction(max((abs(diffs[i][k]) for i in block), default=0), d ** k)
+        for k in range(K))) for name, block in blocks]

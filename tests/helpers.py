@@ -4,20 +4,27 @@ The package itself reads no ad-weight: the weight bookkeeping below,
 like the plain trace of a matrix, exists only to state properties of
 the package's objects.  Nor does it expand a rational function at
 infinity: series_of_rational is the reference expansion that the Pade
-fits are checked against.
+fits are checked against.  Nor does it multiply in U(g) to check the
+corank one identities: symbolic_relative_formulas, with the Levi
+projection and restriction under it, is the PBW check that keeps the
+inner Cartan coordinates symbolic, against which the relcheck command
+(verma.check_relative_formulas, one weight at a time) is checked.
 """
 
 import os
+import random
 import subprocess
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from pathlib import Path
+from typing import NamedTuple
 
-from hwpoly.algebra import CARTAN, NEG, Family, as_weight
-from hwpoly.enveloping import UElement
+from hwpoly.algebra import CARTAN, NEG, AlgebraSpec, Family, as_weight, make_spec
+from hwpoly.enveloping import UElement, _acc, project_hc
+from hwpoly.genmatrix import MatrixU, generator_power
 from hwpoly.linalg import ONE, ZERO, Echelon
 from hwpoly.polyrat import InvariantError, UniPoly, monic_lcm
-from hwpoly.verma import VermaModule
+from hwpoly.verma import DiagnosticReport, VermaModule
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -286,3 +293,220 @@ class ReferenceVerma:
             for tau, ct in self.act(g, nu).items():
                 out[tau] = out.get(tau, 0) + c * ct
         return {tau: c for tau, c in out.items() if c}
+
+
+# -- the symbolic corank one check -----------------------------------------
+
+
+def inner_spec(spec: AlgebraSpec) -> AlgebraSpec:
+    """The rank n-1 algebra of the same family, for the corank-one step."""
+    if spec.n == 0:
+        raise ValueError("rank 0 has no inner algebra")
+    return make_spec(spec.family, spec.n - 1)
+
+
+def gen_level(spec, g):
+    """The level of generator g in the nested chain: the largest |index|."""
+    i, j = spec.gens[g]
+    return max(abs(i), abs(j))
+
+
+class ParabolicData(NamedTuple):
+    """Levi generator set at one level of the chain.
+
+    Level t keeps the whole rank t inner block together with every
+    Cartan generator above it; level n is the full algebra.  Every other
+    generator spans the nilradical, upper or lower by spec.triangular.
+    """
+
+    spec: AlgebraSpec
+    levi: frozenset
+
+
+def parabolic(spec: AlgebraSpec, level: int) -> ParabolicData:
+    if not 1 <= level <= spec.n:
+        raise ValueError(f"level must be in 1..{spec.n}")
+    return ParabolicData(spec, frozenset(
+        g for g in range(len(spec.gens))
+        if gen_level(spec, g) <= level or spec.triangular[g] == CARTAN))
+
+
+def project_relative(a: UElement, p: ParabolicData) -> UElement:
+    """Projection onto U(levi) along lower U(g) + U(g) upper.
+
+    The nested order makes it a monomial filter, by the argument the
+    enveloping module gives for project_hc, read at the level of p.
+    """
+    if p.spec is not a.spec:
+        raise ValueError("parabolic data belongs to a different spec")
+    levi = p.levi
+    kept = {m: c for m, c in a.terms.items() if all(g in levi for g in m)}
+    return UElement(a.spec, kept)
+
+
+def restrict_corank_one(a: UElement, outer_value) -> UElement:
+    """Map a Levi element at level n-1 into the inner spec's U.
+
+    The level n-1 Levi is U(inner algebra) tensor the polynomial ring
+    on the outer Cartan generator; the outer generator is evaluated at
+    outer_value (gl: H_n -> lambda_n, others: H_1 -> lambda_1).  Terms
+    with factors outside that Levi are rejected.
+    """
+    spec = a.spec
+    sub = inner_spec(spec)
+    outer_value = Fraction(outer_value)
+    outer_cartan = spec.cartan_by_coord[spec.n - 1] \
+        if spec.family is Family.GL else spec.cartan_by_coord[0]
+    level = spec.n - 1
+    remap = {}
+    for g, pair in enumerate(spec.gens):
+        if gen_level(spec, g) <= level:
+            remap[g] = sub.gen_index[pair]
+    out = {}
+    for m, c in a.terms.items():
+        coeff = c
+        mono = []
+        for g in m:
+            if g == outer_cartan:
+                coeff *= outer_value
+            elif g in remap:
+                mono.append(remap[g])
+            else:
+                raise ValueError("element is not supported on the corank-one Levi")
+        _acc(out, tuple(mono), coeff)
+    return UElement(sub, out)
+
+
+def trace_prime(m: MatrixU) -> UElement:
+    """Trace omitting the outermost rows (labels n and -n).
+
+    Only meaningful for the orthogonal and symplectic families, where
+    the corank-one formulas refer to it; gl input is rejected.
+    """
+    spec = m.spec
+    if spec.family is Family.GL:
+        raise ValueError("trace_prime is defined for the o/sp families only")
+    acc = {}
+    for lbl, e in m.diagonal():
+        if abs(lbl) != spec.n:
+            for mono, c in e.terms.items():
+                acc[mono] = acc.get(mono, 0) + c
+    return UElement._element(spec, acc)
+
+
+def _magnitude(a) -> Fraction:
+    if isinstance(a, UElement):
+        return sum((abs(c) for c in a.terms.values()), ZERO)
+    return abs(a)
+
+
+def _corank_projection(spec):
+    if spec.n >= 2:
+        par = parabolic(spec, spec.n - 1)
+        return lambda a: project_relative(a, par)
+    return project_hc
+
+
+def acceptance_relative_weights():
+    """(spec, lam): five seeded weights per algebra of the acceptance
+    suite's corank one check, checked to order 6."""
+    for family, n in (("gl", 2), ("gl", 3), ("sp", 1), ("o_odd", 1),
+                      ("o_even", 2)):
+        spec = make_spec(family, n)
+        rng = random.Random(f"acceptance-rel-{spec.label}")
+        for _ in range(5):
+            yield spec, tuple(Fraction(rng.randint(-4, 4),
+                                       rng.choice([1, 2, 3]))
+                              for _ in range(n))
+
+
+def gl_relative_weights():
+    """(spec, lam): three seeded weights each of gl_2 and gl_3, in
+    thirds, checked to order 4."""
+    rng = random.Random(511)
+    for n in (2, 3):
+        spec = make_spec("gl", n)
+        for _ in range(3):
+            yield spec, tuple(Fraction(rng.randint(-8, 8), rng.choice([1, 3]))
+                              for _ in range(n))
+
+
+def bc_relative_weights():
+    """(spec, lam): two seeded half-integral weights each of sp_2, sp_4,
+    o_3 and o_4, checked to order 4."""
+    rng = random.Random(512)
+    for family, n in [("sp", 1), ("sp", 2), ("o_odd", 1), ("o_even", 2)]:
+        spec = make_spec(family, n)
+        for _ in range(2):
+            yield spec, tuple(Fraction(rng.randint(-6, 6), 2)
+                              for _ in range(n))
+
+
+def symbolic_relative_formulas(spec: AlgebraSpec, lam, K: int = 6):
+    """Corank one restriction formulas for the resolvent, order by order.
+
+    Compares the restricted projection of the resolvent series of M
+    against closed forms in the resolvent of the inner algebra, keeping
+    the inner Cartan coordinates symbolic; only the outermost
+    coordinate of lam enters.  Returns one DiagnosticReport per
+    identity: the removed corner, the inner block, and (orthogonal and
+    symplectic only) the opposite corner.
+    """
+    lam = as_weight(spec, lam)
+    if spec.n < 1:
+        raise ValueError("rank must be at least 1")
+    gl = spec.family is Family.GL
+    proj = _corank_projection(spec)
+    inner = inner_spec(spec)
+    outer = lam[-1] if gl else lam[0]
+    # 1/(u - outer) for gl, 1/(u + outer) otherwise
+    geom = [outer ** t if gl else (-outer) ** t for t in range(K)]
+    corner_label = spec.n
+
+    def restricted(entry_i, entry_j, k):
+        ent = generator_power(spec, k)[entry_i, entry_j]
+        return restrict_corank_one(proj(ent), outer)
+
+    reports = []
+    corner = []
+    for m in range(1, K + 1):
+        lhs = restricted(corner_label, corner_label, m - 1)
+        corner.append(_magnitude(lhs - geom[m - 1]))
+    reports.append(DiagnosticReport("corner", tuple(corner)))
+
+    inner_labels = inner.matrix_indices
+    inner_pow = [generator_power(inner, s) for s in range(K)]
+    block = []
+    for m in range(1, K + 1):
+        worst = ZERO
+        for i in inner_labels:
+            for j in inner_labels:
+                # A_s: coefficient of u^-s in the inner resolvent at u - 1
+                a = [None] + [
+                    sum((Fraction(comb(s - 1, r)) * inner_pow[r][i, j]
+                         for r in range(s)), UElement.zero(inner))
+                    for s in range(1, m + 1)]
+                rhs = a[m]
+                for t in range(1, m):
+                    rhs = rhs - geom[t - 1] * a[m - t]
+                worst = max(worst, _magnitude(restricted(i, j, m - 1) - rhs))
+        block.append(worst)
+    reports.append(DiagnosticReport("inner-block", tuple(block)))
+
+    if not gl:
+        c = lam[0] + 2 * spec.rho[0]
+        s_series = [restricted(-spec.n, -spec.n, k) for k in range(K)]
+        tr_series = [
+            restrict_corank_one(proj(trace_prime(generator_power(spec, k))),
+                                outer)
+            for k in range(K - 1)]
+        opp = [_magnitude(s_series[0] - ONE)]
+        for m in range(1, K):
+            lhs = s_series[m] - c * s_series[m - 1]
+            if spec.family is Family.SP:
+                rhs = -2 * geom[m - 1] - tr_series[m - 1]
+            else:
+                rhs = -tr_series[m - 1]
+            opp.append(_magnitude(lhs - rhs))
+        reports.append(DiagnosticReport("opposite-corner", tuple(opp)))
+    return reports

@@ -9,11 +9,12 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from helpers import hw_coefficient
-from hwpoly.algebra import CARTAN, NEG, POS, make_spec, parabolic
+from helpers import (acceptance_relative_weights, hw_coefficient, parabolic,
+                     project_relative, symbolic_relative_formulas)
+from hwpoly.algebra import CARTAN, NEG, POS, make_spec
 from hwpoly.enveloping import (UElement, evaluate_at_weight, pbw_normalize,
-                               project_hc, project_relative)
-from hwpoly.genmatrix import check_relative_formulas, projected_diagonal
+                               project_hc)
+from hwpoly.genmatrix import projected_diagonal
 from hwpoly.howe import (check_conv_powers, check_divisibility_instance,
                          check_resolvent_transfer)
 from hwpoly.oracle import build_catalog_rep, build_irrep_gl, oracle_minpoly
@@ -147,17 +148,11 @@ def test_06_defining_modules():
 
 def test_07_relative_projection_identities():
     failures = []
-    for family, n in (("gl", 2), ("gl", 3), ("sp", 1), ("o_odd", 1),
-                      ("o_even", 2)):
-        spec = make_spec(family, n)
-        rng = random.Random(f"acceptance-rel-{spec.label}")
-        for _ in range(5):
-            lam = tuple(F(rng.randint(-4, 4), rng.choice([1, 2, 3]))
-                        for _ in range(n))
-            reports = check_relative_formulas(spec, lam, K=6)
-            for rep in reports[:2]:
-                if not rep.exact:
-                    failures.append((spec.label, lam, rep.name))
+    for spec, lam in acceptance_relative_weights():
+        reports = symbolic_relative_formulas(spec, lam, K=6)
+        for rep in reports[:2]:
+            if not rep.exact:
+                failures.append((spec.label, lam, rep.name))
     _conclude(7, "relative-projection-identities", failures)
 
 

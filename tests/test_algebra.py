@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import generator_weights
-from hwpoly.algebra import (NEG, POS, AlgebraSpec, Family, as_weight,
-                            inner_spec, make_spec, parabolic)
+from helpers import generator_weights, inner_spec, parabolic
+from hwpoly.algebra import NEG, POS, AlgebraSpec, Family, as_weight, make_spec
 from hwpoly.shuffle import minpoly_from_weight
 
 F = Fraction

@@ -3,15 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import weight, weight_components
-from hwpoly.algebra import make_spec, parabolic
+from helpers import (parabolic, project_relative, restrict_corank_one,
+                     weight, weight_components)
+from hwpoly.algebra import make_spec
 from hwpoly.enveloping import (
     UElement,
     evaluate_at_weight,
     pbw_normalize,
     project_hc,
-    project_relative,
-    restrict_corank_one,
 )
 from hwpoly.howe import WeylAlgebra, WeylElement, weyl_normalize
 

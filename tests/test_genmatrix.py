@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import entry_weight, trace, weight
+from helpers import entry_weight, trace, trace_prime, weight
 from hwpoly.algebra import AlgebraSpec, make_spec
 from hwpoly.enveloping import Terms, UElement, pbw_normalize, project_hc
 from hwpoly.genmatrix import (
@@ -12,7 +12,6 @@ from hwpoly.genmatrix import (
     generator_matrix,
     generator_power,
     projected_diagonal,
-    trace_prime,
 )
 from hwpoly.howe import WeylAlgebra, WeylElement, dual_pair
 

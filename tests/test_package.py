@@ -87,10 +87,15 @@ def test_o_and_sp_past_the_old_table_load_only_the_recursion():
         assert loaded.isdisjoint(ENGINES)
 
 
-def test_relcheck_loads_the_pbw_algebra():
-    loaded = loaded_by_command("relcheck", "gl", "2", "1,0")
-    assert {"hwpoly.enveloping", "hwpoly.genmatrix"} <= loaded
-    assert "hwpoly.verify" not in loaded
+def test_relcheck_loads_only_the_two_series_engines():
+    # relcheck compares the recursion with the Verma walk; no command
+    # multiplies in U(g)
+    for argv in (("relcheck", "gl", "2", "1,0"),
+                 ("relcheck", "sp", "2", "1,0", "--K", "4")):
+        loaded = loaded_by_command(*argv)
+        assert {"hwpoly.verma", "hwpoly.recursion"} <= loaded
+        assert loaded.isdisjoint(("hwpoly.enveloping", "hwpoly.genmatrix",
+                                  "hwpoly.verify", "hwpoly.shuffle"))
 
 
 def test_oracle_loads_no_other_slow_module():

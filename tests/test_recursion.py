@@ -73,6 +73,44 @@ def test_proof_sees_a_wrong_power_of_d(monkeypatch):
     assert all(d > 1 for _, d, _, _ in mismatches)
 
 
+# (family, label, report): the corner n, an inner label (o_odd's 0
+# among them) and the opposite corner -n of each rank 3 family
+BUMPS = [("gl", 3, "corner"), ("gl", 1, "inner-block"),
+         ("sp", 3, "corner"), ("sp", -2, "inner-block"),
+         ("sp", -3, "opposite-corner"),
+         ("o_even", 3, "corner"), ("o_even", 2, "inner-block"),
+         ("o_even", -3, "opposite-corner"),
+         ("o_odd", 3, "corner"), ("o_odd", 0, "inner-block"),
+         ("o_odd", -3, "opposite-corner")]
+
+
+@pytest.mark.parametrize("lam,d", [((1, 0, 2), 1), ((1, F(1, 2), 2), 2)])
+@pytest.mark.parametrize("family,label,report", BUMPS)
+def test_relcheck_names_the_identity_and_order_of_a_wrong_term(
+        monkeypatch, family, label, report, lam, d):
+    # one int of the recursion off by one, at one label and order 3:
+    # the report of that label's block reads it, as 1/d^3, and no other
+    right = recursion.scaled_numerators
+    spec = AlgebraSpec(family, 3)
+    position = spec.matrix_indices.index(label)
+
+    def bumped(spec, L, d, K):
+        cols = right(spec, L, d, K)
+        cols[position][3] += 1
+        return cols
+
+    monkeypatch.setattr(verma, "scaled_numerators", bumped)
+    reports = verma.check_relative_formulas(spec, lam, K=6)
+    names = ["corner", "inner-block"] + ["opposite-corner"] * (family != "gl")
+    assert [r.name for r in reports] == names
+    for r in reports:
+        if r.name == report:
+            assert r.residuals == (0, 0, 0, F(1, d ** 3), 0, 0)
+            assert not r.exact
+        else:
+            assert r.exact, r
+
+
 @pytest.mark.parametrize("family", ["gl", "sp", "o_even", "o_odd"])
 def test_series_match_the_verma_series(family):
     # random weights of scale up to 6, read through the class

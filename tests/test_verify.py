@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import BOXES, ReferenceVerma, verma_act
-from hwpoly import verify
+from helpers import (BOXES, ReferenceVerma, acceptance_relative_weights,
+                     bc_relative_weights, gl_relative_weights,
+                     symbolic_relative_formulas, verma_act)
+from hwpoly import verify, verma
 from hwpoly.algebra import AlgebraSpec, make_spec
 from hwpoly.enveloping import evaluate_at_weight
-from hwpoly.genmatrix import check_relative_formulas, projected_diagonal
+from hwpoly.genmatrix import projected_diagonal
 from hwpoly.oracle import build_catalog_rep, oracle_minpoly
 from hwpoly.polyrat import UniPoly, monic_lcm, pade_reconstruct
 from hwpoly.recursion import RecursionSeries
@@ -572,31 +574,47 @@ class TestCertifiedMinimal:
 
 class TestRelativeFormulas:
     def test_gl_exact(self):
-        rng = random.Random(511)
-        for n in (2, 3):
-            spec = make_spec("gl", n)
-            for _ in range(3):
-                lam = tuple(Fraction(rng.randint(-8, 8), rng.choice([1, 3]))
-                            for _ in range(n))
-                reports = check_relative_formulas(spec, lam, K=4)
-                assert [r.name for r in reports] == ["corner", "inner-block"]
-                assert all(r.exact for r in reports), (lam, reports)
+        for spec, lam in gl_relative_weights():
+            reports = symbolic_relative_formulas(spec, lam, K=4)
+            assert [r.name for r in reports] == ["corner", "inner-block"]
+            assert all(r.exact for r in reports), (lam, reports)
 
     def test_bc_exact(self):
-        rng = random.Random(512)
-        for family, n in [("sp", 1), ("sp", 2), ("o_odd", 1), ("o_even", 2)]:
-            spec = make_spec(family, n)
-            for _ in range(2):
-                lam = tuple(Fraction(rng.randint(-6, 6), 2)
-                            for _ in range(n))
-                reports = check_relative_formulas(spec, lam, K=4)
-                assert [r.name for r in reports] == \
-                    ["corner", "inner-block", "opposite-corner"]
-                assert all(r.exact for r in reports), (family, lam, reports)
+        for spec, lam in bc_relative_weights():
+            reports = symbolic_relative_formulas(spec, lam, K=4)
+            assert [r.name for r in reports] == \
+                ["corner", "inner-block", "opposite-corner"]
+            assert all(r.exact for r in reports), (spec, lam, reports)
+
+    def test_relcheck_agrees_with_the_symbolic_check(self):
+        # relcheck reads the identities off the recursion and the Verma
+        # walk at the weight; the symbolic check keeps the inner Cartan
+        # coordinates free.  Both are exact at every weight drawn above
+        # and in the acceptance suite
+        draws = [(spec, lam, 6) for spec, lam in acceptance_relative_weights()]
+        draws += [(spec, lam, 4) for spec, lam in gl_relative_weights()]
+        draws += [(spec, lam, 4) for spec, lam in bc_relative_weights()]
+        for spec, lam, K in draws:
+            symbolic = symbolic_relative_formulas(spec, lam, K=K)
+            at_weight = verma.check_relative_formulas(spec, lam, K=K)
+            assert [r.name for r in at_weight] == [r.name for r in symbolic]
+            assert all(len(r.residuals) == K for r in at_weight)
+            assert all(r.exact for r in symbolic + at_weight), (spec, lam)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["gl", "sp", "o_even", "o_odd"])
+    def test_symbolic_check_at_ranks_1_to_3(self, family, n):
+        # every family at every rank the PBW powers reach in tier-1
+        spec = make_spec(family, n)
+        lam = (Fraction(3, 2), -1, Fraction(1, 3))[:n]
+        symbolic = symbolic_relative_formulas(spec, lam, K=6)
+        at_weight = verma.check_relative_formulas(spec, lam, K=6)
+        assert [r.name for r in at_weight] == [r.name for r in symbolic]
+        assert all(r.exact for r in symbolic + at_weight), (spec, lam)
 
     def test_gl1_corner_only_content(self):
         # rank one has an empty inner block, so that report is all zeros
-        reports = check_relative_formulas(make_spec("gl", 1), (5,), K=3)
+        reports = symbolic_relative_formulas(make_spec("gl", 1), (5,), K=3)
         assert reports[0].exact
         assert reports[1].exact
 
