@@ -7,12 +7,15 @@ zero tests, so approximate arithmetic would prove nothing.
 UniPoly stores coefficients in ascending degree order with trailing
 zeros stripped, hence equal values have equal representations.  Its
 root form is its rational root multiset as ints a over one denominator
-D (scaled_roots).  A UniPoly built from its roots keeps that form, so
-reporting or certifying it never searches for roots.  The divisor
-search serves polynomials known only by their coefficients, and runs
-at most once per polynomial; only the oracle's Krylov lcm still
-searches for roots.  Roots are multiplied out (scaled_product)
-and divided out (scaled_quotient) in ints.
+D (scaled_roots).  A UniPoly built from its roots keeps that form and
+the roots multiplied out in ints, the product P of (v - a) in v = D u
+(root_product), from which its coefficients P_k / D^(m-k) were made;
+so reporting or certifying it never searches for roots, and certifying
+it clears no Fraction.  The divisor search serves polynomials known
+only by their coefficients, and runs at most once per polynomial; only
+the oracle's Krylov lcm still searches for roots.  Roots are
+multiplied out (scaled_product) and divided out (scaled_quotient) in
+ints.
 
 A series in powers of 1/u around u = infinity is known through its
 tail of coefficients of u^-1 .. u^-K; orders beyond u^-K are unknown.
@@ -29,8 +32,8 @@ catch it without loading the certifier.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
+from itertools import groupby
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -110,20 +113,20 @@ class CertificationError(Exception):
 class UniPoly:
     """Univariate polynomial over Q, coefficients ascending in degree.
 
-    A polynomial built by from_roots also keeps its root multiset, and
-    any other keeps the roots its first search found, so scaled_roots
-    and rational_roots search at most once.  Equality and hashing look
-    at the coefficients only.
+    A polynomial built by from_roots also keeps its root multiset and
+    their int product, and any other keeps the roots its first search
+    found, so scaled_roots and rational_roots search at most once.
+    Equality and hashing look at the coefficients only.
     """
 
-    __slots__ = ("coeffs", "_scaled")
+    __slots__ = ("coeffs", "_scaled", "_product")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [rat(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
-        self._scaled = None
+        self._scaled = self._product = None
 
     @classmethod
     def zero(cls):
@@ -149,16 +152,18 @@ class UniPoly:
                           product=None) -> "UniPoly":
         """from_roots of the roots a / D, multiplied out in ints.
 
-        With Q_k the coefficients of scaled_product (or product, when
+        With P_k the coefficients of scaled_product (or product, when
         the caller holds it), v = D u makes coefficient k equal
-        Q_k / D^(m-k), made without __init__'s coercion.  The result
-        keeps (D, the sorted ints) as scaled_roots.
+        P_k / D^(m-k), made without __init__'s coercion.  The result
+        keeps (D, the sorted ints) as scaled_roots and P as
+        root_product.
         """
         scaled = tuple(sorted(scaled))
         m = len(scaled)
         p = cls.__new__(cls)
-        p.coeffs = tuple(Fraction(c, D ** (m - k)) for k, c in enumerate(
-            scaled_product(scaled) if product is None else product))
+        p._product = P = tuple(
+            scaled_product(scaled) if product is None else product)
+        p.coeffs = tuple(Fraction(c, D ** (m - k)) for k, c in enumerate(P))
         p._scaled = (D, scaled)
         return p
 
@@ -291,10 +296,17 @@ class UniPoly:
             self._scaled = (D, tuple(ints))
         return self._scaled
 
+    def root_product(self) -> "tuple[int, ...] | None":
+        """The ints P_k of the roots multiplied out in v = D u, D that of
+        scaled_roots, so coefficient k is P_k / D^(m-k); None unless the
+        polynomial was built from its roots.  It never searches."""
+        return self._product
+
     def rational_roots(self) -> "list[tuple[Fraction, int]]":
-        """All rational roots with multiplicities, ascending, as Fractions."""
+        """All rational roots with multiplicities, ascending, as Fractions:
+        one per run of equal ints of the ascending scaled_roots."""
         D, ints = self.scaled_roots()
-        return [(Fraction(a, D), m) for a, m in Counter(ints).items()]
+        return [(Fraction(a, D), len(list(run))) for a, run in groupby(ints)]
 
     def _search_roots(self) -> "list[Fraction]":
         if self.is_zero():

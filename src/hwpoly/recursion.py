@@ -179,17 +179,17 @@ def scaled_poles(spec: AlgebraSpec, L, d: int):
     d (n - m) - A (gl: + A), A the scaled coordinate, and for o and sp
     E' = d (n - m) + d c, the pole of R_(-m).
     """
-    n, gl = spec.n, spec.family is Family.GL
+    n = spec.n
+    if spec.family is Family.GL:
+        return [d * (n - m) + L[m - 1] for m in range(1, n + 1)]
     # rank 0 reads u - n: o_odd's R_0 = 1/u has its pole at v = d n
     poles = [d * n] if spec.family is Family.O_ODD else []
+    # c = a + 2 rho_1, and 2 rho_1 = 2 epsilon + 2m - 2, with 2 epsilon
+    # an int
+    two_eps = int(2 * spec.epsilon)
     for m in range(1, n + 1):
         s = d * (n - m)
-        if gl:
-            poles.append(s + L[m - 1])
-        else:
-            # c = a + 2 rho_1, and 2 rho_1 = 2 epsilon + 2m - 2
-            poles += (s - L[n - m],
-                      s + L[n - m] + d * int(2 * spec.epsilon + 2 * m - 2))
+        poles += (s - L[n - m], s + L[n - m] + d * (two_eps + 2 * m - 2))
     return poles
 
 

@@ -19,12 +19,18 @@ command certify on a RecursionSeries; nothing here imports the Verma
 engine.
 
 The certifier's hot path is integer end to end.  A residual is one int
-dot product per diagonal entry of q's cleared coefficients with the
-series numerators.  certify_minimal reads the candidate's root
-multiset, ints a over one denominator D (q.scaled_roots), and
-multiplies it out once in ints (scaled_product), P in v = D u.  Each
+dot product per diagonal entry of q's ints with the series numerators.
+A candidate built from its roots, as the fast answer and chi are,
+holds its root multiset, ints a over one denominator D
+(q.scaled_roots), and those roots multiplied out in ints, P in v = D u
+(q.root_product).  The residuals read P itself, so no Fraction
+coefficient is cleared back to ints, and certify_minimal reads D, the
+multiset and P off q, and each distinct root with its multiplicity off
+the ascending multiset (q.rational_roots groups it in runs).  Each
 divisor tried is P with one root divided out by synthetic division
 (scaled_quotient), and a dropped root is divided out of P in place.
+Only a candidate known by its coefficients alone is cleared from its
+Fractions, searched for roots and multiplied out (scaled_product).
 Fractions are made only for the nonzero residuals reported, as
 witnesses or with CertificationError, for the witness roots and for a
 trimmed polynomial; each equals its Fraction-arithmetic definition
@@ -78,22 +84,36 @@ class Certificate(NamedTuple):
 
 
 def annihilation_residuals(series: ScaledSeries, q: UniPoly):
-    """Evaluated projection of each diagonal entry of q(M) at series.lam."""
-    return tuple(_residuals(series, *clear_denominators(q.coeffs)))
+    """Evaluated projection of each diagonal entry of q(M) at series.lam.
+
+    q's coefficients are read as ints: off the int product it was built
+    from, when it holds one, and otherwise cleared from its Fractions;
+    q is never searched for roots.
+    """
+    P = q.root_product()
+    if P is None:
+        den, ints = clear_denominators(q.coeffs)
+        return tuple(_residuals(series, 1, ints, den))
+    return tuple(_residuals(series, q.scaled_roots()[0], P))
 
 
-def _residuals(series: ScaledSeries, den: int, coeffs):
+def _residuals(series: ScaledSeries, D: int, P, den: int = 1):
     """Yield (label, residual) per diagonal entry of q, each on demand.
 
-    q = sum (coeffs[k] / den) u^k for ints den and coeffs.  With
-    s(k) = n(k) / d^k and m = deg q, the residual sum coeffs[k] s(k) / den
-    is (sum coeffs[k] d^(m-k) n(k)) / (den d^m): one int dot product per
+    q(u) = P(D u) / (den D^m) for ints D, den and P_k, m = deg P.  With
+    s(k) = n(k) / d^k, the residual sum P_k D^k s(k) / (den D^m) is
+    (sum P_k D^k d^(m-k) n(k)) / (den (D d)^m): one int dot product per
     entry and one Fraction, or ZERO when the sum is 0.
     """
-    d, cols = series.numerators(len(coeffs))
-    top = max(len(coeffs) - 1, 0)
-    weights = [a * d ** (top - k) for k, a in enumerate(coeffs)]
-    den *= d ** top
+    d, cols = series.numerators(len(P))
+    m = max(len(P) - 1, 0)
+    weights, w = [], d ** m
+    for c in P:
+        weights.append(c * w)
+        # D^k d^(m-k) to D^(k+1) d^(m-k-1), exact for k < m; the value
+        # after the last coefficient is not read
+        w = w // d * D
+    den *= (D * d) ** m
     for label, col in zip(series.spec.matrix_indices, cols):
         total = sum(map(mul, weights, col))
         yield label, Fraction(total, den) if total else ZERO
@@ -103,13 +123,10 @@ def _witness(series: ScaledSeries, D: int, P, a: int):
     """(P / (v - a), the first (label, residual) it leaves nonzero or None).
 
     P holds the ints of a candidate in v = D u and a / D is one of its
-    roots.  The quotient R, found by synthetic division, has coefficient
-    k equal to R_k D^k / D^(m-1) in u, m - 1 its degree.
+    roots.  The quotient is found by synthetic division.
     """
     rest = scaled_quotient(P, a)
-    coeffs = [c * D ** k for k, c in enumerate(rest)]
-    return rest, next(((lab, r) for lab, r
-                       in _residuals(series, D ** (len(rest) - 1), coeffs)
+    return rest, next(((lab, r) for lab, r in _residuals(series, D, rest)
                        if r), None)
 
 
@@ -119,8 +136,9 @@ def certify_minimal(series: ScaledSeries, q: UniPoly) -> Certificate:
     lambda is series.lam.  Raises CertificationError when q fails to
     annihilate, and ValueError when q is not monic or does not split
     over the rationals.  q is evaluated once, and its root multiset,
-    ints a over one denominator D, is read once (carried when q was
-    built from its roots) and multiplied out once in ints, P in v = D u.
+    ints a over one denominator D, is read once, as is their product
+    in ints, P in v = D u: both are carried when q was built from its
+    roots, and otherwise found by one search and one multiply-out.
     Each distinct root, in ascending order, is divided out of P in
     place for as long as what is left still annihilates; once it does
     not, the first entry it leaves nonzero is that root's witness.  A
@@ -128,7 +146,7 @@ def certify_minimal(series: ScaledSeries, q: UniPoly) -> Certificate:
     roots left are exactly those of the minimal polynomial.  After a
     drop the polynomial is built from P and the roots left, and the
     witnesses taken before the last drop are taken again against it.
-    Either way the certified polynomial carries its roots.
+    Either way the certified polynomial carries its roots and P.
     """
     if not q.is_monic():
         raise ValueError("candidate polynomial must be monic")
@@ -139,7 +157,7 @@ def certify_minimal(series: ScaledSeries, q: UniPoly) -> Certificate:
     if any(r for _, r in residuals):
         raise CertificationError(
             f"{q} does not annihilate at weight {series.lam}", residuals)
-    P, found, stale = scaled_product(multiset), [], None
+    P, found, stale = q.root_product() or scaled_product(multiset), [], None
     for a, (root, m) in zip(dict.fromkeys(multiset), q.rational_roots()):
         while m:
             rest, hit = _witness(series, D, P, a)

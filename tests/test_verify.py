@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from helpers import (BOXES, ReferenceVerma, acceptance_relative_weights,
                      bc_relative_weights, gl_relative_weights,
                      symbolic_relative_formulas, verma_act)
-from hwpoly import verify, verma
+from hwpoly import polyrat, verify, verma
 from hwpoly.algebra import AlgebraSpec, make_spec
 from hwpoly.enveloping import evaluate_at_weight
 from hwpoly.genmatrix import projected_diagonal
@@ -420,8 +420,13 @@ class TestTrimInPlace:
             assert trimmed.polynomial == q, (spec.label, lam, extra)
             assert trimmed.witnesses == cert.witnesses, (spec.label, extra)
             assert trimmed.residuals == cert.residuals
-            # the trimmed polynomial carries its roots
+            # the trimmed polynomial carries its roots and their product
             assert trimmed.polynomial._scaled is not None
+            assert trimmed.polynomial._product is not None
+        # so does the characteristic identity, which the fallback trims
+        chi = RecursionSeries(spec, lam).characteristic()
+        assert chi._scaled is not None and chi._product is not None
+        assert certify_minimal(series, chi).polynomial._product is not None
 
     def test_direct_path_evaluates_the_candidate_once(self, monkeypatch):
         calls = []
@@ -436,6 +441,28 @@ class TestTrimInPlace:
         q, _ = certified_minimal_polynomial(spec, (2, 1))
         assert q == minpoly_from_weight(spec, (2, 1))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("family,n,lam", [
+        ("sp", 2, (2, 1)), ("o_odd", 3, (F(1, 2), 0, F(-3, 2))),
+        ("gl", 3, (F(2, 3), F(-1, 3), 1))])
+    def test_direct_path_multiplies_the_roots_out_once(self, monkeypatch,
+                                                       family, n, lam):
+        # the fast answer is multiplied out in ints once, as it is built
+        # from its roots; the certifier reads that product, so it neither
+        # multiplies the roots out again nor clears a Fraction coefficient
+        calls = {"scaled_product": 0, "clear_denominators": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(polyrat, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            for module in (polyrat, verify):
+                monkeypatch.setattr(module, name, counted)
+        spec = make_spec(family, n)
+        q, _ = certified_minimal_polynomial(spec, lam)
+        assert calls == {"scaled_product": 1, "clear_denominators": 0}
+        monkeypatch.undo()
+        assert q == minpoly_from_weight(spec, lam)
 
 
 class TestCertifiedMinimal:
