@@ -9,7 +9,7 @@ to the other.  Everything below is an exact identity of normally
 ordered differential operators; nothing is evaluated on functions.
 """
 
-from hwpoly import (UniPoly, check_conv_powers, check_divisibility_instance,
+from hwpoly import (check_conv_powers, check_divisibility_instance,
                     check_resolvent_transfer, dual_pair, weyl_normalize)
 
 

@@ -126,7 +126,11 @@ RecursionSeries.characteristic is a candidate that always certifies.
 scaled_numerators runs the recursion in ints at an explicit pair
 (L, d), the weight L/d: in v = d u the series d^-1 R_i(v/d) has the
 ints d^k s_i(k) as its coefficients, and every pole is an int, d times
-the pole in u.  Each term costs a few int operations per order.  The
+the pole in u.  Step m multiplies each entry it holds by
+1 - d/(v - E), and every new diagonal entry is (1 - X)/(v - E) for one
+int pole E, made by one kernel: X = 0 for the corner and for o_odd's
+rank 0 entry, and for R_(-m) X is the inner sum times d, with sp's
+corner term.  Each term costs a few int operations per order.  The
 code is straight-line ring arithmetic with no branch on L or d, so
 each int it returns is one polynomial in (L, d), homogeneous of degree
 k, which is what lets verma.prove_recursion check the code against the
@@ -141,14 +145,6 @@ from .polyrat import ScaledSeries, UniPoly, clear_denominators
 
 # the numerator of sp's term 2/(u + a) in R_(-n)
 SP_CORNER = 2
-
-
-def _powers(e, K):
-    """The coefficients e^k of 1/(v - e)."""
-    out = [1] * K
-    for k in range(1, K):
-        out[k] = out[k - 1] * e
-    return out
 
 
 def _times(p, e, d):
@@ -199,20 +195,22 @@ def scaled_numerators(spec: AlgebraSpec, L, d: int, K: int):
 
     The series are held in the variable v = d u of the whole algebra.
     Step m reads the rank m algebra's u - (n - m), so its R'(u - 1) is
-    the step before as held.  Its factors 1/(u + a), (u + a - 1)/(u + a)
-    (gl: u - a) are 1/(v - E) and 1 - d/(v - E), and R_(-m) divides by
-    v - E', for the int poles E and E' of scaled_poles.
+    the step before as held, and its factor (u + a - 1)/(u + a)
+    (gl: u - a) is 1 - d/(v - E).  Every new diagonal entry is
+    (1 - X)/(v - E) for an int pole E of scaled_poles: the corner
+    1/(u + a) and o_odd's rank 0 entry have X = 0, and R_(-m) has the
+    pole E' and X the inner sum times d, with sp's 2 d/(v - E).
     """
     n, gl = spec.n, spec.family is Family.GL
     poles = iter(scaled_poles(spec, L, d))
-    series = {0: _powers(next(poles), K)} \
+    series = {0: _one_minus_over([0] * K, next(poles))} \
         if spec.family is Family.O_ODD else {}
     for m in range(1, n + 1):
         E = next(poles)
         for label, p in series.items():
             series[label] = _times(p, E, d)
         inner = list(series.values())
-        series[m] = corner = _powers(E, K)
+        series[m] = corner = _one_minus_over([0] * K, E)
         if gl:
             continue
         # the inner sum times d, with sp's SP_CORNER d/(v - E)

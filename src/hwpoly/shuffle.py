@@ -40,9 +40,11 @@ two-component tensor square constituent).
 
 Both decompositions and the root formula run on ints scaled by the
 least common denominator d of the sequence and epsilon, so a step of one
-is a step of d.  minpoly_from_weight hands the int roots to the UniPoly
-as its root form (d, ascending ints); Fractions are made only for its
-coefficients and for a ShuffleDecomposition record.
+is a step of d.  A weight's d l is formed once, in ints, as
+d lambda + d rho, and a raw sequence is cleared once.
+minpoly_from_weight hands the int roots to the UniPoly as its root
+form (d, ascending ints); Fractions are made only for its coefficients
+and for a ShuffleDecomposition record.
 """
 
 from __future__ import annotations
@@ -137,6 +139,18 @@ def _cleared(values, epsilon):
     return d, scaled, None if epsilon is None else e
 
 
+def _scaled_shifted(spec: AlgebraSpec, lam):
+    """(d, the ints d l of l = lambda + rho, d epsilon or None for gl).
+
+    d l is formed as d lambda + d rho, d the least common denominator of
+    lambda and epsilon, which clears rho too, as rho - epsilon is
+    integral; it is also the least common denominator of l and epsilon.
+    """
+    d, L, e = _cleared(as_weight(spec, lam), spec.epsilon)
+    return d, [x + r.numerator * (d // r.denominator)
+               for x, r in zip(L, spec.rho)], e
+
+
 def _shuffle(d, seq, e):
     """(parts, mirror, parity, roots) of ints seq scaled by d; e None selects gl."""
     if e is None:
@@ -147,50 +161,46 @@ def _shuffle(d, seq, e):
     return parts, mirror, "odd" if odd else "even", roots
 
 
-def _decomposition(seq, epsilon) -> ShuffleDecomposition:
-    seq = tuple(rat(x) for x in seq)
-    d, scaled, e = _cleared(seq, epsilon)
-    parts, mirror, parity, roots = _shuffle(d, scaled, e)
+def _decomposition(d, seq, e) -> ShuffleDecomposition:
+    """The record of the shuffle of ints seq scaled by d; e None selects gl."""
+    parts, mirror, parity, roots = _shuffle(d, seq, e)
     return ShuffleDecomposition(
-        "gl" if mirror is None else "mirror", seq,
+        "gl" if mirror is None else "mirror",
+        tuple(Fraction(x, d) for x in seq),
         tuple(Part(tuple(Fraction(v, d) for v, _ in t),
                    tuple(o for _, o in t), k if mirror is None else mirror[k])
               for k, t in enumerate(parts)),
-        parity, epsilon, (d, tuple(roots)))
+        parity, None if e is None else Fraction(e, d), (d, tuple(roots)))
 
 
 def shuffle_gl(seq) -> ShuffleDecomposition:
     """Greedy decomposition of a gl shifted weight into falling runs."""
-    return _decomposition(seq, None)
+    return _decomposition(*_cleared(tuple(map(rat, seq)), None))
 
 
 def shuffle_mirror(seq, epsilon) -> ShuffleDecomposition:
     """Mirror symmetric decomposition of l and its negated reverse."""
-    return _decomposition(seq, rat(epsilon))
+    return _decomposition(*_cleared(tuple(map(rat, seq)), rat(epsilon)))
 
 
 def shifted_weight(spec: AlgebraSpec, lam):
     """l = lambda + rho as a tuple of fractions."""
-    lam = as_weight(spec, lam)
-    return tuple(a + b for a, b in zip(lam, spec.rho))
+    d, seq, _ = _scaled_shifted(spec, lam)
+    return tuple(Fraction(x, d) for x in seq)
 
 
 def decompose(spec: AlgebraSpec, lam) -> ShuffleDecomposition:
     """The decomposition appropriate to the spec's family."""
-    return _decomposition(shifted_weight(spec, lam), spec.epsilon)
+    return _decomposition(*_scaled_shifted(spec, lam))
 
 
 def minpoly_from_weight(spec: AlgebraSpec, lam) -> UniPoly:
     """Minimal polynomial of the generator matrix on L(lambda).
 
-    Read off the shuffle decomposition: a monic UniPoly that carries
-    its root multiset and so splits over Q.  d l is formed in ints as
-    d lambda + d rho, d the least common denominator of lambda and
-    epsilon, which clears rho too, as rho - epsilon is integral.
+    Read off the shuffle decomposition of the ints d l: a monic UniPoly
+    that carries its root multiset and so splits over Q.
     certified_minimal_polynomial certifies it.
     """
-    d, L, e = _cleared(as_weight(spec, lam), spec.epsilon)
-    seq = [x + r.numerator * (d // r.denominator)
-           for x, r in zip(L, spec.rho)]
+    d, seq, e = _scaled_shifted(spec, lam)
     *_, roots = _shuffle(d, seq, e)
     return UniPoly.from_scaled_roots(d, roots)

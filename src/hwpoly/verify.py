@@ -14,9 +14,9 @@ its terms.  Two engines provide one: RecursionSeries runs the paper's
 corank-one recursion in ints (the recursion module, which proves it
 for every family at every rank and order), and DiagonalSeries walks
 the Verma module (the verma module), which cross-checks it.
-certified_minimal_polynomial, divisibility_poset and the resolvent
-command certify on a RecursionSeries; nothing here imports the Verma
-engine.
+certified_minimal_polynomial and divisibility_poset certify on a
+RecursionSeries, and the resolvent command reads one; nothing here
+imports the Verma engine.
 
 The certifier's hot path is integer end to end.  A residual is one int
 dot product per diagonal entry of q's ints with the series numerators.

@@ -301,8 +301,9 @@ def test_fast_engine_on_whole_boxes():
        st.sampled_from([1, 2, 3, 6]), st.data())
 def test_int_shifted_weight_gives_the_decompose_roots(family, rank, den,
                                                       data):
-    # minpoly_from_weight forms d (lambda + rho) in ints; decompose sums
-    # lambda + rho in Fractions first
+    # decompose and minpoly_from_weight shuffle the same ints
+    # d (lambda + rho); the record's Fraction roots, the UniPoly's root
+    # form and its coefficients must agree
     spec = make_spec(family, rank)
     lam = tuple(Fraction(data.draw(st.integers(-12, 12)), den)
                 for _ in range(rank))
@@ -310,3 +311,26 @@ def test_int_shifted_weight_gives_the_decompose_roots(family, rank, den,
     roots = decompose(spec, lam).roots()
     assert [r for r, m in q.rational_roots() for _ in range(m)] == roots
     assert q == UniPoly.from_roots(roots)
+
+
+@pytest.mark.parametrize("family", ["gl", "sp", "o_even", "o_odd"])
+def test_decompose_forms_the_shifted_weight_in_ints(family, monkeypatch):
+    # decompose reads the one int d (lambda + rho) minpoly_from_weight
+    # reads, never the Fraction sum of the public shifted_weight
+    def no_fraction_route(spec, lam):
+        raise AssertionError("decompose summed lambda + rho in Fractions")
+
+    monkeypatch.setattr("hwpoly.shuffle.shifted_weight", no_fraction_route)
+    rng = random.Random(3301)
+    for rank in range(5):
+        spec = make_spec(family, rank)
+        for den in (1, 2, 3, 6):
+            for _ in range(8):
+                lam = tuple(Fraction(rng.randint(-12, 12), den)
+                            for _ in range(rank))
+                dec = decompose(spec, lam)
+                assert dec.sequence == tuple(
+                    a + r for a, r in zip(lam, spec.rho))
+                assert dec.epsilon == spec.epsilon
+                assert dec.scaled_roots == \
+                    minpoly_from_weight(spec, lam).scaled_roots()

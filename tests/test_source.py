@@ -39,20 +39,31 @@ def _imported_names(tree):
                 yield node.lineno, alias.asname or alias.name
 
 
-def test_no_unused_imports_in_the_package():
-    # __init__.py imports to re-export, so it is the one exception
-    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    assert modules
+def _unused_imports(paths):
     found = []
-    for path in modules:
+    for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
         # a name that appears only inside a quoted annotation counts as
         # unused, since the annotation is a string constant to ast
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}
-        found += [f"{path.name}:{line} {name}"
+        found += [f"{path.relative_to(ROOT)}:{line} {name}"
                   for line, name in _imported_names(tree) if name not in used]
-    assert found == []
+    return found
+
+
+def test_no_unused_imports_in_the_package():
+    # __init__.py imports to re-export, so it is the one exception
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    assert _unused_imports(modules) == []
+
+
+def test_no_unused_imports_in_the_tools_and_demos():
+    scripts = sorted([*(ROOT / "tools").glob("*.py"),
+                      *(ROOT / "demos").glob("*.py")])
+    assert scripts
+    assert _unused_imports(scripts) == []
 
 
 def _module_level_assigned(tree):
