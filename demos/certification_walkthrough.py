@@ -1,16 +1,19 @@
 """How a minimal polynomial gets certified.
 
 The fast mode reads the answer off the shuffle decomposition.  The
-certified mode re-derives it inside the enveloping algebra: project
-the diagonal of q(M) onto the Cartan part, evaluate at the weight, and
-demand zeros; then remove each root in turn and exhibit a nonzero
-residual, which proves minimality.  Independently, a projected
-resolvent reconstructed by Pade approximation recovers the polynomial
-from its power series alone.  When the fast answer fails, the
-certifier starts from the characteristic identity chi instead, which
-always annihilates, and trims it.  This script prints every ingredient
-for one singular weight; all four steps read one DiagonalSeries, the
-evaluated diagonal of the powers of M at that weight.
+certified mode checks it on the evaluated diagonal of the powers of M
+at the weight, the Harish-Chandra images of the diagonal entries of
+M^k, with no product in the enveloping algebra: the diagonal of q(M)
+must evaluate to zeros; then each root is removed in turn and a
+nonzero residual exhibited, which proves minimality.  Independently,
+a projected resolvent reconstructed by Pade approximation recovers
+the polynomial from its power series alone.  When the fast answer
+fails, the certifier starts from the characteristic identity chi
+instead, which always annihilates, and trims it.  This script prints
+every ingredient for one singular weight.  Steps 1-3 and the trim in
+step 4 read one DiagonalSeries, the Verma walk's evaluated diagonal;
+chi itself comes from a RecursionSeries at the same weight, whose
+poles it multiplies out.
 """
 
 from hwpoly import (DiagonalSeries, RecursionSeries, make_spec,

@@ -197,11 +197,6 @@ class AlgebraSpec:
                   Family.O_EVEN: "o", Family.O_ODD: "o"}[self.family]
         return f"{prefix}_{self.N}"
 
-    def gen_name(self, idx: int) -> str:
-        i, j = self.gens[idx]
-        letter = "E" if self.family is Family.GL else "F"
-        return f"{letter}[{i},{j}]"
-
     def __repr__(self):
         return f"AlgebraSpec({self.family.value!r}, {self.n})"
 

@@ -105,10 +105,11 @@ def _roots(q: UniPoly):
 
 
 def _cmd_minpoly(spec, lam, args):
-    from .shuffle import minpoly_from_weight, shifted_weight
-    q = minpoly_from_weight(spec, lam)
+    from .shuffle import decompose
+    dec = decompose(spec, lam)
+    q = UniPoly.from_scaled_roots(*dec.scaled_roots)
     return {
-        "l": [_s(x) for x in shifted_weight(spec, lam)],
+        "l": [_s(x) for x in dec.sequence],
         "roots": _roots(q),
         "polynomial": _poly(q),
     }

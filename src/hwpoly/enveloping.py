@@ -274,39 +274,6 @@ class UElement(Terms):
     # a class-body binding, so that a tracer can find and wrap it here
     __mul__ = Terms.__mul__
 
-    # -- display -------------------------------------------------------
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        items = sorted(self.terms.items())
-        bits = []
-        for m, c in items:
-            names = []
-            k = 0
-            while k < len(m):
-                e = 1
-                while k + e < len(m) and m[k + e] == m[k]:
-                    e += 1
-                nm = self.spec.gen_name(m[k])
-                names.append(nm if e == 1 else f"{nm}^{e}")
-                k += e
-            body = "*".join(names) if names else "1"
-            if c == 1 and names:
-                term = body
-            elif c == -1 and names:
-                term = "-" + body
-            else:
-                term = f"{c}*{body}" if names else str(c)
-            bits.append(term)
-        out = bits[0]
-        for b in bits[1:]:
-            out += " + " + b if not b.startswith("-") else " - " + b[1:]
-        return out
-
-    def __repr__(self):
-        return f"<UElement {self}>"
-
 
 def pbw_normalize(spec: AlgebraSpec, expr) -> UElement:
     """Normalise a formal expression in the generators.

@@ -34,13 +34,6 @@ from typing import NamedTuple
 from .algebra import AlgebraSpec, Family, make_spec, matrix_size
 from .polyrat import UniPoly, monic_lcm, rat
 
-__all__ = [
-    "RepMatrices",
-    "build_catalog_rep",
-    "build_irrep_gl",
-    "oracle_minpoly",
-]
-
 
 class RepMatrices(NamedTuple):
     """A module given by one sparse matrix per canonical generator.

@@ -11,11 +11,12 @@ D (scaled_roots).  A UniPoly built from its roots keeps that form and
 the roots multiplied out in ints, the product P of (v - a) in v = D u
 (root_product), from which its coefficients P_k / D^(m-k) were made;
 so reporting or certifying it never searches for roots, and certifying
-it clears no Fraction.  The divisor search serves polynomials known
-only by their coefficients, and runs at most once per polynomial; only
-the oracle's Krylov lcm still searches for roots.  Roots are
-multiplied out (scaled_product) and divided out (scaled_quotient) in
-ints.
+it clears no Fraction.  The certifier takes only such a polynomial.
+The divisor search runs at most once per polynomial and serves only
+fitted ones, known by their coefficients alone: the oracle's Krylov
+lcm, whose roots the oracle command reports, and the Pade fits.  Roots
+are multiplied out (scaled_product) and divided out (scaled_quotient)
+in ints.
 
 A series in powers of 1/u around u = infinity is known through its
 tail of coefficients of u^-1 .. u^-K; orders beyond u^-K are unknown.
@@ -129,10 +130,6 @@ class UniPoly:
         self._scaled = self._product = None
 
     @classmethod
-    def zero(cls):
-        return cls(())
-
-    @classmethod
     def one(cls):
         return cls((1,))
 
@@ -175,9 +172,6 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def coeff(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else ZERO
 
@@ -189,33 +183,9 @@ class UniPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __neg__(self):
-        return UniPoly(-c for c in self.coeffs)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly((other,))
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly((self.coeff(k) + other.coeff(k) for k in range(n)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, UniPoly) else UniPoly((-rat(other),)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = rat(other)
-            return UniPoly((c * a for a in self.coeffs))
         if not isinstance(other, UniPoly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return UniPoly.zero()
         out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -224,19 +194,7 @@ class UniPoly:
                         out[i + j] += a * b
         return UniPoly(out)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        out = UniPoly.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __divmod__(self, other: "UniPoly"):
-        if not isinstance(other, UniPoly):
-            other = UniPoly((rat(other),))
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         q = [ZERO] * max(0, self.degree - other.degree + 1)

@@ -29,19 +29,21 @@ multiset and P off q, and each distinct root with its multiplicity off
 the ascending multiset (q.rational_roots groups it in runs).  Each
 divisor tried is P with one root divided out by synthetic division
 (scaled_quotient), and a dropped root is divided out of P in place.
-Only a candidate known by its coefficients alone is cleared from its
-Fractions, searched for roots and multiplied out (scaled_product).
+The certifier takes no other candidate: one that holds no root
+product is refused with ValueError before any root search, since
+the answer splits and every candidate here is built from its roots.
 Fractions are made only for the nonzero residuals reported, as
 witnesses or with CertificationError, for the witness roots and for a
 trimmed polynomial; each equals its Fraction-arithmetic definition
 exactly.
 
-certify_minimal takes one pass over a monic candidate q: it evaluates
-q once, and its single verdict, CertificationError, means q does not
-annihilate.  Otherwise it drops, in place, every root whose removal
-still annihilates, and returns the certificate of the minimal
-polynomial, a divisor of q: the zero residuals and, per distinct root,
-a witness entry where dropping that root breaks annihilation.
+certify_minimal takes one pass over a candidate q built from its
+roots: it evaluates q once, and its single verdict,
+CertificationError, means q does not annihilate.  Otherwise it drops,
+in place, every root whose removal still annihilates, and returns the
+certificate of the minimal polynomial, a divisor of q: the zero
+residuals and, per distinct root, a witness entry where dropping that
+root breaks annihilation.
 certified_minimal_polynomial hands it the fast answer itself
 (minpoly_from_weight), on a series of deg q + 1 terms, so a trimmed
 certificate means the fast answer was wrong; only when that fails,
@@ -60,8 +62,7 @@ from typing import NamedTuple
 
 from .algebra import AlgebraSpec, as_weight
 from .polyrat import (ZERO, CertificationError, ScaledSeries, UniPoly,
-                      clear_denominators, pade_reconstruct, scaled_product,
-                      scaled_quotient)
+                      pade_reconstruct, scaled_quotient)
 from .recursion import RecursionSeries
 from .shuffle import minpoly_from_weight
 
@@ -86,23 +87,22 @@ class Certificate(NamedTuple):
 def annihilation_residuals(series: ScaledSeries, q: UniPoly):
     """Evaluated projection of each diagonal entry of q(M) at series.lam.
 
-    q's coefficients are read as ints: off the int product it was built
-    from, when it holds one, and otherwise cleared from its Fractions;
-    q is never searched for roots.
+    q must be built from its roots: its coefficients are read as the
+    ints of its root product, and q is never searched for roots.
+    Raises ValueError, before any search, when q holds no root product.
     """
     P = q.root_product()
     if P is None:
-        den, ints = clear_denominators(q.coeffs)
-        return tuple(_residuals(series, 1, ints, den))
+        raise ValueError("candidate polynomial must be built from its roots")
     return tuple(_residuals(series, q.scaled_roots()[0], P))
 
 
-def _residuals(series: ScaledSeries, D: int, P, den: int = 1):
+def _residuals(series: ScaledSeries, D: int, P):
     """Yield (label, residual) per diagonal entry of q, each on demand.
 
-    q(u) = P(D u) / (den D^m) for ints D, den and P_k, m = deg P.  With
-    s(k) = n(k) / d^k, the residual sum P_k D^k s(k) / (den D^m) is
-    (sum P_k D^k d^(m-k) n(k)) / (den (D d)^m): one int dot product per
+    q(u) = P(D u) / D^m for ints D and P_k, m = deg P.  With
+    s(k) = n(k) / d^k, the residual sum P_k D^k s(k) / D^m is
+    (sum P_k D^k d^(m-k) n(k)) / (D d)^m: one int dot product per
     entry and one Fraction, or ZERO when the sum is 0.
     """
     d, cols = series.numerators(len(P))
@@ -113,7 +113,7 @@ def _residuals(series: ScaledSeries, D: int, P, den: int = 1):
         # D^k d^(m-k) to D^(k+1) d^(m-k-1), exact for k < m; the value
         # after the last coefficient is not read
         w = w // d * D
-    den *= (D * d) ** m
+    den = (D * d) ** m
     for label, col in zip(series.spec.matrix_indices, cols):
         total = sum(map(mul, weights, col))
         yield label, Fraction(total, den) if total else ZERO
@@ -133,31 +133,27 @@ def _witness(series: ScaledSeries, D: int, P, a: int):
 def certify_minimal(series: ScaledSeries, q: UniPoly) -> Certificate:
     """Certificate of the minimal polynomial of M on L(lambda), a divisor of q.
 
-    lambda is series.lam.  Raises CertificationError when q fails to
-    annihilate, and ValueError when q is not monic or does not split
-    over the rationals.  q is evaluated once, and its root multiset,
-    ints a over one denominator D, is read once, as is their product
-    in ints, P in v = D u: both are carried when q was built from its
-    roots, and otherwise found by one search and one multiply-out.
-    Each distinct root, in ascending order, is divided out of P in
-    place for as long as what is left still annihilates; once it does
-    not, the first entry it leaves nonzero is that root's witness.  A
-    root that is not dropped stays so in every divisor of q, so the
-    roots left are exactly those of the minimal polynomial.  After a
-    drop the polynomial is built from P and the roots left, and the
-    witnesses taken before the last drop are taken again against it.
-    Either way the certified polynomial carries its roots and P.
+    lambda is series.lam, and q is a candidate built from its roots,
+    as the fast answer and chi are.  Raises ValueError, before any
+    root search, when q holds no root product, and CertificationError
+    when q fails to annihilate.  q is evaluated once, and its root
+    multiset, ints a over one denominator D, and their product in
+    ints, P in v = D u, are read off q once.  Each distinct root, in
+    ascending order, is divided out of P in place for as long as what
+    is left still annihilates; once it does not, the first entry it
+    leaves nonzero is that root's witness.  A root that is not dropped
+    stays so in every divisor of q, so the roots left are exactly those
+    of the minimal polynomial.  After a drop the polynomial is built
+    from P and the roots left, and the witnesses taken before the last
+    drop are taken again against it.  Either way the certified
+    polynomial carries its roots and P.
     """
-    if not q.is_monic():
-        raise ValueError("candidate polynomial must be monic")
-    D, multiset = q.scaled_roots()
-    if len(multiset) != q.degree:
-        raise ValueError("candidate polynomial does not split over Q")
     residuals = annihilation_residuals(series, q)
     if any(r for _, r in residuals):
         raise CertificationError(
             f"{q} does not annihilate at weight {series.lam}", residuals)
-    P, found, stale = q.root_product() or scaled_product(multiset), [], None
+    D, multiset = q.scaled_roots()
+    P, found, stale = q.root_product(), [], None
     for a, (root, m) in zip(dict.fromkeys(multiset), q.rational_roots()):
         while m:
             rest, hit = _witness(series, D, P, a)

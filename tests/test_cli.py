@@ -66,6 +66,23 @@ class TestMinpoly:
         assert doc["l"] == ["4", "2", "0"]
         assert doc["roots"] == [["0", 1], ["2", 1], ["4", 1]]
 
+    @pytest.mark.parametrize("argv", [
+        ["minpoly", "gl", "2", "1,0"], ["minpoly", "sp", "3", "2,1/2,-1"],
+        ["minpoly", "o", "6", "--", "2,-1,1/2"],
+        ["minpoly", "o", "7", "--", "1/2,0,-3/2"]],
+        ids=["gl", "sp", "o_even", "o_odd"])
+    def test_one_shuffle_gives_the_pinned_document(self, capsys, monkeypatch,
+                                                   argv):
+        # l and q are read off one decompose: neither the fast answer nor
+        # the shifted weight, which each shift the weight again, is run
+        def unreachable(spec, lam):
+            raise AssertionError("the weight was shuffled a second time")
+
+        monkeypatch.setattr("hwpoly.shuffle.minpoly_from_weight", unreachable)
+        monkeypatch.setattr("hwpoly.shuffle.shifted_weight", unreachable)
+        pinned, = [c["document"] for c in DOCUMENTS if c["argv"] == argv]
+        assert run_doc(capsys, *argv) == pinned
+
     def test_schema_validates(self, capsys):
         jsonschema = pytest.importorskip("jsonschema")
         schema = json.loads(SCHEMA_PATH.read_text())

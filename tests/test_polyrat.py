@@ -27,36 +27,38 @@ def test_unipoly_normalisation():
     assert UniPoly(()).is_zero()
     assert UniPoly((0,)).is_zero()
     assert UniPoly((0, 0, 1)).degree == 2
-    assert UniPoly.zero().degree == -1
+    assert UniPoly(()).degree == -1
 
 
 def test_unipoly_arithmetic():
-    p = (U - 1) * (U - 2)
-    assert p == U * U - 3 * U + 2
-    q, r = divmod(p, U - 1)
-    assert q == U - 2 and r.is_zero()
-    assert (U - 1).divides(p)
-    assert not (U - 3).divides(p)
+    p = UniPoly((-1, 1)) * UniPoly((-2, 1))
+    assert p == UniPoly((2, -3, 1))
+    q, r = divmod(p, UniPoly((-1, 1)))
+    assert q == UniPoly((-2, 1)) and r.is_zero()
+    assert UniPoly((-1, 1)).divides(p)
+    assert not UniPoly((-3, 1)).divides(p)
     assert p.evaluate(2) == 0
     assert p.evaluate(Fraction(1, 2)) == Fraction(3, 4)
 
 
 def test_unipoly_gcd_and_monic_lcm():
-    a = (U - 1) ** 2
-    b = (U - 1) * (U - 2)
-    assert a.gcd(b) == U - 1
+    a = UniPoly((1, -2, 1))
+    b = UniPoly((2, -3, 1))
+    assert a.gcd(b) == UniPoly((-1, 1))
     # frozen: lcm of (u-1)^2, u-1, u-2 is (u-1)^2 (u-2)
-    assert monic_lcm([a, U - 1, U - 2]) == (U - 1) ** 2 * (U - 2)
+    assert monic_lcm([a, UniPoly((-1, 1)), UniPoly((-2, 1))]) \
+        == UniPoly((-2, 5, -4, 1))
     assert monic_lcm([]) == UniPoly.one()
-    assert monic_lcm([2 * (U - 1)]) == U - 1
+    assert monic_lcm([UniPoly((-2, 2))]) == UniPoly((-1, 1))
     with pytest.raises(ValueError):
-        monic_lcm([UniPoly.zero()])
+        monic_lcm([UniPoly()])
 
 
 def test_rational_roots():
-    p = (U - 1) ** 2 * (U - 2)
+    # (u-1)^2 (u-2), and (u-1/2)(u-3)u, known by their coefficients
+    p = UniPoly((-2, 5, -4, 1))
     assert p.rational_roots() == [(Fraction(1), 2), (Fraction(2), 1)]
-    q = (U - Fraction(1, 2)) * (U - 3) * U
+    q = UniPoly((0, F(3, 2), F(-7, 2), 1))
     assert q.rational_roots() == [
         (Fraction(0), 1), (Fraction(1, 2), 1), (Fraction(3), 1)]
 
@@ -121,46 +123,75 @@ def test_synthetic_division_matches_polynomial_division(roots, pick):
     assert rest == scaled_product(left)
 
 
+# roots of denominators 1, 2, 3 and 6, so common factors are frequent
+_MIXED_ROOTS = st.lists(
+    st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 6])),
+    max_size=5)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_MIXED_ROOTS, _MIXED_ROOTS)
+def test_fraction_arithmetic_follows_the_root_multisets(a, b):
+    # on split monic polynomials, gcd, lcm, divisibility and division by
+    # a factor are the multiset min, max, inclusion and difference of the
+    # roots; the arithmetic runs on Fraction coefficients, the reference
+    # on Counters
+    def built(roots):
+        return UniPoly.from_roots(Counter(roots).elements())
+
+    ca, cb = Counter(a), Counter(b)
+    pa, pb = built(a), built(b)
+    assert pa.gcd(pb) == built(ca & cb)
+    assert monic_lcm([pa, pb]) == built(ca | cb)
+    assert pa.divides(pb) == (ca <= cb)
+    assert pb.divides(pa) == (cb <= ca)
+    common = built(ca & cb)
+    assert pa // common == built(ca - cb)
+    assert (pa % common).is_zero()
+    for r in ca:
+        assert pa // UniPoly((-r, 1)) == built(ca - Counter([r]))
+
+
 def test_scaled_roots_of_coefficients_alone():
     # searched once, then kept: (D, the ascending ints) with repetition
-    q = (U + F(1, 2)) * (U + F(1, 2)) * (U - F(1, 4)) * (U - 2)
+    q = UniPoly(UniPoly.from_roots([F(-1, 2), F(-1, 2), F(1, 4), 2]).coeffs)
     assert q.scaled_roots() == (4, (-2, -2, 1, 8))
     assert q.rational_roots() == [(F(-1, 2), 2), (F(1, 4), 1), (2, 1)]
-    # a polynomial that does not split keeps the roots found
-    assert (U * (U * U - 2)).scaled_roots() == (1, (0,))
+    # a polynomial that does not split, u (u^2 - 2), keeps the roots found
+    assert UniPoly((0, -2, 0, 1)).scaled_roots() == (1, (0,))
 
 
 def test_series_of_geometric():
     # frozen: 1/(u-3) expands with tail 3^k
-    poly, tail = series_of_rational(UniPoly.one(), U - 3, 5)
+    poly, tail = series_of_rational(UniPoly.one(), UniPoly((-3, 1)), 5)
     assert poly.is_zero()
     assert list(tail) == [3 ** k for k in range(5)]
 
 
 def test_series_with_polynomial_part():
     # u^2/(u-1) = u + 1 + 1/(u-1)
-    poly, tail = series_of_rational(U * U, U - 1, 4)
-    assert poly == U + 1
+    poly, tail = series_of_rational(U * U, UniPoly((-1, 1)), 4)
+    assert poly == UniPoly((1, 1))
     assert list(tail) == [1, 1, 1, 1]
 
 
 def test_series_multiply_back():
     # (2u^2 - u + 3)/((u - 1)(u + 2)) = 2 + (4/3)/(u - 1) - (13/3)/(u + 2),
     # so the u^-m coefficient is 4/3 - (13/3) (-2)^(m-1)
-    num, den = 2 * U * U - U + 3, (U - 1) * (U + 2)
+    num, den = UniPoly((3, -1, 2)), UniPoly.from_roots([1, -2])
     poly, tail = series_of_rational(num, den, 8)
     assert poly == UniPoly((2,))
     assert list(tail) == [-3, 10, -16, 36, -68, 140, -276, 556]
     # the tail alone gives the proper part, 7 - 3u over the same den
-    assert pade_reconstruct(tail, 2) == (7 - 3 * U, den)
-    assert poly * den + (7 - 3 * U) == num
+    assert pade_reconstruct(tail, 2) == (UniPoly((7, -3)), den)
+    assert divmod(num, den) == (poly, UniPoly((7, -3)))
 
 
 def test_pade_frozen_example():
     # frozen: tail (1, 0, 2, 0, 4) is u/(u^2 - 2)
     num, den = pade_reconstruct((1, 0, 2, 0, 4), 2)
     assert num == U
-    assert den == U * U - 2
+    assert den == UniPoly((-2, 0, 1))
 
 
 def test_pade_truncation_guard():
@@ -179,11 +210,12 @@ def test_pade_round_trip_random():
         d = rng.randrange(0, 4)
         den = UniPoly([Fraction(rng.randrange(-4, 5), rng.randrange(1, 3))
                        for _ in range(d)] + [1])
-        while den.evaluate(0) == 0 and d > 0:
-            den = den + 1
+        if den.evaluate(0) == 0 and d > 0:
+            # add 1 to the zero constant term
+            den = UniPoly((1,) + den.coeffs[1:])
         num = UniPoly([Fraction(rng.randrange(-6, 7)) for _ in range(rng.randrange(0, d + 3))])
         if num.is_zero():
-            num, den = UniPoly.zero(), UniPoly.one()
+            num, den = UniPoly(), UniPoly.one()
         g = num.gcd(den) if not num.is_zero() else UniPoly.one()
         if g.degree > 0:
             num = num // g
@@ -192,7 +224,8 @@ def test_pade_round_trip_random():
         poly, tail = series_of_rational(num, den, k)
         got_num, got_den = pade_reconstruct(tail, den.degree)
         assert got_den == den
-        assert poly * got_den + got_num == num
+        # num = poly got_den + got_num with got_num of lower degree
+        assert divmod(num, got_den) == (poly, got_num)
 
 
 def test_rat_rejects_floats():

@@ -102,6 +102,20 @@ def test_no_unread_module_level_names_in_the_package():
     assert found == []
 
 
+def test_only_the_package_init_assigns_all():
+    # the package's _HOMES table is the one export list; a module's own
+    # __all__ would be a second one to keep in step with it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "__all__"
+                  and isinstance(node.ctx, ast.Store)]
+    assert found == []
+
+
 def _reads_environment(node):
     if isinstance(node, ast.Attribute):
         return (isinstance(node.value, ast.Name) and node.value.id == "os"

@@ -205,25 +205,15 @@ def _annihilates(spec, q, lam):
 class TestAnnihilation:
     def test_trivial_module(self):
         spec = make_spec("gl", 2)
-        assert _annihilates(spec, UniPoly.x(), (0, 0))
+        assert _annihilates(spec, UniPoly.from_roots([0]), (0, 0))
         res = annihilation_residuals(DiagonalSeries(spec, (0, 0)),
-                                     UniPoly.one())
+                                     UniPoly.from_roots([]))
         assert res == ((1, 1), (2, 1))
 
     def test_defining_weight(self):
         spec = make_spec("gl", 2)
         assert _annihilates(spec, UniPoly.from_roots([0, 2]), (1, 0))
         assert not _annihilates(spec, UniPoly.from_roots([0, 1]), (1, 0))
-
-    def test_coefficients_alone_are_not_searched(self):
-        # (u-1)...(u-30) from its coefficients: constant term 30!, whose
-        # divisor search would not finish; the residuals read only the
-        # coefficients
-        spec = make_spec("gl", 1)
-        q = UniPoly(UniPoly.from_roots(range(1, 31)).coeffs)
-        res = annihilation_residuals(DiagonalSeries(spec, (3,)), q)
-        assert res == ((1, F(0)),)
-        assert q._scaled is None
 
 
 # every family, with weights of scale 1, 2, 3 and 6
@@ -248,8 +238,7 @@ def test_residuals_match_the_fraction_reference(data):
     if annihilating:
         q, _ = certified_minimal_polynomial(spec, lam)
         roots += [r for r, m in q.rational_roots() for _ in range(m)]
-    q = UniPoly.from_roots(roots) * data.draw(
-        st.sampled_from([1, F(-2, 3), F(5, 6)]))
+    q = UniPoly.from_roots(roots)
     cols = series.values(len(q.coeffs))
     reference = tuple(
         (label, sum((c * s for c, s in zip(q.coeffs, col)), F(0)))
@@ -301,7 +290,8 @@ def test_certify_minimal_matches_the_fraction_reference(data):
     for drops in product(*(range(m + 1) for _, m in factors)):
         p = q
         for (factor, _), k in zip(factors, drops):
-            p = p // factor ** k
+            for _ in range(k):
+                p = p // factor
         if not any(r for _, r in _fraction_residuals(spec, cols, p)):
             divisors.append(p)
     least = min(divisors, key=lambda p: p.degree)
@@ -317,29 +307,25 @@ def test_certify_minimal_matches_the_fraction_reference(data):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.data())
-def test_coefficients_alone_certify_to_the_same_certificate(data):
-    # UniPoly(q.coeffs) carries no roots, so certify_minimal finds them
-    # by the divisor search; the certificate is the one q's carried
-    # roots give, directly and after a trim
+def test_coefficients_alone_are_refused_before_any_search(data):
+    # the certifier takes only a candidate built from its roots:
+    # UniPoly(q.coeffs) of the fast answer holds none, so both entry
+    # points raise ValueError without searching for them
     family, n = data.draw(st.sampled_from(_RESIDUAL_SPECS))
     spec = make_spec(family, n)
     lam = tuple(F(data.draw(st.integers(-9, 9)), data.draw(
         st.sampled_from([1, 2, 3, 6]))) for _ in range(n))
-    q = minpoly_from_weight(spec, lam)
-    extra = data.draw(st.lists(_ROOT, max_size=2))
-    q = UniPoly.from_roots(
-        [r for r, m in q.rational_roots() for _ in range(m)] + extra)
+    alone = UniPoly(minpoly_from_weight(spec, lam).coeffs)
     series = RecursionSeries(spec, lam)
-    alone = UniPoly(q.coeffs)
-    assert alone._scaled is None
-    try:
-        cert = certify_minimal(series, q)
-    except CertificationError as exc:
-        with pytest.raises(CertificationError) as again:
-            certify_minimal(series, alone)
-        assert again.value.residuals == exc.residuals
-        return
-    assert certify_minimal(series, alone) == cert
+
+    def unreachable(self):
+        raise AssertionError("the certifier searched for roots")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(UniPoly, "_search_roots", unreachable)
+        for check in (annihilation_residuals, certify_minimal):
+            with pytest.raises(ValueError, match="built from its roots"):
+                check(series, alone)
 
 
 class TestCertifyMinimal:
@@ -363,17 +349,12 @@ class TestCertifyMinimal:
         cert = certify_minimal(trivial, UniPoly.from_roots([0, 1]))
         assert cert.polynomial == UniPoly.x()
         assert cert.witnesses == ((0, 1, 1),)
-        with pytest.raises(ValueError):
-            certify_minimal(trivial, UniPoly((1, 0, 1)))
-        with pytest.raises(ValueError):
-            certify_minimal(trivial, UniPoly((0, 2)))
-        # the roots found by the search fall short of the degree
-        U = UniPoly.x()
-        for q in (U * U - 2, U * (U * U - 2)):
-            with pytest.raises(ValueError, match="does not split"):
-                certify_minimal(trivial, q)
-        with pytest.raises(ValueError, match="monic"):
-            certify_minimal(trivial, 2 * U - 2)
+        # a polynomial known by its coefficients alone is refused, split,
+        # monic or not: u^2 + 1, 2u, u^2 - 2, u (u^2 - 2) and 2u - 2
+        for coeffs in ((1, 0, 1), (0, 2), (-2, 0, 1), (0, -2, 0, 1),
+                       (-2, 2)):
+            with pytest.raises(ValueError, match="built from its roots"):
+                certify_minimal(trivial, UniPoly(coeffs))
 
     def test_certifies_the_fast_answer_itself(self, monkeypatch):
         # one certification reads the fast answer once and never
@@ -450,14 +431,15 @@ class TestTrimInPlace:
         # the fast answer is multiplied out in ints once, as it is built
         # from its roots; the certifier reads that product, so it neither
         # multiplies the roots out again nor clears a Fraction coefficient
+        # (verify binds neither function, so polyrat's bindings are all)
         calls = {"scaled_product": 0, "clear_denominators": 0}
         for name in calls:
             def counted(*args, _name=name, _original=getattr(polyrat, name)):
                 calls[_name] += 1
                 return _original(*args)
 
-            for module in (polyrat, verify):
-                monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(polyrat, name, counted)
+            assert not hasattr(verify, name)
         spec = make_spec(family, n)
         q, _ = certified_minimal_polynomial(spec, lam)
         assert calls == {"scaled_product": 1, "clear_denominators": 0}
