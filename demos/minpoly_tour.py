@@ -8,12 +8,12 @@ step.
 
 from fractions import Fraction
 
-from hwpoly import decompose, make_spec, minpoly_from_weight, shifted_weight
+from hwpoly import decompose, make_spec, minpoly_from_weight
 
 
 def show(spec, lam):
-    l = shifted_weight(spec, lam)
     dec = decompose(spec, lam)
+    l = dec.sequence  # the shifted weight lambda + rho
     q = minpoly_from_weight(spec, lam)
     print(f"{spec.label}  weight ({', '.join(str(x) for x in lam)})")
     print(f"  shifted weight l = {tuple(str(x) for x in l)}")

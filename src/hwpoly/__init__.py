@@ -32,7 +32,7 @@ _HOMES = {
     "polyrat": ("CertificationError", "UniPoly", "monic_lcm"),
     "recursion": ("RecursionSeries",),
     "shuffle": ("ShuffleDecomposition", "decompose", "minpoly_from_weight",
-                "shifted_weight", "shuffle_gl", "shuffle_mirror"),
+                "shuffle_gl", "shuffle_mirror"),
     "verify": ("Certificate", "certified_minimal_polynomial",
                "divisibility_poset", "projected_resolvent"),
     "verma": ("DiagonalSeries", "check_relative_formulas"),

@@ -134,10 +134,6 @@ class Terms:
         return cls(spec)
 
     @classmethod
-    def one(cls, spec):
-        return cls.scalar(spec, 1)
-
-    @classmethod
     def scalar(cls, spec, c):
         c = _coeff(c)
         return cls(spec, {cls._unit(spec): c} if c else {})

@@ -12,11 +12,14 @@ the roots multiplied out in ints, the product P of (v - a) in v = D u
 (root_product), from which its coefficients P_k / D^(m-k) were made;
 so reporting or certifying it never searches for roots, and certifying
 it clears no Fraction.  The certifier takes only such a polynomial.
+Split polynomials are built only by from_roots and from_scaled_roots.
 The divisor search runs at most once per polynomial and serves only
 fitted ones, known by their coefficients alone: the oracle's Krylov
 lcm, whose roots the oracle command reports, and the Pade fits.  Roots
-are multiplied out (scaled_product) and divided out (scaled_quotient)
-in ints.
+are multiplied out by scaled_product, in ints, and divided out by the
+one deflation kernel scaled_quotient: on ints for the certifier, and on
+Fractions for the search, which slices off the zero roots and divides
+out each root it finds.
 
 A series in powers of 1/u around u = infinity is known through its
 tail of coefficients of u^-1 .. u^-K; orders beyond u^-K are unknown.
@@ -70,7 +73,8 @@ def scaled_product(roots: Iterable[int]) -> "list[int]":
 
 
 def scaled_quotient(cs: Sequence[int], a: int) -> "list[int]":
-    """Ascending ints of cs(v) / (v - a) by synthetic division, for a root a."""
+    """Ascending coefficients of cs(v) / (v - a) by synthetic division, for
+    a root a: ints from ints, and Fractions from Fractions."""
     out, acc = [0] * (len(cs) - 1), 0
     for k in range(len(cs) - 1, 0, -1):
         acc = out[k - 1] = cs[k] + a * acc
@@ -128,15 +132,6 @@ class UniPoly:
             cs.pop()
         self.coeffs = tuple(cs)
         self._scaled = self._product = None
-
-    @classmethod
-    def one(cls):
-        return cls((1,))
-
-    @classmethod
-    def x(cls):
-        """The variable u itself."""
-        return cls((0, 1))
 
     @classmethod
     def from_roots(cls, roots: Iterable) -> "UniPoly":
@@ -269,11 +264,9 @@ class UniPoly:
     def _search_roots(self) -> "list[Fraction]":
         if self.is_zero():
             raise ValueError("zero polynomial")
-        p = self
-        found = []
-        while p.coeff(0) == 0 and p.degree >= 1:
-            p = p // UniPoly.x()
-            found.append(ZERO)
+        zeros = next(k for k, c in enumerate(self.coeffs) if c)
+        p = UniPoly(self.coeffs[zeros:])
+        found = [ZERO] * zeros
         if p.degree >= 1:
             _, ints = clear_denominators(p.coeffs)
             a0, an = abs(ints[0]), abs(ints[-1])
@@ -284,7 +277,7 @@ class UniPoly:
                     cands.add(Fraction(-pn, qn))
             for r in sorted(cands):
                 while p.degree >= 1 and p.evaluate(r) == 0:
-                    p = p // UniPoly((-r, 1))
+                    p = UniPoly(scaled_quotient(p.coeffs, r))
                     found.append(r)
         return sorted(found)
 
@@ -372,7 +365,7 @@ def pade_reconstruct(tail: Sequence, dmax: int) -> "tuple[UniPoly, UniPoly]":
 
 def monic_lcm(polys: Iterable[UniPoly]) -> UniPoly:
     """Monic least common multiple, with lcm() of nothing being 1."""
-    out = UniPoly.one()
+    out = UniPoly((1,))
     for p in polys:
         if p.is_zero():
             raise ValueError("zero polynomial has no lcm")

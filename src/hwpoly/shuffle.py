@@ -183,12 +183,6 @@ def shuffle_mirror(seq, epsilon) -> ShuffleDecomposition:
     return _decomposition(*_cleared(tuple(map(rat, seq)), rat(epsilon)))
 
 
-def shifted_weight(spec: AlgebraSpec, lam):
-    """l = lambda + rho as a tuple of fractions."""
-    d, seq, _ = _scaled_shifted(spec, lam)
-    return tuple(Fraction(x, d) for x in seq)
-
-
 def decompose(spec: AlgebraSpec, lam) -> ShuffleDecomposition:
     """The decomposition appropriate to the spec's family."""
     return _decomposition(*_scaled_shifted(spec, lam))

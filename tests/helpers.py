@@ -178,7 +178,7 @@ def reference_oracle_minpoly(rep):
             for a, brow in enumerate(mats[idx]):
                 op[ii * dim + a] += ((jj * dim + b, c * x)
                                      for b, x in enumerate(brow) if x)
-    q = UniPoly.one()
+    q = UniPoly((1,))
     for s in range(size):
         # q(op) e_s by Horner's rule; e_s is the s-th coordinate vector
         w = [ZERO] * size

@@ -19,7 +19,7 @@ from hwpoly.howe import (check_conv_powers, check_divisibility_instance,
                          check_resolvent_transfer)
 from hwpoly.oracle import build_catalog_rep, build_irrep_gl, oracle_minpoly
 from hwpoly.polyrat import UniPoly
-from hwpoly.shuffle import minpoly_from_weight, shifted_weight, shuffle_gl
+from hwpoly.shuffle import decompose, minpoly_from_weight, shuffle_gl
 from hwpoly.verify import certified_minimal_polynomial
 
 F = Fraction
@@ -77,7 +77,7 @@ def test_03_generic_weight_formula():
         done = 0
         while done < 50:
             lam = tuple(rng.randint(-8, 8) for _ in range(n))
-            l = shifted_weight(spec, lam)
+            l = decompose(spec, lam).sequence
             if len(set(l)) < n:
                 continue
             if any(abs(a - b) == 1 for a in l for b in l):

@@ -73,13 +73,12 @@ class TestMinpoly:
         ids=["gl", "sp", "o_even", "o_odd"])
     def test_one_shuffle_gives_the_pinned_document(self, capsys, monkeypatch,
                                                    argv):
-        # l and q are read off one decompose: neither the fast answer nor
-        # the shifted weight, which each shift the weight again, is run
+        # l and q are read off one decompose: the fast answer, which
+        # shifts the weight again, is not run
         def unreachable(spec, lam):
             raise AssertionError("the weight was shuffled a second time")
 
         monkeypatch.setattr("hwpoly.shuffle.minpoly_from_weight", unreachable)
-        monkeypatch.setattr("hwpoly.shuffle.shifted_weight", unreachable)
         pinned, = [c["document"] for c in DOCUMENTS if c["argv"] == argv]
         assert run_doc(capsys, *argv) == pinned
 

@@ -180,7 +180,7 @@ def test_scalar_mixing_and_equality():
     assert a + 0 == a
     assert (a - a) == 0
     assert 2 * a == a + a
-    assert UElement.scalar(gl2, F(1, 2)) * 2 == UElement.one(gl2)
+    assert UElement.scalar(gl2, F(1, 2)) * 2 == UElement.scalar(gl2, 1)
 
 
 def _u_generators():

@@ -241,5 +241,5 @@ def test_matrix_products_build_no_partial_sums(monkeypatch):
     assert generator_power(AlgebraSpec("o_odd", 2), 4)[1, 1].terms
     assert right.powers(3)[3][1, 1].terms
     assert calls == []
-    UElement.one(make_spec("gl", 1)) + 1
+    UElement.scalar(make_spec("gl", 1), 1) + 1
     assert len(calls) == 1

@@ -19,7 +19,7 @@ from hwpoly.polyrat import (
 )
 
 F = Fraction
-U = UniPoly.x()
+U = UniPoly((0, 1))
 
 
 def test_unipoly_normalisation():
@@ -48,7 +48,7 @@ def test_unipoly_gcd_and_monic_lcm():
     # frozen: lcm of (u-1)^2, u-1, u-2 is (u-1)^2 (u-2)
     assert monic_lcm([a, UniPoly((-1, 1)), UniPoly((-2, 1))]) \
         == UniPoly((-2, 5, -4, 1))
-    assert monic_lcm([]) == UniPoly.one()
+    assert monic_lcm([]) == UniPoly((1,))
     assert monic_lcm([UniPoly((-2, 2))]) == UniPoly((-1, 1))
     with pytest.raises(ValueError):
         monic_lcm([UniPoly()])
@@ -71,7 +71,7 @@ def test_from_roots_hands_out_copies_of_its_roots():
 
 
 def _product_of_factors(roots):
-    product = UniPoly.one()
+    product = UniPoly((1,))
     for r in roots:
         product = product * UniPoly((-r, 1))
     return product
@@ -152,6 +152,18 @@ def test_fraction_arithmetic_follows_the_root_multisets(a, b):
         assert pa // UniPoly((-r, 1)) == built(ca - Counter([r]))
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_MIXED_ROOTS, st.integers(0, 3))
+def test_search_strips_repeated_zeros_beside_a_factor_that_does_not_split(
+        roots, zeros):
+    # the roots, zero repeated, times u^2 - 2, known by its coefficients:
+    # the search slices off the zero roots, divides out each root it
+    # finds and leaves u^2 - 2, which has no rational root
+    R = roots + [Fraction(0)] * zeros
+    p = UniPoly((UniPoly.from_roots(R) * UniPoly((-2, 0, 1))).coeffs)
+    assert p.rational_roots() == sorted(Counter(R).items())
+
+
 def test_scaled_roots_of_coefficients_alone():
     # searched once, then kept: (D, the ascending ints) with repetition
     q = UniPoly(UniPoly.from_roots([F(-1, 2), F(-1, 2), F(1, 4), 2]).coeffs)
@@ -163,7 +175,7 @@ def test_scaled_roots_of_coefficients_alone():
 
 def test_series_of_geometric():
     # frozen: 1/(u-3) expands with tail 3^k
-    poly, tail = series_of_rational(UniPoly.one(), UniPoly((-3, 1)), 5)
+    poly, tail = series_of_rational(UniPoly((1,)), UniPoly((-3, 1)), 5)
     assert poly.is_zero()
     assert list(tail) == [3 ** k for k in range(5)]
 
@@ -215,8 +227,8 @@ def test_pade_round_trip_random():
             den = UniPoly((1,) + den.coeffs[1:])
         num = UniPoly([Fraction(rng.randrange(-6, 7)) for _ in range(rng.randrange(0, d + 3))])
         if num.is_zero():
-            num, den = UniPoly(), UniPoly.one()
-        g = num.gcd(den) if not num.is_zero() else UniPoly.one()
+            num, den = UniPoly(), UniPoly((1,))
+        g = num.gcd(den) if not num.is_zero() else UniPoly((1,))
         if g.degree > 0:
             num = num // g
             den = (den // g).monic()

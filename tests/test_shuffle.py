@@ -18,7 +18,6 @@ from hwpoly.shuffle import (
     _mirror_roots,
     decompose,
     minpoly_from_weight,
-    shifted_weight,
     shuffle_gl,
     shuffle_mirror,
 )
@@ -212,7 +211,7 @@ class TestMinpolyFromWeight:
     def test_gl_trivial(self):
         for n in range(1, 6):
             spec = make_spec("gl", n)
-            assert minpoly_from_weight(spec, (0,) * n) == UniPoly.x()
+            assert minpoly_from_weight(spec, (0,) * n) == UniPoly((0, 1))
 
     def test_gl_defining(self):
         for n in range(2, 6):
@@ -229,7 +228,7 @@ class TestMinpolyFromWeight:
         for family, n in [("sp", 1), ("sp", 2), ("o_odd", 1),
                           ("o_even", 2), ("o_odd", 2)]:
             spec = make_spec(family, n)
-            assert minpoly_from_weight(spec, (0,) * n) == UniPoly.x()
+            assert minpoly_from_weight(spec, (0,) * n) == UniPoly((0, 1))
 
     def test_sp1_defining(self):
         spec = make_spec("sp", 1)
@@ -253,7 +252,7 @@ class TestMinpolyFromWeight:
                     if all(abs(l_val - t) > 1 for t in taken):
                         lam.append(x)
                 q = minpoly_from_weight(spec, lam)
-                assert q == UniPoly.from_roots(shifted_weight(spec, lam))
+                assert q == UniPoly.from_roots(decompose(spec, lam).sequence)
 
     def test_decompose_routes_by_family(self):
         assert decompose(make_spec("gl", 2), (0, 0)).kind == "gl"
@@ -314,13 +313,10 @@ def test_int_shifted_weight_gives_the_decompose_roots(family, rank, den,
 
 
 @pytest.mark.parametrize("family", ["gl", "sp", "o_even", "o_odd"])
-def test_decompose_forms_the_shifted_weight_in_ints(family, monkeypatch):
+def test_decompose_forms_the_shifted_weight_in_ints(family):
     # decompose reads the one int d (lambda + rho) minpoly_from_weight
-    # reads, never the Fraction sum of the public shifted_weight
-    def no_fraction_route(spec, lam):
-        raise AssertionError("decompose summed lambda + rho in Fractions")
-
-    monkeypatch.setattr("hwpoly.shuffle.shifted_weight", no_fraction_route)
+    # reads: its sequence is lambda + rho and its roots are the fast
+    # answer's
     rng = random.Random(3301)
     for rank in range(5):
         spec = make_spec(family, rank)

@@ -52,6 +52,19 @@ def test_box_sweep_rank_three_pins_the_known_disagreements(family):
     assert lines[2:] == [f"disagreements: {len(want)}"] + want
 
 
+def test_box_sweep_reads_bounds_as_the_cli_reads_a_coordinate():
+    # an exponent is a usage error; Fraction once expanded 1e5 into
+    # 100,001 box values, and 1e9999999 into a 33-million-bit integer,
+    # before the sweep began
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "box_sweep.py"), "gl", "0",
+         "0", "1e5", "1"], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("usage: ")
+    assert "argument hi: cannot parse rational '1e5'" in done.stderr
+
+
 @pytest.mark.parametrize("family,D", [("gl", 5), ("sp", 9), ("o_even", 9),
                                       ("o_odd", 11)])
 def test_prove_recursion_rank_two(family, D):

@@ -4,13 +4,15 @@
 
 FAMILY is gl, sp, o_even or o_odd and RANK the rank.  The box holds
 every weight whose coordinates lie in LO, LO + STEP, ..., HI; LO, HI and
-STEP are rationals such as -4, 4 and 1/2.  The script prints the number
-of weights, the seconds taken, and every weight where the shuffle
-answer (minpoly_from_weight) differs from the certified one
-(certified_minimal_polynomial), with both root multisets.  It exits 0,
-or 1 when stdout cannot be written (its reader closed the pipe; one
-line on stderr says so).  It runs from a checkout without installing
-the package and uses the standard library only.
+STEP are rationals such as -4, 4 and 1/2, each read as the CLI reads a
+weight coordinate: an integer, p/q or a decimal, with no exponent.
+The script prints the number of weights, the seconds taken, and every
+weight where the shuffle answer (minpoly_from_weight) differs from the
+certified one (certified_minimal_polynomial), with both root
+multisets.  It exits 0, 2 on a usage error, or 1 when stdout cannot be
+written (its reader closed the pipe; one line on stderr says so).  It
+runs from a checkout without installing the package and uses the
+standard library only.
 """
 
 from __future__ import annotations
@@ -26,7 +28,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hwpoly import (certified_minimal_polynomial, make_spec,
                     minpoly_from_weight)
-from hwpoly.cli import write_stdout
+from hwpoly.cli import _parse_weight, _Usage, write_stdout
+
+
+def _rational(text: str) -> Fraction:
+    """One coordinate by the CLI's rule, so 1e9999999 is refused unexpanded."""
+    try:
+        (value,) = _parse_weight(text)
+    except (_Usage, ValueError):
+        raise argparse.ArgumentTypeError(f"cannot parse rational {text!r}")
+    return value
 
 
 def box(rank: int, lo: Fraction, hi: Fraction, step: Fraction):
@@ -47,7 +58,7 @@ def main(argv=None) -> int:
     parser.add_argument("family", choices=["gl", "sp", "o_even", "o_odd"])
     parser.add_argument("rank", type=int)
     for name in ("lo", "hi", "step"):
-        parser.add_argument(name, type=Fraction)
+        parser.add_argument(name, type=_rational)
     args = parser.parse_args(argv)
     if args.rank < 0 or args.step <= 0:
         parser.error("RANK must be nonnegative and STEP positive")
