@@ -63,7 +63,7 @@ from typing import NamedTuple
 from .algebra import make_spec
 from .enveloping import Terms
 from .genmatrix import MatrixU
-from .polyrat import UniPoly
+from .polyrat import UniPoly, root_multiset
 from .shuffle import minpoly_from_weight
 
 _FIELD = 16
@@ -322,7 +322,8 @@ def check_divisibility_instance(n: int, k: int, d: int) -> DivisibilityReport:
     The degree-d homogeneous polynomials on the k-row column realize
     the duality between the rank-one Euler operator module, with
     minimal polynomial u - d, and the k-sided symmetric power of
-    highest weight (d, 0, ..., 0).
+    highest weight (d, 0, ..., 0).  Both sides split over Q, so
+    divisible is inclusion of their root multisets.
     """
     if n != 1:
         raise ValueError("only the rank-one Euler family is constructible")
@@ -336,4 +337,4 @@ def check_divisibility_instance(n: int, k: int, d: int) -> DivisibilityReport:
                                         q_prime.rational_roots()
                                         for _ in range(m)])
     return DivisibilityReport(n, k, d, q, q_prime, product,
-                              q.divides(product))
+                              root_multiset(q) <= root_multiset(product))

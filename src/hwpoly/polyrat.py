@@ -13,13 +13,17 @@ the roots multiplied out in ints, the product P of (v - a) in v = D u
 so reporting or certifying it never searches for roots, and certifying
 it clears no Fraction.  The certifier takes only such a polynomial.
 Split polynomials are built only by from_roots and from_scaled_roots.
-The divisor search runs at most once per polynomial and serves only
-fitted ones, known by their coefficients alone: the oracle's Krylov
-lcm, whose roots the oracle command reports, and the Pade fits.  Roots
-are multiplied out by scaled_product, in ints, and divided out by the
-one deflation kernel scaled_quotient: on ints for the certifier, and on
-Fractions for the search, which slices off the zero roots and divides
-out each root it finds.
+Roots are multiplied out by scaled_product, in ints, and divided out by
+the one deflation kernel scaled_quotient.
+
+A split polynomial is its root multiset, so polynomials are combined
+through their roots and never by division: root_multiset reads them
+as a Counter, the lcm (monic_lcm) is the multiset max and divisibility
+is multiset inclusion.  No polynomial division or gcd is defined.  The
+divisor search runs at most once per polynomial and serves only input
+known by its coefficients alone, such as the oracle's Krylov
+annihilators: it makes the polynomial monic, slices off the zero roots
+and divides out, in Fractions, each root it finds.
 
 A series in powers of 1/u around u = infinity is known through its
 tail of coefficients of u^-1 .. u^-K; orders beyond u^-K are unknown.
@@ -36,6 +40,7 @@ catch it without loading the certifier.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import groupby
 from math import lcm
@@ -189,38 +194,6 @@ class UniPoly:
                         out[i + j] += a * b
         return UniPoly(out)
 
-    def __divmod__(self, other: "UniPoly"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [ZERO] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.coeffs[-1]
-        for k in range(len(rem) - 1, d - 1, -1):
-            if rem[k]:
-                f = rem[k] / lead
-                q[k - d] = f
-                for j in range(d + 1):
-                    rem[k - d + j] -= f * other.coeffs[j]
-        return UniPoly(q), UniPoly(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def divides(self, other: "UniPoly") -> bool:
-        if self.is_zero():
-            return other.is_zero()
-        return (other % self).is_zero()
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            raise ValueError("cannot normalise the zero polynomial")
-        inv = ONE / self.coeffs[-1]
-        return UniPoly((inv * c for c in self.coeffs))
-
     def evaluate(self, x) -> Fraction:
         x = rat(x)
         acc = ZERO
@@ -228,21 +201,16 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
-    def gcd(self, other: "UniPoly") -> "UniPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
-
     def scaled_roots(self) -> "tuple[int, tuple[int, ...]]":
         """(D, ascending ints a): the rational roots a / D, with repetition.
 
         A polynomial built by from_roots returns the roots it was built
         from.  Any other polynomial is searched once, and keeps what was
         found: every divisor of the constant term over every divisor of
-        the leading one, after clearing denominators, which grows
-        quickly with both.  The roots fall short of the degree exactly
-        when the polynomial does not split over Q.
+        the leading one, after making it monic and clearing
+        denominators, which grows quickly with both.  The roots fall
+        short of the degree exactly when the polynomial does not split
+        over Q (root_multiset raises then).
         """
         if self._scaled is None:
             D, ints = clear_denominators(self._search_roots())
@@ -265,7 +233,9 @@ class UniPoly:
         if self.is_zero():
             raise ValueError("zero polynomial")
         zeros = next(k for k, c in enumerate(self.coeffs) if c)
-        p = UniPoly(self.coeffs[zeros:])
+        # monic first, so the leading int cleared below stays small
+        lead = self.coeffs[-1]
+        p = UniPoly(c / lead for c in self.coeffs[zeros:])
         found = [ZERO] * zeros
         if p.degree >= 1:
             _, ints = clear_denominators(p.coeffs)
@@ -356,19 +326,26 @@ def pade_reconstruct(tail: Sequence, dmax: int) -> "tuple[UniPoly, UniPoly]":
                 acc += b * c[j - e - 1]
             rem[e] = acc
         num = UniPoly(rem)
-        if not num.is_zero() and not num.gcd(den).degree == 0 and den.degree > 0:
-            raise InvariantError("reconstructed fraction is not reduced")
         return num, den
     raise ReconstructionError(
         f"no rational function with denominator degree <= {dmax} matches the tail")
 
 
+def root_multiset(p: UniPoly) -> Counter:
+    """The rational roots of p as a Counter of Fractions, with
+    multiplicity.  Raises ValueError when p is zero or the roots fall
+    short of its degree, that is, when p does not split over Q."""
+    D, ints = p.scaled_roots()
+    if len(ints) < p.degree:
+        raise ValueError(f"{p} does not split over Q")
+    return Counter(Fraction(a, D) for a in ints)
+
+
 def monic_lcm(polys: Iterable[UniPoly]) -> UniPoly:
-    """Monic least common multiple, with lcm() of nothing being 1."""
-    out = UniPoly((1,))
+    """Monic least common multiple of split polynomials, with lcm() of
+    nothing being 1: built from the multiset max of their roots.  Raises
+    ValueError for the zero polynomial or one that does not split."""
+    roots = Counter()
     for p in polys:
-        if p.is_zero():
-            raise ValueError("zero polynomial has no lcm")
-        g = out.gcd(p)
-        out = ((out * p) // g).monic()
-    return out
+        roots |= root_multiset(p)
+    return UniPoly.from_roots(roots.elements())

@@ -52,6 +52,14 @@ the characteristic identity chi of the series
 module's proof and carries its N roots, on N + 1 terms.  Neither path
 reconstructs a rational function or searches for roots;
 projected_resolvent serves the resolvent command alone.
+
+Polynomials meet here by their root multisets, never by division.
+projected_resolvent returns each denominator built from its roots, the
+poles of chi it divides by, and raises InvariantError unless it
+divides chi and its fraction is reduced; so the resolvent's lcm is the
+multiset max of those roots (polyrat.monic_lcm).  divisibility_poset
+decides q_a | q_b by inclusion of root multisets, once per pair of
+distinct polynomials.
 """
 
 from __future__ import annotations
@@ -61,8 +69,9 @@ from operator import mul
 from typing import NamedTuple
 
 from .algebra import AlgebraSpec, as_weight
-from .polyrat import (ZERO, CertificationError, ScaledSeries, UniPoly,
-                      pade_reconstruct, scaled_quotient)
+from .polyrat import (ZERO, CertificationError, InvariantError, ScaledSeries,
+                      UniPoly, pade_reconstruct, root_multiset,
+                      scaled_quotient)
 from .recursion import RecursionSeries
 from .shuffle import minpoly_from_weight
 
@@ -186,13 +195,34 @@ def projected_resolvent(series: ScaledSeries):
     fractions whose denominators have degree at most N and that agree on
     u^-1 .. u^-2N are equal, so any order from 2N on gives the same
     fractions.
+
+    Each denominator is returned built from its roots, which are poles
+    of the characteristic identity chi.  It is scaled to ints in
+    v = D u, D and the ascending poles those of chi, and each pole, as
+    often as chi has it, is divided out (scaled_quotient) where the
+    scaled denominator vanishes.  Raises InvariantError when the roots
+    found fall short of the degree, so the denominator does not divide
+    chi, or when the numerator vanishes at one of them, so the fraction
+    is not reduced.
     """
     spec = series.spec
+    D, poles = RecursionSeries(spec, series.lam).characteristic().scaled_roots()
     cols = series.values(resolvent_order(spec))
     out = []
     for label, tail in zip(spec.matrix_indices, cols):
         num, den = pade_reconstruct(tail, spec.N)
-        out.append((label, num, den))
+        v = [c * D ** (den.degree - k) for k, c in enumerate(den.coeffs)]
+        found = []
+        for a in poles:
+            if not sum(c * a ** k for k, c in enumerate(v)):
+                v = scaled_quotient(v, a)
+                found.append(a)
+        if len(found) < den.degree or any(
+                not num.evaluate(Fraction(a, D)) for a in found):
+            raise InvariantError(
+                f"entry {label}: {num} over {den} is not reduced or does "
+                f"not divide chi at weight {series.lam}")
+        out.append((label, num, UniPoly.from_scaled_roots(D, found)))
     return tuple(out)
 
 
@@ -221,8 +251,9 @@ def divisibility_poset(spec: AlgebraSpec, weights):
 
     Duplicate weights collapse to their first occurrence.  Returns
     (entries, edges): entries is a tuple of (weight, polynomial) and
-    edges contains (a, b) exactly when entries[a] divides entries[b],
-    a != b.
+    edges contains (a, b), in ascending order, exactly when entries[a]
+    divides entries[b], a != b.  The polynomials split, so divisibility
+    is inclusion of their root multisets (polyrat.root_multiset).
     """
     entries = []
     seen = set()
@@ -232,12 +263,15 @@ def divisibility_poset(spec: AlgebraSpec, weights):
             continue
         seen.add(w)
         entries.append((w, certified_minimal_polynomial(spec, w)[0]))
-    edges = []
-    for a, (_, qa) in enumerate(entries):
-        for b, (_, qb) in enumerate(entries):
-            if a != b and qa.divides(qb):
-                edges.append((a, b))
-    return tuple(entries), tuple(edges)
+    # each distinct polynomial is indexed once, and inclusion of root
+    # multisets is decided once per pair of them
+    index = {}
+    keys = [index.setdefault(q, len(index)) for _, q in entries]
+    roots = [root_multiset(q) for q in index]
+    divides = [[r <= s for s in roots] for r in roots]
+    above = [[b for b, kb in enumerate(keys) if row[kb]] for row in divides]
+    return tuple(entries), tuple((a, b) for a, ka in enumerate(keys)
+                                 for b in above[ka] if b != a)
 
 
 def __getattr__(name):

@@ -4,11 +4,15 @@ The package itself reads no ad-weight: the weight bookkeeping below,
 like the plain trace of a matrix, exists only to state properties of
 the package's objects.  Nor does it expand a rational function at
 infinity: series_of_rational is the reference expansion that the Pade
-fits are checked against.  Nor does it multiply in U(g) to check the
-corank one identities: symbolic_relative_formulas, with the Levi
-projection and restriction under it, is the PBW check that keeps the
-inner Cartan coordinates symbolic, against which the relcheck command
-(verma.check_relative_formulas, one weight at a time) is checked.
+fits are checked against.  Nor does it divide polynomials: poly_divmod,
+poly_gcd and poly_lcm are the long-division references for its
+root-multiset lcm and divisibility, and poly_lcm keeps
+reference_oracle_minpoly free of any root search.  Nor does it multiply
+in U(g) to check the corank one identities: symbolic_relative_formulas,
+with the Levi projection and restriction under it, is the PBW check
+that keeps the inner Cartan coordinates symbolic, against which the
+relcheck command (verma.check_relative_formulas, one weight at a time)
+is checked.
 """
 
 import os
@@ -23,7 +27,7 @@ from hwpoly.algebra import CARTAN, NEG, AlgebraSpec, Family, as_weight, make_spe
 from hwpoly.enveloping import UElement, _acc, project_hc
 from hwpoly.genmatrix import MatrixU, generator_power
 from hwpoly.linalg import ONE, ZERO, Echelon
-from hwpoly.polyrat import InvariantError, UniPoly, monic_lcm
+from hwpoly.polyrat import InvariantError, UniPoly
 from hwpoly.verma import DiagnosticReport, VermaModule
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -106,6 +110,41 @@ def trace(m):
     return sum((e for _, e in m.diagonal()), m.elem.zero(m.spec))
 
 
+def poly_divmod(a, b):
+    """(quotient, remainder) of the UniPoly a by the UniPoly b, by long
+    division in Fractions: the reference for the package, which
+    combines polynomials by their root multisets and never divides."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [ZERO] * max(0, a.degree - b.degree + 1)
+    rem = list(a.coeffs)
+    d, lead = b.degree, b.coeffs[-1]
+    for k in range(len(rem) - 1, d - 1, -1):
+        if rem[k]:
+            f = rem[k] / lead
+            q[k - d] = f
+            for j in range(d + 1):
+                rem[k - d + j] -= f * b.coeffs[j]
+    return UniPoly(q), UniPoly(rem)
+
+
+def _monic(p):
+    return UniPoly(c / p.coeffs[-1] for c in p.coeffs)
+
+
+def poly_gcd(a, b):
+    """Monic gcd of two UniPolys by Euclid's algorithm; 0 for 0 and 0."""
+    while not b.is_zero():
+        a, b = b, poly_divmod(a, b)[1]
+    return a if a.is_zero() else _monic(a)
+
+
+def poly_lcm(a, b):
+    """Monic lcm a b / gcd(a, b) of two nonzero UniPolys, found without
+    searching for roots."""
+    return _monic(poly_divmod(a * b, poly_gcd(a, b))[0])
+
+
 def series_of_rational(num, den, order):
     """Expand the UniPoly quotient num/den at u = infinity to the given
     truncation order.
@@ -115,7 +154,7 @@ def series_of_rational(num, den, order):
     """
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
-    q, r = divmod(num, den)
+    q, r = poly_divmod(num, den)
     d = den.degree
     lead = den.coeffs[-1]
     tail = []
@@ -190,7 +229,7 @@ def reference_oracle_minpoly(rep):
             continue
         start = [ZERO] * size
         start[s] = ONE
-        q = monic_lcm([q, _reference_krylov(op, start, size)])
+        q = poly_lcm(q, _reference_krylov(op, start, size))
     return q
 
 def verma_act(module, g, nu):

@@ -1,12 +1,14 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import series_of_rational
+from helpers import poly_divmod, poly_gcd, series_of_rational
 from hwpoly.polyrat import (
     ReconstructionError,
     TruncationError,
@@ -14,6 +16,7 @@ from hwpoly.polyrat import (
     monic_lcm,
     pade_reconstruct,
     rat,
+    root_multiset,
     scaled_product,
     scaled_quotient,
 )
@@ -33,18 +36,16 @@ def test_unipoly_normalisation():
 def test_unipoly_arithmetic():
     p = UniPoly((-1, 1)) * UniPoly((-2, 1))
     assert p == UniPoly((2, -3, 1))
-    q, r = divmod(p, UniPoly((-1, 1)))
+    q, r = poly_divmod(p, UniPoly((-1, 1)))
     assert q == UniPoly((-2, 1)) and r.is_zero()
-    assert UniPoly((-1, 1)).divides(p)
-    assert not UniPoly((-3, 1)).divides(p)
+    assert root_multiset(UniPoly((-1, 1))) <= root_multiset(p)
+    assert not root_multiset(UniPoly((-3, 1))) <= root_multiset(p)
     assert p.evaluate(2) == 0
     assert p.evaluate(Fraction(1, 2)) == Fraction(3, 4)
 
 
-def test_unipoly_gcd_and_monic_lcm():
+def test_monic_lcm():
     a = UniPoly((1, -2, 1))
-    b = UniPoly((2, -3, 1))
-    assert a.gcd(b) == UniPoly((-1, 1))
     # frozen: lcm of (u-1)^2, u-1, u-2 is (u-1)^2 (u-2)
     assert monic_lcm([a, UniPoly((-1, 1)), UniPoly((-2, 1))]) \
         == UniPoly((-2, 5, -4, 1))
@@ -52,6 +53,9 @@ def test_unipoly_gcd_and_monic_lcm():
     assert monic_lcm([UniPoly((-2, 2))]) == UniPoly((-1, 1))
     with pytest.raises(ValueError):
         monic_lcm([UniPoly()])
+    # u^2 - 2 has no rational root
+    with pytest.raises(ValueError):
+        monic_lcm([a, UniPoly((-2, 0, 1))])
 
 
 def test_rational_roots():
@@ -117,7 +121,7 @@ def test_synthetic_division_matches_polynomial_division(roots, pick):
     # the quotient's ints are in v = D u, as scaled_product's are
     m = len(rest) - 1
     quotient = UniPoly(Fraction(c, D ** (m - k)) for k, c in enumerate(rest))
-    assert quotient == q // UniPoly((-Fraction(a, D), 1))
+    assert quotient == poly_divmod(q, UniPoly((-Fraction(a, D), 1)))[0]
     left = list(ints)
     left.remove(a)
     assert rest == scaled_product(left)
@@ -134,22 +138,41 @@ _MIXED_ROOTS = st.lists(
 def test_fraction_arithmetic_follows_the_root_multisets(a, b):
     # on split monic polynomials, gcd, lcm, divisibility and division by
     # a factor are the multiset min, max, inclusion and difference of the
-    # roots; the arithmetic runs on Fraction coefficients, the reference
-    # on Counters
+    # roots; the reference arithmetic runs on Fraction coefficients, the
+    # package's lcm and root_multiset on Counters
     def built(roots):
         return UniPoly.from_roots(Counter(roots).elements())
 
     ca, cb = Counter(a), Counter(b)
     pa, pb = built(a), built(b)
-    assert pa.gcd(pb) == built(ca & cb)
+    assert root_multiset(pa) == ca and root_multiset(pb) == cb
+    assert poly_gcd(pa, pb) == built(ca & cb)
     assert monic_lcm([pa, pb]) == built(ca | cb)
-    assert pa.divides(pb) == (ca <= cb)
-    assert pb.divides(pa) == (cb <= ca)
+    assert poly_divmod(pb, pa)[1].is_zero() == (ca <= cb)
+    assert poly_divmod(pa, pb)[1].is_zero() == (cb <= ca)
     common = built(ca & cb)
-    assert pa // common == built(ca - cb)
-    assert (pa % common).is_zero()
+    assert poly_divmod(pa, common) == (built(ca - cb), UniPoly())
     for r in ca:
-        assert pa // UniPoly((-r, 1)) == built(ca - Counter([r]))
+        assert poly_divmod(pa, UniPoly((-r, 1)))[0] == built(ca - Counter([r]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.lists(_MIXED_ROOTS, max_size=4), st.integers(1, 4))
+def test_monic_lcm_is_the_multiset_max_of_the_roots(groups, lead):
+    # split polynomials built from their roots, and copies known by their
+    # coefficients alone, times lead so not monic, which the lcm searches
+    want = UniPoly.from_roots(
+        reduce(or_, map(Counter, groups), Counter()).elements())
+    built = [UniPoly.from_roots(g) for g in groups]
+    assert monic_lcm(built) == want
+    copies = [UniPoly(c * lead for c in p.coeffs) for p in built]
+    got = monic_lcm(copies)
+    assert got == want
+    assert got.rational_roots() == want.rational_roots()
+    # times u^2 - 2, which does not split over Q
+    with pytest.raises(ValueError):
+        monic_lcm(built + [UniPoly.from_roots(groups[0] if groups else [])
+                           * UniPoly((-2, 0, 1))])
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -196,7 +219,7 @@ def test_series_multiply_back():
     assert list(tail) == [-3, 10, -16, 36, -68, 140, -276, 556]
     # the tail alone gives the proper part, 7 - 3u over the same den
     assert pade_reconstruct(tail, 2) == (UniPoly((7, -3)), den)
-    assert divmod(num, den) == (poly, UniPoly((7, -3)))
+    assert poly_divmod(num, den) == (poly, UniPoly((7, -3)))
 
 
 def test_pade_frozen_example():
@@ -228,16 +251,17 @@ def test_pade_round_trip_random():
         num = UniPoly([Fraction(rng.randrange(-6, 7)) for _ in range(rng.randrange(0, d + 3))])
         if num.is_zero():
             num, den = UniPoly(), UniPoly((1,))
-        g = num.gcd(den) if not num.is_zero() else UniPoly((1,))
+        g = poly_gcd(num, den) if not num.is_zero() else UniPoly((1,))
         if g.degree > 0:
-            num = num // g
-            den = (den // g).monic()
+            # den and g are monic, so the quotient is too
+            num = poly_divmod(num, g)[0]
+            den = poly_divmod(den, g)[0]
         k = 2 * den.degree + 2
         poly, tail = series_of_rational(num, den, k)
         got_num, got_den = pade_reconstruct(tail, den.degree)
         assert got_den == den
         # num = poly got_den + got_num with got_num of lower degree
-        assert divmod(num, got_den) == (poly, got_num)
+        assert poly_divmod(num, got_den) == (poly, got_num)
 
 
 def test_rat_rejects_floats():

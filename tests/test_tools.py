@@ -65,6 +65,18 @@ def test_box_sweep_reads_bounds_as_the_cli_reads_a_coordinate():
     assert "argument hi: cannot parse rational '1e5'" in done.stderr
 
 
+def test_box_sweep_reads_a_negative_fraction_as_a_bound():
+    # argparse's own negative-number rule matches only -N and -N.M, so
+    # -1/2 was once read as an option and step went missing
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "box_sweep.py"), "gl", "1",
+         "-1/2", "1/2", "1/2"], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "weights: 3"
+    assert lines[2:] == ["disagreements: 0"]
+
+
 @pytest.mark.parametrize("family,D", [("gl", 5), ("sp", 9), ("o_even", 9),
                                       ("o_odd", 11)])
 def test_prove_recursion_rank_two(family, D):

@@ -3,21 +3,22 @@
 import hashlib
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (BOXES, ReferenceVerma, acceptance_relative_weights,
-                     bc_relative_weights, gl_relative_weights,
+                     bc_relative_weights, gl_relative_weights, poly_divmod,
                      symbolic_relative_formulas, verma_act)
 from hwpoly import polyrat, verify, verma
 from hwpoly.algebra import AlgebraSpec, make_spec
 from hwpoly.enveloping import evaluate_at_weight
 from hwpoly.genmatrix import projected_diagonal
 from hwpoly.oracle import build_catalog_rep, oracle_minpoly
-from hwpoly.polyrat import UniPoly, monic_lcm, pade_reconstruct
+from hwpoly.polyrat import (InvariantError, UniPoly, monic_lcm,
+                            pade_reconstruct)
 from hwpoly.recursion import RecursionSeries
 from hwpoly.shuffle import minpoly_from_weight
 from hwpoly.verify import (
@@ -291,15 +292,15 @@ def test_certify_minimal_matches_the_fraction_reference(data):
         p = q
         for (factor, _), k in zip(factors, drops):
             for _ in range(k):
-                p = p // factor
+                p = poly_divmod(p, factor)[0]
         if not any(r for _, r in _fraction_residuals(spec, cols, p)):
             divisors.append(p)
     least = min(divisors, key=lambda p: p.degree)
-    assert all(least.divides(p) for p in divisors)
+    assert all(poly_divmod(p, least)[1].is_zero() for p in divisors)
     assert cert.polynomial == least
     witnesses = []
     for r, _ in least.rational_roots():
-        short = least // UniPoly((-r, 1))
+        short = poly_divmod(least, UniPoly((-r, 1)))[0]
         witnesses.append((r, *next(
             hit for hit in _fraction_residuals(spec, cols, short) if hit[1])))
     assert cert.witnesses == tuple(witnesses)
@@ -628,6 +629,59 @@ class TestRelativeFormulas:
         assert reports[1].exact
 
 
+# weights whose minimal polynomial is the whole characteristic identity
+# chi (degree N), so every pole of chi, with its multiplicity, is a root
+# of some resolvent denominator
+_CHI_WEIGHTS = [("gl", 3, (3, F(1, 2), -2)), ("sp", 2, (3, F(1, 2))),
+                ("o_even", 2, (3, F(1, 2))), ("o_odd", 3, (3, F(1, 3), -1))]
+
+
+class TestResolventDenominators:
+    @pytest.mark.parametrize("family,n,lam", _CHI_WEIGHTS + [
+        ("gl", 2, (1, 0)), ("sp", 2, (-2, -2)), ("o_odd", 2, (F(1, 2), 0)),
+        ("o_even", 3, (1, 1, -1))])
+    def test_denominators_carry_their_roots(self, family, n, lam):
+        # built from the poles of chi, on either engine's series; their
+        # lcm, a multiset max, is the certified answer
+        spec = make_spec(family, n)
+        answer = certified_minimal_polynomial(spec, lam)[0]
+        for series in (RecursionSeries(spec, lam), DiagonalSeries(spec, lam)):
+            dens = [den for _, _, den in projected_resolvent(series)]
+            assert all(den.root_product() is not None for den in dens)
+            assert monic_lcm(dens) == answer
+
+    @pytest.mark.parametrize("family,n,lam", _CHI_WEIGHTS)
+    def test_a_pole_missing_from_chi_raises(self, monkeypatch, family, n, lam):
+        spec = make_spec(family, n)
+        original = RecursionSeries.characteristic
+        D, poles = original(RecursionSeries(spec, lam)).scaled_roots()
+        assert len(poles) == spec.N
+        for i in range(spec.N):
+            monkeypatch.setattr(
+                RecursionSeries, "characteristic",
+                lambda series, i=i: UniPoly.from_scaled_roots(
+                    D, poles[:i] + poles[i + 1:]))
+            with pytest.raises(InvariantError, match="not divide chi"):
+                projected_resolvent(RecursionSeries(spec, lam))
+
+    def test_an_unreduced_fit_raises(self, monkeypatch):
+        # gl_3 at l = (5, 3/2, -2): R_3 = 1/(u + 2) is fitted as
+        # (u - 5)/((u + 2)(u - 5)), whose denominator still divides chi
+        spec, lam = make_spec("gl", 3), (3, F(1, 2), -2)
+        original = verify.pade_reconstruct
+        factor = UniPoly((-5, 1))
+
+        def unreduced(tail, dmax):
+            num, den = original(tail, dmax)
+            if den.degree == 1:
+                return num * factor, den * factor
+            return num, den
+
+        monkeypatch.setattr(verify, "pade_reconstruct", unreduced)
+        with pytest.raises(InvariantError, match="^entry 3: u - 5 over"):
+            projected_resolvent(RecursionSeries(spec, lam))
+
+
 class TestTraceDiagnostic:
     def test_exact_low_order_trace_facts(self):
         for family, n in [("sp", 1), ("sp", 2), ("o_odd", 1), ("o_even", 2)]:
@@ -656,6 +710,29 @@ class TestPoset:
         spec = make_spec("gl", 1)
         entries, edges = divisibility_poset(spec, [(1,), (2,)])
         assert edges == ()
+
+    @pytest.mark.parametrize("family,n,distinct", [
+        ("gl", 4, 8), ("gl", 5, 16), ("sp", 3, None)])
+    def test_orbit_edges_equal_the_long_division_reference(
+            self, family, n, distinct):
+        # the dot-orbit of 0, w(rho) - rho over the permutations of rho,
+        # with every sign change for sp; gl_n's q takes 2^(n-1) values
+        spec = make_spec(family, n)
+        signs = [(1, -1) if family == "sp" else (1,)] * n
+        weights = [tuple(e * x - r for e, x, r in zip(s, perm, spec.rho))
+                   for perm in permutations(spec.rho)
+                   for s in product(*signs)]
+        entries, edges = divisibility_poset(spec, weights)
+        assert len(entries) == len(weights)
+        polys = {q for _, q in entries}
+        if distinct is not None:
+            assert len(polys) == distinct
+        divides = {(qa, qb): poly_divmod(qb, qa)[1].is_zero()
+                   for qa in polys for qb in polys}
+        assert edges == tuple(
+            (a, b) for a, (_, qa) in enumerate(entries)
+            for b, (_, qb) in enumerate(entries)
+            if a != b and divides[qa, qb])
 
 
 # sha256 of every certified polynomial, residual tuple and witness tuple

@@ -5,7 +5,8 @@
 FAMILY is gl, sp, o_even or o_odd and RANK the rank.  The box holds
 every weight whose coordinates lie in LO, LO + STEP, ..., HI; LO, HI and
 STEP are rationals such as -4, 4 and 1/2, each read as the CLI reads a
-weight coordinate: an integer, p/q or a decimal, with no exponent.
+weight coordinate: an integer, p/q or a decimal, with no exponent.  A
+negative bound such as -1/2 needs no "--" before it.
 The script prints the number of weights, the seconds taken, and every
 weight where the shuffle answer (minpoly_from_weight) differs from the
 certified one (certified_minimal_polynomial), with both root
@@ -28,7 +29,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hwpoly import (certified_minimal_polynomial, make_spec,
                     minpoly_from_weight)
-from hwpoly.cli import _parse_weight, _Usage, write_stdout
+from hwpoly.cli import (_Parser as _CliParser, _parse_weight, _Usage,
+                        write_stdout)
+
+
+class _Parser(_CliParser):
+    """The CLI's parser, which reads a negative bound such as -1/2 as a
+    value, with argparse's own usage error (exit 2)."""
+
+    error = argparse.ArgumentParser.error
 
 
 def _rational(text: str) -> Fraction:
@@ -54,7 +63,7 @@ def _roots(q) -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("family", choices=["gl", "sp", "o_even", "o_odd"])
     parser.add_argument("rank", type=int)
     for name in ("lo", "hi", "step"):
