@@ -105,11 +105,10 @@ def _roots(q: UniPoly):
 
 
 def _cmd_minpoly(spec, lam, args):
-    from .shuffle import decompose
-    dec = decompose(spec, lam)
-    q = UniPoly.from_scaled_roots(*dec.scaled_roots)
+    from .shuffle import minpoly_from_weight
+    q = minpoly_from_weight(spec, lam)
     return {
-        "l": [_s(x) for x in dec.sequence],
+        "l": [_s(x + r) for x, r in zip(lam, spec.rho)],
         "roots": _roots(q),
         "polynomial": _poly(q),
     }

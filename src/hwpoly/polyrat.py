@@ -42,8 +42,9 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import groupby
+from itertools import accumulate, groupby, repeat
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 ZERO = Fraction(0)
@@ -151,16 +152,17 @@ class UniPoly:
 
         With P_k the coefficients of scaled_product (or product, when
         the caller holds it), v = D u makes coefficient k equal
-        P_k / D^(m-k), made without __init__'s coercion.  The result
-        keeps (D, the sorted ints) as scaled_roots and P as
-        root_product.
+        P_k / D^(m-k), made without __init__'s coercion: from the top
+        coefficient down, over a running power of D, and as
+        Fraction(P_k) when D = 1.  The result keeps (D, the sorted
+        ints) as scaled_roots and P as root_product.
         """
         scaled = tuple(sorted(scaled))
-        m = len(scaled)
         p = cls.__new__(cls)
         p._product = P = tuple(
             scaled_product(scaled) if product is None else product)
-        p.coeffs = tuple(Fraction(c, D ** (m - k)) for k, c in enumerate(P))
+        p.coeffs = tuple(map(Fraction, P)) if D == 1 else tuple(map(
+            Fraction, reversed(P), accumulate(repeat(D), mul, initial=1)))[::-1]
         p._scaled = (D, scaled)
         return p
 

@@ -19,7 +19,9 @@ opens a new mirror pair {l_t}, {-l_t}.  Elements carry an origin tag
 the tag matters because epsilon = 0 makes 0 and -0 indistinguishable
 by value.  The decomposition is odd when some part consists entirely
 of plain terms and ends in epsilon, equivalently when its mirror is
-entirely starred and starts at -epsilon.  The root multiset is
+entirely starred and starts at -epsilon.  Plain terms are only
+prepended and starred ones only appended, so a part is all plain
+exactly when its last term is.  The root multiset is
 n - 1 + epsilon - a over the first terms a of the parts, after
 removing one copy of -epsilon in the odd case; removing -epsilon
 (rather than any other value) is what reproduces the annihilation
@@ -41,7 +43,8 @@ two-component tensor square constituent).
 Both decompositions and the root formula run on ints scaled by the
 least common denominator d of the sequence and epsilon, so a step of one
 is a step of d.  A weight's d l is formed once, in ints, as
-d lambda + d rho, and a raw sequence is cleared once.
+d lambda + d rho by one lcm, and a raw sequence is cleared once.  Each
+step picks the earliest of the longest candidate parts in one pass.
 minpoly_from_weight hands the int roots to the UniPoly as its root
 form (d, ascending ints); Fractions are made only for its coefficients
 and for a ShuffleDecomposition record.
@@ -50,10 +53,12 @@ and for a ShuffleDecomposition record.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from math import lcm
 from typing import NamedTuple
 
 from .algebra import AlgebraSpec, as_weight
-from .polyrat import InvariantError, UniPoly, clear_denominators, rat
+from .polyrat import InvariantError, UniPoly, rat
 
 PLAIN, STARRED = "plain", "starred"
 
@@ -86,12 +91,14 @@ def _gl_parts(seq, d):
     """Greedy falling runs of (value, origin) of seq, in steps of d."""
     parts = []
     for x in seq:
-        ends = [t for t in parts if t[-1][0] == x + d]
-        if ends:
-            # max keeps the earliest of the longest
-            max(ends, key=len).append((x, PLAIN))
-        else:
-            parts.append([(x, PLAIN)])
+        # the earliest of the longest parts ending in x + d, or a new one
+        best, y = [], x + d
+        for t in parts:
+            if t[-1][0] == y and len(t) > len(best):
+                best = t
+        if not best:
+            parts.append(best)
+        best.append((x, PLAIN))
     return parts
 
 
@@ -99,8 +106,11 @@ def _mirror_parts(seq, d):
     """Mirror pairs of (value, origin) of seq and their mirror indices."""
     parts, mirror = [], []
     for x in reversed(seq):
-        best = max((k for k, t in enumerate(parts) if t[0][0] == x - d),
-                   key=lambda k: len(parts[k]), default=None)
+        # the earliest of the longest parts starting at x - d
+        best, size, y = None, 0, x - d
+        for k, t in enumerate(parts):
+            if t[0][0] == y and len(t) > size:
+                best, size = k, len(t)
         if best is None:
             parts += [[(x, PLAIN)], [(-x, STARRED)]]
             mirror += [len(parts) - 1, len(parts) - 2]
@@ -112,7 +122,8 @@ def _mirror_parts(seq, d):
 
 def _mirror_roots(parts, n, d, e):
     """(odd, ascending int roots) of mirror parts scaled by d, e = d epsilon."""
-    plain_ends = [t[-1][0] for t in parts if all(o == PLAIN for _, o in t)]
+    # a part is plain terms then starred ones
+    plain_ends = [v for v, o in (t[-1] for t in parts) if o == PLAIN]
     odd = e in plain_ends
     first = [t[0][0] for t in parts]
     if odd:
@@ -131,12 +142,14 @@ def _mirror_roots(parts, n, d, e):
     return odd, sorted((n - 1) * d + e - a for a in first)
 
 
-def _cleared(values, epsilon):
-    """(d, the ints d x of values, d epsilon or None for gl), d the least
-    common denominator of values and epsilon."""
-    d, scaled = clear_denominators(values + (epsilon or 0,))
-    e = scaled.pop()
-    return d, scaled, None if epsilon is None else e
+def _cleared(values, eps, shift):
+    """(d, the ints d (x + s) of values x and shift s, d eps or None for
+    gl), d the least common denominator of values and eps, by one lcm;
+    d must clear shift too."""
+    d = lcm(*(x.denominator for x in values), (eps or 1).denominator)
+    e = None if eps is None else eps.numerator * (d // eps.denominator)
+    return d, [x.numerator * (d // x.denominator) + s.numerator * (
+        d // s.denominator) for x, s in zip(values, shift)], e
 
 
 def _scaled_shifted(spec: AlgebraSpec, lam):
@@ -146,9 +159,7 @@ def _scaled_shifted(spec: AlgebraSpec, lam):
     lambda and epsilon, which clears rho too, as rho - epsilon is
     integral; it is also the least common denominator of l and epsilon.
     """
-    d, L, e = _cleared(as_weight(spec, lam), spec.epsilon)
-    return d, [x + r.numerator * (d // r.denominator)
-               for x, r in zip(L, spec.rho)], e
+    return _cleared(as_weight(spec, lam), spec.epsilon, spec.rho)
 
 
 def _shuffle(d, seq, e):
@@ -175,12 +186,13 @@ def _decomposition(d, seq, e) -> ShuffleDecomposition:
 
 def shuffle_gl(seq) -> ShuffleDecomposition:
     """Greedy decomposition of a gl shifted weight into falling runs."""
-    return _decomposition(*_cleared(tuple(map(rat, seq)), None))
+    return _decomposition(*_cleared(tuple(map(rat, seq)), None, repeat(0)))
 
 
 def shuffle_mirror(seq, epsilon) -> ShuffleDecomposition:
     """Mirror symmetric decomposition of l and its negated reverse."""
-    return _decomposition(*_cleared(tuple(map(rat, seq)), rat(epsilon)))
+    return _decomposition(
+        *_cleared(tuple(map(rat, seq)), rat(epsilon), repeat(0)))
 
 
 def decompose(spec: AlgebraSpec, lam) -> ShuffleDecomposition:

@@ -19,23 +19,25 @@ RecursionSeries, and the resolvent command reads one; nothing here
 imports the Verma engine.
 
 The certifier's hot path is integer end to end.  A residual is one int
-dot product per diagonal entry of q's ints with the series numerators.
-A candidate built from its roots, as the fast answer and chi are,
-holds its root multiset, ints a over one denominator D
-(q.scaled_roots), and those roots multiplied out in ints, P in v = D u
-(q.root_product).  The residuals read P itself, so no Fraction
-coefficient is cleared back to ints, and certify_minimal reads D, the
-multiset and P off q, and each distinct root with its multiplicity off
-the ascending multiset (q.rational_roots groups it in runs).  Each
-divisor tried is P with one root divided out by synthetic division
-(scaled_quotient), and a dropped root is divided out of P in place.
-The certifier takes no other candidate: one that holds no root
-product is refused with ValueError before any root search, since
-the answer splits and every candidate here is built from its roots.
-Fractions are made only for the nonzero residuals reported, as
-witnesses or with CertificationError, for the witness roots and for a
-trimmed polynomial; each equals its Fraction-arithmetic definition
-exactly.
+dot product per diagonal entry of q's ints, weighted by a table, with
+the series numerators.  A candidate built from its roots, as the fast
+answer and chi are, holds its root multiset, ints a over one
+denominator D (q.scaled_roots), and those roots multiplied out in
+ints, P in v = D u (q.root_product).  The residuals read P itself, so
+no Fraction coefficient is cleared back to ints, and certify_minimal
+reads D, the multiset and P off q, and each distinct root with its
+multiplicity off the ascending multiset (q.rational_roots groups it in
+runs).  It builds the table D^k d^(m-k), m = deg q, once, and it
+weights every divisor tried.  There is one witness loop: each divisor
+is P with one root divided out by synthetic division (scaled_quotient),
+weighted by the table and dotted with the numerators entry by entry up
+to the first nonzero sum; a dropped root is divided out of P in place.  The certifier takes no
+other candidate: one that holds no root product is refused with
+ValueError before any root search, since the answer splits and every
+candidate here is built from its roots.  Fractions are made only for
+the nonzero residuals reported, as witnesses or with
+CertificationError, for the witness roots and for a trimmed
+polynomial; each equals its Fraction-arithmetic definition exactly.
 
 certify_minimal takes one pass over a candidate q built from its
 roots: it evaluates q once, and its single verdict,
@@ -103,40 +105,31 @@ def annihilation_residuals(series: ScaledSeries, q: UniPoly):
     P = q.root_product()
     if P is None:
         raise ValueError("candidate polynomial must be built from its roots")
-    return tuple(_residuals(series, q.scaled_roots()[0], P))
+    cols, table = _table(series, q.scaled_roots()[0], len(P))
+    weights, den = list(map(mul, P, table)), table[-1] * table[0]
+    return tuple((label, Fraction(t, den) if t else ZERO) for label, t in zip(
+        series.spec.matrix_indices, [sum(map(mul, weights, c)) for c in cols]))
 
 
-def _residuals(series: ScaledSeries, D: int, P):
-    """Yield (label, residual) per diagonal entry of q, each on demand.
+def _table(series: ScaledSeries, D: int, K: int):
+    """(the series numerators, the ints D^k d^(m-k) for k <= m = K - 1).
 
     q(u) = P(D u) / D^m for ints D and P_k, m = deg P.  With
     s(k) = n(k) / d^k, the residual sum P_k D^k s(k) / D^m is
     (sum P_k D^k d^(m-k) n(k)) / (D d)^m: one int dot product per
-    entry and one Fraction, or ZERO when the sum is 0.
+    entry of P weighted by the table, over the product of its last and
+    first entries.  A divisor of P of degree j < m weighted by the same
+    table gives d^(m-j) times its own sum, over D^j d^m, so one table
+    serves every divisor.
     """
-    d, cols = series.numerators(len(P))
-    m = max(len(P) - 1, 0)
-    weights, w = [], d ** m
-    for c in P:
-        weights.append(c * w)
+    d, cols = series.numerators(K)
+    table, w = [], d ** (K - 1)
+    for _ in range(K):
+        table.append(w)
         # D^k d^(m-k) to D^(k+1) d^(m-k-1), exact for k < m; the value
-        # after the last coefficient is not read
+        # after the last entry is not read
         w = w // d * D
-    den = (D * d) ** m
-    for label, col in zip(series.spec.matrix_indices, cols):
-        total = sum(map(mul, weights, col))
-        yield label, Fraction(total, den) if total else ZERO
-
-
-def _witness(series: ScaledSeries, D: int, P, a: int):
-    """(P / (v - a), the first (label, residual) it leaves nonzero or None).
-
-    P holds the ints of a candidate in v = D u and a / D is one of its
-    roots.  The quotient is found by synthetic division.
-    """
-    rest = scaled_quotient(P, a)
-    return rest, next(((lab, r) for lab, r in _residuals(series, D, rest)
-                       if r), None)
+    return cols, table
 
 
 def certify_minimal(series: ScaledSeries, q: UniPoly) -> Certificate:
@@ -147,15 +140,16 @@ def certify_minimal(series: ScaledSeries, q: UniPoly) -> Certificate:
     root search, when q holds no root product, and CertificationError
     when q fails to annihilate.  q is evaluated once, and its root
     multiset, ints a over one denominator D, and their product in
-    ints, P in v = D u, are read off q once.  Each distinct root, in
-    ascending order, is divided out of P in place for as long as what
-    is left still annihilates; once it does not, the first entry it
-    leaves nonzero is that root's witness.  A root that is not dropped
-    stays so in every divisor of q, so the roots left are exactly those
-    of the minimal polynomial.  After a drop the polynomial is built
-    from P and the roots left, and the witnesses taken before the last
-    drop are taken again against it.  Either way the certified
-    polynomial carries its roots and P.
+    ints, P in v = D u, are read off q once, with the table of
+    weights D^k d^(m-k), m = deg q.  Each distinct root, in ascending
+    order, is divided out of P in place for as long as what is left
+    still annihilates; once it does not, the first entry it leaves
+    nonzero is that root's witness.  A root that is not dropped stays
+    so in every divisor of q, so the roots left are exactly those of
+    the minimal polynomial.  After a drop the polynomial is built from
+    P and the roots left, and the witnesses taken before the last drop
+    are taken again against it.  Either way the certified polynomial
+    carries its roots and P.
     """
     residuals = annihilation_residuals(series, q)
     if any(r for _, r in residuals):
@@ -163,9 +157,23 @@ def certify_minimal(series: ScaledSeries, q: UniPoly) -> Certificate:
             f"{q} does not annihilate at weight {series.lam}", residuals)
     D, multiset = q.scaled_roots()
     P, found, stale = q.root_product(), [], None
+    cols, table = _table(series, D, len(P))
+
+    def witness(P, a):
+        # (P / (v - a), the first (label, residual) it leaves nonzero or
+        # None), the residual over D^j d^m for the quotient's degree j
+        rest = scaled_quotient(P, a)
+        weights = list(map(mul, rest, table))
+        for label, col in zip(series.spec.matrix_indices, cols):
+            total = sum(map(mul, weights, col))
+            if total:
+                return rest, (label, Fraction(
+                    total, D ** (len(rest) - 1) * table[0]))
+        return rest, None
+
     for a, (root, m) in zip(dict.fromkeys(multiset), q.rational_roots()):
         while m:
-            rest, hit = _witness(series, D, P, a)
+            rest, hit = witness(P, a)
             if hit:
                 break
             P, m, stale = rest, m - 1, len(found)
@@ -174,7 +182,7 @@ def certify_minimal(series: ScaledSeries, q: UniPoly) -> Certificate:
     if stale is not None:
         q = UniPoly.from_scaled_roots(
             D, [a for a, _, m, _ in found for _ in range(m)], P)
-        found[:stale] = [(a, root, m, _witness(series, D, P, a)[1])
+        found[:stale] = [(a, root, m, witness(P, a)[1])
                          for a, root, m, _ in found[:stale]]
     witnesses = tuple((root, *hit) for _, root, _, hit in found)
     return Certificate(series.lam, q, residuals, witnesses, series.engine)

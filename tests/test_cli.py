@@ -73,14 +73,24 @@ class TestMinpoly:
         ids=["gl", "sp", "o_even", "o_odd"])
     def test_one_shuffle_gives_the_pinned_document(self, capsys, monkeypatch,
                                                    argv):
-        # l and q are read off one decompose: the fast answer, which
-        # shifts the weight again, is not run
-        def unreachable(spec, lam):
-            raise AssertionError("the weight was shuffled a second time")
+        # q is the fast answer, whose one shuffle shifts the weight once,
+        # and l is lambda + rho: no decomposition record is built
+        import hwpoly.shuffle as shuffle
 
-        monkeypatch.setattr("hwpoly.shuffle.minpoly_from_weight", unreachable)
+        def unreachable(spec, lam):
+            raise AssertionError("a decomposition record was built")
+
+        shifted, calls = shuffle._scaled_shifted, []
+
+        def counted(spec, lam):
+            calls.append(lam)
+            return shifted(spec, lam)
+
+        monkeypatch.setattr(shuffle, "decompose", unreachable)
+        monkeypatch.setattr(shuffle, "_scaled_shifted", counted)
         pinned, = [c["document"] for c in DOCUMENTS if c["argv"] == argv]
         assert run_doc(capsys, *argv) == pinned
+        assert len(calls) == 1
 
     def test_schema_validates(self, capsys):
         jsonschema = pytest.importorskip("jsonschema")

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -15,6 +16,8 @@ from hwpoly.polyrat import InvariantError, UniPoly
 from hwpoly.shuffle import (
     PLAIN,
     STARRED,
+    _gl_parts,
+    _mirror_parts,
     _mirror_roots,
     decompose,
     minpoly_from_weight,
@@ -330,3 +333,41 @@ def test_decompose_forms_the_shifted_weight_in_ints(family):
                 assert dec.epsilon == spec.epsilon
                 assert dec.scaled_roots == \
                     minpoly_from_weight(spec, lam).scaled_roots()
+
+
+# int sequences in steps of d with many repeats and unit gaps
+_TIED = st.sampled_from([1, 2, 3]).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.integers(-2, 2).map(lambda v: d * v),
+                         max_size=12)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_TIED)
+def test_gl_part_ends_follow_the_bracket_rule(case):
+    # an x is closed by a later x - d: x ends a part as often as, over
+    # the suffixes from each i, the x from i on outnumber the x - d
+    # after i, at most
+    d, seq = case
+    rule = Counter({x: max(
+        seq[i:].count(x) - seq[i + 1:].count(x - d) for i in range(len(seq)))
+        for x in set(seq)})
+    ends = Counter(t[-1][0] for t in _gl_parts(seq, d))
+    assert ends == +rule
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_TIED)
+def test_mirror_parts_are_plain_then_starred_runs(case):
+    # plain terms are only prepended and starred ones only appended, so
+    # a part's last origin tells whether it is all plain
+    d, seq = case
+    parts, mirror = _mirror_parts(seq, d)
+    assert len(parts) == len(mirror) and len(parts) % 2 == 0
+    swapped = {PLAIN: STARRED, STARRED: PLAIN}
+    for k, t in enumerate(parts):
+        origins = [o for _, o in t]
+        plain = origins.count(PLAIN)
+        assert origins == [PLAIN] * plain + [STARRED] * (len(t) - plain)
+        assert all(a - b == d for (a, _), (b, _) in zip(t, t[1:]))
+        assert mirror[mirror[k]] == k != mirror[k]
+        assert parts[mirror[k]] == [(-v, swapped[o]) for v, o in reversed(t)]

@@ -256,19 +256,22 @@ def _fraction_residuals(spec, cols, p):
                  for label, col in zip(spec.matrix_indices, cols))
 
 
+@pytest.mark.parametrize("engine", [DiagonalSeries, RecursionSeries],
+                         ids=["verma", "recursion"])
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(st.data())
-def test_certify_minimal_matches_the_fraction_reference(data):
+@given(data=st.data())
+def test_certify_minimal_matches_the_fraction_reference(engine, data):
     # candidates with roots of denominators 1, 2, 3 and 6, repeated roots
     # of the answer and roots outside it; the reference divides in
-    # Fractions and reads the minimal polynomial off every divisor
+    # Fractions and reads the minimal polynomial off every divisor, on
+    # the Verma walk and on the recursion the certified path runs on
     family, n = data.draw(st.sampled_from(_RESIDUAL_SPECS))
     spec = make_spec(family, n)
     scale = data.draw(st.sampled_from([1, 2, 3, 6]))
     # the first coordinate has denominator exactly scale
     lam = (F(1 + scale * data.draw(st.integers(-3, 3)), scale),) + tuple(
         F(data.draw(st.integers(-9, 9)), scale) for _ in range(n - 1))
-    series = DiagonalSeries(spec, lam)
+    series = engine(spec, lam)
     answer, _ = certified_minimal_polynomial(spec, lam)
     roots = [r for r, m in answer.rational_roots() for _ in range(m)]
     extra = data.draw(st.lists(st.sampled_from(roots), max_size=2))
