@@ -18,6 +18,7 @@ poles it multiplies out.
 
 from hwpoly import (DiagonalSeries, RecursionSeries, make_spec,
                     minpoly_from_weight, monic_lcm, projected_resolvent)
+from hwpoly.polyrat import root_multiset
 from hwpoly.verify import annihilation_residuals, certify_minimal
 
 
@@ -66,7 +67,8 @@ def main():
     chi = RecursionSeries(spec, lam).characteristic()
     print(f"\ncharacteristic identity: {chi}")
     trimmed = certify_minimal(series, chi)
-    dropped = [str(r) for r, _ in chi.rational_roots() if q.evaluate(r)]
+    kept = root_multiset(q)
+    dropped = [str(r) for r, _ in chi.rational_roots() if r not in kept]
     print(f"trimmed to {trimmed.polynomial}, dropping the roots "
           f"{', '.join(dropped)}")
     assert trimmed.polynomial == q

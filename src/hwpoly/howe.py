@@ -64,7 +64,6 @@ from .algebra import make_spec
 from .enveloping import Terms
 from .genmatrix import MatrixU
 from .polyrat import UniPoly, root_multiset
-from .shuffle import minpoly_from_weight
 
 _FIELD = 16
 _MASK = (1 << _FIELD) - 1
@@ -322,16 +321,21 @@ def check_divisibility_instance(n: int, k: int, d: int) -> DivisibilityReport:
     The degree-d homogeneous polynomials on the k-row column realize
     the duality between the rank-one Euler operator module, with
     minimal polynomial u - d, and the k-sided symmetric power of
-    highest weight (d, 0, ..., 0).  Both sides split over Q, so
-    divisible is inclusion of their root multisets.
+    highest weight (d, 0, ..., 0), whose minimal polynomial q' is the
+    certified one (verify.certified_minimal_polynomial), not the fast
+    shuffle answer.  Both sides split over Q, so divisible is inclusion
+    of their root multisets.
     """
+    # the certifier loads only for the one family that reads it
+    from .verify import certified_minimal_polynomial
+
     if n != 1:
         raise ValueError("only the rank-one Euler family is constructible")
     if d < 0:
         raise ValueError("degree must be nonnegative")
     q = UniPoly.from_roots([d])
     spec = make_spec("gl", k)
-    q_prime = minpoly_from_weight(spec, (d,) + (0,) * (k - 1))
+    q_prime = certified_minimal_polynomial(spec, (d,) + (0,) * (k - 1))[0]
     # u q'(u + k - n): the root 0 and each root of q' less k - n
     product = UniPoly.from_roots([0] + [r - k + n for r, m in
                                         q_prime.rational_roots()

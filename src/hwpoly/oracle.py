@@ -32,7 +32,7 @@ from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .algebra import AlgebraSpec, Family, make_spec, matrix_size
-from .polyrat import UniPoly, monic_lcm, rat
+from .polyrat import InvariantError, UniPoly, monic_lcm, rat
 
 
 class RepMatrices(NamedTuple):
@@ -151,8 +151,9 @@ def build_irrep_gl(lam, n) -> RepMatrices:
     bases for classical Lie algebras", math/0211289, section 2) in
     l_ki = lam_ki - i + 1; the other E_ij are iterated commutators of
     these.  The number of patterns is checked against the
-    Weyl dimension formula before any matrix is built.  A float
-    coordinate raises TypeError and a non-integral one ValueError.
+    Weyl dimension formula before any matrix is built, and a mismatch
+    raises InvariantError.  A float coordinate raises TypeError and a
+    non-integral one ValueError.
     """
     lam = tuple(map(rat, lam))
     if any(x.denominator != 1 for x in lam):
@@ -173,7 +174,7 @@ def build_irrep_gl(lam, n) -> RepMatrices:
     for _ in range(n - 1):
         pats = [(row,) + pat for pat in pats for row in _rows_below(pat[0])]
     if len(pats) != dim:
-        raise RuntimeError(
+        raise InvariantError(
             f"{len(pats)} Gelfand-Tsetlin patterns, not the Weyl dimension")
     pos = {pat: b for b, pat in enumerate(pats)}
 

@@ -13,8 +13,11 @@ the roots multiplied out in ints, the product P of (v - a) in v = D u
 so reporting or certifying it never searches for roots, and certifying
 it clears no Fraction.  The certifier takes only such a polynomial.
 Split polynomials are built only by from_roots and from_scaled_roots.
-Roots are multiplied out by scaled_product, in ints, and divided out by
-the one deflation kernel scaled_quotient.
+Roots are multiplied out by scaled_product, in ints, and tested and
+divided out by one synthetic-division kernel, scaled_quotient: its
+single pass ends at the remainder, so it returns the quotient for a
+root and None for any other value.  No polynomial is evaluated or
+divided anywhere else in the package.
 
 A split polynomial is its root multiset, so polynomials are combined
 through their roots and never by division: root_multiset reads them
@@ -22,8 +25,10 @@ as a Counter, the lcm (monic_lcm) is the multiset max and divisibility
 is multiset inclusion.  No polynomial division or gcd is defined.  The
 divisor search runs at most once per polynomial and serves only input
 known by its coefficients alone, such as the oracle's Krylov
-annihilators: it makes the polynomial monic, slices off the zero roots
-and divides out, in Fractions, each root it finds.
+annihilators: it makes the polynomial monic, slices off the zero roots,
+clears denominators, and deflates that list by scaled_quotient with
+each candidate in ascending order, for as long as the kernel finds the
+candidate a root; after the first division the list holds Fractions.
 
 A series in powers of 1/u around u = infinity is known through its
 tail of coefficients of u^-1 .. u^-K; orders beyond u^-K are unknown.
@@ -78,13 +83,17 @@ def scaled_product(roots: Iterable[int]) -> "list[int]":
     return cs
 
 
-def scaled_quotient(cs: Sequence[int], a: int) -> "list[int]":
-    """Ascending coefficients of cs(v) / (v - a) by synthetic division, for
-    a root a: ints from ints, and Fractions from Fractions."""
+def scaled_quotient(cs: Sequence[int], a: int) -> "list[int] | None":
+    """Ascending coefficients of cs(v) / (v - a) when a is a root of the
+    nonzero cs, else None: ints from ints, and Fractions from Fractions.
+
+    One pass of synthetic division both tests and divides: its running
+    sum ends at the remainder cs(a), which is zero exactly for a root.
+    """
     out, acc = [0] * (len(cs) - 1), 0
     for k in range(len(cs) - 1, 0, -1):
         acc = out[k - 1] = cs[k] + a * acc
-    return out
+    return None if cs[0] + a * acc else out
 
 
 class ScaledSeries:
@@ -171,12 +180,6 @@ class UniPoly:
         """Degree, with the zero polynomial given degree -1."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else ZERO
-
     def __eq__(self, other):
         if isinstance(other, UniPoly):
             return self.coeffs == other.coeffs
@@ -195,13 +198,6 @@ class UniPoly:
                     if b:
                         out[i + j] += a * b
         return UniPoly(out)
-
-    def evaluate(self, x) -> Fraction:
-        x = rat(x)
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def scaled_roots(self) -> "tuple[int, tuple[int, ...]]":
         """(D, ascending ints a): the rational roots a / D, with repetition.
@@ -232,25 +228,20 @@ class UniPoly:
         return [(Fraction(a, D), len(list(run))) for a, run in groupby(ints)]
 
     def _search_roots(self) -> "list[Fraction]":
-        if self.is_zero():
+        if not self.coeffs:
             raise ValueError("zero polynomial")
         zeros = next(k for k, c in enumerate(self.coeffs) if c)
         # monic first, so the leading int cleared below stays small
         lead = self.coeffs[-1]
-        p = UniPoly(c / lead for c in self.coeffs[zeros:])
+        _, cs = clear_denominators([c / lead for c in self.coeffs[zeros:]])
         found = [ZERO] * zeros
-        if p.degree >= 1:
-            _, ints = clear_denominators(p.coeffs)
-            a0, an = abs(ints[0]), abs(ints[-1])
-            cands = set()
-            for pn in _divisors(a0):
-                for qn in _divisors(an):
-                    cands.add(Fraction(pn, qn))
-                    cands.add(Fraction(-pn, qn))
-            for r in sorted(cands):
-                while p.degree >= 1 and p.evaluate(r) == 0:
-                    p = UniPoly(scaled_quotient(p.coeffs, r))
-                    found.append(r)
+        cands = {Fraction(sign * pn, qn) for pn in _divisors(cs[0])
+                 for qn in _divisors(cs[-1]) for sign in (1, -1)}
+        # a constant left over is nonzero, so the kernel refuses it
+        for r in sorted(cands):
+            while (rest := scaled_quotient(cs, r)) is not None:
+                cs = rest
+                found.append(r)
         return sorted(found)
 
     def __repr__(self):
@@ -261,7 +252,7 @@ class UniPoly:
             return "0"
         parts = []
         for k in range(self.degree, -1, -1):
-            c = self.coeff(k)
+            c = self.coeffs[k]
             if not c:
                 continue
             if k == 0:

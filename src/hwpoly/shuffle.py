@@ -9,6 +9,57 @@ falling-by-one sequence, and the minimal polynomial of the generator
 matrix on L(lambda) has roots exactly the last terms of the parts,
 with multiplicity.
 
+For gl this rule is a theorem, given the diagonal criterion on which
+the certifier rests (verify: q(M) annihilates L(lambda) exactly when
+pi(q(M)_ii)(lambda) = 0 for every i), which is stated there but not
+yet proven.  Proof, in numbered steps.
+
+1. The recursion module proves, in its steps 1-8, that the diagonal
+   of the projected resolvent is R_i(u) = sum_k s_i(k) u^(-k-1) =
+   1/(u - l_i) prod_(j > i) (u - l_j - 1)/(u - l_j), j counted from 1.
+2. The u^-1 coefficient of u^m q(u) R_i(u) is pi((M^m q(M))_ii)(lambda).
+   If q(M) annihilates, so does M^m q(M) for every m, and every q R_i
+   is a polynomial; if every q R_i is one, its u^-1 coefficient
+   pi(q(M)_ii)(lambda) vanishes, and q(M) annihilates by the
+   criterion.  So the minimal polynomial is the monic lcm of the
+   reduced denominators of the R_i.
+3. Every factor in 1 is linear, so the reduced denominator of R_i has
+   the root multiset D_i = {l_j : j >= i} - {l_j + 1 : j > i}
+   (multiset difference), and the minimal polynomial's roots are the
+   multiset max of the D_i.  The multiplicity of x in it is the max
+   over i of #{j >= i : l_j = x} - #{j > i : l_j = x - 1}, and 0.
+4. Fix x, and read l as brackets: each entry x opens one and each
+   entry x - 1 closes one.  Score a suffix of l by its opens less its
+   closes.  The term of 3 at i is the score of the suffix from i,
+   unless l_i = x - 1, when it is that of the suffix after i, which
+   scores one more than the suffix from i.  So the multiplicity is the
+   max score over all suffixes, the empty one (score 0) included.
+5. Match each close, left to right, to an open before it that is not
+   yet matched, if one is left.  Whether a close finds one depends
+   only on how many are left, so the number U of opens left unmatched
+   does not depend on which is taken; take the latest.  Then every
+   close after the first unmatched open p is matched to an open after
+   p, and every open before p is matched, so the suffix from p scores
+   U.  No suffix scores more: each matched open in it has its close
+   in it too.  So the multiplicity of x is U.
+6. The greedy rule is such a matching.  An entry x - 1 joins a part
+   ending in x exactly when one is left, and that end x is then no
+   longer an end; an entry x always becomes an end, whatever part it
+   joins.  So the parts ending at x are the unmatched x's, U of them.
+
+Corollary: the tau-invariant on regular integral orbits.  Let
+l = w(l_dom) for a strictly decreasing integral l_dom, so
+l_j = l_dom_(w^-1(j)), and let R(w) = {i : w(i) > w(i+1)}, the simple
+roots that w makes negative, and S = {i : l_dom_i - l_dom_(i+1) = 1}.
+All values are distinct, so by 3-5 the value x = l_dom_i is a root,
+once, exactly when x - 1 is not among the l_j or comes before x in l.
+x - 1 is one of them exactly when i is in S, as l_dom_(i+1) = x - 1,
+and then it comes first exactly when i is in R(w).  So the roots are the l_dom_i with i not in S or in R(w), and
+the minimal polynomials q_a, q_b of two weights of the orbit satisfy
+q_a = q_b exactly when R_a & S = R_b & S, and q_a | q_b exactly when
+R_a & S <= R_b & S.  For o and sp the same statement, with their
+integral Weyl groups, is only observed.
+
 For the orthogonal and symplectic families the object decomposed is
 the doubled sequence l followed by l* = (-l_n, ..., -l_1), built
 inductively from the innermost rank outwards so that the result is
@@ -26,7 +77,10 @@ n - 1 + epsilon - a over the first terms a of the parts, after
 removing one copy of -epsilon in the odd case; removing -epsilon
 (rather than any other value) is what reproduces the annihilation
 certified by the projection criteria on every grid this package
-tests, the trivial module being the simplest witness.
+tests, the trivial module being the simplest witness.  Unlike the gl
+rule, the mirror rule and its clauses are fitted to the certified
+engine, not proven, and they are known to be wrong at some singular
+weights.
 
 The odd orthogonal family needs two further adjustments because its
 matrix has a middle row and column (index 0) that the doubled sequence

@@ -57,11 +57,12 @@ projected_resolvent serves the resolvent command alone.
 
 Polynomials meet here by their root multisets, never by division.
 projected_resolvent returns each denominator built from its roots, the
-poles of chi it divides by, and raises InvariantError unless it
-divides chi and its fraction is reduced; so the resolvent's lcm is the
-multiset max of those roots (polyrat.monic_lcm).  divisibility_poset
-decides q_a | q_b by inclusion of root multisets, once per pair of
-distinct polynomials.
+poles of chi that the synthetic-division kernel (scaled_quotient)
+finds and divides out of it, and raises InvariantError unless it
+divides chi and its fraction is reduced, which the same kernel tests
+on the numerator; so the resolvent's lcm is the multiset max of those
+roots (polyrat.monic_lcm).  divisibility_poset decides q_a | q_b by
+inclusion of root multisets, once per pair of distinct polynomials.
 """
 
 from __future__ import annotations
@@ -207,11 +208,12 @@ def projected_resolvent(series: ScaledSeries):
     Each denominator is returned built from its roots, which are poles
     of the characteristic identity chi.  It is scaled to ints in
     v = D u, D and the ascending poles those of chi, and each pole, as
-    often as chi has it, is divided out (scaled_quotient) where the
-    scaled denominator vanishes.  Raises InvariantError when the roots
-    found fall short of the degree, so the denominator does not divide
-    chi, or when the numerator vanishes at one of them, so the fraction
-    is not reduced.
+    often as chi has it, is offered to scaled_quotient, which in one
+    pass tests it and, for a root, divides it out.  The same kernel
+    tests the numerator at each root found.  Raises InvariantError when
+    the roots found fall short of the degree, so the denominator does
+    not divide chi, or when the numerator vanishes at one of them, so
+    the fraction is not reduced.
     """
     spec = series.spec
     D, poles = RecursionSeries(spec, series.lam).characteristic().scaled_roots()
@@ -222,11 +224,10 @@ def projected_resolvent(series: ScaledSeries):
         v = [c * D ** (den.degree - k) for k, c in enumerate(den.coeffs)]
         found = []
         for a in poles:
-            if not sum(c * a ** k for k, c in enumerate(v)):
-                v = scaled_quotient(v, a)
-                found.append(a)
-        if len(found) < den.degree or any(
-                not num.evaluate(Fraction(a, D)) for a in found):
+            if (rest := scaled_quotient(v, a)) is not None:
+                v, found = rest, found + [a]
+        if len(found) < den.degree or any(scaled_quotient(
+                num.coeffs, Fraction(a, D)) is not None for a in found):
             raise InvariantError(
                 f"entry {label}: {num} over {den} is not reduced or does "
                 f"not divide chi at weight {series.lam}")

@@ -19,6 +19,7 @@ import os
 import random
 import subprocess
 from fractions import Fraction
+from itertools import permutations
 from math import comb, lcm
 from pathlib import Path
 from typing import NamedTuple
@@ -114,7 +115,7 @@ def poly_divmod(a, b):
     """(quotient, remainder) of the UniPoly a by the UniPoly b, by long
     division in Fractions: the reference for the package, which
     combines polynomials by their root multisets and never divides."""
-    if b.is_zero():
+    if not b.coeffs:
         raise ZeroDivisionError("polynomial division by zero")
     q = [ZERO] * max(0, a.degree - b.degree + 1)
     rem = list(a.coeffs)
@@ -134,9 +135,9 @@ def _monic(p):
 
 def poly_gcd(a, b):
     """Monic gcd of two UniPolys by Euclid's algorithm; 0 for 0 and 0."""
-    while not b.is_zero():
+    while b.coeffs:
         a, b = b, poly_divmod(a, b)[1]
-    return a if a.is_zero() else _monic(a)
+    return _monic(a) if a.coeffs else a
 
 
 def poly_lcm(a, b):
@@ -152,16 +153,20 @@ def series_of_rational(num, den, order):
     Returns (poly, tail): the polynomial part and the coefficients of
     u^-1 .. u^-order.
     """
-    if den.is_zero():
+    if not den.coeffs:
         raise ZeroDivisionError("zero denominator")
     q, r = poly_divmod(num, den)
     d = den.degree
     lead = den.coeffs[-1]
+
+    def coeff(p, k):
+        return p.coeffs[k] if 0 <= k < len(p.coeffs) else ZERO
+
     tail = []
     for m in range(1, order + 1):
-        acc = r.coeff(d - m)
+        acc = coeff(r, d - m)
         for t in range(1, m):
-            acc -= tail[t - 1] * den.coeff(d - m + t)
+            acc -= tail[t - 1] * coeff(den, d - m + t)
         tail.append(acc / lead)
     return q, tuple(tail)
 
@@ -479,6 +484,24 @@ def bc_relative_weights():
         for _ in range(2):
             yield spec, tuple(Fraction(rng.randint(-6, 6), 2)
                               for _ in range(n))
+
+
+def gl_dot_orbit(l_dom):
+    """The gl dot-orbit of a regular integral shifted weight.
+
+    l_dom is strictly decreasing, l = lambda + rho with rho_j = n - 1 - j
+    counted from 0.  Yields (R(w), lambda) per permutation w of the
+    positions, w[i] = w(i): l = w(l_dom), so l_j = l_dom[w^-1(j)], and
+    R(w) = {i : w(i) > w(i + 1)}, the simple roots eps_i - eps_(i+1)
+    that w makes negative (not the left descent set).
+    """
+    n = len(l_dom)
+    for w in permutations(range(n)):
+        l = [None] * n
+        for i, j in enumerate(w):
+            l[j] = l_dom[i]
+        yield (frozenset(i for i in range(n - 1) if w[i] > w[i + 1]),
+               tuple(x - (n - 1 - j) for j, x in enumerate(l)))
 
 
 def symbolic_relative_formulas(spec: AlgebraSpec, lam, K: int = 6):

@@ -18,7 +18,7 @@ from hwpoly.oracle import (
     oracle_minpoly,
     weyl_dimension_gl,
 )
-from hwpoly.polyrat import UniPoly
+from hwpoly.polyrat import InvariantError, UniPoly
 from hwpoly.shuffle import minpoly_from_weight
 from hwpoly.verma import VermaModule
 
@@ -85,6 +85,16 @@ class TestIrrepGL:
         assert build_irrep_gl((2, 0), 2).dim == 3
         assert build_irrep_gl((1, 1, 0), 3).dim == 3
         assert build_irrep_gl((2, 1, 0), 3).dim == 8
+
+    def test_pattern_count_off_the_weyl_dimension_raises(self, monkeypatch):
+        # one interlacing row too few: a real exception, which python -O
+        # keeps, and a RuntimeError, so handlers of that still catch it
+        rows_below = oracle._rows_below
+        monkeypatch.setattr(oracle, "_rows_below",
+                            lambda row: rows_below(row)[1:])
+        with pytest.raises(InvariantError, match="Weyl dimension"):
+            build_irrep_gl((2, 1, 0), 3)
+        assert issubclass(InvariantError, RuntimeError)
 
     def test_weyl_dimension(self):
         assert weyl_dimension_gl((3, 1)) == 3

@@ -98,6 +98,17 @@ def test_relcheck_loads_only_the_two_series_engines():
                                   "hwpoly.verify", "hwpoly.shuffle"))
 
 
+def test_howe_loads_the_certifier_only_for_the_euler_family():
+    # q' of the n = 1 divisibility family is certified on the recursion
+    loaded = loaded_by_command("howe", "1", "3", "--dmax", "4")
+    assert {"hwpoly.howe", "hwpoly.verify", "hwpoly.recursion"} <= loaded
+    assert loaded.isdisjoint(("hwpoly.verma", "hwpoly.oracle"))
+    loaded = loaded_by_command("howe", "2", "2", "--rmax", "2")
+    assert "hwpoly.howe" in loaded
+    assert loaded.isdisjoint(("hwpoly.verify", "hwpoly.recursion",
+                              "hwpoly.shuffle", "hwpoly.verma"))
+
+
 def test_oracle_loads_no_other_slow_module():
     loaded = loaded_by_command("oracle", "gl", "2", "1,0")
     assert loaded & set(SLOW) == {"hwpoly.oracle"}

@@ -27,8 +27,8 @@ U = UniPoly((0, 1))
 
 def test_unipoly_normalisation():
     assert UniPoly((1, 2, 0, 0)).coeffs == (Fraction(1), Fraction(2))
-    assert UniPoly(()).is_zero()
-    assert UniPoly((0,)).is_zero()
+    assert UniPoly(()).coeffs == ()
+    assert UniPoly((0,)).coeffs == ()
     assert UniPoly((0, 0, 1)).degree == 2
     assert UniPoly(()).degree == -1
 
@@ -37,11 +37,12 @@ def test_unipoly_arithmetic():
     p = UniPoly((-1, 1)) * UniPoly((-2, 1))
     assert p == UniPoly((2, -3, 1))
     q, r = poly_divmod(p, UniPoly((-1, 1)))
-    assert q == UniPoly((-2, 1)) and r.is_zero()
+    assert q == UniPoly((-2, 1)) and not r.coeffs
     assert root_multiset(UniPoly((-1, 1))) <= root_multiset(p)
     assert not root_multiset(UniPoly((-3, 1))) <= root_multiset(p)
-    assert p.evaluate(2) == 0
-    assert p.evaluate(Fraction(1, 2)) == Fraction(3, 4)
+    # the kernel divides out a root, and refuses any other value
+    assert scaled_quotient(p.coeffs, 2) == [-1, 1]
+    assert scaled_quotient(p.coeffs, Fraction(1, 2)) is None
 
 
 def test_monic_lcm():
@@ -127,6 +128,27 @@ def test_synthetic_division_matches_polynomial_division(roots, pick):
     assert rest == scaled_product(left)
 
 
+@pytest.mark.parametrize("value", [
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 6])),
+], ids=["int", "fraction"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_scaled_quotient_divides_exactly_the_roots(value, data):
+    # one pass tests and divides: None exactly off the root multiset, and
+    # on it the long-division quotient, ints from ints
+    roots = data.draw(st.lists(value, max_size=6))
+    a = data.draw(st.one_of(value, st.sampled_from(roots)) if roots else value)
+    cs = scaled_product(roots)
+    rest = scaled_quotient(cs, a)
+    quotient, remainder = poly_divmod(UniPoly(cs), UniPoly((-a, 1)))
+    assert (rest is None) == (a not in roots) == bool(remainder.coeffs)
+    if rest is not None:
+        assert UniPoly(rest) == quotient
+        if type(a) is int:
+            assert all(type(c) is int for c in rest)
+
+
 # roots of denominators 1, 2, 3 and 6, so common factors are frequent
 _MIXED_ROOTS = st.lists(
     st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 6])),
@@ -148,8 +170,8 @@ def test_fraction_arithmetic_follows_the_root_multisets(a, b):
     assert root_multiset(pa) == ca and root_multiset(pb) == cb
     assert poly_gcd(pa, pb) == built(ca & cb)
     assert monic_lcm([pa, pb]) == built(ca | cb)
-    assert poly_divmod(pb, pa)[1].is_zero() == (ca <= cb)
-    assert poly_divmod(pa, pb)[1].is_zero() == (cb <= ca)
+    assert (not poly_divmod(pb, pa)[1].coeffs) == (ca <= cb)
+    assert (not poly_divmod(pa, pb)[1].coeffs) == (cb <= ca)
     common = built(ca & cb)
     assert poly_divmod(pa, common) == (built(ca - cb), UniPoly())
     for r in ca:
@@ -199,7 +221,7 @@ def test_scaled_roots_of_coefficients_alone():
 def test_series_of_geometric():
     # frozen: 1/(u-3) expands with tail 3^k
     poly, tail = series_of_rational(UniPoly((1,)), UniPoly((-3, 1)), 5)
-    assert poly.is_zero()
+    assert not poly.coeffs
     assert list(tail) == [3 ** k for k in range(5)]
 
 
@@ -245,13 +267,13 @@ def test_pade_round_trip_random():
         d = rng.randrange(0, 4)
         den = UniPoly([Fraction(rng.randrange(-4, 5), rng.randrange(1, 3))
                        for _ in range(d)] + [1])
-        if den.evaluate(0) == 0 and d > 0:
+        if not den.coeffs[0] and d > 0:
             # add 1 to the zero constant term
             den = UniPoly((1,) + den.coeffs[1:])
         num = UniPoly([Fraction(rng.randrange(-6, 7)) for _ in range(rng.randrange(0, d + 3))])
-        if num.is_zero():
+        if not num.coeffs:
             num, den = UniPoly(), UniPoly((1,))
-        g = poly_gcd(num, den) if not num.is_zero() else UniPoly((1,))
+        g = poly_gcd(num, den) if num.coeffs else UniPoly((1,))
         if g.degree > 0:
             # den and g are monic, so the quotient is too
             num = poly_divmod(num, g)[0]

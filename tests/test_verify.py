@@ -6,19 +6,19 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (BOXES, ReferenceVerma, acceptance_relative_weights,
-                     bc_relative_weights, gl_relative_weights, poly_divmod,
-                     symbolic_relative_formulas, verma_act)
+                     bc_relative_weights, gl_dot_orbit, gl_relative_weights,
+                     poly_divmod, symbolic_relative_formulas, verma_act)
 from hwpoly import polyrat, verify, verma
 from hwpoly.algebra import AlgebraSpec, make_spec
 from hwpoly.enveloping import evaluate_at_weight
 from hwpoly.genmatrix import projected_diagonal
 from hwpoly.oracle import build_catalog_rep, oracle_minpoly
 from hwpoly.polyrat import (InvariantError, UniPoly, monic_lcm,
-                            pade_reconstruct)
+                            pade_reconstruct, root_multiset)
 from hwpoly.recursion import RecursionSeries
 from hwpoly.shuffle import minpoly_from_weight
 from hwpoly.verify import (
@@ -299,7 +299,7 @@ def test_certify_minimal_matches_the_fraction_reference(engine, data):
         if not any(r for _, r in _fraction_residuals(spec, cols, p)):
             divisors.append(p)
     least = min(divisors, key=lambda p: p.degree)
-    assert all(poly_divmod(p, least)[1].is_zero() for p in divisors)
+    assert all(not poly_divmod(p, least)[1].coeffs for p in divisors)
     assert cert.polynomial == least
     witnesses = []
     for r, _ in least.rational_roots():
@@ -730,12 +730,37 @@ class TestPoset:
         polys = {q for _, q in entries}
         if distinct is not None:
             assert len(polys) == distinct
-        divides = {(qa, qb): poly_divmod(qb, qa)[1].is_zero()
+        divides = {(qa, qb): not poly_divmod(qb, qa)[1].coeffs
                    for qa in polys for qb in polys}
         assert edges == tuple(
             (a, b) for a, (_, qa) in enumerate(entries)
             for b, (_, qb) in enumerate(entries)
             if a != b and divides[qa, qb])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(-3, 3), st.lists(st.integers(1, 3), min_size=1, max_size=3))
+@example(0, [1, 1, 1])
+@example(0, [2, 1, 2])
+def test_gl_regular_orbit_q_reads_the_descents_on_unit_gaps(low, gaps):
+    # on the dot-orbit of l_dom, l_dom_i - l_dom_(i+1) = gaps[i], the
+    # certified q and R(w) & S, S the unit gaps, determine each other,
+    # and q_a | q_b exactly when R_a & S <= R_b & S; so q takes 2^|S|
+    # values, 8 on the orbit of (3,2,1,0) and 2 on that of (5,3,2,0)
+    l_dom = tuple(low + sum(gaps[i:]) for i in range(len(gaps) + 1))
+    unit = frozenset(i for i, g in enumerate(gaps) if g == 1)
+    spec = make_spec("gl", len(l_dom))
+    q_of, class_of = {}, {}
+    for descents, lam in gl_dot_orbit(l_dom):
+        q = certified_minimal_polynomial(spec, lam)[0]
+        key = descents & unit
+        assert q_of.setdefault(key, q) == q
+        assert class_of.setdefault(q, key) == key
+    assert len(q_of) == 2 ** len(unit)
+    roots = {key: root_multiset(q) for key, q in q_of.items()}
+    for a, ra in roots.items():
+        for b, rb in roots.items():
+            assert (ra <= rb) == (a <= b)
 
 
 # sha256 of every certified polynomial, residual tuple and witness tuple
