@@ -11,6 +11,11 @@ document, followed by ``"weight"`` when it takes one.  An argument that
 starts with a minus sign followed by a digit, such as the weight
 ``-1,0``, is a positional value, never an option.
 
+``relcheck`` and ``resolvent`` take matrix sizes N up to 24 (``sp 12``,
+``o 24``, ``gl 24``); a larger N is a usage error, refused before the
+algebra is built, as their cost grows steeply with N (``resolvent sp
+20``, N = 40, takes about a minute).
+
 Exit status is 0 on success, 2 when certification fails, and 1 on a
 usage error or when the document cannot be written: to the --json
 file, or to stdout when its reader has closed the pipe.  Either prints
@@ -26,7 +31,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import EPSILON, Family, make_spec
+from .algebra import EPSILON, Family, make_spec, matrix_size
 from .polyrat import CertificationError, UniPoly, monic_lcm
 
 # The shuffle formulas, the certifier, the oracle and the Howe checks
@@ -228,6 +233,10 @@ def _cmd_poset(spec, weights, args):
 
 _ALGEBRA = (("family", {"choices": ["gl", "sp", "o"]}), ("num", {"type": int}))
 _WEIGHT = _ALGEBRA + (("weight", {}),)
+# the largest matrix size N that relcheck and resolvent take (see the
+# module docstring)
+_SIZE_BOUND = 24
+_SIZE_BOUNDED = ("relcheck", "resolvent")
 
 
 def _K(default):
@@ -268,8 +277,9 @@ def _document(args):
     checked against the rank before the spec's tables (quadratic in it)
     are built and before any is certified: handler(spec, lam, args) for
     one weight, handler(spec, weights, args) for poset's list, which
-    must name at least one; at rank 0 the empty text is that one.  The
-    others (shuffle, oracle, howe) get
+    must name at least one; at rank 0 the empty text is that one.
+    relcheck and resolvent refuse a matrix size N past _SIZE_BOUND
+    before the spec is built.  The others (shuffle, oracle, howe) get
     handler(args); the oracle builds its spec only for a module within
     its bound.
     """
@@ -286,6 +296,10 @@ def _document(args):
     for lam in weights:
         if n >= 0 and len(lam) != n:
             raise _Usage(f"weight must have {n} coordinates, got {len(lam)}")
+    size = matrix_size(family, n)
+    if args.command in _SIZE_BOUNDED and size > _SIZE_BOUND:
+        raise _Usage(f"{args.command} takes matrix sizes up to {_SIZE_BOUND}, "
+                     f"got {size}")
     spec = make_spec(family, n)
     if "weight" in args:
         lam, = weights

@@ -9,10 +9,10 @@ falling-by-one sequence, and the minimal polynomial of the generator
 matrix on L(lambda) has roots exactly the last terms of the parts,
 with multiplicity.
 
-For gl this rule is a theorem, given the diagonal criterion on which
-the certifier rests (verify: q(M) annihilates L(lambda) exactly when
-pi(q(M)_ii)(lambda) = 0 for every i), which is stated there but not
-yet proven.  Proof, in numbered steps.
+For gl this rule is a theorem, by the diagonal criterion on which the
+certifier rests (verify: q(M) annihilates L(lambda) exactly when
+pi(q(M)_ii)(lambda) = 0 for every i), which is proven there.  Proof,
+in numbered steps.
 
 1. The recursion module proves, in its steps 1-8, that the diagonal
    of the projected resolvent is R_i(u) = sum_k s_i(k) u^(-k-1) =

@@ -1,11 +1,43 @@
 """Certification of minimal polynomials.
 
 The annihilation criterion drives everything here: a polynomial q kills
-the simple highest weight module exactly when every diagonal entry of
-q(M) has vanishing Harish-Chandra image at the highest weight.  Off
-diagonal entries carry nonzero adjoint weight, so their projections
-vanish identically and only the diagonal needs evaluating.  A series
-holds those images s_i(k) = pi((M^k)_ii)(lambda) at one weight as int
+the simple highest weight module L(lambda) exactly when every diagonal
+entry of q(M) has vanishing Harish-Chandra image pi at lambda.  Proof.
+Let V be the span of the entries q(M)_ij in U(g).
+
+1. V is ad(g)-stable.  The vector-operator identity of recursion step
+   16, [F_ab, (M^p)_cd] = delta_bc (M^p)_ad - delta_ad (M^p)_cb
+   - theta(a,b) delta_(a,-c) (M^p)_(-b,d)
+   + theta(a,b) delta_(b,-d) (M^p)_(c,-a), and its gl form
+   [E_ab, (M^p)_cd] = delta_bc (M^p)_ad - delta_ad (M^p)_cb, have
+   coefficients free of p, so they hold for q(M) in place of M^p, and
+   [x, q(M)_cd] lies in V for every x in g.
+2. By 1 with x in h, q(M)_ij has weight eps_i - eps_j, with
+   eps_(-i) = -eps_i and eps_0 = 0, which is zero only for i = j.  So
+   the weight zero part V_0 of V is spanned by the diagonal entries,
+   and z v_lambda = pi(z)(lambda) v_lambda for z in V_0.
+3. For e in n+ and y in U(g), e y v_lambda = [e, y] v_lambda, as e
+   kills v_lambda.  So for a word w in n+,
+   w y v_lambda = (ad w)(y) v_lambda.
+4. Take a weight vector y in V with y v_lambda != 0 in L(lambda).  The
+   vectors w y v_lambda, over raising words w, are weight vectors of
+   finitely many weights, from lambda + wt(y) up to lambda.  Take w
+   with w y v_lambda != 0 of a maximal weight among them; n+ kills it,
+   and L(lambda) is simple, so it is c v_lambda with c != 0.  By 3 it
+   is (ad w)(y) v_lambda, and (ad w)(y) lies in V by 1 and has weight
+   zero, so it lies in V_0 and pi((ad w)(y))(lambda) = c by 2.
+5. So if every diagonal image pi(q(M)_ii)(lambda) vanishes, V_0 kills
+   v_lambda by 2, every weight vector of V does by 4, and V v_lambda = 0.
+   V is ad-stable, so V U(g) lies in U(g) V, and
+   V L(lambda) = V U(g) v_lambda = 0: q(M) annihilates.  The converse
+   is clear, as q(M)_ii v_lambda = pi(q(M)_ii)(lambda) v_lambda.
+6. Corollary.  The u^-1 coefficient of u^m q(u) R_i(u), with
+   R_i(u) = sum_k s_i(k) u^(-k-1), is pi((M^m q(M))_ii)(lambda).  So
+   q annihilates exactly when every q R_i is a polynomial, and the
+   minimal polynomial is the lcm of the reduced denominators of the
+   R_i.
+
+A series holds those images s_i(k) = pi((M^k)_ii)(lambda) at one weight as int
 numerators n_i(k) = d^k s_i(k) over the weight's least common
 denominator d.  It is the handle of the certifier:
 annihilation_residuals(series, q), certify_minimal(series, q) and

@@ -246,18 +246,12 @@ def verma_act(module, g, nu):
 def verma_apply(module, g, vec, c=1, out=None):
     """Add c times x'_g applied to vec into out (a new dict if None).
 
-    The module's table holds the image of each monomial, affine in the
-    weight; each key is weighed by its slot's value at the module's
-    weight.  c and the coefficients of vec are ints; a zero sum is
-    dropped.
+    c and the coefficients of vec are ints; a zero sum is dropped.
     """
     out = {} if out is None else out
-    sb, slots = module.table.slot_bits, module.slots
-    mask = (1 << sb) - 1
     for nu, cv in vec.items():
-        for key, ct in module.table.image(g, nu).items():
-            tau = key >> sb
-            v = out.get(tau, 0) + c * cv * ct * slots[key & mask]
+        for tau, ct in module.image(g, nu).items():
+            v = out.get(tau, 0) + c * cv * ct
             if v:
                 out[tau] = v
             else:

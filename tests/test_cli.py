@@ -343,6 +343,28 @@ class TestExitCodes:
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == f"hwpoly: {message}\n"
 
+    @pytest.mark.parametrize("argv,size", [
+        (("relcheck", "o", "25"), 25), (("resolvent", "gl", "25"), 25),
+        (("resolvent", "sp", "13"), 26), (("relcheck", "sp", "12"), 24),
+        (("resolvent", "o", "24"), 24), (("relcheck", "gl", "24"), 24)])
+    def test_matrix_size_bound_of_relcheck_and_resolvent(
+            self, capsys, monkeypatch, argv, size):
+        # both read whole diagonal series, at a cost that grows steeply
+        # with N: past N = 24 they exit before the spec is built, and at
+        # N = 24 they build it
+        def reached(*args):
+            raise ValueError("built the spec")
+        monkeypatch.setattr(cli, "make_spec", reached)
+        command, family, num = argv
+        rank = int(num) // 2 if family == "o" else int(num)
+        rc, out, err = run(capsys, *argv, "--", ",".join(["0"] * rank))
+        assert (rc, out) == (1, "")
+        if size > 24:
+            assert err == (f"hwpoly: {command} takes matrix sizes up to 24, "
+                           f"got {size}\n")
+        else:
+            assert err == "hwpoly: built the spec\n"
+
     def test_seed_flag_is_gone(self, capsys):
         rc, _, err = run(capsys, "minpoly", "gl", "2", "1,0", "--seed", "3")
         assert rc == 1

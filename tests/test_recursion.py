@@ -34,8 +34,9 @@ GL_SIMPLEX = {("gl", 0): 1, ("gl", 1): 3, ("gl", 2): 5, ("gl", 3): 7,
               ("gl", 4): 4, ("gl", 5): 5}
 SIMPLEX = {
     **GL_SIMPLEX,
-    ("sp", 0): 1, ("sp", 1): 5, ("sp", 2): 9, ("sp", 3): 6,
+    ("sp", 0): 1, ("sp", 1): 5, ("sp", 2): 9, ("sp", 3): 6, ("sp", 4): 8,
     ("o_even", 0): 1, ("o_even", 1): 5, ("o_even", 2): 9, ("o_even", 3): 6,
+    ("o_even", 4): 8,
     ("o_odd", 0): 3, ("o_odd", 1): 7, ("o_odd", 2): 11, ("o_odd", 3): 7,
 }
 
@@ -43,7 +44,6 @@ SIMPLEX = {
 @pytest.mark.parametrize("family,n,D", [
     (family, n, D) for (family, n), D in sorted(SIMPLEX.items())])
 def test_proof_covers_every_proven_entry(family, n, D):
-    # a fresh spec, so the Verma tables of the D + 1 scales go with it
     points, mismatches = prove_recursion(AlgebraSpec(family, n), D)
     assert points == comb(n + 1 + D, n + 1)
     assert mismatches == []
@@ -59,8 +59,8 @@ def test_proof_sees_a_wrong_sp_constant(monkeypatch):
 
 
 def test_proof_sees_a_wrong_power_of_d(monkeypatch):
-    # one more factor d in every term past the first is invisible at
-    # d = 1, so the proof must hold points of every scale up to D + 1
+    # one more factor d in every term past the first is invisible to the
+    # walk, which runs at d = 1 only; the homogeneity check sees it
     right = recursion.scaled_numerators
 
     def wrong(spec, L, d, K):
@@ -70,7 +70,6 @@ def test_proof_sees_a_wrong_power_of_d(monkeypatch):
     monkeypatch.setattr(verma, "scaled_numerators", wrong)
     _, mismatches = prove_recursion(AlgebraSpec("gl", 2), 3)
     assert mismatches
-    assert all(d > 1 for _, d, _, _ in mismatches)
 
 
 # (family, label, report): the corner n, an inner label (o_odd's 0
@@ -359,7 +358,6 @@ def seeded_weights(spec):
 
 @pytest.mark.parametrize("n", range(6, 11))
 def test_gl_certificates_past_the_old_table_match_the_verma_walk(n):
-    # a fresh spec, so the Verma tables go with it
     spec = AlgebraSpec("gl", n)
     for lam in seeded_weights(spec):
         _, cert = certified_minimal_polynomial(spec, lam)
@@ -608,17 +606,21 @@ def test_o_sp_proof_step_19_rank_zero():
         assert scaled_numerators(make_spec(family, 0), (), 1, 5) == []
 
 
-# ROADMAP item 3: the fast (shuffle) answer is a proper multiple of the
-# certified one at each of these weights
+# ROADMAP item 5: the fast (shuffle) answer is a proper multiple of the
+# certified one at each of these weights; at the two o_10 weights, the
+# only disagreements of the o_10 box on [-3, 3] in ones, fast gives
+# 3^3 4 and certified 3^3
 ITEM_2 = [("o_odd", 3, (-2, -2, 0)),
           ("o_odd", 3, (F(-5, 2), F(-5, 2), F(1, 2))),
           ("sp", 3, (-3, -3, 0)),
           ("o_odd", 4, (-3, -3, 0, 0)),
           ("o_odd", 4, (-3, -1, -2, 0)),
-          ("o_odd", 4, (-3, -3, F(3, 2), 0))]
+          ("o_odd", 4, (-3, -3, F(3, 2), 0)),
+          ("o_even", 5, (-3, -3, -3, 0, 0)),
+          ("o_even", 5, (-3, -3, -1, -2, 0))]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the mirror shuffle "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the mirror shuffle "
                    "gives a proper multiple of the minimal polynomial")
 @pytest.mark.parametrize("family,n,lam", ITEM_2)
 def test_fast_equals_certified_at_item_2_weights(family, n, lam):
@@ -628,7 +630,8 @@ def test_fast_equals_certified_at_item_2_weights(family, n, lam):
 
 
 @pytest.mark.parametrize("family,n,lam", [("o_odd", 3, (-2, -2, 0)),
-                                          ("sp", 3, (-3, -3, 0))])
+                                          ("sp", 3, (-3, -3, 0)),
+                                          ("o_even", 5, (-3, -3, -3, 0, 0))])
 def test_both_engines_trim_item_2_candidates_alike(family, n, lam):
     # the recursion and the Verma walk give one certificate
     spec = make_spec(family, n)
@@ -641,15 +644,14 @@ def test_both_engines_trim_item_2_candidates_alike(family, n, lam):
 
 
 def test_dropped_spec_is_freed_without_the_cycle_collector():
-    # neither the generator order nor the Verma tables may tie a spec
-    # into a reference cycle
+    # neither the generator order nor the Verma walk may tie a spec into
+    # a reference cycle
     gc.disable()
     try:
         spec = AlgebraSpec("sp", 3)
         lam = (2, 1, 0)
         cert = certify_minimal(DiagonalSeries(spec, lam),
                                minpoly_from_weight(spec, lam))
-        assert spec._cache_misc["verma", 1].rows
         ref = weakref.ref(spec)
         del spec
         assert ref() is None
@@ -659,8 +661,7 @@ def test_dropped_spec_is_freed_without_the_cycle_collector():
 
 
 def test_a_module_keeps_its_spec_alive():
-    # the table refers to its spec weakly, so a module built on a spec
-    # that no one else holds must still act
+    # a module built on a spec that no one else holds must still act
     module = VermaModule(AlgebraSpec("gl", 2), (3, 0))
     h = module.spec.cartan_by_coord[0]
     assert verma_act(module, h, 0) == {0: 3}

@@ -27,7 +27,7 @@ def test_box_sweep_rank_two_agrees(family):
 
 
 # the rank-3 weights of the [-3, 3] half-integer boxes where the fast
-# answer is a proper multiple of the certified one (ROADMAP item 3, also
+# answer is a proper multiple of the certified one (ROADMAP item 5, also
 # strict xfails in test_recursion); fixing them changes this list
 RANK_THREE_DISAGREEMENTS = {
     "gl": [],

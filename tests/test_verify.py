@@ -1,7 +1,6 @@
 """Certification pipeline, resolvent recovery, and structural diagnostics."""
 
 import hashlib
-import random
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -9,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (BOXES, ReferenceVerma, acceptance_relative_weights,
-                     bc_relative_weights, gl_dot_orbit, gl_relative_weights,
-                     poly_divmod, symbolic_relative_formulas, verma_act)
+from helpers import (BOXES, acceptance_relative_weights, bc_relative_weights,
+                     gl_dot_orbit, gl_relative_weights, poly_divmod,
+                     symbolic_relative_formulas)
 from hwpoly import polyrat, verify, verma
 from hwpoly.algebra import AlgebraSpec, make_spec
 from hwpoly.enveloping import evaluate_at_weight
@@ -30,7 +29,7 @@ from hwpoly.verify import (
     divisibility_poset,
     projected_resolvent,
 )
-from hwpoly.verma import DiagonalSeries, VermaModule
+from hwpoly.verma import DiagonalSeries
 
 
 F = Fraction
@@ -82,87 +81,39 @@ class TestDiagonalSeries:
         ("o_odd", 2, (F(-5, 2), F(2, 3)))])
     def test_state_holds_ints_only(self, family, n, lam):
         # the recurrence runs on the basis scaled by 6, so neither the
-        # shared Verma table nor a column may hold a Fraction
-        series = DiagonalSeries(make_spec(family, n), lam)
+        # module's images nor a column nor a row may hold a Fraction
+        series = DiagonalSeries(AlgebraSpec(family, n), lam)
         series.values(8)
         module = series._module
         assert module.scale == 6
-        assert all(type(v) is int for v in module.slots)
-        # one table per (spec, scale) holds every image, Cartan ones
-        # included, with the spec's memo of monomial weights
-        table = module.table
-        assert table is series.spec._cache_misc["verma", 6]
-        assert all(table.images[h] for h in series.spec.cartan_by_coord)
-        for memo in table.images:
+        assert all(type(v) is int for v in module._cartan)
+        # the module holds every image at its own weight, Cartan ones
+        # included, with its memo of monomial weights
+        assert all(module._images[h] for h in series.spec.cartan_by_coord)
+        for memo in module._images:
             for nu, image in memo.items():
                 assert type(nu) is int
-                assert all(type(key) is int and type(c) is int
-                           for key, c in image.items())
-        assert len(table._weights) > n + 1
-        for nu, wt in table._weights.items():
+                assert all(type(tau) is int and type(c) is int and c
+                           for tau, c in image.items())
+        assert len(module._weights) > n + 1
+        for nu, wt in module._weights.items():
             assert type(nu) is int
             assert len(wt) == n and all(type(x) is int for x in wt)
         # columns and rows key each int by the packed pair (monomial,
-        # position); a row holds flat (key, int) pairs of its constant
-        # terms and flat (key, slot, int) triples of the others
+        # position); a row is flat (key, int) pairs
         for column in series._columns:
             assert all(type(key) is int and type(c) is int and c
                        for key, c in column.items())
-        assert table.rows
-        for key, (pairs, triples) in table.rows.items():
+        assert series._rows
+        for key, row in series._rows.items():
             assert type(key) is int
-            assert len(pairs) % 2 == 0 and len(triples) % 3 == 0
-            assert all(type(x) is int for x in pairs + triples)
-        # the table holds the images and rows: neither the series nor its
-        # module holds any of its own
-        assert {name for name, v in vars(series).items()
-                if isinstance(v, (dict, list))} == {"_columns", "_numerators"}
-        assert not [name for name, v in vars(module).items()
-                    if isinstance(v, (dict, list))]
+            assert len(row) % 2 == 0 and all(type(x) is int for x in row)
+        # nothing of the walk is cached on the spec but M's entry table
+        assert set(series.spec._cache_misc) == {"entries"}
         d, numerators = series.numerators(8)
         assert d == 6
         assert all(len(col) == 8 and all(type(n) is int for n in col)
                    for col in numerators)
-
-    @pytest.mark.parametrize("family", ["gl", "sp", "o_even", "o_odd"])
-    def test_shared_verma_table_is_order_and_scale_free(self, family):
-        # one spec certifies a shuffled batch of weights of scales 1, 2, 3
-        # and 6, sharing one Verma table per scale; every answer must be
-        # the one a fresh spec gives, and every table entry must be free
-        # of the weight: evaluated at two weights of its scale, it is the
-        # image the per-weight reference computes
-        rng = random.Random(f"shared-table-{family}")
-
-        def weight(n, d):
-            while True:
-                lam = tuple(F(rng.randint(-3 * d, 3 * d), d)
-                            for _ in range(n))
-                if VermaModule(AlgebraSpec(family, n), lam).scale == d:
-                    return lam
-
-        for n in (1, 2, 3):
-            spec = AlgebraSpec(family, n)
-            K = 2 * spec.N + 2
-            batch = [weight(n, d) for d in (1, 2, 3, 6) for _ in range(3)]
-            rng.shuffle(batch)
-            for lam in batch:
-                fresh = AlgebraSpec(family, n)
-                assert DiagonalSeries(spec, lam).numerators(K) \
-                    == DiagonalSeries(fresh, lam).numerators(K)
-                assert certified_minimal_polynomial(spec, lam)[1] \
-                    == certified_minimal_polynomial(fresh, lam)[1]
-            for d in (1, 2, 3, 6):
-                table = spec._cache_misc["verma", d]
-                assert any(table.images) and table.rows
-                for lam in (weight(n, d), weight(n, d)):
-                    module = VermaModule(spec, lam)
-                    assert module.table is table
-                    reference = ReferenceVerma(spec, lam)
-                    for g, memo in enumerate(table.images):
-                        # verma_act evaluates the stored entry at lam
-                        for nu in memo:
-                            assert verma_act(module, g, nu) \
-                                == reference.act(g, nu)
 
     def test_grows_on_demand(self):
         series = DiagonalSeries(make_spec("sp", 1), (2,))

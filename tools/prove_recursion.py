@@ -4,8 +4,10 @@
 
 FAMILY is gl, sp, o_even or o_odd and RANK the rank.  The script runs
 verma.prove_recursion: at every pair (L, d) with L >= 0 in Z^RANK,
-d >= 1 and |L| + d - 1 <= D it compares the recursion's ints with the
-Verma series at the weight L/d, scaled by d^k, for every order k <= D.
+d >= 1 and |L| + d - 1 <= D it checks that the recursion's order k int
+at (2L, 2d) is 2^k times the one at (L, d), and at the pairs with d = 1
+it compares the recursion's ints with the Verma series at the weight
+L, for every order k <= D.
 It prints the number of points, the number of mismatches and the
 seconds taken, then each mismatch as its point, diagonal label and
 order, and exits 1 when there is any, or when stdout cannot be written
