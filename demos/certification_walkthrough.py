@@ -10,14 +10,13 @@ a projected resolvent reconstructed by Pade approximation recovers
 the polynomial from its power series alone.  When the fast answer
 fails, the certifier starts from the characteristic identity chi
 instead, which always annihilates, and trims it.  This script prints
-every ingredient for one singular weight.  Steps 1-3 and the trim in
-step 4 read one DiagonalSeries, the Verma walk's evaluated diagonal;
-chi itself comes from a RecursionSeries at the same weight, whose
-poles it multiplies out.
+every ingredient for one singular weight.  Every step reads one
+RecursionSeries, the evaluated diagonal from the rank recursion, and
+chi multiplies out the poles that the recursion divides by.
 """
 
-from hwpoly import (DiagonalSeries, RecursionSeries, make_spec,
-                    minpoly_from_weight, monic_lcm, projected_resolvent)
+from hwpoly import (RecursionSeries, make_spec, minpoly_from_weight,
+                    monic_lcm, projected_resolvent)
 from hwpoly.polyrat import root_multiset
 from hwpoly.verify import annihilation_residuals, certify_minimal
 
@@ -29,7 +28,7 @@ def main():
     q_fast = minpoly_from_weight(spec, lam)
     print(f"{spec.label}, weight {lam}")
     print(f"fast mode answer: {q_fast}\n")
-    series = DiagonalSeries(spec, lam)
+    series = RecursionSeries(spec, lam)
 
     # Step 1: the annihilation residuals of the candidate.  One value
     # per matrix index; all must vanish.
@@ -62,9 +61,9 @@ def main():
 
     # Step 4: the certifier's fallback.  The recursion divides by N
     # poles, and their product chi (the characteristic identity of
-    # Bracken-Green and Gould) annihilates at every weight.  Certified
-    # on the Verma walk, it trims to the minimal polynomial.
-    chi = RecursionSeries(spec, lam).characteristic()
+    # Bracken-Green and Gould) annihilates at every weight.  Certified,
+    # it trims to the minimal polynomial.
+    chi = series.characteristic()
     print(f"\ncharacteristic identity: {chi}")
     trimmed = certify_minimal(series, chi)
     kept = root_multiset(q)

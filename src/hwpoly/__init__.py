@@ -35,7 +35,7 @@ _HOMES = {
                 "shuffle_gl", "shuffle_mirror"),
     "verify": ("Certificate", "certified_minimal_polynomial",
                "divisibility_poset", "projected_resolvent"),
-    "verma": ("DiagonalSeries", "check_relative_formulas"),
+    "verma": ("check_relative_formulas", "walk_numerators"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

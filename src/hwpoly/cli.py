@@ -11,10 +11,23 @@ document, followed by ``"weight"`` when it takes one.  An argument that
 starts with a minus sign followed by a digit, such as the weight
 ``-1,0``, is a positional value, never an option.
 
-``relcheck`` and ``resolvent`` take matrix sizes N up to 24 (``sp 12``,
-``o 24``, ``gl 24``); a larger N is a usage error, refused before the
-algebra is built, as their cost grows steeply with N (``resolvent sp
-20``, N = 40, takes about a minute).
+Each command on an algebra takes matrix sizes N up to its bound in
+_SIZE_BOUNDS: 1000 for ``minpoly``, 200 for ``certify`` and ``poset``
+(per weight), and 24 for ``resolvent`` and ``relcheck``.  ``relcheck``
+also bounds its work N^2 K (K + S), S the sum of C(N, j) over j < K,
+by 8 * 10^7, and ``howe`` bounds its work m (r C(m + r, r) + m (n + k)),
+m = n k and r the larger of --rmax and --K, by 2 * 10^5.  Each work
+model is fitted to timings, and grows like the command's time.  In a
+fresh process on 2 CPUs (Python 3.11) the slowest accepted request
+measured, ``relcheck gl 21`` at the default K = 6, takes 6-8 s, as
+``o 21``, which CI checks, sits at the same work; the slowest ``howe``,
+``howe 2 2 --rmax 14``, takes about 1.6 s; ``certify`` at N = 200
+takes 1-2 s, about 3.5 s when it falls back to chi, and ``minpoly`` at
+N = 1000 about 1 s.  Before the bounds,
+``relcheck sp 12 --K 40`` and ``howe 2 2 --K 30`` ran past a minute.
+A request past a bound is a usage error, refused before the algebra or
+the dual pair is built; one past a work bound names the largest order
+it would take.
 
 Exit status is 0 on success, 2 when certification fails, and 1 on a
 usage error or when the document cannot be written: to the --json
@@ -30,6 +43,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from math import comb
 
 from .algebra import EPSILON, Family, make_spec, matrix_size
 from .polyrat import CertificationError, UniPoly, monic_lcm
@@ -196,6 +210,12 @@ def _cmd_howe(args):
     # of --dmax
     if args.n != 1 and args.dmax is not None:
         raise _Usage("--dmax applies to n = 1 only")
+    n, k = args.n, args.k
+    if n > 0 and k > 0:
+        _check_order(f"howe {n} {k}", "--rmax and --K",
+                     max(args.rmax, args.K), _HOWE_WORK,
+                     lambda r: n * k * (r * comb(n * k + r, r)
+                                        + n * k * (n + k)))
     from .howe import (check_conv_powers, check_divisibility_instance,
                        check_resolvent_transfer)
     conv = check_conv_powers(args.n, args.k, args.rmax)
@@ -233,10 +253,24 @@ def _cmd_poset(spec, weights, args):
 
 _ALGEBRA = (("family", {"choices": ["gl", "sp", "o"]}), ("num", {"type": int}))
 _WEIGHT = _ALGEBRA + (("weight", {}),)
-# the largest matrix size N that relcheck and resolvent take (see the
-# module docstring)
-_SIZE_BOUND = 24
-_SIZE_BOUNDED = ("relcheck", "resolvent")
+# the largest matrix size N that each command on an algebra takes, and
+# the work bounds of relcheck and howe (see the module docstring)
+_SIZE_BOUNDS = {"minpoly": 1000, "certify": 200, "poset": 200,
+                "resolvent": 24, "relcheck": 24}
+_RELCHECK_WORK = 8 * 10 ** 7
+_HOWE_WORK = 2 * 10 ** 5
+
+
+def _check_order(request, flags, order, bound, work):
+    """Raise _Usage when work(order) exceeds bound, naming the largest
+    order within it; work grows with the order."""
+    if work(order) <= bound:
+        return
+    top = 0
+    while work(top + 1) <= bound:
+        top += 1
+    raise _Usage(f"{request} takes {flags} up to {top}, got {order}" if top
+                 else f"{request} exceeds its work bound at every order")
 
 
 def _K(default):
@@ -278,10 +312,11 @@ def _document(args):
     are built and before any is certified: handler(spec, lam, args) for
     one weight, handler(spec, weights, args) for poset's list, which
     must name at least one; at rank 0 the empty text is that one.
-    relcheck and resolvent refuse a matrix size N past _SIZE_BOUND
-    before the spec is built.  The others (shuffle, oracle, howe) get
-    handler(args); the oracle builds its spec only for a module within
-    its bound.
+    Each refuses a matrix size N past its _SIZE_BOUNDS entry, and
+    relcheck an order past its work bound, before the spec is built.
+    The others (shuffle, oracle, howe) get handler(args); the oracle
+    builds its spec only for a module within its bound, and howe its
+    dual pair only for orders within its work bound.
     """
     if "weight" not in args and "weights" not in args:
         return args.handler(args)
@@ -296,10 +331,14 @@ def _document(args):
     for lam in weights:
         if n >= 0 and len(lam) != n:
             raise _Usage(f"weight must have {n} coordinates, got {len(lam)}")
-    size = matrix_size(family, n)
-    if args.command in _SIZE_BOUNDED and size > _SIZE_BOUND:
-        raise _Usage(f"{args.command} takes matrix sizes up to {_SIZE_BOUND}, "
+    size, bound = matrix_size(family, n), _SIZE_BOUNDS[args.command]
+    if size > bound:
+        raise _Usage(f"{args.command} takes matrix sizes up to {bound}, "
                      f"got {size}")
+    if args.command == "relcheck":
+        _check_order(f"relcheck on matrix size {size}", "--K", args.K,
+                     _RELCHECK_WORK, lambda K: size * size * K * (K + sum(
+                         comb(size, j) for j in range(min(K, size + 1)))))
     spec = make_spec(family, n)
     if "weight" in args:
         lam, = weights

@@ -96,20 +96,6 @@ def scaled_quotient(cs: Sequence[int], a: int) -> "list[int] | None":
     return None if cs[0] + a * acc else out
 
 
-class ScaledSeries:
-    """A family of series held as ints n(k) over powers of one int d.
-
-    A subclass provides ``numerators(K)``: d with, per series, the ints
-    n(0), n(1), ... of the terms s(k) = n(k) / d^k, at least K of them.
-    """
-
-    def values(self, K: int):
-        """Per series s(0), ..., s(K-1) as Fractions."""
-        d, cols = self.numerators(K)
-        return [[Fraction(n, d ** k) for k, n in zip(range(K), col)]
-                for col in cols]
-
-
 class TruncationError(ValueError):
     """The truncated tail is too short to determine the answer."""
 

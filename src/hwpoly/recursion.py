@@ -140,8 +140,10 @@ every family.  Nothing here imports the Verma engine.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .algebra import AlgebraSpec, Family, as_weight
-from .polyrat import ScaledSeries, UniPoly, clear_denominators
+from .polyrat import UniPoly, clear_denominators
 
 # the numerator of sp's term 2/(u + a) in R_(-n)
 SP_CORNER = 2
@@ -221,17 +223,15 @@ def scaled_numerators(spec: AlgebraSpec, L, d: int, K: int):
     return [series[label] for label in spec.matrix_indices]
 
 
-class RecursionSeries(ScaledSeries):
-    """s_i(k) at one weight from the rank recursion.
+class RecursionSeries:
+    """s_i(k) at one weight from the rank recursion, the one series the
+    certifier and the resolvent read.
 
-    It provides what the certifier reads of a series, ``spec``, ``lam``,
-    ``values(K)`` and ``numerators(K)``, with d the least common
-    denominator of lambda, and names its engine.  It keeps only the
-    columns of its longest request, as tuples, and hands those out
-    uncopied, so a shorter request reads a prefix.
+    They read ``spec``, ``lam``, ``numerators(K)``, with d the least
+    common denominator of lambda, ``values(K)`` and ``characteristic()``.
+    It keeps only the columns of its longest request, as tuples, and
+    hands those out uncopied, so a shorter request reads a prefix.
     """
-
-    engine = "recursion"
 
     def __init__(self, spec: AlgebraSpec, lam):
         self.spec = spec
@@ -247,6 +247,12 @@ class RecursionSeries(ScaledSeries):
             self._columns = tuple(map(tuple, scaled_numerators(
                 self.spec, self._L, self._d, K)))
         return self._d, self._columns
+
+    def values(self, K: int):
+        """Per diagonal position s(0), ..., s(K-1) as Fractions."""
+        d, cols = self.numerators(K)
+        return [[Fraction(n, d ** k) for k, n in zip(range(K), col)]
+                for col in cols]
 
     def characteristic(self) -> UniPoly:
         """The characteristic identity chi(u), the monic polynomial whose

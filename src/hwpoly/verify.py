@@ -37,18 +37,16 @@ Let V be the span of the entries q(M)_ij in U(g).
    minimal polynomial is the lcm of the reduced denominators of the
    R_i.
 
-A series holds those images s_i(k) = pi((M^k)_ii)(lambda) at one weight as int
-numerators n_i(k) = d^k s_i(k) over the weight's least common
-denominator d.  It is the handle of the certifier:
+A RecursionSeries holds those images s_i(k) = pi((M^k)_ii)(lambda) at
+one weight as int numerators n_i(k) = d^k s_i(k) over the weight's
+least common denominator d.  It runs the paper's corank-one recursion
+in ints (the recursion module, which proves it for every family at
+every rank and order), and it is the one handle of the certifier:
 annihilation_residuals(series, q), certify_minimal(series, q) and
 projected_resolvent(series) all read its spec and weight, and share
-its terms.  Two engines provide one: RecursionSeries runs the paper's
-corank-one recursion in ints (the recursion module, which proves it
-for every family at every rank and order), and DiagonalSeries walks
-the Verma module (the verma module), which cross-checks it.
-certified_minimal_polynomial and divisibility_poset certify on a
-RecursionSeries, and the resolvent command reads one; nothing here
-imports the Verma engine.
+its terms.  A certificate is a function of numerators(K) alone, and
+verma.prove_recursion proves the Verma walk's ints equal to these, so
+nothing here imports the Verma engine.
 
 The certifier's hot path is integer end to end.  A residual is one int
 dot product per diagonal entry of q's ints, weighted by a table, with
@@ -75,9 +73,8 @@ certify_minimal takes one pass over a candidate q built from its
 roots: it evaluates q once, and its single verdict,
 CertificationError, means q does not annihilate.  Otherwise it drops,
 in place, every root whose removal still annihilates, and returns the
-certificate of the minimal polynomial, a divisor of q: the zero
-residuals and, per distinct root, a witness entry where dropping that
-root breaks annihilation.
+certificate of the minimal polynomial, a divisor of q: per distinct
+root, a witness entry where dropping that root breaks annihilation.
 certified_minimal_polynomial hands it the fast answer itself
 (minpoly_from_weight), on a series of deg q + 1 terms, so a trimmed
 certificate means the fast answer was wrong; only when that fails,
@@ -104,31 +101,27 @@ from operator import mul
 from typing import NamedTuple
 
 from .algebra import AlgebraSpec, as_weight
-from .polyrat import (ZERO, CertificationError, InvariantError, ScaledSeries,
-                      UniPoly, pade_reconstruct, root_multiset,
-                      scaled_quotient)
+from .polyrat import (ZERO, CertificationError, InvariantError, UniPoly,
+                      pade_reconstruct, root_multiset, scaled_quotient)
 from .recursion import RecursionSeries
 from .shuffle import minpoly_from_weight
 
 
 class Certificate(NamedTuple):
-    """Annihilation residuals (all zero) plus per-root minimality witnesses.
+    """A polynomial that annihilates at weight, with per-root minimality
+    witnesses.
 
     witnesses holds one (root, entry label, residual) triple for each
     distinct root of the polynomial: dropping that root leaves the
-    recorded diagonal entry with the recorded nonzero residual.  engine
-    names the series the residuals were read from, "recursion" or
-    "verma".
+    recorded diagonal entry with the recorded nonzero residual.
     """
 
     weight: tuple
     polynomial: UniPoly
-    residuals: tuple
     witnesses: tuple
-    engine: str
 
 
-def annihilation_residuals(series: ScaledSeries, q: UniPoly):
+def annihilation_residuals(series: RecursionSeries, q: UniPoly):
     """Evaluated projection of each diagonal entry of q(M) at series.lam.
 
     q must be built from its roots: its coefficients are read as the
@@ -144,7 +137,7 @@ def annihilation_residuals(series: ScaledSeries, q: UniPoly):
         series.spec.matrix_indices, [sum(map(mul, weights, c)) for c in cols]))
 
 
-def _table(series: ScaledSeries, D: int, K: int):
+def _table(series: RecursionSeries, D: int, K: int):
     """(the series numerators, the ints D^k d^(m-k) for k <= m = K - 1).
 
     q(u) = P(D u) / D^m for ints D and P_k, m = deg P.  With
@@ -165,16 +158,17 @@ def _table(series: ScaledSeries, D: int, K: int):
     return cols, table
 
 
-def certify_minimal(series: ScaledSeries, q: UniPoly) -> Certificate:
+def certify_minimal(series: RecursionSeries, q: UniPoly) -> Certificate:
     """Certificate of the minimal polynomial of M on L(lambda), a divisor of q.
 
     lambda is series.lam, and q is a candidate built from its roots,
     as the fast answer and chi are.  Raises ValueError, before any
-    root search, when q holds no root product, and CertificationError
-    when q fails to annihilate.  q is evaluated once, and its root
-    multiset, ints a over one denominator D, and their product in
-    ints, P in v = D u, are read off q once, with the table of
-    weights D^k d^(m-k), m = deg q.  Each distinct root, in ascending
+    root search, when q holds no root product, and CertificationError,
+    which carries the residuals, when q fails to annihilate, so a
+    certificate holds no residual of q.  q is evaluated once, and its
+    root multiset, ints a over one denominator D, and their product in
+    ints, P in v = D u, are read off q once, with the table of weights
+    D^k d^(m-k), m = deg q.  Each distinct root, in ascending
     order, is divided out of P in place for as long as what is left
     still annihilates; once it does not, the first entry it leaves
     nonzero is that root's witness.  A root that is not dropped stays
@@ -218,7 +212,7 @@ def certify_minimal(series: ScaledSeries, q: UniPoly) -> Certificate:
         found[:stale] = [(a, root, m, witness(P, a)[1])
                          for a, root, m, _ in found[:stale]]
     witnesses = tuple((root, *hit) for _, root, _, hit in found)
-    return Certificate(series.lam, q, residuals, witnesses, series.engine)
+    return Certificate(series.lam, q, witnesses)
 
 
 def resolvent_order(spec: AlgebraSpec) -> int:
@@ -226,7 +220,7 @@ def resolvent_order(spec: AlgebraSpec) -> int:
     return 2 * spec.N + 2
 
 
-def projected_resolvent(series: ScaledSeries):
+def projected_resolvent(series: RecursionSeries):
     """Diagonal of the evaluated projected resolvent, as reduced fractions.
 
     Returns (label, numerator, denominator) per diagonal entry, each
@@ -248,7 +242,7 @@ def projected_resolvent(series: ScaledSeries):
     the fraction is not reduced.
     """
     spec = series.spec
-    D, poles = RecursionSeries(spec, series.lam).characteristic().scaled_roots()
+    D, poles = series.characteristic().scaled_roots()
     cols = series.values(resolvent_order(spec))
     out = []
     for label, tail in zip(spec.matrix_indices, cols):

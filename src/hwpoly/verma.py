@@ -7,7 +7,7 @@ the generators scaled by the least common denominator d of lambda, so
 callers divide by d once per generator in the word, and it memoises
 each image at its own weight.  The tests' Verma oracle runs on it too.
 
-DiagonalSeries walks the columns of M^k through M(lambda) one power at
+walk_numerators walks each column of M^k through M(lambda) one power at
 a time; the image of a weight zero element at lambda is the coefficient
 of v_lambda when it acts on v_lambda.  Each column stays inside fixed
 weight spaces, so its state does not grow with k.  It is the
@@ -30,7 +30,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .algebra import CARTAN, NEG, AlgebraSpec, Family, as_weight
-from .polyrat import ScaledSeries, clear_denominators
+from .polyrat import clear_denominators
 from .recursion import scaled_numerators
 
 # bits per exponent field of a packed Verma monomial
@@ -165,91 +165,58 @@ def _entry_table(spec: AlgebraSpec):
     return table
 
 
-class DiagonalSeries(ScaledSeries):
-    """s_i(k) = pi((M^k)_ii)(lambda) for every diagonal entry, grown on demand.
+def walk_numerators(spec: AlgebraSpec, lam, K: int):
+    """(d, per diagonal position the ints n(0), ..., n(K-1)) from the
+    Verma walk, with s_i(k) = pi((M^k)_ii)(lambda) = n_i(k) / d^k.
 
-    Column i of M^k applied to v_lambda in the Verma module M(lambda)
-    obeys u_p^(k) = sum_q M_pq u_q^(k-1) from u_p^(0) = delta_pi v_lambda,
-    and s_i(k) is the coefficient of v_lambda in u_i^(k).  Each u_p stays
-    in the weight space lambda + wt(p) - wt(i), so the state never grows
-    with k and needs no truncation.  One instance serves every request
-    at one weight and holds the only state that depends on lambda,
-    validated once.
+    Positions are in matrix index order.  Column i of M^k applied to
+    v_lambda in the Verma module M(lambda) obeys
+    u_p^(k) = sum_q M_pq u_q^(k-1) from u_p^(0) = delta_pi v_lambda,
+    and s_i(k) is the coefficient of v_lambda in u_i^(k).  Each u_p
+    stays in the weight space lambda + wt(p) - wt(i), so the state never
+    grows with k and needs no truncation.
 
     The columns are int vectors in the rescaled basis of the
     VermaModule: with d its scale, M_pq = c x_g = (c/d) x'_g for the
     int sign c, so the recurrence steps with c alone, the stored column
-    is d^k u^(k), and each step stores the int n_i(k), the coefficient
-    of v_lambda, with s_i(k) = n_i(k) / d^k.  A column is one dict
-    keyed by the packed pair (nu << shift) | p of a Verma monomial nu
-    and a position p, so v_lambda in u_i is the key i.  A step reads
-    one row per key (nu, q), sum_p M_pq x nu over M's column q, as flat
-    (key, int) pairs built once from the module's images and kept on
-    the series.  The columns are stepped to the last power a request
-    needs; a later request steps on.
-
-    The certifier reads exactly four things of a series: ``spec``,
-    ``lam``, ``values(K)`` (the s_i(k) as Fractions) and
-    ``numerators(K)`` (d with the ints n_i(k)); a certificate also
-    records its ``engine``.  RecursionSeries provides the same, and
-    the certifier runs on it.  This walk is the reference that
-    prove_recursion compares the recursion against.
+    is d^k u^(k), and each step records the int n_i(k), the coefficient
+    of v_lambda.  A column is one dict keyed by the packed pair
+    (nu << shift) | p of a Verma monomial nu and a position p, so
+    v_lambda in u_i is the key i.  A step reads one row per key (nu, q),
+    sum_p M_pq x nu over M's column q: each term coef tau of c x'_g nu,
+    for M_pq = c x_g, is one flat pair of the key (tau << shift) | p and
+    the int c * coef.  The rows are built once per call, from the
+    module's images, and each column steps K - 1 times.
     """
+    module = VermaModule(spec, lam)
+    entries, image, rows = _entry_table(spec), module.image, {}
+    shift = len(entries).bit_length()
+    mask = (1 << shift) - 1
 
-    engine = "verma"
+    def row(key):
+        out = []
+        for p, (c, g) in entries[key & mask].items():
+            for tau, ct in image(g, key >> shift).items():
+                out += ((tau << shift) | p, c * ct)
+        return tuple(out)
 
-    def __init__(self, spec: AlgebraSpec, lam):
-        self.spec = spec
-        self.lam = as_weight(spec, lam)
-        self._module = VermaModule(spec, self.lam)
-        self._entries = _entry_table(spec)
-        self._shift = len(self._entries).bit_length()
-        # the columns hold u^(K - 1); n(0) .. n(K - 1) are known
-        self._columns = [{p: 1} for p in range(len(self._entries))]
-        self._numerators = [[1] for _ in self._entries]
-        self._rows = {}
-        self._K = 1
-
-    def numerators(self, K: int):
-        """(d, per diagonal position the ints n(0), ..., n(K-1)).
-
-        Positions are in matrix index order and s(k) = n(k) / d^k.
-        """
-        K = max(K, 0)
-        while self._K < K:
-            self._step()
-        return self._module.scale, [n[:K] for n in self._numerators]
-
-    def _step(self):
-        """Columns u^(K - 1) -> u^(K), recording n(K)."""
-        rows = self._rows
-        for i, column in enumerate(self._columns):
+    numerators = []
+    for i in range(len(entries)):
+        column, n = {i: 1}, [1]
+        for _ in range(K - 1):
             new = {}
             get = new.get
             for key, cv in column.items():
-                row = rows.get(key)
-                if row is None:
-                    row = rows[key] = self._row(key)
-                pairs = iter(row)
+                pairs = rows.get(key)
+                if pairs is None:
+                    pairs = rows[key] = row(key)
+                pairs = iter(pairs)
                 for out, c in zip(pairs, pairs):
                     new[out] = get(out, 0) + cv * c
-            self._columns[i] = {key: c for key, c in new.items() if c}
-            self._numerators[i].append(new.get(i, 0))
-        self._K += 1
-
-    def _row(self, key):
-        """The row of key = (nu, q): M_pq nu over M's column q.
-
-        Each term coef tau of c x'_g nu, for M_pq = c x_g, is one flat
-        pair: the key (tau << shift) | p and the int c * coef.
-        """
-        shift, image = self._shift, self._module.image
-        nu, q = key >> shift, key & ((1 << shift) - 1)
-        row = []
-        for p, (c, g) in self._entries[q].items():
-            for tau, ct in image(g, nu).items():
-                row += ((tau << shift) | p, c * ct)
-        return tuple(row)
+            column = {key: c for key, c in new.items() if c}
+            n.append(new.get(i, 0))
+        numerators.append(n[:K])
+    return module.scale, numerators
 
 
 def _simplex(n: int, D: int):
@@ -272,7 +239,7 @@ def prove_recursion(spec: AlgebraSpec, D: int):
 
     * homogeneity, at every pair of T(n, D): P_k(2L, 2d) = 2^k P_k(L, d);
     * the walk, at the pairs with d = 1: P_k(L, 1) equals the int s_i(k)
-      of DiagonalSeries(spec, L).
+      of walk_numerators(spec, L, D + 1).
 
     No mismatch proves the two engines equal, for k <= D, at every
     weight and every scale d:
@@ -316,7 +283,7 @@ def prove_recursion(spec: AlgebraSpec, D: int):
         checks = [(scaled_numerators(spec, [2 * x for x in L], 2 * d, K),
                    [[x * 2 ** k for k, x in enumerate(col)] for col in mine])]
         if d == 1:
-            checks.append((mine, DiagonalSeries(spec, L).numerators(K)[1]))
+            checks.append((mine, walk_numerators(spec, L, K)[1]))
         for got, want in checks:
             for label, a, b in zip(spec.matrix_indices, got, want):
                 mismatches += [(L, d, label, k)
@@ -355,7 +322,7 @@ def check_relative_formulas(spec: AlgebraSpec, lam, K: int = 6):
     d, L = clear_denominators(as_weight(spec, lam))
     n, labels = spec.n, spec.matrix_indices
     # both engines give the ints d^k s_i(k), over the same d
-    walk = DiagonalSeries(spec, lam).numerators(K)[1]
+    walk = walk_numerators(spec, lam, K)[1]
     diffs = {i: [x - y for x, y in zip(mine, ref)] for i, mine, ref
              in zip(labels, scaled_numerators(spec, L, d, K), walk)}
     blocks = [("corner", [n]),

@@ -19,7 +19,7 @@ import os
 import random
 import subprocess
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, lcm
 from pathlib import Path
 from typing import NamedTuple
@@ -29,7 +29,8 @@ from hwpoly.enveloping import UElement, _acc, project_hc
 from hwpoly.genmatrix import MatrixU, generator_power
 from hwpoly.linalg import ONE, ZERO, Echelon
 from hwpoly.polyrat import InvariantError, UniPoly
-from hwpoly.verma import DiagnosticReport, VermaModule
+from hwpoly.recursion import RecursionSeries
+from hwpoly.verma import DiagnosticReport, VermaModule, walk_numerators
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -37,6 +38,23 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # fast and the certified engine
 BOXES = [(2, -3, 3, Fraction(1, 2)), (2, -2, 2, Fraction(1, 3)),
          (3, -2, 2, Fraction(1))]
+
+
+def walked(spec, lam, *orders):
+    """The RecursionSeries at lam, once the Verma walk has given its
+    numerators at each of orders.
+
+    A certificate is a function of numerators(K) alone, at the orders
+    the certifier reads (deg q + 1, and N + 1 for chi), and a resolvent
+    of numerators(2N + 2), so equal numerators at those orders give the
+    walk's certificate and resolvent.
+    """
+    series = RecursionSeries(spec, lam)
+    for K in orders:
+        d, cols = series.numerators(K)
+        assert walk_numerators(spec, lam, K) == (
+            d, [list(col[:K]) for col in cols]), (spec.label, lam, K)
+    return series
 
 
 def run_into_closed_pipe(argv, unbuffered):
@@ -496,6 +514,30 @@ def gl_dot_orbit(l_dom):
             l[j] = l_dom[i]
         yield (frozenset(i for i in range(n - 1) if w[i] > w[i + 1]),
                tuple(x - (n - 1 - j) for j, x in enumerate(l)))
+
+
+def signed_dot_orbit(family, l_dom):
+    """The sp or o_odd dot-orbit of a regular integral shifted weight.
+
+    l_dom is strictly decreasing and positive, l = lambda + rho.  Yields
+    (R(w), lambda) per signed permutation w, w(eps_i) = s_i eps_pi(i),
+    counted from 0: l = w(l_dom), so l_pi(i) = s_i l_dom_i, and R(w) is
+    the set of simple roots that w makes negative, alpha_i =
+    eps_i - eps_(i+1) for i < n - 1 and alpha_(n-1) along eps_(n-1).  A
+    root is positive when its first nonzero coefficient is, so w(alpha_i)
+    takes the sign of s_i when pi(i) < pi(i+1), and of -s_(i+1) when not.
+    """
+    n = len(l_dom)
+    rho = AlgebraSpec(family, n).rho
+    for pi in permutations(range(n)):
+        for s in product((1, -1), repeat=n):
+            l = [None] * n
+            for i, j in enumerate(pi):
+                l[j] = s[i] * l_dom[i]
+            lead = [s[i] if pi[i] < pi[i + 1] else -s[i + 1]
+                    for i in range(n - 1)] + [s[-1]]
+            yield (frozenset(i for i, sign in enumerate(lead) if sign < 0),
+                   tuple(x - r for x, r in zip(l, rho)))
 
 
 def symbolic_relative_formulas(spec: AlgebraSpec, lam, K: int = 6):

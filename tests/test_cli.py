@@ -346,24 +346,94 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv,size", [
         (("relcheck", "o", "25"), 25), (("resolvent", "gl", "25"), 25),
         (("resolvent", "sp", "13"), 26), (("relcheck", "sp", "12"), 24),
-        (("resolvent", "o", "24"), 24), (("relcheck", "gl", "24"), 24)])
+        (("resolvent", "o", "24"), 24), (("relcheck", "gl", "24"), 24),
+        (("minpoly", "gl", "1001"), 1001), (("minpoly", "o", "1000"), 1000),
+        (("minpoly", "sp", "500"), 1000), (("certify", "sp", "101"), 202),
+        (("certify", "o", "201"), 201), (("certify", "gl", "200"), 200),
+        (("poset", "gl", "201"), 201), (("poset", "sp", "100"), 200)])
     def test_matrix_size_bound_of_relcheck_and_resolvent(
             self, capsys, monkeypatch, argv, size):
-        # both read whole diagonal series, at a cost that grows steeply
-        # with N: past N = 24 they exit before the spec is built, and at
-        # N = 24 they build it
+        # each command's cost grows steeply with N: past its bound (24
+        # for the two that read whole diagonal series, 200 for certify
+        # and poset, 1000 for minpoly) it exits before the spec is built,
+        # and at its bound it builds it; relcheck at a small enough --K,
+        # since its default K = 6 is past its work bound at N = 24
         def reached(*args):
             raise ValueError("built the spec")
         monkeypatch.setattr(cli, "make_spec", reached)
         command, family, num = argv
+        bound = cli._SIZE_BOUNDS[command]
         rank = int(num) // 2 if family == "o" else int(num)
-        rc, out, err = run(capsys, *argv, "--", ",".join(["0"] * rank))
+        order = ("--K", "4") if command == "relcheck" else ()
+        rc, out, err = run(capsys, *argv, *order, "--",
+                           ",".join(["0"] * rank))
         assert (rc, out) == (1, "")
-        if size > 24:
-            assert err == (f"hwpoly: {command} takes matrix sizes up to 24, "
-                           f"got {size}\n")
+        if size > bound:
+            assert err == (f"hwpoly: {command} takes matrix sizes up to "
+                           f"{bound}, got {size}\n")
         else:
             assert err == "hwpoly: built the spec\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        # CI's rank-10 requests at the default K = 6
+        (("gl", "10"), None), (("sp", "10"), None), (("o", "20"), None),
+        (("o", "21"), None), (("gl", "21"), None),
+        (("gl", "22"), "relcheck on matrix size 22 takes --K up to 5, got 6"),
+        (("sp", "12", "--K", "40"),
+         "relcheck on matrix size 24 takes --K up to 5, got 40"),
+        (("gl", "16", "--K", "8"), None),
+        (("gl", "16", "--K", "9"),
+         "relcheck on matrix size 16 takes --K up to 8, got 9"),
+        (("gl", "1", "--K", "8943"), None),
+        (("gl", "1", "--K", "100000"),
+         "relcheck on matrix size 1 takes --K up to 8943, got 100000")])
+    def test_work_bound_of_relcheck(self, capsys, monkeypatch, argv,
+                                    message):
+        # the walk's work grows steeply with N and K: past the bound
+        # relcheck exits before the spec is built
+        def reached(*args):
+            raise ValueError("built the spec")
+        monkeypatch.setattr(cli, "make_spec", reached)
+        family, num = argv[:2]
+        rank = int(num) // 2 if family == "o" else int(num)
+        rc, out, err = run(capsys, "relcheck", *argv, "--",
+                           ",".join(["0"] * rank))
+        assert (rc, out) == (1, "")
+        assert err == f"hwpoly: {message or 'built the spec'}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        # the pinned requests: n, k <= 3, --rmax 4 and the default K = 3
+        (("3", "3", "--rmax", "4"), None), (("2", "3", "--rmax", "4"), None),
+        (("1", "3", "--dmax", "4"), None),
+        (("3", "3", "--rmax", "6"),
+         "howe 3 3 takes --rmax and --K up to 5, got 6"),
+        (("3", "3", "--rmax", "8"),
+         "howe 3 3 takes --rmax and --K up to 5, got 8"),
+        (("2", "2", "--K", "14"), None),
+        (("2", "2", "--K", "16"),
+         "howe 2 2 takes --rmax and --K up to 14, got 16"),
+        (("2", "2", "--K", "30"),
+         "howe 2 2 takes --rmax and --K up to 14, got 30"),
+        (("4", "4", "--rmax", "4"),
+         "howe 4 4 takes --rmax and --K up to 3, got 4"),
+        (("9", "9", "--rmax", "1", "--K", "1"), None),
+        (("20", "20", "--rmax", "1", "--K", "1"),
+         "howe 20 20 exceeds its work bound at every order"),
+        (("0", "3"), "matrix dimensions must be positive")])
+    def test_work_bound_of_howe(self, capsys, monkeypatch, argv, message):
+        # the Weyl-algebra work grows steeply with n, k and the order:
+        # past the bound howe exits before the dual pair is built
+        from hwpoly import howe
+        real = howe.dual_pair
+
+        def reached(n, k):
+            if n > 0 and k > 0:
+                raise ValueError("built the dual pair")
+            return real(n, k)
+        monkeypatch.setattr(howe, "dual_pair", reached)
+        rc, out, err = run(capsys, "howe", *argv)
+        assert (rc, out) == (1, "")
+        assert err == f"hwpoly: {message or 'built the dual pair'}\n"
 
     def test_seed_flag_is_gone(self, capsys):
         rc, _, err = run(capsys, "minpoly", "gl", "2", "1,0", "--seed", "3")

@@ -11,7 +11,7 @@ from math import comb
 import pytest
 
 from hwpoly import recursion, verma
-from helpers import series_of_rational, verma_act, verma_apply
+from helpers import series_of_rational, verma_act, verma_apply, walked
 from hwpoly.algebra import NEG, POS, AlgebraSpec, Family, make_spec
 from hwpoly.enveloping import UElement, project_hc
 from hwpoly.genmatrix import (MatrixU, generator_matrix, generator_power,
@@ -21,7 +21,7 @@ from hwpoly.recursion import RecursionSeries, scaled_numerators
 from hwpoly.shuffle import minpoly_from_weight
 from hwpoly.verify import (certified_minimal_polynomial, certify_minimal,
                            projected_resolvent)
-from hwpoly.verma import DiagonalSeries, VermaModule, prove_recursion
+from hwpoly.verma import VermaModule, prove_recursion, walk_numerators
 
 F = Fraction
 
@@ -122,10 +122,9 @@ def test_series_match_the_verma_series(family):
             lam = tuple(F(rng.randint(-9, 9), rng.choice([1, 2, 3]))
                         for _ in range(n))
             mine = RecursionSeries(spec, lam)
-            ref = DiagonalSeries(spec, lam)
-            assert mine.values(K) == ref.values(K), (spec.label, lam)
             d, cols = mine.numerators(K)
-            assert d == ref.numerators(K)[0]
+            walk = walk_numerators(spec, lam, K)
+            assert walk == (d, list(map(list, cols))), (spec.label, lam)
             assert all(type(x) is int for col in cols for x in col)
             # a shorter request reads a prefix of the longest one's
             # columns, handed out uncopied and read-only
@@ -161,26 +160,20 @@ def test_gl_is_proven_at_every_rank_and_order():
         assert len(series.values(2 * spec.N + 2)) == n
 
 
-# the certifier runs on the recursion; either engine's series certifies
-# to the one certificate, which names the engine it was read from
-ENGINES = {"recursion": RecursionSeries, "verma": DiagonalSeries}
-
-
-@pytest.mark.parametrize("family,n,lam,engine", [
-    ("gl", 3, (2, 1, 0), "recursion"),
-    ("sp", 3, (F(1, 2), 0, -1), "recursion"),
-    ("o_odd", 3, (-2, -2, 0), "recursion"),
-    ("sp", 4, (2, F(1, 2), 0, -1), "verma"),
-    ("o_even", 4, (3, 2, 1, 0), "verma"),
-    ("gl", 6, (5, 4, 3, 2, 1, 0), "recursion")])
-def test_certificate_names_its_engine(family, n, lam, engine):
+@pytest.mark.parametrize("family,n,lam", [
+    ("gl", 3, (2, 1, 0)),
+    ("sp", 3, (F(1, 2), 0, -1)),
+    ("o_odd", 3, (-2, -2, 0)),
+    ("sp", 4, (2, F(1, 2), 0, -1)),
+    ("o_even", 4, (3, 2, 1, 0)),
+    ("gl", 6, (5, 4, 3, 2, 1, 0))])
+def test_certificate_reads_the_numerators_alone(family, n, lam):
+    # the certified path's certificate is the one that the fast answer
+    # gets on a series of deg q + 1 terms, which the Verma walk gives too
     spec = make_spec(family, n)
+    q = minpoly_from_weight(spec, lam)
     _, cert = certified_minimal_polynomial(spec, lam)
-    assert cert.engine == "recursion"
-    mine = certify_minimal(ENGINES[engine](spec, lam),
-                           minpoly_from_weight(spec, lam))
-    assert mine.engine == engine
-    assert cert._replace(engine=engine) == mine
+    assert cert == certify_minimal(walked(spec, lam, q.degree + 1), q)
 
 
 @pytest.mark.parametrize("family,n,lam", [
@@ -188,9 +181,12 @@ def test_certificate_names_its_engine(family, n, lam, engine):
     ("o_odd", 2, (F(1, 2), F(-3, 2))),
     ("gl", 6, (3, F(1, 2), 2, -1, 0, 4))])
 def test_resolvents_of_both_engines_agree(family, n, lam):
+    # the resolvent reads numerators(2N + 2) alone, and the walk gives
+    # the recursion's
     spec = make_spec(family, n)
-    assert projected_resolvent(RecursionSeries(spec, lam)) \
-        == projected_resolvent(DiagonalSeries(spec, lam))
+    K = 2 * spec.N + 2
+    assert projected_resolvent(walked(spec, lam, K)) \
+        == projected_resolvent(RecursionSeries(spec, lam))
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -222,16 +218,16 @@ def test_poles_are_the_characteristic_identity(family, n):
 @pytest.mark.parametrize("n", range(4))
 @pytest.mark.parametrize("family", ["gl", "sp", "o_even", "o_odd"])
 def test_characteristic_identity_certifies_on_the_verma_walk(family, n):
-    # chi annihilates on the independent engine too, and trims there to
-    # the certifier's own certificate, on the box [-2, 2]^n in halves
+    # chi is certified on N + 1 terms, which the independent engine
+    # gives too, and trims to the certifier's own certificate, on the box
+    # [-2, 2]^n in halves
     spec = AlgebraSpec(family, n)
     box = [F(k, 2) for k in range(-4, 5)]
     for lam in product(box, repeat=n):
-        chi = RecursionSeries(spec, lam).characteristic()
-        walk = certify_minimal(DiagonalSeries(spec, lam), chi)
-        mine = certify_minimal(RecursionSeries(spec, lam), chi)
+        series = walked(spec, lam, spec.N + 1)
+        mine = certify_minimal(series, series.characteristic())
         _, cert = certified_minimal_polynomial(spec, lam)
-        assert walk._replace(engine="recursion") == mine == cert, lam
+        assert mine == cert, lam
 
 
 # the gl proof in the recursion docstring, step by step: each finite
@@ -360,11 +356,10 @@ def seeded_weights(spec):
 def test_gl_certificates_past_the_old_table_match_the_verma_walk(n):
     spec = AlgebraSpec("gl", n)
     for lam in seeded_weights(spec):
+        q = minpoly_from_weight(spec, lam)
         _, cert = certified_minimal_polynomial(spec, lam)
-        assert cert.engine == "recursion"
-        reference = certify_minimal(DiagonalSeries(spec, lam),
-                                    minpoly_from_weight(spec, lam))
-        assert cert._replace(engine="verma") == reference, lam
+        assert cert == certify_minimal(walked(spec, lam, q.degree + 1), q), \
+            lam
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -375,12 +370,9 @@ def test_certificates_past_the_old_table_match_the_verma_walk(family, n):
     spec = AlgebraSpec(family, n)
     for lam in seeded_weights(spec):
         q = minpoly_from_weight(spec, lam)
-        walk = DiagonalSeries(spec, lam)
-        K = q.degree + 1
-        assert RecursionSeries(spec, lam).values(K) == walk.values(K), lam
+        series = walked(spec, lam, q.degree + 1)
         _, cert = certified_minimal_polynomial(spec, lam)
-        assert cert.engine == "recursion"
-        assert cert._replace(engine="verma") == certify_minimal(walk, q), lam
+        assert cert == certify_minimal(series, q), lam
 
 
 # the o and sp proof in the recursion docstring, step by step.  F[i,j]
@@ -563,6 +555,13 @@ def test_o_sp_proof_step_16_vector_operator_identity(family, n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
+def test_gl_proof_step_16_vector_operator_identity(n):
+    # gl labels are positive, so the theta terms of the o and sp form
+    # never fire: [E_ab, (M^p)_cd] = delta_bc (M^p)_ad - delta_ad (M^p)_cb
+    test_o_sp_proof_step_16_vector_operator_identity("gl", n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("family", ["sp", "o_even", "o_odd"])
 def test_o_sp_proof_steps_17_and_18_the_opposite_corner(family, n):
     # step 17 in PBW form: moving each F[-n,j], j > -n, to the right
@@ -633,14 +632,13 @@ def test_fast_equals_certified_at_item_2_weights(family, n, lam):
                                           ("sp", 3, (-3, -3, 0)),
                                           ("o_even", 5, (-3, -3, -3, 0, 0))])
 def test_both_engines_trim_item_2_candidates_alike(family, n, lam):
-    # the recursion and the Verma walk give one certificate
+    # the recursion and the Verma walk give the deg q + 1 terms that
+    # the certificate reads, so they give one certificate
     spec = make_spec(family, n)
     q = minpoly_from_weight(spec, lam)
-    mine = certify_minimal(RecursionSeries(spec, lam), q)
-    ref = certify_minimal(DiagonalSeries(spec, lam), q)
+    mine = certify_minimal(walked(spec, lam, q.degree + 1), q)
     assert mine.polynomial.degree < q.degree
-    assert (mine.engine, ref.engine) == ("recursion", "verma")
-    assert mine._replace(engine=None) == ref._replace(engine=None)
+    assert mine == certified_minimal_polynomial(spec, lam)[1]
 
 
 def test_dropped_spec_is_freed_without_the_cycle_collector():
@@ -650,12 +648,12 @@ def test_dropped_spec_is_freed_without_the_cycle_collector():
     try:
         spec = AlgebraSpec("sp", 3)
         lam = (2, 1, 0)
-        cert = certify_minimal(DiagonalSeries(spec, lam),
-                               minpoly_from_weight(spec, lam))
+        q = minpoly_from_weight(spec, lam)
+        cert = certify_minimal(walked(spec, lam, q.degree + 1), q)
         ref = weakref.ref(spec)
         del spec
         assert ref() is None
-        assert cert.engine == "verma"
+        assert cert.polynomial == q
     finally:
         gc.enable()
 

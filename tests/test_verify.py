@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (BOXES, acceptance_relative_weights, bc_relative_weights,
                      gl_dot_orbit, gl_relative_weights, poly_divmod,
-                     symbolic_relative_formulas)
+                     signed_dot_orbit, symbolic_relative_formulas, walked)
 from hwpoly import polyrat, verify, verma
 from hwpoly.algebra import AlgebraSpec, make_spec
 from hwpoly.enveloping import evaluate_at_weight
@@ -29,7 +29,7 @@ from hwpoly.verify import (
     divisibility_poset,
     projected_resolvent,
 )
-from hwpoly.verma import DiagonalSeries
+from hwpoly.verma import VermaModule, walk_numerators
 
 
 F = Fraction
@@ -50,9 +50,9 @@ class TestDiagonalSeries:
         spec = make_spec(family, n)
         K = orders or 2 * spec.N + 2
         for lam in self.WEIGHTS[n]:
-            cols = DiagonalSeries(spec, lam).values(K)
+            d, cols = walk_numerators(spec, lam, K)
             for pos, col in enumerate(cols):
-                assert col == [
+                assert [F(x, d ** k) for k, x in enumerate(col)] == [
                     evaluate_at_weight(projected_diagonal(spec, k)[pos], lam)
                     for k in range(K)], (spec.label, lam, pos)
 
@@ -67,11 +67,10 @@ class TestDiagonalSeries:
     def test_matches_pbw_at_mixed_denominators(self, family, n, lam, scale):
         spec = make_spec(family, n)
         K = 2 * spec.N + 2
-        series = DiagonalSeries(spec, lam)
-        assert series._module.scale == scale
-        cols = series.values(K)
+        d, cols = walk_numerators(spec, lam, K)
+        assert d == scale
         for pos, col in enumerate(cols):
-            assert col == [
+            assert [F(x, d ** k) for k, x in enumerate(col)] == [
                 evaluate_at_weight(projected_diagonal(spec, k)[pos], lam)
                 for k in range(K)], (spec.label, lam, pos)
 
@@ -79,17 +78,25 @@ class TestDiagonalSeries:
         ("gl", 3, (F(1, 2), F(-1, 3), 0)),
         ("sp", 2, (F(1, 3), F(-1, 2))),
         ("o_odd", 2, (F(-5, 2), F(2, 3)))])
-    def test_state_holds_ints_only(self, family, n, lam):
+    def test_state_holds_ints_only(self, monkeypatch, family, n, lam):
         # the recurrence runs on the basis scaled by 6, so neither the
-        # module's images nor a column nor a row may hold a Fraction
-        series = DiagonalSeries(AlgebraSpec(family, n), lam)
-        series.values(8)
-        module = series._module
+        # module's images nor a returned numerator may hold a Fraction
+        modules = []
+
+        class Recorded(VermaModule):
+            def __init__(self, *args):
+                super().__init__(*args)
+                modules.append(self)
+
+        monkeypatch.setattr(verma, "VermaModule", Recorded)
+        spec = AlgebraSpec(family, n)
+        d, numerators = walk_numerators(spec, lam, 8)
+        module, = modules
         assert module.scale == 6
         assert all(type(v) is int for v in module._cartan)
         # the module holds every image at its own weight, Cartan ones
         # included, with its memo of monomial weights
-        assert all(module._images[h] for h in series.spec.cartan_by_coord)
+        assert all(module._images[h] for h in spec.cartan_by_coord)
         for memo in module._images:
             for nu, image in memo.items():
                 assert type(nu) is int
@@ -99,66 +106,48 @@ class TestDiagonalSeries:
         for nu, wt in module._weights.items():
             assert type(nu) is int
             assert len(wt) == n and all(type(x) is int for x in wt)
-        # columns and rows key each int by the packed pair (monomial,
-        # position); a row is flat (key, int) pairs
-        for column in series._columns:
-            assert all(type(key) is int and type(c) is int and c
-                       for key, c in column.items())
-        assert series._rows
-        for key, row in series._rows.items():
-            assert type(key) is int
-            assert len(row) % 2 == 0 and all(type(x) is int for x in row)
         # nothing of the walk is cached on the spec but M's entry table
-        assert set(series.spec._cache_misc) == {"entries"}
-        d, numerators = series.numerators(8)
+        assert set(spec._cache_misc) == {"entries"}
         assert d == 6
         assert all(len(col) == 8 and all(type(n) is int for n in col)
                    for col in numerators)
-
-    def test_grows_on_demand(self):
-        series = DiagonalSeries(make_spec("sp", 1), (2,))
-        short = series.values(3)
-        assert series.values(6)[0][:3] == short[0]
-        assert [len(c) for c in series.values(2)] == [2, 2]
 
     @pytest.mark.parametrize("family,n,lam", [
         ("gl", 3, (F(1, 2), F(-1, 3), 0)), ("sp", 2, (F(1, 3), F(-1, 2))),
         ("o_odd", 2, (F(-5, 2), F(2, 3))), ("o_even", 2, (1, F(-1, 2)))])
     def test_one_request_at_a_time_matches_one_long_request(self, family, n,
                                                             lam):
-        # each longer request steps the columns on from the power the
-        # last one left them at; a shorter one reads a prefix
+        # a walk to any order gives a prefix of the walk to a longer one
         spec = make_spec(family, n)
         K = 2 * spec.N + 2
-        grown = DiagonalSeries(spec, lam)
+        d, whole = walk_numerators(spec, lam, K)
+        assert all(len(col) == K for col in whole)
         for k in range(K + 1):
-            grown.numerators(k)
-        for k in (K - 3, K - 1, K - 3):
-            grown.numerators(k)
-        assert grown.numerators(K) == DiagonalSeries(spec, lam).numerators(K)
-        assert grown.values(K) == DiagonalSeries(spec, lam).values(K)
+            assert walk_numerators(spec, lam, k) == (
+                d, [col[:k] for col in whole]), k
 
     def test_specs_share_one_entry_table(self):
+        # walks at two weights on one spec read the one table kept on it
         spec = make_spec("sp", 2)
-        weights = [(F(1, 3), F(-1, 2)), (2, 1)]
-        shared = [DiagonalSeries(spec, lam) for lam in weights]
-        assert shared[0]._entries is shared[1]._entries
-        for lam, series in zip(weights, shared):
-            fresh = DiagonalSeries(AlgebraSpec("sp", 2), lam)
-            assert fresh._entries is not series._entries
-            assert series.values(8) == fresh.values(8)
+        table = verma._entry_table(spec)
+        for lam in [(F(1, 3), F(-1, 2)), (2, 1)]:
+            fresh = AlgebraSpec("sp", 2)
+            assert walk_numerators(spec, lam, 8) \
+                == walk_numerators(fresh, lam, 8)
+            assert spec._cache_misc["entries"] is table
+            assert fresh._cache_misc["entries"] is not table
 
 
 def _annihilates(spec, q, lam):
-    return not any(r for _, r in
-                   annihilation_residuals(DiagonalSeries(spec, lam), q))
+    return not any(r for _, r in annihilation_residuals(
+        walked(spec, lam, q.degree + 1), q))
 
 
 class TestAnnihilation:
     def test_trivial_module(self):
         spec = make_spec("gl", 2)
         assert _annihilates(spec, UniPoly.from_roots([0]), (0, 0))
-        res = annihilation_residuals(DiagonalSeries(spec, (0, 0)),
+        res = annihilation_residuals(walked(spec, (0, 0), 1),
                                      UniPoly.from_roots([]))
         assert res == ((1, 1), (2, 1))
 
@@ -183,14 +172,14 @@ def test_residuals_match_the_fraction_reference(data):
     # the first coordinate has denominator exactly scale
     lam = (F(1 + scale * data.draw(st.integers(-3, 3)), scale),) + tuple(
         F(data.draw(st.integers(-9, 9)), scale) for _ in range(n - 1))
-    series = DiagonalSeries(spec, lam)
-    assert series._module.scale == scale
     roots = data.draw(st.lists(_ROOT, max_size=5))
     annihilating = data.draw(st.booleans())
     if annihilating:
         q, _ = certified_minimal_polynomial(spec, lam)
         roots += [r for r, m in q.rational_roots() for _ in range(m)]
     q = UniPoly.from_roots(roots)
+    series = walked(spec, lam, len(q.coeffs))
+    assert series.numerators(0)[0] == scale
     cols = series.values(len(q.coeffs))
     reference = tuple(
         (label, sum((c * s for c, s in zip(q.coeffs, col)), F(0)))
@@ -207,22 +196,20 @@ def _fraction_residuals(spec, cols, p):
                  for label, col in zip(spec.matrix_indices, cols))
 
 
-@pytest.mark.parametrize("engine", [DiagonalSeries, RecursionSeries],
-                         ids=["verma", "recursion"])
+@pytest.mark.parametrize("walk", [True, False], ids=["verma", "recursion"])
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_certify_minimal_matches_the_fraction_reference(engine, data):
+def test_certify_minimal_matches_the_fraction_reference(walk, data):
     # candidates with roots of denominators 1, 2, 3 and 6, repeated roots
     # of the answer and roots outside it; the reference divides in
     # Fractions and reads the minimal polynomial off every divisor, on
-    # the Verma walk and on the recursion the certified path runs on
+    # the recursion, once the Verma walk has given its numerators too
     family, n = data.draw(st.sampled_from(_RESIDUAL_SPECS))
     spec = make_spec(family, n)
     scale = data.draw(st.sampled_from([1, 2, 3, 6]))
     # the first coordinate has denominator exactly scale
     lam = (F(1 + scale * data.draw(st.integers(-3, 3)), scale),) + tuple(
         F(data.draw(st.integers(-9, 9)), scale) for _ in range(n - 1))
-    series = engine(spec, lam)
     answer, _ = certified_minimal_polynomial(spec, lam)
     roots = [r for r, m in answer.rational_roots() for _ in range(m)]
     extra = data.draw(st.lists(st.sampled_from(roots), max_size=2))
@@ -231,6 +218,8 @@ def test_certify_minimal_matches_the_fraction_reference(engine, data):
         roots.remove(data.draw(st.sampled_from(roots)))
     roots += extra + data.draw(st.lists(_ROOT, max_size=2))
     q = UniPoly.from_roots(roots)
+    series = (walked(spec, lam, len(q.coeffs)) if walk
+              else RecursionSeries(spec, lam))
     cols = series.values(len(q.coeffs))
     reference = _fraction_residuals(spec, cols, q)
     if any(r for _, r in reference):
@@ -239,7 +228,7 @@ def test_certify_minimal_matches_the_fraction_reference(engine, data):
         assert exc.value.residuals == reference
         return
     cert = certify_minimal(series, q)
-    assert cert.residuals == reference
+    assert annihilation_residuals(series, cert.polynomial) == reference
     factors = [(UniPoly((-r, 1)), m) for r, m in q.rational_roots()]
     divisors = []
     for drops in product(*(range(m + 1) for _, m in factors)):
@@ -287,20 +276,24 @@ class TestCertifyMinimal:
     def test_certificate_contents(self):
         spec = make_spec("gl", 2)
         q = UniPoly.from_roots([0, 2])
-        cert = certify_minimal(DiagonalSeries(spec, (1, 0)), q)
+        series = walked(spec, (1, 0), 3)
+        cert = certify_minimal(series, q)
         assert isinstance(cert, Certificate)
-        assert all(not r for _, r in cert.residuals)
+        assert Certificate._fields == ("weight", "polynomial", "witnesses")
+        assert cert.weight == (1, 0)
+        assert all(not r for _, r in annihilation_residuals(
+            series, cert.polynomial))
         assert sorted(w[0] for w in cert.witnesses) == [0, 2]
         assert all(w[2] for w in cert.witnesses)
 
     def test_failure_modes(self):
         spec = make_spec("gl", 2)
         with pytest.raises(CertificationError) as exc:
-            certify_minimal(DiagonalSeries(spec, (1, 0)),
+            certify_minimal(walked(spec, (1, 0), 3),
                             UniPoly.from_roots([0, 1]))
         assert any(r for _, r in exc.value.residuals)
         # a droppable root is trimmed: u kills the trivial module
-        trivial = DiagonalSeries(spec, (0, 0))
+        trivial = walked(spec, (0, 0), 3)
         cert = certify_minimal(trivial, UniPoly.from_roots([0, 1]))
         assert cert.polynomial == UniPoly((0, 1))
         assert cert.witnesses == ((0, 1, 1),)
@@ -349,18 +342,23 @@ class TestTrimInPlace:
         roots = [r for r, m in q.rational_roots() for _ in range(m)]
         r = roots[len(roots) // 2]
         outside = max(roots) + F(1, 2)
-        series = DiagonalSeries(spec, lam)
-        for extra in ([r], [outside], [r, r], [min(roots) - 1]):
+        extras = ([r], [outside], [r, r], [min(roots) - 1])
+        # the orders the candidates and chi are certified on
+        series = walked(spec, lam, *sorted(
+            {len(roots) + len(extra) + 1 for extra in extras}),
+            spec.N + 1)
+        for extra in extras:
             trimmed = certify_minimal(series,
                                       UniPoly.from_roots(roots + extra))
             assert trimmed.polynomial == q, (spec.label, lam, extra)
             assert trimmed.witnesses == cert.witnesses, (spec.label, extra)
-            assert trimmed.residuals == cert.residuals
+            assert not any(r for _, r in annihilation_residuals(
+                series, trimmed.polynomial))
             # the trimmed polynomial carries its roots and their product
             assert trimmed.polynomial._scaled is not None
             assert trimmed.polynomial._product is not None
         # so does the characteristic identity, which the fallback trims
-        chi = RecursionSeries(spec, lam).characteristic()
+        chi = series.characteristic()
         assert chi._scaled is not None and chi._product is not None
         assert certify_minimal(series, chi).polynomial._product is not None
 
@@ -422,8 +420,8 @@ class TestCertifiedMinimal:
             for lam in weights:
                 fast = minpoly_from_weight(spec, lam)
                 cert = certified_minimal_polynomial(spec, lam)[0]
-                lcd = monic_lcm(den for _, _, den in
-                                projected_resolvent(DiagonalSeries(spec, lam)))
+                lcd = monic_lcm(den for _, _, den in projected_resolvent(
+                    walked(spec, lam, 2 * spec.N + 2)))
                 assert fast == cert == lcd, (family, lam)
 
     @pytest.mark.parametrize("family,n,lam", [
@@ -440,7 +438,7 @@ class TestCertifiedMinimal:
 
     def test_resolvent_entries_defining_weight(self):
         spec = make_spec("gl", 2)
-        entries = projected_resolvent(DiagonalSeries(spec, (1, 0)))
+        entries = projected_resolvent(walked(spec, (1, 0), 2 * spec.N + 2))
         assert entries == (
             (1, UniPoly((-1, 1)), UniPoly((0, -2, 1))),
             (2, UniPoly((1,)), UniPoly((0, 1))))
@@ -453,7 +451,7 @@ class TestCertifiedMinimal:
                                ("o_odd", 1, (3,)), ("o_even", 2, (1, -1))]:
             spec = make_spec(family, n)
             N = spec.N
-            series = DiagonalSeries(spec, lam)
+            series = walked(spec, lam, 2 * N + 2)
             tails = series.values(2 * N + 2)
             fits = [pade_reconstruct(t, N) for t in tails]
             assert fits == [pade_reconstruct(t[:2 * N], N) for t in tails]
@@ -503,7 +501,8 @@ class TestCertifiedMinimal:
         assert q == UniPoly.from_roots([0, 2, 4])
         assert cert.witnesses == direct.witnesses == (
             (0, 1, 3), (2, 1, -1), (4, 1, 3))
-        assert all(not r for _, r in cert.residuals)
+        assert all(not r for _, r in annihilation_residuals(
+            RecursionSeries(spec, lam), cert.polynomial))
         # the identity carries its roots, and the answer keeps them
         assert q.rational_roots() == [(0, 1), (2, 1), (4, 1)]
 
@@ -595,14 +594,15 @@ class TestResolventDenominators:
         ("gl", 2, (1, 0)), ("sp", 2, (-2, -2)), ("o_odd", 2, (F(1, 2), 0)),
         ("o_even", 3, (1, 1, -1))])
     def test_denominators_carry_their_roots(self, family, n, lam):
-        # built from the poles of chi, on either engine's series; their
-        # lcm, a multiset max, is the certified answer
+        # built from the poles of chi, on the series whose numerators
+        # the Verma walk gives too; their lcm, a multiset max, is the
+        # certified answer
         spec = make_spec(family, n)
         answer = certified_minimal_polynomial(spec, lam)[0]
-        for series in (RecursionSeries(spec, lam), DiagonalSeries(spec, lam)):
-            dens = [den for _, _, den in projected_resolvent(series)]
-            assert all(den.root_product() is not None for den in dens)
-            assert monic_lcm(dens) == answer
+        series = walked(spec, lam, 2 * spec.N + 2)
+        dens = [den for _, _, den in projected_resolvent(series)]
+        assert all(den.root_product() is not None for den in dens)
+        assert monic_lcm(dens) == answer
 
     @pytest.mark.parametrize("family,n,lam", _CHI_WEIGHTS)
     def test_a_pole_missing_from_chi_raises(self, monkeypatch, family, n, lam):
@@ -714,11 +714,40 @@ def test_gl_regular_orbit_q_reads_the_descents_on_unit_gaps(low, gaps):
             assert (ra <= rb) == (a <= b)
 
 
-# sha256 of every certified polynomial, residual tuple and witness tuple
-# on the boxes below, recorded before the Verma images became affine in
-# the weight
+@pytest.mark.parametrize("family,l_dom", [
+    *(("sp", tuple(range(n, 0, -1))) for n in (2, 3, 4)),
+    *(("o_odd", tuple(F(2 * k - 1, 2) for k in range(n, 0, -1)))
+      for n in (2, 3, 4)),
+    ("sp", (4, 2, 1)), ("sp", (5, 4, 2)),
+    ("o_odd", (F(7, 2), F(5, 2), F(1, 2))),
+    ("o_odd", (F(9, 2), F(5, 2), F(3, 2)))])
+def test_bc_regular_orbit_q_reads_the_descents_on_unit_gaps(family, l_dom):
+    # the gl statement above, observed for sp and o_odd on the orbits of
+    # 0 (l_dom = rho) and of a few other l_dom: S holds the unit gaps and
+    # the last simple root when l_dom_n = rho_n, 1 for sp and 1/2 for o_odd
+    n = len(l_dom)
+    spec = make_spec(family, n)
+    unit = frozenset(i for i in range(n - 1) if l_dom[i] - l_dom[i + 1] == 1)
+    if l_dom[-1] == spec.rho[-1]:
+        unit |= {n - 1}
+    q_of, class_of = {}, {}
+    for negative, lam in signed_dot_orbit(family, l_dom):
+        q = certified_minimal_polynomial(spec, lam)[0]
+        key = negative & unit
+        assert q_of.setdefault(key, q) == q, lam
+        assert class_of.setdefault(q, key) == key, lam
+    assert len(q_of) == 2 ** len(unit)
+    roots = {key: root_multiset(q) for key, q in q_of.items()}
+    for a, ra in roots.items():
+        for b, rb in roots.items():
+            assert (ra <= rb) == (a <= b)
+
+
+# sha256 of every certified polynomial and witness tuple on the boxes
+# below, recorded before a certificate dropped its residuals, which were
+# all zero
 CERTIFIED_BOX_DIGEST = \
-    "6073cac0d7e9942170cb298564e3d2ec2894009540ddbc0c951dbcf1ce6af082"
+    "78ca46cfa77c0409672b95679150a6a253089c45526dc49506fa71619ce7555d"
 
 
 def test_certified_engine_on_whole_boxes():
@@ -733,7 +762,6 @@ def test_certified_engine_on_whole_boxes():
             for lam in product(values, repeat=rank):
                 q, cert = certified_minimal_polynomial(spec, lam)
                 line = repr(([str(x) for x in lam], [str(c) for c in q.coeffs],
-                             [(label, str(r)) for label, r in cert.residuals],
                              [(str(root), label, str(r))
                               for root, label, r in cert.witnesses]))
                 digest.update(line.encode() + b"\n")
